@@ -46,6 +46,18 @@ public:
                 fanout_cell_.data() + fanout_offset_[net + 1]};
     }
 
+    /// The whole fanout CSR: row offsets (num_nets + 1 entries) and the flat
+    /// consumer array they index — the event kernel's hot loop walks these
+    /// raw arrays instead of building a span per toggle.
+    [[nodiscard]] std::span<const std::uint32_t> fanout_offsets() const noexcept
+    {
+        return fanout_offset_;
+    }
+    [[nodiscard]] std::span<const netlist::CellId> fanout_cells() const noexcept
+    {
+        return fanout_cell_;
+    }
+
     /// Input nets of cell @p c (CSR row of the input table).
     [[nodiscard]] std::span<const netlist::NetId> inputs(netlist::CellId c) const
     {

@@ -21,81 +21,24 @@ using util::BitVec;
 
 void EventSimulator::TimingWheel::configure(std::int64_t max_delay)
 {
-    horizon_ = std::max<std::int64_t>(1, max_delay);
-    const auto slots = std::bit_ceil(static_cast<std::size_t>(horizon_) + 1);
-    slots_.assign(slots, {});
-    occupied_.assign((slots + 63) / 64, 0);
-    mask_ = slots - 1;
-    now_ = 0;
-    current_slot_ = 0;
-    pending_ = 0;
+    horizon = std::max<std::int64_t>(1, max_delay);
+    const auto count = std::bit_ceil(static_cast<std::size_t>(horizon) + 1);
+    slots.assign(count, {});
+    occupied.assign((count + 63) / 64, 0);
+    mask = count - 1;
 }
 
-void EventSimulator::TimingWheel::reset()
+void EventSimulator::TimingWheel::clear()
 {
-    if (pending_ != 0) {
-        for (std::size_t w = 0; w < occupied_.size(); ++w) {
-            std::uint64_t word = occupied_[w];
-            while (word != 0) {
-                const auto bit = static_cast<std::size_t>(std::countr_zero(word));
-                slots_[(w << 6) + bit].clear();
-                word &= word - 1;
-            }
-            occupied_[w] = 0;
+    for (std::size_t w = 0; w < occupied.size(); ++w) {
+        std::uint64_t word = occupied[w];
+        while (word != 0) {
+            const auto bit = static_cast<std::size_t>(std::countr_zero(word));
+            slots[(w << 6) + bit].clear();
+            word &= word - 1;
         }
-        pending_ = 0;
+        occupied[w] = 0;
     }
-    now_ = 0;
-    current_slot_ = 0;
-}
-
-void EventSimulator::TimingWheel::push(std::int64_t time, WheelEvent ev)
-{
-    HDPM_ASSERT(time > now_ && time - now_ <= horizon_,
-                "wheel push outside horizon at t=", time, " now=", now_);
-    const auto slot = static_cast<std::size_t>(time) & mask_;
-    if (slots_[slot].empty()) {
-        occupied_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
-    }
-    slots_[slot].push_back(ev);
-    ++pending_;
-}
-
-std::size_t EventSimulator::TimingWheel::find_next_occupied(std::size_t start) const
-{
-    const std::size_t words = occupied_.size();
-    std::size_t w = start >> 6;
-    std::uint64_t word = occupied_[w] & (~std::uint64_t{0} << (start & 63));
-    // Scan at most every word plus the (unmasked) starting word again so a
-    // lone bit below `start` in the starting word is still found after the
-    // wrap-around.
-    for (std::size_t n = 0; n <= words; ++n) {
-        if (word != 0) {
-            return (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
-        }
-        w = w + 1 == words ? 0 : w + 1;
-        word = occupied_[w];
-    }
-    HDPM_FAIL("timing wheel occupancy bitmap inconsistent with pending count");
-}
-
-std::int64_t EventSimulator::TimingWheel::advance()
-{
-    HDPM_ASSERT(pending_ > 0, "advance on an empty wheel");
-    const std::size_t start = (static_cast<std::size_t>(now_) + 1) & mask_;
-    const std::size_t slot = find_next_occupied(start);
-    const std::size_t delta = ((slot - start) & mask_) + 1;
-    now_ += static_cast<std::int64_t>(delta);
-    current_slot_ = slot;
-    return now_;
-}
-
-void EventSimulator::TimingWheel::pop_bucket()
-{
-    std::vector<WheelEvent>& bucket = slots_[current_slot_];
-    pending_ -= bucket.size();
-    bucket.clear(); // keeps capacity: the slot arena never shrinks
-    occupied_[current_slot_ >> 6] &= ~(std::uint64_t{1} << (current_slot_ & 63));
 }
 
 // ---------------------------------------------------------------------------
@@ -107,13 +50,17 @@ EventSimulator::EventSimulator(const SimContext& context, EventSimOptions option
       options_(options),
       values_(netlist_->num_nets(), 0),
       sched_(netlist_->num_nets()),
-      cell_stamp_(netlist_->num_cells(), 0),
+      touched_(context.compiled().fanout_cells().size()),
       transition_count_(netlist_->num_nets(), 0),
       charge_per_net_(netlist_->num_nets(), 0.0)
 {
     HDPM_REQUIRE(netlist_->num_nets() < (std::size_t{1} << 31),
                  "netlist too large for packed wheel events");
-    wheel_.configure(context.max_cell_delay_ps());
+    if (options_.scheduler == SchedulerKind::BinaryHeap) {
+        cell_stamp_.assign(netlist_->num_cells(), 0);
+    } else {
+        wheel_.configure(context.max_cell_delay_ps());
+    }
 }
 
 EventSimulator::EventSimulator(std::shared_ptr<const SimContext> context,
@@ -168,20 +115,25 @@ void EventSimulator::load_state(const BitVec& inputs,
 }
 
 /// Reset every piece of per-cycle scheduler state so repeated
-/// initialize/load_state calls start from one identical state:
-/// swap-against-empty instead of a pop loop for the heap, bucket-clearing
-/// rewind for the wheel, and zeroed sequence / generation / stamp counters.
-/// Cumulative counters (transition/charge per net, kernel stats) survive.
+/// initialize/load_state calls start from one identical state: zeroed
+/// per-net generations, then per scheduler a swap-against-empty instead of
+/// a pop loop plus zeroed sequence / stamp counters for the heap, and for
+/// the wheel a bitmap scan that clears whatever a faulted cycle left
+/// pending (a completed cycle leaves it empty). Cumulative counters
+/// (transition/charge per net, kernel stats) survive.
 void EventSimulator::reset_cycle_state()
 {
     for (std::size_t net = 0; net < sched_.size(); ++net) {
         sched_[net] = NetSched{values_[net], 0, 0, 0, 0};
     }
-    std::fill(cell_stamp_.begin(), cell_stamp_.end(), 0);
-    stamp_epoch_ = 0;
-    seq_counter_ = 0;
-    HeapQueue{}.swap(queue_);
-    wheel_.reset();
+    if (options_.scheduler == SchedulerKind::BinaryHeap) {
+        std::fill(cell_stamp_.begin(), cell_stamp_.end(), 0);
+        stamp_epoch_ = 0;
+        seq_counter_ = 0;
+        HeapQueue{}.swap(queue_);
+    } else {
+        wheel_.clear();
+    }
 
     initialized_ = true;
     if (track_cycle_toggles_) {
@@ -272,61 +224,140 @@ void EventSimulator::fail_event_budget(const std::uint64_t budget) const
 
 CycleResult EventSimulator::apply_wheel(const BitVec& inputs, const std::uint64_t budget)
 {
+    // One tight loop over raw arrays. A store to a net value byte may alias
+    // any object, so everything the loop reads is loaded into a local once:
+    // the compiler would otherwise reload the context, the vector data
+    // pointers and the wheel geometry after every toggle.
     const CompiledNetlist& cn = context_->compiled();
-    const auto& pis = netlist_->primary_inputs();
-    CycleResult result;
-    std::uint64_t processed = 0;
-    touched_.clear();
+    const SimContext::CellRec* const cells = context_->cell_recs().data();
+    const std::uint32_t* const fanout_offset = cn.fanout_offsets().data();
+    const CellId* const fanout_cell = cn.fanout_cells().data();
+    const double* const edge_charge = context_->edge_charges_fc().data();
+    std::uint8_t* const values = values_.data();
+    NetSched* const sched = sched_.data();
+    std::uint64_t* const transition_count = transition_count_.data();
+    double* const charge_per_net = charge_per_net_.data();
+    CellId* const touched = touched_.data();
+    std::vector<WheelEvent>* const slots = wheel_.slots.data();
+    std::uint64_t* const occupied = wheel_.occupied.data();
+    const std::size_t occupied_words = wheel_.occupied.size();
+    const std::size_t mask = wheel_.mask;
+    const std::int64_t horizon = wheel_.horizon;
+    const std::int64_t window = options_.inertial_window_ps;
+    VcdWriter* const tracer = tracer_;
+    const bool track = track_cycle_toggles_;
+    const std::int64_t cycle_start = cycle_start_time_;
 
-    // Apply primary-input changes at t = 0. Fanout consumers are appended
-    // without per-cell deduplication: a cell touched through two of its
-    // inputs evaluates twice, but the second evaluation computes the same
-    // output and prepare_schedule sees the net already heading there, so
-    // the event stream is unchanged while the common case sheds one stamp
-    // read-modify-write per consumer (measured duplicate rate is a few
-    // percent of visits).
-    for (std::size_t i = 0; i < pis.size(); ++i) {
-        const NetId net = pis[i];
-        const std::uint8_t v = inputs.get(static_cast<int>(i)) ? 1 : 0;
-        if (v == values_[net]) {
-            continue;
+    // Results accumulate in locals in toggle order, the order the heap
+    // kernel sums them in, so the floating-point charge is bit-identical.
+    double charge = 0.0;
+    std::uint64_t transitions = 0;
+    std::int64_t settle = 0;
+    auto toggle = [&](NetId net, std::uint8_t v, std::int64_t time, bool count_charge) {
+        values[net] = v;
+        ++transition_count[net];
+        if (track && cycle_toggle_count_[net]++ == 0) {
+            cycle_dirty_.push_back(net);
         }
-        toggle_net(net, v, 0, options_.count_input_charge, result);
-        const auto fo = cn.fanout(net);
-        touched_.insert(touched_.end(), fo.begin(), fo.end());
-    }
-
-    auto evaluate_and_schedule = [&](CellId id, std::int64_t now) {
-        const SimContext::CellRec& cr = context_->cell_rec(id);
-        const std::uint8_t out = SimContext::eval_rec(cr, values_.data());
-        const NetId net = cr.out;
-        const std::int64_t t = now + cr.delay_ps;
-        NetSched& ns = sched_[net];
-        if (prepare_schedule(ns, values_[net], out, t)) {
-            wheel_.push(t, WheelEvent::make(net, out, ns.generation));
+        ++transitions;
+        settle = std::max(settle, time);
+        if (count_charge) {
+            const double q = edge_charge[net];
+            charge += q;
+            charge_per_net[net] += q;
+        }
+        if (tracer != nullptr) {
+            tracer->change(cycle_start + time, net, v != 0);
+        }
+    };
+    // Fanout consumers are appended without per-cell deduplication: a cell
+    // touched through two of its inputs evaluates twice, but the second
+    // evaluation computes the same output and prepare_schedule sees the net
+    // already heading there, so the event stream is unchanged while the
+    // common case sheds one stamp read-modify-write per consumer (measured
+    // duplicate rate is a few percent of visits).
+    std::size_t num_touched = 0;
+    auto touch_fanout = [&](NetId net) {
+        for (std::uint32_t k = fanout_offset[net]; k < fanout_offset[net + 1]; ++k) {
+            touched[num_touched++] = fanout_cell[k];
+        }
+    };
+    // Evaluate the touched cells at time `now` and push every resulting
+    // change into its slot; bucket order is push order, which is
+    // schedule-sequence order — the heap's tie-break.
+    std::size_t pending = 0;
+    auto evaluate_touched = [&](std::int64_t now) {
+        for (std::size_t i = 0; i < num_touched; ++i) {
+            const SimContext::CellRec& cr = cells[touched[i]];
+            const std::uint8_t out = SimContext::eval_rec(cr, values);
+            const NetId net = cr.out;
+            const std::int64_t t = now + cr.delay_ps;
+            NetSched& ns = sched[net];
+            if (!prepare_schedule(ns, values[net], out, t, window)) {
+                continue;
+            }
+            HDPM_ASSERT(t > now && t - now <= horizon,
+                        "wheel push outside horizon at t=", t, " now=", now);
+            const auto slot = static_cast<std::size_t>(t) & mask;
+            std::vector<WheelEvent>& bucket = slots[slot];
+            if (bucket.empty()) {
+                occupied[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+            }
+            bucket.push_back(WheelEvent::make(net, out, ns.generation));
+            ++pending;
         }
     };
 
-    for (const CellId id : touched_) {
-        evaluate_and_schedule(id, 0);
+    // Apply primary-input changes at t = 0.
+    const auto& pis = netlist_->primary_inputs();
+    for (std::size_t i = 0; i < pis.size(); ++i) {
+        const NetId net = pis[i];
+        const std::uint8_t v = inputs.get(static_cast<int>(i)) ? 1 : 0;
+        if (v == values[net]) {
+            continue;
+        }
+        toggle(net, v, 0, options_.count_input_charge);
+        touch_fanout(net);
     }
+    evaluate_touched(0);
 
     // Main event loop: drain the wheel one timestamp bucket at a time so
-    // each cell evaluates at most once per time step. Bucket order is push
-    // order, which is schedule-sequence order — the heap's tie-break.
-    // Queue depth peaks right before an advance (it only grows between
-    // pops), so sampling it here reports the same maximum as checking
-    // after every push.
-    while (!wheel_.empty()) {
-        stats_.max_queue_depth = std::max(stats_.max_queue_depth, wheel_.pending());
-        const std::int64_t now = wheel_.advance();
-        touched_.clear();
-        for (const WheelEvent& ev : wheel_.bucket()) {
+    // each cell evaluates at most once per time step. Queue depth peaks
+    // right before an advance (it only grows between drains), so sampling
+    // it there reports the same maximum as checking after every push.
+    std::size_t max_depth = stats_.max_queue_depth;
+    std::uint64_t processed = 0;
+    std::int64_t now = 0;
+    while (pending != 0) {
+        max_depth = std::max(max_depth, pending);
+
+        // Advance to the next occupied slot: a word scan from the slot
+        // after `now`, wrapping once. The starting word is revisited
+        // unmasked at the end so a lone bit below the start is found.
+        const std::size_t start = (static_cast<std::size_t>(now) + 1) & mask;
+        std::size_t w = start >> 6;
+        std::uint64_t word = occupied[w] & (~std::uint64_t{0} << (start & 63));
+        for (std::size_t n = 0; word == 0; ++n) {
+            if (n == occupied_words) {
+                HDPM_FAIL("timing wheel occupancy bitmap inconsistent with pending count");
+            }
+            w = w + 1 == occupied_words ? 0 : w + 1;
+            word = occupied[w];
+        }
+        const std::size_t slot = (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
+        now += static_cast<std::int64_t>(((slot - start) & mask) + 1);
+
+        // The bucket stays queued (and its bit set) until it is drained, so
+        // a budget fault leaves the wheel consistent for clear().
+        std::vector<WheelEvent>& bucket = slots[slot];
+        num_touched = 0;
+        for (const WheelEvent ev : bucket) {
             if (++processed > budget) {
+                stats_.max_queue_depth = max_depth;
                 fail_event_budget(budget);
             }
             const NetId net = ev.net();
-            NetSched& ns = sched_[net];
+            NetSched& ns = sched[net];
             if (ev.generation != ns.generation) {
                 continue; // superseded by an inertial cancellation
             }
@@ -334,23 +365,23 @@ CycleResult EventSimulator::apply_wheel(const BitVec& inputs, const std::uint64_
             const std::uint8_t v = ev.value();
             // Per-net event times are monotone and scheduled values
             // alternate, so a valid event always toggles its net.
-            HDPM_ASSERT(v != values_[net], "no-op event on net ", net);
-            toggle_net(net, v, now, true, result);
-            const auto fo = cn.fanout(net);
-            touched_.insert(touched_.end(), fo.begin(), fo.end());
+            HDPM_ASSERT(v != values[net], "no-op event on net ", net);
+            toggle(net, v, now, true);
+            touch_fanout(net);
         }
-        wheel_.pop_bucket();
-        for (const CellId id : touched_) {
-            evaluate_and_schedule(id, now);
-        }
-    }
-    wheel_.reset(); // rewind to t = 0 for the next cycle (wheel is empty)
+        pending -= bucket.size();
+        bucket.clear(); // keeps capacity: the slot arena never shrinks
+        occupied[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
 
-    stats_.events_processed += processed;
-    if (tracer_ != nullptr) {
-        cycle_start_time_ += tracer_->cycle_period_ps();
+        evaluate_touched(now);
     }
-    return result;
+
+    stats_.max_queue_depth = max_depth;
+    stats_.events_processed += processed;
+    if (tracer != nullptr) {
+        cycle_start_time_ += tracer->cycle_period_ps();
+    }
+    return CycleResult{charge, transitions, settle};
 }
 
 CycleResult EventSimulator::apply_heap(const BitVec& inputs, const std::uint64_t budget)
@@ -359,7 +390,7 @@ CycleResult EventSimulator::apply_heap(const BitVec& inputs, const std::uint64_t
     CycleResult result;
     std::uint64_t processed = 0;
     ++stamp_epoch_;
-    touched_.clear();
+    std::size_t num_touched = 0;
 
     // Apply primary-input changes at t = 0.
     for (std::size_t i = 0; i < pis.size(); ++i) {
@@ -372,7 +403,7 @@ CycleResult EventSimulator::apply_heap(const BitVec& inputs, const std::uint64_t
         for (const CellId consumer : context_->fanout(net)) {
             if (cell_stamp_[consumer] != stamp_epoch_) {
                 cell_stamp_[consumer] = stamp_epoch_;
-                touched_.push_back(consumer);
+                touched_[num_touched++] = consumer;
             }
         }
     }
@@ -388,21 +419,22 @@ CycleResult EventSimulator::apply_heap(const BitVec& inputs, const std::uint64_t
             gate::gate_eval(cell.kind, {in_vals, ins.size()}) ? 1 : 0;
         const std::int64_t t = now + context_->electrical().cell_delay_ps(id);
         NetSched& ns = sched_[cell.output];
-        if (prepare_schedule(ns, values_[cell.output], out, t)) {
+        if (prepare_schedule(ns, values_[cell.output], out, t,
+                             options_.inertial_window_ps)) {
             queue_.push(HeapEvent{t, seq_counter_++, cell.output, out, ns.generation});
             stats_.max_queue_depth = std::max(stats_.max_queue_depth, queue_.size());
         }
     };
 
-    for (const CellId id : touched_) {
-        evaluate_and_schedule(id, 0);
+    for (std::size_t i = 0; i < num_touched; ++i) {
+        evaluate_and_schedule(touched_[i], 0);
     }
 
     // Main event loop: drain the queue, grouping events per timestamp so
     // each cell evaluates at most once per time step.
     while (!queue_.empty()) {
         const std::int64_t now = queue_.top().time;
-        touched_.clear();
+        num_touched = 0;
         ++stamp_epoch_;
         while (!queue_.empty() && queue_.top().time == now) {
             const HeapEvent ev = queue_.top();
@@ -421,12 +453,12 @@ CycleResult EventSimulator::apply_heap(const BitVec& inputs, const std::uint64_t
             for (const CellId consumer : context_->fanout(ev.net)) {
                 if (cell_stamp_[consumer] != stamp_epoch_) {
                     cell_stamp_[consumer] = stamp_epoch_;
-                    touched_.push_back(consumer);
+                    touched_[num_touched++] = consumer;
                 }
             }
         }
-        for (const CellId id : touched_) {
-            evaluate_and_schedule(id, now);
+        for (std::size_t i = 0; i < num_touched; ++i) {
+            evaluate_and_schedule(touched_[i], now);
         }
     }
 

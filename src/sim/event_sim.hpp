@@ -242,33 +242,18 @@ private:
     /// slot. Slot buckets are arena-style vectors that are cleared but
     /// never deallocated, and a bitmap tracks occupied slots so advancing
     /// to the next timestamp is a word scan + countr_zero, not a slot walk.
-    class TimingWheel {
-    public:
+    /// Plain storage: apply_wheel pushes, advances and drains it inline
+    /// with the current time and pending count in locals, and leaves it
+    /// empty at the end of every completed cycle.
+    struct TimingWheel {
         void configure(std::int64_t max_delay);
-        void reset(); ///< drop pending events, rewind to t = 0 (keeps capacity)
-        [[nodiscard]] bool empty() const noexcept { return pending_ == 0; }
-        [[nodiscard]] std::size_t pending() const noexcept { return pending_; }
-        void push(std::int64_t time, WheelEvent ev);
-        /// Advance to the next non-empty timestamp; requires !empty().
-        std::int64_t advance();
-        /// Events at the timestamp advance() returned, in schedule order.
-        [[nodiscard]] std::span<const WheelEvent> bucket() const
-        {
-            return slots_[current_slot_];
-        }
-        /// Discard the current bucket after processing (keeps capacity).
-        void pop_bucket();
+        /// Drop the events a faulted cycle left behind (keeps capacity).
+        void clear();
 
-    private:
-        [[nodiscard]] std::size_t find_next_occupied(std::size_t start) const;
-
-        std::vector<std::vector<WheelEvent>> slots_;
-        std::vector<std::uint64_t> occupied_; // bitmap, one bit per slot
-        std::size_t mask_ = 0;                // slot count - 1 (power of two)
-        std::int64_t horizon_ = 1;            // max schedulable delay
-        std::int64_t now_ = 0;
-        std::size_t current_slot_ = 0;
-        std::size_t pending_ = 0;
+        std::vector<std::vector<WheelEvent>> slots;
+        std::vector<std::uint64_t> occupied; // bitmap, one bit per slot
+        std::size_t mask = 0;                // slot count - 1 (power of two)
+        std::int64_t horizon = 1;            // max schedulable delay
     };
 
     CycleResult apply_heap(const util::BitVec& inputs, std::uint64_t budget);
@@ -280,10 +265,11 @@ private:
     void toggle_net(netlist::NetId net, std::uint8_t value, std::int64_t time,
                     bool count_charge, CycleResult& result);
     /// Shared inertial-window/cancellation bookkeeping; returns true when
-    /// the caller must enqueue an event for (net, value, time). Kept inline
-    /// in the header so both apply kernels fold it into their hot loops.
-    bool prepare_schedule(NetSched& ns, std::uint8_t current, std::uint8_t value,
-                          std::int64_t time)
+    /// the caller must enqueue an event for (net, value, time). Static and
+    /// inline in the header so both apply kernels fold it into their hot
+    /// loops with the window in a register.
+    static bool prepare_schedule(NetSched& ns, std::uint8_t current, std::uint8_t value,
+                                 std::int64_t time, std::int64_t inertial_window_ps)
     {
         if (ns.pending_count == 0) {
             ns.scheduled_value = current;
@@ -291,8 +277,8 @@ private:
         if (value == ns.scheduled_value) {
             return false; // the net already heads to this value
         }
-        if (options_.inertial_window_ps > 0 && ns.pending_count > 0 &&
-            time - ns.pending_time <= options_.inertial_window_ps) {
+        if (inertial_window_ps > 0 && ns.pending_count > 0 &&
+            time - ns.pending_time <= inertial_window_ps) {
             // Inertial approximation: the new change supersedes pending ones.
             ++ns.generation;
             ns.pending_count = 0;
@@ -315,15 +301,21 @@ private:
     std::vector<std::uint8_t> values_;
     std::vector<NetSched> sched_; // per-net scheduler state
 
-    // Per-timestamp cell evaluation dedup.
+    // BinaryHeap scheduler: queue, tie-break sequence and per-timestamp
+    // cell evaluation dedup (cell_stamp_ stays empty on the wheel).
+    HeapQueue queue_;
+    std::uint64_t seq_counter_ = 0;
     std::vector<std::uint64_t> cell_stamp_;
     std::uint64_t stamp_epoch_ = 0;
 
-    HeapQueue queue_;               // BinaryHeap scheduler
-    std::uint64_t seq_counter_ = 0; // BinaryHeap tie-break sequence
-    TimingWheel wheel_;             // TimingWheel scheduler
+    TimingWheel wheel_; // TimingWheel scheduler
 
-    std::vector<netlist::CellId> touched_; // per-timestamp scratch
+    /// Cells to evaluate at the current timestamp, written by index. Sized
+    /// once to the fanout CSR entry count, which bounds every timestamp's
+    /// list: a net gets at most one event per timestamp (all evaluations of
+    /// its driver at one time step see the same values), so each net's
+    /// fanout row is appended at most once per timestamp.
+    std::vector<netlist::CellId> touched_;
     KernelStats stats_;
     std::vector<std::uint64_t> transition_count_;
     std::vector<double> charge_per_net_;

@@ -81,6 +81,9 @@ public:
         return cell_rec_[cell];
     }
 
+    /// All packed cell records, indexed by cell id.
+    [[nodiscard]] std::span<const CellRec> cell_recs() const noexcept { return cell_rec_; }
+
     /// Evaluate a cell against @p values (one 0/1 byte per net) through the
     /// packed record: bit-identical to CompiledNetlist::eval.
     [[nodiscard]] static std::uint8_t eval_rec(const CellRec& cr,

@@ -7,9 +7,14 @@
 
 #include <algorithm>
 #include <bit>
+#include <memory>
+#include <ostream>
+#include <string>
+#include <vector>
 
 #include "dpgen/module.hpp"
 #include "gatelib/gate.hpp"
+#include "gatelib/techlib.hpp"
 #include "sim/batched.hpp"
 #include "sim/event_sim.hpp"
 #include "sim/functional.hpp"
@@ -55,27 +60,119 @@ TEST(TruthTables, MatchGateEval)
     }
 }
 
-class HeapVsWheel
-    : public ::testing::TestWithParam<std::tuple<dp::ModuleType, std::int64_t>> {};
+/// One differential input: a dpgen module at a width, an inertial window,
+/// and the options and corner the kernels run under.
+struct KernelCase {
+    dp::ModuleType type;
+    int width = 6;
+    std::int64_t window = 100;
+    bool slow_corner = false;        ///< generic350 at 2.5 V / 85 °C (longer delays)
+    bool count_input_charge = true;
+    bool track_cycle_toggles = false;
+};
+
+std::vector<KernelCase> kernel_cases()
+{
+    std::vector<KernelCase> cases;
+    for (const dp::ModuleType type :
+         {dp::ModuleType::RippleAdder, dp::ModuleType::ClaAdder,
+          dp::ModuleType::CsaMultiplier, dp::ModuleType::BoothWallaceMultiplier,
+          dp::ModuleType::BarrelShifter}) {
+        for (const std::int64_t window : {0, 100, 500}) {
+            cases.push_back({.type = type, .window = window});
+        }
+    }
+    // The benchmark's 16-bit CSA multiplier, whose timestamp buckets reach
+    // ~180 events, under transport and inertial delays.
+    for (const std::int64_t window : {0, 100}) {
+        cases.push_back({.type = dp::ModuleType::CsaMultiplier, .width = 16, .window = window});
+    }
+    cases.push_back({.type = dp::ModuleType::CsaMultiplier, .width = 16, .slow_corner = true});
+    cases.push_back({.type = dp::ModuleType::CsaMultiplier, .width = 8,
+                     .count_input_charge = false});
+    cases.push_back({.type = dp::ModuleType::CsaMultiplier, .width = 16, .window = 0,
+                     .track_cycle_toggles = true});
+    cases.push_back({.type = dp::ModuleType::BoothWallaceMultiplier, .width = 8,
+                     .slow_corner = true, .count_input_charge = false,
+                     .track_cycle_toggles = true});
+    return cases;
+}
+
+std::string kernel_case_name(const KernelCase& c)
+{
+    std::string name = dp::module_type_id(c.type);
+    if (c.width != 6) {
+        name += std::to_string(c.width);
+    }
+    name += "_w" + std::to_string(c.window) + "ps";
+    if (c.slow_corner) {
+        name += "_slow";
+    }
+    if (!c.count_input_charge) {
+        name += "_noinput";
+    }
+    if (c.track_cycle_toggles) {
+        name += "_toggles";
+    }
+    return name;
+}
+
+void PrintTo(const KernelCase& c, std::ostream* os) { *os << kernel_case_name(c); }
+
+class HeapVsWheel : public ::testing::TestWithParam<KernelCase> {
+protected:
+    void SetUp() override
+    {
+        const KernelCase& c = GetParam();
+        module_ = std::make_unique<dp::DatapathModule>(dp::make_module(c.type, c.width));
+        const TechLibrary& native = TechLibrary::generic350();
+        library_ = std::make_unique<TechLibrary>(
+            c.slow_corner ? native.at({2.5, 85, gate::LoadClass::Nominal}) : native);
+        context_ = std::make_unique<SimContext>(module_->netlist(), *library_);
+    }
+
+    [[nodiscard]] EventSimOptions options(SchedulerKind kind) const
+    {
+        EventSimOptions o;
+        o.inertial_window_ps = GetParam().window;
+        o.count_input_charge = GetParam().count_input_charge;
+        o.scheduler = kind;
+        return o;
+    }
+
+    [[nodiscard]] int input_bits() const { return module_->total_input_bits(); }
+
+    std::unique_ptr<dp::DatapathModule> module_;
+    std::unique_ptr<TechLibrary> library_;
+    std::unique_ptr<SimContext> context_;
+};
+
+/// Per-cycle toggle tracking must report the same nets, in the same
+/// first-toggle order, with the same per-net counts.
+void expect_same_toggles(const EventSimulator& a, const EventSimulator& b, int trial)
+{
+    const auto nets_a = a.cycle_toggled_nets();
+    const auto nets_b = b.cycle_toggled_nets();
+    ASSERT_TRUE(std::equal(nets_a.begin(), nets_a.end(), nets_b.begin(), nets_b.end()))
+        << "trial " << trial;
+    for (const NetId net : nets_a) {
+        EXPECT_EQ(a.cycle_toggle_count(net), b.cycle_toggle_count(net))
+            << "trial " << trial << " net " << net;
+    }
+}
 
 /// Same random stimulus chain through both kernels over one shared
-/// context: every CycleResult, every output vector, and the cumulative
-/// per-net counters must be bit-identical.
+/// context: every CycleResult, every output vector, the per-cycle toggle
+/// sets, the cumulative per-net counters and the kernel counters must be
+/// bit-identical.
 TEST_P(HeapVsWheel, IdenticalCycleStreams)
 {
-    const auto [type, window] = GetParam();
-    const dp::DatapathModule module = dp::make_module(type, 6);
-    const int m = module.total_input_bits();
-    const SimContext context{module.netlist(), TechLibrary::generic350()};
-
-    EventSimOptions wheel_options;
-    wheel_options.inertial_window_ps = window;
-    wheel_options.scheduler = SchedulerKind::TimingWheel;
-    EventSimOptions heap_options = wheel_options;
-    heap_options.scheduler = SchedulerKind::BinaryHeap;
-
-    EventSimulator wheel{context, wheel_options};
-    EventSimulator heap{context, heap_options};
+    const int m = input_bits();
+    const bool track = GetParam().track_cycle_toggles;
+    EventSimulator wheel{*context_, options(SchedulerKind::TimingWheel)};
+    EventSimulator heap{*context_, options(SchedulerKind::BinaryHeap)};
+    wheel.set_cycle_toggle_tracking(track);
+    heap.set_cycle_toggle_tracking(track);
 
     Rng rng{901};
     const BitVec first{m, rng.next_u64()};
@@ -85,29 +182,27 @@ TEST_P(HeapVsWheel, IdenticalCycleStreams)
         const BitVec v{m, rng.next_u64()};
         expect_same_cycle(wheel.apply(v), heap.apply(v), trial);
         EXPECT_EQ(wheel.outputs(), heap.outputs()) << "trial " << trial;
+        if (track) {
+            expect_same_toggles(wheel, heap, trial);
+        }
     }
     EXPECT_EQ(wheel.cumulative_transitions(), heap.cumulative_transitions());
     EXPECT_EQ(wheel.cumulative_charge_per_net(), heap.cumulative_charge_per_net());
     EXPECT_EQ(wheel.kernel_stats().events_processed,
               heap.kernel_stats().events_processed);
+    EXPECT_EQ(wheel.kernel_stats().max_queue_depth, heap.kernel_stats().max_queue_depth);
 }
 
 /// The characterizer's StratifiedPairs mode re-initializes before every
 /// measured pair; both kernels must agree through repeated resets too.
 TEST_P(HeapVsWheel, IdenticalAcrossReinitialize)
 {
-    const auto [type, window] = GetParam();
-    const dp::DatapathModule module = dp::make_module(type, 6);
-    const int m = module.total_input_bits();
-    const SimContext context{module.netlist(), TechLibrary::generic350()};
-
-    EventSimOptions wheel_options;
-    wheel_options.inertial_window_ps = window;
-    EventSimOptions heap_options = wheel_options;
-    heap_options.scheduler = SchedulerKind::BinaryHeap;
-
-    EventSimulator wheel{context, wheel_options};
-    EventSimulator heap{context, heap_options};
+    const int m = input_bits();
+    const bool track = GetParam().track_cycle_toggles;
+    EventSimulator wheel{*context_, options(SchedulerKind::TimingWheel)};
+    EventSimulator heap{*context_, options(SchedulerKind::BinaryHeap)};
+    wheel.set_cycle_toggle_tracking(track);
+    heap.set_cycle_toggle_tracking(track);
 
     Rng rng{407};
     for (int trial = 0; trial < 60; ++trial) {
@@ -116,23 +211,19 @@ TEST_P(HeapVsWheel, IdenticalAcrossReinitialize)
         wheel.initialize(u);
         heap.initialize(u);
         expect_same_cycle(wheel.apply(v), heap.apply(v), trial);
+        if (track) {
+            expect_same_toggles(wheel, heap, trial);
+        }
     }
+    EXPECT_EQ(wheel.kernel_stats().events_processed,
+              heap.kernel_stats().events_processed);
+    EXPECT_EQ(wheel.kernel_stats().max_queue_depth, heap.kernel_stats().max_queue_depth);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Kernels, HeapVsWheel,
-    ::testing::Combine(::testing::Values(dp::ModuleType::RippleAdder,
-                                         dp::ModuleType::ClaAdder,
-                                         dp::ModuleType::CsaMultiplier,
-                                         dp::ModuleType::BoothWallaceMultiplier,
-                                         dp::ModuleType::BarrelShifter),
-                       ::testing::Values(std::int64_t{0}, std::int64_t{100},
-                                         std::int64_t{500})),
-    [](const ::testing::TestParamInfo<std::tuple<dp::ModuleType, std::int64_t>>&
-           info) {
-        return dp::module_type_id(std::get<0>(info.param)) + "_w" +
-               std::to_string(std::get<1>(info.param)) + "ps";
-    });
+INSTANTIATE_TEST_SUITE_P(Kernels, HeapVsWheel, ::testing::ValuesIn(kernel_cases()),
+                         [](const ::testing::TestParamInfo<KernelCase>& info) {
+                             return kernel_case_name(info.param);
+                         });
 
 TEST(EventSim, RepeatedInitializeIsStateless)
 {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "dpgen/module.hpp"
 #include "netlist/builder.hpp"
@@ -8,6 +9,7 @@
 #include "sim/event_sim.hpp"
 #include "sim/functional.hpp"
 #include "sim/power.hpp"
+#include "sim/sim_context.hpp"
 #include "sim/vcd.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -372,6 +374,42 @@ TEST(Vcd, CyclesAdvanceGlobalTime)
     sim.set_tracer(nullptr);
     // The second cycle's input edge lands at t = 5000.
     EXPECT_NE(out.str().find("#5000"), std::string::npos);
+}
+
+/// The wheel and heap kernels emit the same value changes at the same times
+/// in the same order, so their VCD streams are byte-identical — across
+/// glitchy multi-cycle runs and a re-initialize in the middle.
+TEST(Vcd, WheelAndHeapStreamsAreByteIdentical)
+{
+    const dp::DatapathModule module = dp::make_module(dp::ModuleType::CsaMultiplier, 6);
+    const int m = module.total_input_bits();
+    const SimContext context{module.netlist(), TechLibrary::generic350()};
+
+    auto trace = [&](SchedulerKind kind, std::int64_t window) {
+        std::ostringstream out;
+        VcdWriter vcd{out, module.netlist(), 10000};
+        EventSimOptions options;
+        options.scheduler = kind;
+        options.inertial_window_ps = window;
+        EventSimulator sim{context, options};
+        sim.set_tracer(&vcd);
+        Rng rng{73};
+        sim.initialize(BitVec{m, rng.next_u64()});
+        for (int i = 0; i < 30; ++i) {
+            if (i == 15) {
+                sim.initialize(BitVec{m, rng.next_u64()});
+            }
+            (void)sim.apply(BitVec{m, rng.next_u64()});
+        }
+        sim.set_tracer(nullptr);
+        return out.str();
+    };
+
+    for (const std::int64_t window : {std::int64_t{0}, std::int64_t{100}}) {
+        const std::string wheel = trace(SchedulerKind::TimingWheel, window);
+        EXPECT_GT(wheel.size(), 1000U) << "window " << window;
+        EXPECT_EQ(wheel, trace(SchedulerKind::BinaryHeap, window)) << "window " << window;
+    }
 }
 
 TEST(Vcd, RejectsBadPeriod)
