@@ -122,20 +122,10 @@ Characterizer::Characterizer(const gate::TechLibrary& library,
 
 namespace {
 
-/// Result of one independently simulated stimulus shard.
-struct ShardResult {
-    std::vector<CharacterizationRecord> records;
-    std::uint64_t sim_transitions = 0; ///< net toggles (event: incl. glitches)
-    std::uint64_t warmup_vectors = 0;  ///< pairs-mode warm-up vectors settled
-    std::uint64_t warmup_batches = 0;  ///< 64-lane batched settle passes
-    std::uint64_t emulation_passes = 0; ///< 64-lane zero-delay settle passes
-    sim::KernelStats kernel;           ///< scheduler counters of the shard's simulator
-};
-
 /// One shard's deterministic stimulus stream, factored out of the shard
 /// runners so the event kernel, the power-emulation backend, and the
-/// glitch-calibration pass all draw *identical* (u, v) sequences for a
-/// given (seed, shard): same Rng seeding, same consumption order, same
+/// calibration passes all draw *identical* (u, v) sequences for a given
+/// (seed, shard): same Rng seeding, same consumption order, same
 /// stratification cycles.
 class StimulusStream {
 public:
@@ -193,25 +183,30 @@ public:
         return cls;
     }
 
-    /// Chain modes: advance the chain by one vector and return it (the
-    /// previous head is current() before the call). The head advances even
-    /// when the step has Hd = 0 — callers skip such steps, exactly as the
-    /// original chain loop did.
+    /// Chain modes: advance the chain to the next vector that differs from
+    /// the head and return it (the previous head is current() before the
+    /// call). Hd = 0 steps carry no class information; the head still
+    /// advances through them, so every consumer skips the same steps.
     BitVec chain_next()
     {
-        BitVec next{m_};
-        if (mode_ == StimulusMode::RandomChain) {
-            next = random_vector(m_, rng_);
-        } else {
-            const int hd = hd_cycle_[hd_cursor_];
-            hd_cursor_ = (hd_cursor_ + 1) % hd_cycle_.size();
-            if (hd_cursor_ == 0) {
-                rng_.shuffle(hd_cycle_);
+        for (;;) {
+            BitVec next{m_};
+            if (mode_ == StimulusMode::RandomChain) {
+                next = random_vector(m_, rng_);
+            } else {
+                const int hd = hd_cycle_[hd_cursor_];
+                hd_cursor_ = (hd_cursor_ + 1) % hd_cycle_.size();
+                if (hd_cursor_ == 0) {
+                    rng_.shuffle(hd_cycle_);
+                }
+                next = current_ ^ random_mask(m_, hd, rng_, scratch_);
             }
-            next = current_ ^ random_mask(m_, hd, rng_, scratch_);
+            const bool moved = BitVec::hamming_distance(current_, next) != 0;
+            current_ = next;
+            if (moved) {
+                return next;
+            }
         }
-        current_ = next;
-        return next;
     }
 
 private:
@@ -227,16 +222,71 @@ private:
     BitVec current_;
 };
 
-/// Simulate exactly @p count transitions of shard @p shard. Each shard is a
-/// self-contained stimulus stream: its own Rng (seeded seed^splitmix64(shard)
-/// so shard streams are decorrelated), its own stratification cycles, its
-/// own start vector, and its own EventSimulator over the shared immutable
-/// context. Nothing here depends on which thread runs the shard or on how
-/// many shards run concurrently — that is the whole determinism argument.
-ShardResult run_shard(const sim::SimContext& context, int m, StimulusMode mode,
-                      const CharacterizationOptions& options,
-                      const sim::EventSimOptions& sim_options, std::size_t shard,
-                      std::size_t count, const std::function<void()>& tick = {})
+/// The record of chain step previous → next, its charge still unscored.
+CharacterizationRecord chain_record(const BitVec& previous, const BitVec& next)
+{
+    return {BitVec::hamming_distance(previous, next),
+            BitVec::stable_zeros(previous, next), 0.0, (previous ^ next).raw()};
+}
+
+constexpr std::size_t kLanes = static_cast<std::size_t>(sim::BatchedEvaluator::kLanes);
+
+/// Calibration shard ids live in their own half of the 64-bit shard space,
+/// so `seed ^ splitmix64(id)` can never collide with a measurement shard's
+/// stimulus stream.
+constexpr std::uint64_t kCalibrationShardBase = std::uint64_t{1} << 63;
+
+/// One simulated shard of a run: K index-aligned record blocks (one per
+/// corner) plus the simulation counters behind them.
+struct SweepShard {
+    std::vector<std::vector<CharacterizationRecord>> blocks;
+    std::uint64_t sim_transitions = 0;  ///< net toggles (event: incl. glitches)
+    std::uint64_t warmup_vectors = 0;   ///< pairs-mode warm-up vectors settled
+    std::uint64_t warmup_batches = 0;   ///< 64-lane batched settle passes
+    std::uint64_t emulation_passes = 0; ///< 64-lane zero-delay settle passes
+    sim::KernelStats kernel;            ///< scheduler counters of the shard's simulator
+};
+
+/// Everything one characterization run needs, built once and shared
+/// read-only by every shard. Every run is a sweep over a corner list —
+/// options.corners, or the one-corner list {options.corner} of a
+/// single-corner run — so collect_records, collect_records_corners and
+/// ShardRunner all run on this one plan.
+struct SweepPlan {
+    SweepPlan(const dp::DatapathModule& module, const CharacterizationOptions& options,
+              const gate::TechLibrary& library, const sim::EventSimOptions& sim_options,
+              const util::ThreadPool& pool);
+
+    /// Simulate shard @p shard and return its blocks; the shard's failure
+    /// propagates. @p tick is the mid-shard heartbeat (ShardRunner::TickFn).
+    [[nodiscard]] SweepShard run(std::size_t shard,
+                                 const std::function<void()>& tick = {}) const;
+
+    [[nodiscard]] std::size_t corners() const noexcept { return contexts.size(); }
+
+    const CharacterizationOptions& options;
+    sim::EventSimOptions sim_options;
+    int m;
+    StimulusMode mode;
+    /// Fixed shard geometry: the stimulus plan depends on (seed,
+    /// shard_size, max_transitions) only — never on the thread count.
+    std::size_t shard_size;
+    std::size_t num_shards;
+    /// One immutable context (electrical view, fanout CSR, topo order) per
+    /// corner, index-aligned with the corner list and shared read-only by
+    /// every shard's simulators; shards simulate on contexts[0].
+    std::vector<std::unique_ptr<sim::SimContext>> contexts;
+    /// Scoring weights. Power emulation: corner k's calibrated per-net
+    /// weights. Event kernel: the transfer weights of corners 1..K-1 —
+    /// none for a one-corner run, whose only corner is simulated exactly.
+    std::vector<std::vector<double>> weights;
+    std::uint64_t calibration_pairs = 0; ///< emulation calibration, all corners
+    double calibration_scale = 1.0;      ///< corner 0's fitted residual scale
+    std::uint64_t corner_calibration_pairs = 0; ///< event transfer calibration
+};
+
+/// The fault-injection hook every shard runner passes before simulating.
+void inject_shard_fault(std::size_t shard)
 {
     if (HDPM_FAULT_FIRE(util::FaultPoint::ShardException)) {
         util::FaultContext context;
@@ -244,17 +294,57 @@ ShardResult run_shard(const sim::SimContext& context, int m, StimulusMode mode,
         context.detail = "injected shard failure";
         throw util::FaultError{util::FaultKind::ShardFailed, std::move(context)};
     }
+}
 
-    ShardResult out;
-    out.records.reserve(count);
+/// Event-kernel shard: simulate exactly @p count transitions of shard
+/// @p shard. Each shard is a self-contained stimulus stream — its own Rng
+/// (seeded seed^splitmix64(shard)), stratification cycles and start vector,
+/// and its own EventSimulator over the shared immutable context — so
+/// nothing here depends on which thread runs it or how many run
+/// concurrently: that is the whole determinism argument.
+///
+/// Corner 0 is the simulated stream itself. Corners k > 0 of a sweep are
+/// scored from per-cycle toggle tracking as dot products against the
+/// plan's transfer weights (element k-1 scores corner k), iterating the
+/// cycle's toggled nets in first-toggle order — a deterministic function
+/// of the simulation. A one-corner plan has no transfer weights and leaves
+/// the tracking off.
+SweepShard run_event_shard(const SweepPlan& plan, std::size_t shard, std::size_t count,
+                           const std::function<void()>& tick)
+{
+    inject_shard_fault(shard);
+    const std::vector<std::vector<double>>& transfer = plan.weights;
+    SweepShard out;
+    out.blocks.resize(transfer.size() + 1);
+    for (auto& block : out.blocks) {
+        block.reserve(count);
+    }
+    std::vector<CharacterizationRecord>& exact = out.blocks[0];
 
-    StimulusStream stimulus{m, mode, options.seed, shard};
-    sim::EventSimulator simulator{context, sim_options};
-    if (mode != StimulusMode::StratifiedPairs) {
-        simulator.initialize(stimulus.current());
+    StimulusStream stimulus{plan.m, plan.mode, plan.options.seed, shard};
+    const sim::SimContext& context = *plan.contexts[0];
+    sim::EventSimulator simulator{context, plan.sim_options};
+    if (!transfer.empty()) {
+        simulator.set_cycle_toggle_tracking(true);
     }
 
-    if (mode == StimulusMode::StratifiedPairs) {
+    const auto push = [&](CharacterizationRecord rec, const sim::CycleResult& cycle) {
+        rec.charge_fc = cycle.charge_fc;
+        exact.push_back(rec);
+        for (std::size_t k = 1; k < out.blocks.size(); ++k) {
+            const std::vector<double>& weights = transfer[k - 1];
+            double charge = 0.0;
+            for (const netlist::NetId net : simulator.cycle_toggled_nets()) {
+                charge += weights[net] *
+                          static_cast<double>(simulator.cycle_toggle_count(net));
+            }
+            rec.charge_fc = charge;
+            out.blocks[k].push_back(rec);
+        }
+        out.sim_transitions += cycle.transitions;
+    };
+
+    if (plan.mode == StimulusMode::StratifiedPairs) {
         // Stimulus is generated in blocks of up to kLanes (u, v) pairs into
         // flat reusable arenas, then all warm-up vectors of a block settle
         // in one word-parallel BatchedEvaluator pass (borrowing the shard's
@@ -264,36 +354,30 @@ ShardResult run_shard(const sim::SimContext& context, int m, StimulusMode mode,
         // fixpoint of u is unique, so records are bit-identical to the
         // WarmupMode::PerRecord baseline. The loop body performs no heap
         // allocation in steady state (tests/steady_alloc_test.cpp).
-        constexpr std::size_t kLanes =
-            static_cast<std::size_t>(sim::BatchedEvaluator::kLanes);
-        const bool batched = options.warmup == WarmupMode::Batched;
+        const bool batched = plan.options.warmup == WarmupMode::Batched;
         std::optional<sim::BatchedEvaluator> evaluator;
         std::vector<std::uint8_t> lane_values;
         if (batched) {
             evaluator.emplace(context);
             lane_values.resize(context.netlist().num_nets());
         }
-
         std::array<BitVec, kLanes> u_block;
         std::array<BitVec, kLanes> v_block;
         std::array<std::pair<int, int>, kLanes> cls_block; // (hd, zeros)
 
-        while (out.records.size() < count) {
+        while (exact.size() < count) {
             if (tick) {
                 tick(); // mid-shard heartbeat hook, once per 64-pair batch
             }
-            const std::size_t block =
-                std::min<std::size_t>(kLanes, count - out.records.size());
+            const std::size_t block = std::min(kLanes, count - exact.size());
             for (std::size_t j = 0; j < block; ++j) {
                 cls_block[j] = stimulus.next_pair(u_block[j], v_block[j]);
             }
-
             if (batched) {
                 evaluator->settle({u_block.data(), block});
                 ++out.warmup_batches;
             }
             out.warmup_vectors += block;
-
             for (std::size_t j = 0; j < block; ++j) {
                 if (batched) {
                     evaluator->export_lane(static_cast<int>(j), lane_values);
@@ -301,152 +385,135 @@ ShardResult run_shard(const sim::SimContext& context, int m, StimulusMode mode,
                 } else {
                     simulator.initialize(u_block[j]);
                 }
-                const sim::CycleResult cycle = simulator.apply(v_block[j]);
-                CharacterizationRecord rec;
-                rec.hd = cls_block[j].first;
-                rec.stable_zeros = cls_block[j].second;
-                rec.charge_fc = cycle.charge_fc;
-                rec.toggle_mask = (u_block[j] ^ v_block[j]).raw();
-                out.sim_transitions += cycle.transitions;
-                out.records.push_back(rec);
+                push({cls_block[j].first, cls_block[j].second, 0.0,
+                      (u_block[j] ^ v_block[j]).raw()},
+                     simulator.apply(v_block[j]));
             }
         }
-        out.kernel = simulator.kernel_stats();
-        return out;
-    }
-
-    while (out.records.size() < count) {
-        if (tick && out.records.size() % 64 == 0) {
-            tick(); // mid-shard heartbeat hook, every 64 chain transitions
+    } else {
+        simulator.initialize(stimulus.current());
+        while (exact.size() < count) {
+            if (tick && exact.size() % 64 == 0) {
+                tick(); // mid-shard heartbeat hook, every 64 chain transitions
+            }
+            const BitVec previous = stimulus.current();
+            const BitVec next = stimulus.chain_next();
+            push(chain_record(previous, next), simulator.apply(next));
         }
-        CharacterizationRecord rec;
-        const BitVec previous = stimulus.current();
-        const BitVec next = stimulus.chain_next();
-        const int hd = BitVec::hamming_distance(previous, next);
-        if (hd == 0) {
-            continue; // Hd = 0 transitions carry no class information
-        }
-        const sim::CycleResult cycle = simulator.apply(next);
-        rec.hd = hd;
-        rec.stable_zeros = BitVec::stable_zeros(previous, next);
-        rec.charge_fc = cycle.charge_fc;
-        rec.toggle_mask = (previous ^ next).raw();
-        out.sim_transitions += cycle.transitions;
-        out.records.push_back(rec);
     }
     out.kernel = simulator.kernel_stats();
     return out;
 }
 
-/// Power-emulation shard: the *exact* stimulus stream run_shard would draw
-/// for the same (seed, shard), scored word-parallel instead of event by
-/// event. Pair charges are toggle-weighted sums of @p weights (per-net
-/// per-toggle charge with the calibrated glitch correction already folded
-/// in): 64 pairs per settle_pairs call in pairs mode, 63 transitions per
-/// settle pass in chain modes. No event simulator is constructed at all —
-/// this is the backend's whole speed argument.
-ShardResult run_shard_emulation(const sim::SimContext& context, int m,
-                                StimulusMode mode,
-                                const CharacterizationOptions& options,
-                                std::span<const double> weights, std::size_t shard,
-                                std::size_t count,
-                                const std::function<void()>& tick = {})
+/// Power-emulation shard: the *exact* stimulus stream run_event_shard
+/// draws for the same (seed, shard), settled word-parallel instead of
+/// event by event — no event simulator is constructed at all, which is the
+/// backend's whole speed argument. Zero-delay toggles are exactly
+/// corner-invariant, so one settle scores every corner: corner k's charges
+/// are toggle-weighted sums of the plan's weights[k] (per-net per-toggle
+/// charge with its calibrated glitch correction folded in), 64 pairs per
+/// settle_pairs call in pairs mode, 63 transitions per settle pass in
+/// chain modes. Each corner accumulates in ascending net order, so its
+/// block is bit-identical to a one-corner run at that corner.
+SweepShard run_emulation_shard(const SweepPlan& plan, std::size_t shard,
+                               std::size_t count, const std::function<void()>& tick)
 {
-    if (HDPM_FAULT_FIRE(util::FaultPoint::ShardException)) {
-        util::FaultContext fault_context;
-        fault_context.shard = static_cast<std::int64_t>(shard);
-        fault_context.detail = "injected shard failure";
-        throw util::FaultError{util::FaultKind::ShardFailed, std::move(fault_context)};
+    inject_shard_fault(shard);
+    const std::size_t corners = plan.weights.size();
+    SweepShard out;
+    out.blocks.resize(corners);
+    for (auto& block : out.blocks) {
+        block.reserve(count);
     }
+    StimulusStream stimulus{plan.m, plan.mode, plan.options.seed, shard};
+    sim::BatchedEvaluator evaluator{*plan.contexts[0]};
 
-    ShardResult out;
-    out.records.reserve(count);
-    StimulusStream stimulus{m, mode, options.seed, shard};
-    sim::BatchedEvaluator evaluator{context};
-
-    if (mode == StimulusMode::StratifiedPairs) {
-        constexpr std::size_t kLanes =
-            static_cast<std::size_t>(sim::BatchedEvaluator::kLanes);
+    if (plan.mode == StimulusMode::StratifiedPairs) {
         std::array<BitVec, kLanes> u_block;
         std::array<BitVec, kLanes> v_block;
         std::array<std::pair<int, int>, kLanes> cls_block; // (hd, zeros)
-        std::array<double, kLanes> charges;
+        std::vector<std::array<double, kLanes>> charges(corners);
 
-        while (out.records.size() < count) {
+        while (out.blocks[0].size() < count) {
             if (tick) {
                 tick(); // mid-shard heartbeat hook, once per 64-pair batch
             }
-            const std::size_t block =
-                std::min<std::size_t>(kLanes, count - out.records.size());
+            const std::size_t block = std::min(kLanes, count - out.blocks[0].size());
             for (std::size_t j = 0; j < block; ++j) {
                 cls_block[j] = stimulus.next_pair(u_block[j], v_block[j]);
             }
             evaluator.settle_pairs({u_block.data(), block}, {v_block.data(), block});
             out.emulation_passes += 2; // one settle per pair side
-            evaluator.weighted_pair_charges(weights, {charges.data(), block});
+            for (std::size_t k = 0; k < corners; ++k) {
+                evaluator.weighted_pair_charges(plan.weights[k],
+                                                {charges[k].data(), block});
+            }
             for (const std::uint8_t toggles : evaluator.toggle_counts_per_net()) {
                 out.sim_transitions += toggles;
             }
             for (std::size_t j = 0; j < block; ++j) {
-                CharacterizationRecord rec;
-                rec.hd = cls_block[j].first;
-                rec.stable_zeros = cls_block[j].second;
-                rec.charge_fc = charges[j];
-                rec.toggle_mask = (u_block[j] ^ v_block[j]).raw();
-                out.records.push_back(rec);
+                const std::uint64_t mask = (u_block[j] ^ v_block[j]).raw();
+                for (std::size_t k = 0; k < corners; ++k) {
+                    out.blocks[k].push_back({cls_block[j].first, cls_block[j].second,
+                                             charges[k][j], mask});
+                }
             }
         }
         return out;
     }
 
-    // Chain modes: materialize the shard's chain with Hd = 0 steps dropped
-    // — identical endpoints settle identically, so removing the duplicate
-    // vector leaves every kept adjacent pair (and its zero-delay charge)
-    // unchanged — then score it with the windowed weighted counter.
+    // Chain modes: materialize the shard's chain (Hd = 0 steps are already
+    // dropped — identical endpoints settle identically, so removing the
+    // duplicate vector leaves every kept adjacent pair and its zero-delay
+    // charge unchanged), then score it with the windowed weighted counter.
     std::vector<BitVec> chain;
     chain.reserve(count + 1);
-    std::vector<std::pair<int, int>> cls; // (hd, zeros) per kept transition
-    cls.reserve(count);
     chain.push_back(stimulus.current());
-    while (cls.size() < count) {
-        if (tick && cls.size() % 64 == 0) {
+    while (chain.size() <= count) {
+        if (tick && (chain.size() - 1) % 64 == 0) {
             tick();
         }
-        const BitVec previous = chain.back();
-        const BitVec next = stimulus.chain_next();
-        const int hd = BitVec::hamming_distance(previous, next);
-        if (hd == 0) {
-            continue;
-        }
-        cls.emplace_back(hd, BitVec::stable_zeros(previous, next));
-        chain.push_back(next);
+        chain.push_back(stimulus.chain_next());
     }
     if (tick) {
         tick();
     }
 
+    std::vector<std::span<const double>> weight_sets(plan.weights.begin(),
+                                                     plan.weights.end());
+    std::vector<std::vector<double>> charges(corners);
     std::vector<std::uint64_t> toggles;
-    const std::vector<double> charges =
-        evaluator.count_weighted_toggles(chain, weights, &toggles);
-    const std::size_t window_pairs =
-        static_cast<std::size_t>(sim::BatchedEvaluator::kLanes) - 1;
-    out.emulation_passes += (chain.size() - 2) / window_pairs + 1;
-    for (std::size_t i = 0; i < cls.size(); ++i) {
-        CharacterizationRecord rec;
-        rec.hd = cls[i].first;
-        rec.stable_zeros = cls[i].second;
-        rec.charge_fc = charges[i];
-        rec.toggle_mask = (chain[i] ^ chain[i + 1]).raw();
+    evaluator.count_weighted_toggles(chain, weight_sets, charges, toggles);
+    out.emulation_passes += (chain.size() - 2) / (kLanes - 1) + 1;
+    for (std::size_t i = 0; i < count; ++i) {
+        CharacterizationRecord rec = chain_record(chain[i], chain[i + 1]);
+        for (std::size_t k = 0; k < corners; ++k) {
+            rec.charge_fc = charges[k][i];
+            out.blocks[k].push_back(rec);
+        }
         out.sim_transitions += toggles[i];
-        out.records.push_back(rec);
     }
     return out;
 }
 
-/// Calibration shard ids live in their own half of the 64-bit shard space,
-/// so `seed ^ splitmix64(id)` can never collide with a measurement shard's
-/// stimulus stream.
-constexpr std::uint64_t kCalibrationShardBase = std::uint64_t{1} << 63;
+/// Run the calibration subsample of @p options as shards of @p shard_size
+/// (ids offset by kCalibrationShardBase) and return them in shard order —
+/// so every fit over them is a pure function of the stimulus plan,
+/// bit-identical for any thread count and recomputed identically on a
+/// checkpoint resume.
+template <typename Fn>
+auto map_calibration_shards(const CharacterizationOptions& options,
+                            std::size_t shard_size, const util::ThreadPool& pool,
+                            const Fn& run_calibration)
+{
+    const std::size_t num_shards =
+        (options.calibration_pairs + shard_size - 1) / shard_size;
+    return pool.parallel_map(num_shards, [&](std::size_t i) {
+        return run_calibration(
+            kCalibrationShardBase + i,
+            std::min(shard_size, options.calibration_pairs - i * shard_size));
+    });
+}
 
 /// Per-net base charge per toggle under the event kernel's accounting:
 /// cell outputs always draw their edge charge, primary inputs only when
@@ -469,8 +536,74 @@ std::vector<double> base_charge_weights(const sim::SimContext& context,
     return weights;
 }
 
-/// One calibration shard's aggregates: the same stimulus stream driven
-/// through *both* engines.
+/// One calibration shard's view of a toggle-correction fit: the per-net
+/// toggles the weights score, the reference engine's per-net toggles over
+/// the same stimulus, and the reference charge the scored total should
+/// reproduce.
+struct CorrectionRow {
+    std::span<const std::uint64_t> scored;
+    std::span<const std::uint64_t> reference;
+    double reference_charge_fc = 0.0;
+};
+
+/// The glitch-correction fit shared by both calibrations. Per cell output
+/// that @p rows score at all, fold the toggle ratio (reference toggles /
+/// scored toggles — glitches multiply a net's toggle count but never its
+/// per-toggle charge) into @p weights; then fit one residual scale with
+/// util::least_squares through the origin over the per-row (corrected
+/// scored charge, reference charge) pairs, which absorbs charge on nets the
+/// scored toggles never reach, and fold it in too. Rows and nets are summed
+/// in order, so the fit is deterministic. Returns the scale.
+double fit_toggle_correction(const sim::SimContext& context, std::vector<double>& weights,
+                             std::span<const CorrectionRow> rows)
+{
+    const std::size_t nets = weights.size();
+    std::vector<std::uint64_t> scored(nets, 0);
+    std::vector<std::uint64_t> reference(nets, 0);
+    for (const CorrectionRow& row : rows) {
+        for (std::size_t net = 0; net < nets; ++net) {
+            scored[net] += row.scored[net];
+            reference[net] += row.reference[net];
+        }
+    }
+    // Primary inputs never glitch (their ratio is exactly 1 by
+    // construction), and a cell output the scored toggles never reach
+    // contributes no charge for a factor to scale — the residual fit
+    // absorbs its charge.
+    for (netlist::NetId net = 0; net < nets; ++net) {
+        if (context.is_cell_output(net) && scored[net] > 0) {
+            weights[net] *=
+                static_cast<double>(reference[net]) / static_cast<double>(scored[net]);
+        }
+    }
+
+    util::Matrix a{rows.size(), 1};
+    std::vector<double> b(rows.size(), 0.0);
+    double corrected_total = 0.0;
+    for (std::size_t s = 0; s < rows.size(); ++s) {
+        double corrected = 0.0;
+        for (std::size_t net = 0; net < nets; ++net) {
+            corrected += weights[net] * static_cast<double>(rows[s].scored[net]);
+        }
+        a.at(s, 0) = corrected;
+        b[s] = rows[s].reference_charge_fc;
+        corrected_total += corrected;
+    }
+    double scale = 1.0;
+    if (corrected_total > 0.0) {
+        const std::vector<double> fit = util::least_squares(a, b);
+        if (std::isfinite(fit[0]) && fit[0] > 0.0) {
+            scale = fit[0];
+        }
+    }
+    for (double& w : weights) {
+        w *= scale;
+    }
+    return scale;
+}
+
+/// One emulation calibration shard's aggregates: the same stimulus stream
+/// driven through *both* engines.
 struct CalibrationShard {
     std::vector<std::uint64_t> event_toggles; ///< per net, timed applies only
     std::vector<std::uint64_t> zero_toggles;  ///< per net, zero-delay settles
@@ -491,8 +624,6 @@ CalibrationShard run_calibration_shard(const sim::SimContext& context, int m,
     StimulusStream stimulus{m, mode, options.seed, shard_id};
     sim::EventSimulator simulator{context, sim_options};
     sim::BatchedEvaluator evaluator{context};
-    constexpr std::size_t kLanes =
-        static_cast<std::size_t>(sim::BatchedEvaluator::kLanes);
 
     if (mode == StimulusMode::StratifiedPairs) {
         std::array<BitVec, kLanes> u_block;
@@ -518,12 +649,7 @@ CalibrationShard run_calibration_shard(const sim::SimContext& context, int m,
         chain.reserve(count + 1);
         chain.push_back(stimulus.current());
         while (chain.size() < count + 1) {
-            const BitVec previous = chain.back();
-            const BitVec next = stimulus.chain_next();
-            if (BitVec::hamming_distance(previous, next) == 0) {
-                continue;
-            }
-            chain.push_back(next);
+            chain.push_back(stimulus.chain_next());
         }
         simulator.initialize(chain.front());
         for (std::size_t i = 1; i < chain.size(); ++i) {
@@ -557,24 +683,19 @@ CalibrationShard run_calibration_shard(const sim::SimContext& context, int m,
     return out;
 }
 
-/// The emulation backend's calibrated weight vector plus its counters.
+/// One corner's emulation calibration: the weights plus their counters.
 struct CalibrationResult {
     std::vector<double> weights; ///< per-net per-toggle charge, corrected
     std::uint64_t event_pairs = 0; ///< event-kernel transitions simulated
     double scale = 1.0;            ///< fitted residual glitch scale
 };
 
-/// Fit the glitch correction: per-cell-output toggle-ratio factors (event
-/// toggles / zero-delay toggles — glitches multiply a net's toggle count
-/// but never its per-toggle charge) folded into the base weights, then one
-/// residual scale fitted with util::least_squares over per-shard
-/// (corrected emulated total, event total) rows to absorb charge on nets
-/// the zero-delay settles never toggled. Calibration shards reuse the
-/// sharded seed scheme with ids offset by kCalibrationShardBase and are
-/// merged in shard order, so the fit — like the records — is a pure
-/// function of the stimulus plan, bit-identical for any thread count.
+/// Calibrate the power-emulation weights at @p context: run the
+/// calibration subsample through the event kernel and the zero-delay
+/// settles, then fit_toggle_correction the base weights from the
+/// zero-delay toggles (scored) to the event kernel's (reference).
 CalibrationResult calibrate_emulation(const sim::SimContext& context, int m,
-                                      StimulusMode mode,
+                                      StimulusMode mode, std::size_t shard_size,
                                       const CharacterizationOptions& options,
                                       const sim::EventSimOptions& sim_options,
                                       const util::ThreadPool& pool)
@@ -584,469 +705,157 @@ CalibrationResult calibrate_emulation(const sim::SimContext& context, int m,
     if (options.calibration_pairs == 0) {
         return out;
     }
-
-    const std::size_t shard_size =
-        options.shard_size != 0 ? options.shard_size : options.batch;
-    const std::size_t num_shards =
-        (options.calibration_pairs + shard_size - 1) / shard_size;
-    const auto shards = pool.parallel_map(num_shards, [&](std::size_t i) {
-        const std::size_t planned =
-            std::min(shard_size, options.calibration_pairs - i * shard_size);
-        return run_calibration_shard(context, m, mode, options, sim_options,
-                                     kCalibrationShardBase + i, planned);
-    });
-
-    const std::size_t nets = context.netlist().num_nets();
-    std::vector<std::uint64_t> event_toggles(nets, 0);
-    std::vector<std::uint64_t> zero_toggles(nets, 0);
+    const auto shards = map_calibration_shards(
+        options, shard_size, pool, [&](std::uint64_t id, std::size_t count) {
+            return run_calibration_shard(context, m, mode, options, sim_options, id,
+                                         count);
+        });
+    std::vector<CorrectionRow> rows;
     for (const CalibrationShard& shard : shards) {
-        for (std::size_t net = 0; net < nets; ++net) {
-            event_toggles[net] += shard.event_toggles[net];
-            zero_toggles[net] += shard.zero_toggles[net];
-        }
+        rows.push_back({shard.zero_toggles, shard.event_toggles, shard.event_charge_fc});
         out.event_pairs += shard.pairs;
     }
-
-    // Per-cell factors on the nets the calibration set exercised. Primary
-    // inputs never glitch (their ratio is exactly 1 by construction), and
-    // a cell output the zero-delay settles never toggled contributes no
-    // emulated charge for a factor to scale — the residual fit below
-    // absorbs its glitch-only charge.
-    for (netlist::NetId net = 0; net < nets; ++net) {
-        if (context.is_cell_output(net) && zero_toggles[net] > 0) {
-            out.weights[net] *= static_cast<double>(event_toggles[net]) /
-                                static_cast<double>(zero_toggles[net]);
-        }
-    }
-
-    // Residual scale: least squares through the origin, one row per
-    // calibration shard.
-    util::Matrix a{shards.size(), 1};
-    std::vector<double> b(shards.size(), 0.0);
-    double corrected_total = 0.0;
-    for (std::size_t s = 0; s < shards.size(); ++s) {
-        double corrected = 0.0;
-        for (std::size_t net = 0; net < nets; ++net) {
-            corrected +=
-                out.weights[net] * static_cast<double>(shards[s].zero_toggles[net]);
-        }
-        a.at(s, 0) = corrected;
-        b[s] = shards[s].event_charge_fc;
-        corrected_total += corrected;
-    }
-    if (corrected_total > 0.0) {
-        const std::vector<double> fit = util::least_squares(a, b);
-        if (std::isfinite(fit[0]) && fit[0] > 0.0) {
-            out.scale = fit[0];
-        }
-    }
-    for (double& w : out.weights) {
-        w *= out.scale;
-    }
-    return out;
-}
-
-// ---------------------------------------------------------------------------
-// Multi-corner single-sweep machinery (docs/corners.md). The amortization
-// argument: per-net toggle activity is (exactly, for zero-delay settles;
-// nearly, for the event kernel under uniform delay scaling) invariant
-// across operating corners, so one stimulus sweep can score K corners by
-// dotting shared toggle vectors against K per-corner charge tables.
-// ---------------------------------------------------------------------------
-
-/// One shard of a multi-corner sweep: K index-aligned record blocks.
-struct MultiShardResult {
-    std::vector<std::vector<CharacterizationRecord>> blocks; // per corner
-    std::uint64_t sim_transitions = 0;
-    std::uint64_t warmup_vectors = 0;
-    std::uint64_t warmup_batches = 0;
-    std::uint64_t emulation_passes = 0;
-    sim::KernelStats kernel;
-};
-
-/// Event-kernel multi-corner shard: corner 0 is simulated exactly — the
-/// same stimulus, warm-up, and event simulation run_shard performs, so its
-/// block is bit-identical to a single-corner run — while per-cycle toggle
-/// tracking feeds the remaining corners' charges as dot products against
-/// @p transfer_weights (element k-1 scores corner k). The accumulation
-/// iterates the cycle's toggled nets in first-toggle order, a
-/// deterministic function of the simulation, so every corner's block is
-/// bit-identical for any thread count.
-MultiShardResult run_shard_event_multi(const sim::SimContext& context, int m,
-                                       StimulusMode mode,
-                                       const CharacterizationOptions& options,
-                                       const sim::EventSimOptions& sim_options,
-                                       std::span<const std::vector<double>> transfer_weights,
-                                       std::size_t shard, std::size_t count)
-{
-    if (HDPM_FAULT_FIRE(util::FaultPoint::ShardException)) {
-        util::FaultContext fault_context;
-        fault_context.shard = static_cast<std::int64_t>(shard);
-        fault_context.detail = "injected shard failure";
-        throw util::FaultError{util::FaultKind::ShardFailed, std::move(fault_context)};
-    }
-
-    const std::size_t corners = transfer_weights.size() + 1;
-    MultiShardResult out;
-    out.blocks.resize(corners);
-    for (auto& block : out.blocks) {
-        block.reserve(count);
-    }
-
-    StimulusStream stimulus{m, mode, options.seed, shard};
-    sim::EventSimulator simulator{context, sim_options};
-    simulator.set_cycle_toggle_tracking(true);
-
-    const auto push_records = [&](int hd, int zeros, std::uint64_t mask,
-                                  const sim::CycleResult& cycle) {
-        CharacterizationRecord rec;
-        rec.hd = hd;
-        rec.stable_zeros = zeros;
-        rec.charge_fc = cycle.charge_fc;
-        rec.toggle_mask = mask;
-        out.blocks[0].push_back(rec);
-        for (std::size_t k = 1; k < corners; ++k) {
-            const std::vector<double>& weights = transfer_weights[k - 1];
-            double charge = 0.0;
-            for (const netlist::NetId net : simulator.cycle_toggled_nets()) {
-                charge += weights[net] *
-                          static_cast<double>(simulator.cycle_toggle_count(net));
-            }
-            rec.charge_fc = charge;
-            out.blocks[k].push_back(rec);
-        }
-        out.sim_transitions += cycle.transitions;
-    };
-
-    if (mode == StimulusMode::StratifiedPairs) {
-        // Mirrors run_shard's batched warm-up exactly (same RNG consumption,
-        // same load_state adoption) so corner 0 stays bit-identical.
-        constexpr std::size_t kLanes =
-            static_cast<std::size_t>(sim::BatchedEvaluator::kLanes);
-        const bool batched = options.warmup == WarmupMode::Batched;
-        std::optional<sim::BatchedEvaluator> evaluator;
-        std::vector<std::uint8_t> lane_values;
-        if (batched) {
-            evaluator.emplace(context);
-            lane_values.resize(context.netlist().num_nets());
-        }
-        std::array<BitVec, kLanes> u_block;
-        std::array<BitVec, kLanes> v_block;
-        std::array<std::pair<int, int>, kLanes> cls_block;
-
-        while (out.blocks[0].size() < count) {
-            const std::size_t block =
-                std::min<std::size_t>(kLanes, count - out.blocks[0].size());
-            for (std::size_t j = 0; j < block; ++j) {
-                cls_block[j] = stimulus.next_pair(u_block[j], v_block[j]);
-            }
-            if (batched) {
-                evaluator->settle({u_block.data(), block});
-                ++out.warmup_batches;
-            }
-            out.warmup_vectors += block;
-            for (std::size_t j = 0; j < block; ++j) {
-                if (batched) {
-                    evaluator->export_lane(static_cast<int>(j), lane_values);
-                    simulator.load_state(u_block[j], lane_values);
-                } else {
-                    simulator.initialize(u_block[j]);
-                }
-                const sim::CycleResult cycle = simulator.apply(v_block[j]);
-                push_records(cls_block[j].first, cls_block[j].second,
-                             (u_block[j] ^ v_block[j]).raw(), cycle);
-            }
-        }
-        out.kernel = simulator.kernel_stats();
-        return out;
-    }
-
-    simulator.initialize(stimulus.current());
-    while (out.blocks[0].size() < count) {
-        const BitVec previous = stimulus.current();
-        const BitVec next = stimulus.chain_next();
-        const int hd = BitVec::hamming_distance(previous, next);
-        if (hd == 0) {
-            continue;
-        }
-        const sim::CycleResult cycle = simulator.apply(next);
-        push_records(hd, BitVec::stable_zeros(previous, next),
-                     (previous ^ next).raw(), cycle);
-    }
-    out.kernel = simulator.kernel_stats();
-    return out;
-}
-
-/// Power-emulation multi-corner shard: settle the stimulus once, score K
-/// corners with K weighted dot products over the shared toggle words.
-/// weight_sets[k] is corner k's independently calibrated weight vector, and
-/// each corner's charges come from the same weighted_pair_charges /
-/// count_weighted_toggles accumulation a single-corner run performs — so
-/// every corner's block is bit-identical to an independent
-/// run_shard_emulation at that corner.
-MultiShardResult run_shard_emulation_multi(const sim::SimContext& context, int m,
-                                           StimulusMode mode,
-                                           const CharacterizationOptions& options,
-                                           std::span<const std::vector<double>> weight_sets,
-                                           std::size_t shard, std::size_t count)
-{
-    if (HDPM_FAULT_FIRE(util::FaultPoint::ShardException)) {
-        util::FaultContext fault_context;
-        fault_context.shard = static_cast<std::int64_t>(shard);
-        fault_context.detail = "injected shard failure";
-        throw util::FaultError{util::FaultKind::ShardFailed, std::move(fault_context)};
-    }
-
-    const std::size_t corners = weight_sets.size();
-    MultiShardResult out;
-    out.blocks.resize(corners);
-    for (auto& block : out.blocks) {
-        block.reserve(count);
-    }
-    StimulusStream stimulus{m, mode, options.seed, shard};
-    sim::BatchedEvaluator evaluator{context};
-
-    if (mode == StimulusMode::StratifiedPairs) {
-        constexpr std::size_t kLanes =
-            static_cast<std::size_t>(sim::BatchedEvaluator::kLanes);
-        std::array<BitVec, kLanes> u_block;
-        std::array<BitVec, kLanes> v_block;
-        std::array<std::pair<int, int>, kLanes> cls_block;
-        std::vector<std::array<double, kLanes>> charges(corners);
-
-        while (out.blocks[0].size() < count) {
-            const std::size_t block =
-                std::min<std::size_t>(kLanes, count - out.blocks[0].size());
-            for (std::size_t j = 0; j < block; ++j) {
-                cls_block[j] = stimulus.next_pair(u_block[j], v_block[j]);
-            }
-            evaluator.settle_pairs({u_block.data(), block}, {v_block.data(), block});
-            out.emulation_passes += 2;
-            for (std::size_t k = 0; k < corners; ++k) {
-                evaluator.weighted_pair_charges(weight_sets[k],
-                                                {charges[k].data(), block});
-            }
-            for (const std::uint8_t toggles : evaluator.toggle_counts_per_net()) {
-                out.sim_transitions += toggles;
-            }
-            for (std::size_t j = 0; j < block; ++j) {
-                CharacterizationRecord rec;
-                rec.hd = cls_block[j].first;
-                rec.stable_zeros = cls_block[j].second;
-                rec.toggle_mask = (u_block[j] ^ v_block[j]).raw();
-                for (std::size_t k = 0; k < corners; ++k) {
-                    rec.charge_fc = charges[k][j];
-                    out.blocks[k].push_back(rec);
-                }
-            }
-        }
-        return out;
-    }
-
-    std::vector<BitVec> chain;
-    chain.reserve(count + 1);
-    std::vector<std::pair<int, int>> cls;
-    cls.reserve(count);
-    chain.push_back(stimulus.current());
-    while (cls.size() < count) {
-        const BitVec previous = chain.back();
-        const BitVec next = stimulus.chain_next();
-        const int hd = BitVec::hamming_distance(previous, next);
-        if (hd == 0) {
-            continue;
-        }
-        cls.emplace_back(hd, BitVec::stable_zeros(previous, next));
-        chain.push_back(next);
-    }
-
-    std::vector<std::span<const double>> weight_spans;
-    weight_spans.reserve(corners);
-    for (const std::vector<double>& w : weight_sets) {
-        weight_spans.emplace_back(w);
-    }
-    std::vector<std::vector<double>> charges(corners);
-    std::vector<std::uint64_t> toggles;
-    evaluator.count_weighted_toggles_multi(chain, weight_spans, charges, &toggles);
-    const std::size_t window_pairs =
-        static_cast<std::size_t>(sim::BatchedEvaluator::kLanes) - 1;
-    out.emulation_passes += (chain.size() - 2) / window_pairs + 1;
-    for (std::size_t i = 0; i < cls.size(); ++i) {
-        CharacterizationRecord rec;
-        rec.hd = cls[i].first;
-        rec.stable_zeros = cls[i].second;
-        rec.toggle_mask = (chain[i] ^ chain[i + 1]).raw();
-        for (std::size_t k = 0; k < corners; ++k) {
-            rec.charge_fc = charges[k][i];
-            out.blocks[k].push_back(rec);
-        }
-        out.sim_transitions += toggles[i];
-    }
+    out.scale = fit_toggle_correction(context, out.weights, rows);
     return out;
 }
 
 /// One corner-transfer calibration shard: the same stimulus subsample
 /// driven through the event kernel at *every* corner. Corner 0's per-net
 /// toggle totals are the transfer reference; each other corner contributes
-/// its own toggle totals (for per-net glitch-ratio factors) and its total
-/// event charge (for the residual scale fit).
+/// its own toggle totals and its total event charge.
 struct CornerTransferShard {
-    std::vector<std::uint64_t> ref_toggles;                 ///< per net, corner 0
-    std::vector<std::vector<std::uint64_t>> corner_toggles; ///< [k-1][net]
-    std::vector<double> corner_charge;                      ///< [k-1], summed
-    std::uint64_t pairs = 0;                                ///< transitions per corner
+    std::vector<std::vector<std::uint64_t>> toggles; ///< [k][net]
+    std::vector<double> charge;                      ///< [k], summed
+    std::uint64_t pairs = 0;                         ///< transitions per corner
 };
 
-CornerTransferShard run_corner_transfer_shard(
-    std::span<const sim::SimContext* const> contexts, int m, StimulusMode mode,
-    const CharacterizationOptions& options, const sim::EventSimOptions& sim_options,
-    std::uint64_t shard_id, std::size_t count)
+CornerTransferShard run_corner_transfer_shard(const SweepPlan& plan,
+                                              std::uint64_t shard_id, std::size_t count)
 {
-    const std::size_t corners = contexts.size();
     CornerTransferShard out;
-    out.corner_toggles.resize(corners - 1);
-    out.corner_charge.assign(corners - 1, 0.0);
-
-    for (std::size_t c = 0; c < corners; ++c) {
+    for (const auto& context : plan.contexts) {
         // A fresh stream per corner: identical (seed, shard) → identical
         // stimulus, so every corner sees the same transitions.
-        StimulusStream stimulus{m, mode, options.seed, shard_id};
-        sim::EventSimulator simulator{*contexts[c], sim_options};
+        StimulusStream stimulus{plan.m, plan.mode, plan.options.seed, shard_id};
+        sim::EventSimulator simulator{*context, plan.sim_options};
         double charge = 0.0;
-        std::uint64_t pairs = 0;
-        if (mode == StimulusMode::StratifiedPairs) {
+        if (plan.mode == StimulusMode::StratifiedPairs) {
             BitVec u;
             BitVec v;
-            while (pairs < count) {
+            for (std::size_t i = 0; i < count; ++i) {
                 (void)stimulus.next_pair(u, v);
                 simulator.initialize(u);
                 charge += simulator.apply(v).charge_fc;
-                ++pairs;
             }
         } else {
             simulator.initialize(stimulus.current());
-            while (pairs < count) {
-                const BitVec previous = stimulus.current();
-                const BitVec next = stimulus.chain_next();
-                if (BitVec::hamming_distance(previous, next) == 0) {
-                    continue;
-                }
-                charge += simulator.apply(next).charge_fc;
-                ++pairs;
+            for (std::size_t i = 0; i < count; ++i) {
+                charge += simulator.apply(stimulus.chain_next()).charge_fc;
             }
         }
-        const std::vector<std::uint64_t>& toggles = simulator.cumulative_transitions();
-        if (c == 0) {
-            out.ref_toggles = toggles;
-            out.pairs = pairs;
-        } else {
-            out.corner_toggles[c - 1] = toggles;
-            out.corner_charge[c - 1] = charge;
-        }
+        out.toggles.push_back(simulator.cumulative_transitions());
+        out.charge.push_back(charge);
     }
+    out.pairs = count;
     return out;
 }
 
-/// Per-corner transfer weights of an event-kernel multi-corner sweep.
-struct CornerTransferResult {
-    std::vector<std::vector<double>> weights; ///< [k-1][net], corrected + scaled
-    std::vector<double> scales;               ///< fitted residual scale per corner
-    std::uint64_t event_pairs = 0; ///< event transitions simulated (all corners)
-};
-
-/// Fit the corner-transfer correction, mirroring calibrate_emulation: per
-/// cell-output toggle-ratio factors (corner-k event toggles / corner-0
-/// event toggles — uniform delay scaling preserves event order up to
-/// integer-ps rounding and the fixed inertial window, so these ratios sit
-/// near 1) folded into corner k's base edge-charge weights, then one
-/// residual scale per corner fitted with util::least_squares over
-/// per-shard (transferred charge, corner-k event charge) rows. Calibration
-/// shards reuse the kCalibrationShardBase id scheme and merge in shard
-/// order — the fit is a pure function of the stimulus plan and corner
-/// list, bit-identical for any thread count.
-CornerTransferResult calibrate_corner_transfer(
-    std::span<const sim::SimContext* const> contexts, int m, StimulusMode mode,
-    const CharacterizationOptions& options, const sim::EventSimOptions& sim_options,
-    const util::ThreadPool& pool)
+/// Calibrate an event-kernel sweep's transfer weights: corner k's base
+/// weights are fit_toggle_correction'd from corner 0's event toggles
+/// (scored — uniform delay scaling preserves event order up to integer-ps
+/// rounding and the fixed inertial window, so the ratios sit near 1) to
+/// corner k's own (reference), one fit per corner over shared calibration
+/// shards. Returns the K-1 weight sets and counts the transitions into
+/// @p event_pairs.
+std::vector<std::vector<double>> calibrate_corner_transfer(const SweepPlan& plan,
+                                                           const util::ThreadPool& pool,
+                                                           std::uint64_t& event_pairs)
 {
-    const std::size_t corners = contexts.size();
-    CornerTransferResult out;
-    out.weights.resize(corners - 1);
-    out.scales.assign(corners - 1, 1.0);
+    const std::size_t corners = plan.corners();
+    std::vector<std::vector<double>> weights;
     for (std::size_t k = 1; k < corners; ++k) {
-        out.weights[k - 1] = base_charge_weights(*contexts[k], sim_options);
+        weights.push_back(base_charge_weights(*plan.contexts[k], plan.sim_options));
     }
-    if (options.calibration_pairs == 0 || corners == 1) {
-        return out;
+    if (plan.options.calibration_pairs == 0 || corners == 1) {
+        return weights;
     }
-
-    const std::size_t shard_size =
-        options.shard_size != 0 ? options.shard_size : options.batch;
-    const std::size_t num_shards =
-        (options.calibration_pairs + shard_size - 1) / shard_size;
-    const auto shards = pool.parallel_map(num_shards, [&](std::size_t i) {
-        const std::size_t planned =
-            std::min(shard_size, options.calibration_pairs - i * shard_size);
-        return run_corner_transfer_shard(contexts, m, mode, options, sim_options,
-                                         kCalibrationShardBase + i, planned);
-    });
-
-    const std::size_t nets = contexts[0]->netlist().num_nets();
-    std::vector<std::uint64_t> ref_toggles(nets, 0);
+    const auto shards = map_calibration_shards(
+        plan.options, plan.shard_size, pool, [&](std::uint64_t id, std::size_t count) {
+            return run_corner_transfer_shard(plan, id, count);
+        });
     for (const CornerTransferShard& shard : shards) {
-        for (std::size_t net = 0; net < nets; ++net) {
-            ref_toggles[net] += shard.ref_toggles[net];
-        }
-        out.event_pairs += shard.pairs * corners;
+        event_pairs += shard.pairs * corners;
     }
-
     for (std::size_t k = 1; k < corners; ++k) {
-        std::vector<double>& weights = out.weights[k - 1];
-        std::vector<std::uint64_t> corner_toggles(nets, 0);
+        std::vector<CorrectionRow> rows;
         for (const CornerTransferShard& shard : shards) {
-            for (std::size_t net = 0; net < nets; ++net) {
-                corner_toggles[net] += shard.corner_toggles[k - 1][net];
-            }
+            rows.push_back({shard.toggles[0], shard.toggles[k], shard.charge[k]});
         }
-        for (netlist::NetId net = 0; net < nets; ++net) {
-            if (contexts[0]->is_cell_output(net) && ref_toggles[net] > 0) {
-                weights[net] *= static_cast<double>(corner_toggles[net]) /
-                                static_cast<double>(ref_toggles[net]);
-            }
-        }
-        // Residual scale through the origin, one row per calibration shard.
-        util::Matrix a{shards.size(), 1};
-        std::vector<double> b(shards.size(), 0.0);
-        double transferred_total = 0.0;
-        for (std::size_t s = 0; s < shards.size(); ++s) {
-            double transferred = 0.0;
-            for (std::size_t net = 0; net < nets; ++net) {
-                transferred += weights[net] *
-                               static_cast<double>(shards[s].ref_toggles[net]);
-            }
-            a.at(s, 0) = transferred;
-            b[s] = shards[s].corner_charge[k - 1];
-            transferred_total += transferred;
-        }
-        if (transferred_total > 0.0) {
-            const std::vector<double> fit = util::least_squares(a, b);
-            if (std::isfinite(fit[0]) && fit[0] > 0.0) {
-                out.scales[k - 1] = fit[0];
-            }
-        }
-        for (double& w : weights) {
-            w *= out.scales[k - 1];
-        }
+        (void)fit_toggle_correction(*plan.contexts[0], weights[k - 1], rows);
     }
-    return out;
+    return weights;
 }
 
-/// A run_shard call's outcome: the shard result, or the exception it threw
-/// (captured so a failing shard never takes its wave's siblings down with
-/// it — the merge loop decides whether to rethrow or degrade).
-struct ShardOutcome {
-    std::optional<ShardResult> result;
-    std::exception_ptr error;
-};
+SweepPlan::SweepPlan(const dp::DatapathModule& module,
+                     const CharacterizationOptions& opts,
+                     const gate::TechLibrary& library,
+                     const sim::EventSimOptions& sim_opts, const util::ThreadPool& pool)
+    : options(opts), sim_options(sim_opts), m(module.total_input_bits()),
+      mode(options.mode.value_or(StimulusMode::StratifiedChain)),
+      shard_size(options.shard_size != 0 ? options.shard_size : options.batch),
+      num_shards(0)
+{
+    HDPM_REQUIRE(m >= 1 && m <= BitVec::kMaxWidth, "module input width out of range");
+    HDPM_REQUIRE(options.batch >= 1, "batch must be positive");
+    num_shards = (options.max_transitions + shard_size - 1) / shard_size;
+
+    // A corner-qualified context derives the scaled library first;
+    // SimContext consumes the library during construction, so the derived
+    // temporary may die right after.
+    const auto add_context = [&](const std::optional<gate::Corner>& corner) {
+        contexts.push_back(
+            corner.has_value()
+                ? std::make_unique<sim::SimContext>(module.netlist(), library.at(*corner))
+                : std::make_unique<sim::SimContext>(module.netlist(), library));
+    };
+    if (options.corners.empty()) {
+        add_context(options.corner);
+    }
+    for (const gate::Corner& corner : options.corners) {
+        add_context(corner);
+    }
+
+    // Calibration is a pure function of the stimulus plan and corner list
+    // (its shard ids reuse the sharded seed scheme, offset into their own
+    // half of the id space), so every process running shards of this plan
+    // — and every resumed run — recomputes identical weights; nothing
+    // about it needs journaling. Emulation: each corner keeps its own
+    // glitch calibration at its own context, exactly what a one-corner run
+    // at that corner computes. Event kernel: corners k > 0 get transfer
+    // weights calibrated across all corners at once.
+    if (options.backend == CharBackend::PowerEmulation) {
+        for (std::size_t k = 0; k < corners(); ++k) {
+            CalibrationResult cal = calibrate_emulation(
+                *contexts[k], m, mode, shard_size, options, sim_options, pool);
+            calibration_pairs += cal.event_pairs;
+            if (k == 0) {
+                calibration_scale = cal.scale;
+            }
+            weights.push_back(std::move(cal.weights));
+        }
+    } else {
+        weights = calibrate_corner_transfer(*this, pool, corner_calibration_pairs);
+    }
+}
+
+SweepShard SweepPlan::run(std::size_t shard, const std::function<void()>& tick) const
+{
+    const std::size_t count =
+        std::min(shard_size, options.max_transitions - shard * shard_size);
+    return options.backend == CharBackend::PowerEmulation
+               ? run_emulation_shard(*this, shard, count, tick)
+               : run_event_shard(*this, shard, count, tick);
+}
 
 /// Set a malformed journal aside as <path>.corrupt (never resume from bad
 /// state, never destroy the evidence); fall back to removal if the rename
@@ -1058,6 +867,312 @@ void quarantine_checkpoint(const std::filesystem::path& path)
     if (ec) {
         std::filesystem::remove(path, ec);
     }
+}
+
+/// The resumable shard prefix of the journal at @p path. Only a journal
+/// stamped like @p expected (fingerprint, module identity, width) whose
+/// prefix fits the plan's @p num_shards is resumed; anything else is a
+/// leftover of some other run and is discarded. A corrupt journal is
+/// quarantined, and its surviving whole-shard prefix salvaged. Records the
+/// outcome in @p stats.
+std::vector<CheckpointShard> resume_journal(const std::filesystem::path& path,
+                                            const CharCheckpoint& expected,
+                                            std::size_t num_shards, CharRunStats& stats)
+{
+    {
+        // A .tmp sibling is the debris of a run killed mid-publish.
+        std::error_code ec;
+        std::filesystem::remove(path.string() + ".tmp", ec);
+    }
+    const auto matches_plan = [&](const CharCheckpoint& loaded) {
+        return loaded.fingerprint == expected.fingerprint &&
+               loaded.module_key == expected.module_key &&
+               loaded.input_bits == expected.input_bits &&
+               loaded.shards.size() <= num_shards;
+    };
+    try {
+        if (auto loaded = load_checkpoint(path)) {
+            if (matches_plan(*loaded)) {
+                return std::move(loaded->shards);
+            }
+            stats.checkpoint_discarded = true;
+        }
+    } catch (const util::FaultError& error) {
+        if (error.kind() != util::FaultKind::CheckpointCorrupt) {
+            throw;
+        }
+        // Tolerant second read: a torn tail (the short write of a killed
+        // run) still holds every shard block that published whole. Keep
+        // that prefix — it re-merges bit-identically — and set the damaged
+        // file aside as evidence; the tail is re-simulated.
+        CheckpointSalvage salvage = salvage_checkpoint(path);
+        quarantine_checkpoint(path);
+        stats.checkpoint_discarded = true;
+        if (salvage.checkpoint.has_value() && matches_plan(*salvage.checkpoint) &&
+            !salvage.checkpoint->shards.empty()) {
+            stats.checkpoint_salvaged = true;
+            return std::move(salvage.checkpoint->shards);
+        }
+    }
+    return {};
+}
+
+/// Journal fingerprint of corner @p k of a run. Every corner journals
+/// under its own single-corner fingerprint — for a one-corner run that is
+/// characterization_fingerprint(options) itself — so an emulation sweep
+/// journal is interchangeable with the matching single-corner run's (the
+/// record streams are bit-identical by construction). Event-kernel
+/// corners k > 0 are transfer approximations whose values depend on the
+/// whole corner list, so their fingerprints additionally fold the list —
+/// a sweep journal can never be resumed by an exact single-corner run,
+/// nor by a sweep over a different corner set.
+std::uint64_t sweep_corner_fingerprint(const CharacterizationOptions& options,
+                                       const sim::EventSimOptions& sim_options,
+                                       std::size_t k)
+{
+    CharacterizationOptions corner_options = options;
+    corner_options.corner = options.corners.empty()
+                                ? options.corner
+                                : std::optional<gate::Corner>(options.corners[k]);
+    corner_options.corners.clear();
+    std::uint64_t fp = characterization_fingerprint(corner_options, sim_options);
+    if (options.backend == CharBackend::EventKernel && k > 0) {
+        for (const gate::Corner& corner : options.corners) {
+            fp = util::splitmix64(fp ^ std::bit_cast<std::uint64_t>(corner.vdd_v));
+            fp = util::splitmix64(fp ^ std::bit_cast<std::uint64_t>(corner.temp_c));
+            fp = util::splitmix64(fp ^
+                                  static_cast<std::uint64_t>(corner.load_class));
+        }
+    }
+    return fp;
+}
+
+/// A shard's outcome: its blocks, or the exception it threw (captured so a
+/// failing shard never takes its wave's siblings down with it — the merge
+/// loop decides whether to rethrow or degrade).
+struct ShardAttempt {
+    std::optional<SweepShard> result;
+    std::exception_ptr error;
+};
+
+/// The one record-collection pipeline, behind both collect_records (the
+/// one-corner list {options.corner}) and collect_records_corners.
+///
+/// Shards run in waves of pool.size() and merge in shard order into one
+/// ShardMerger per corner — the loop an independent run at that corner
+/// runs — so each corner's stopping point and record stream match that
+/// run exactly. The run stops simulating once every corner has converged;
+/// blocks merged into an already-converged merger are discarded.
+///
+/// Checkpointing keeps one journal per corner: <checkpoint> for a
+/// single-corner run, <checkpoint>.c<k> for a sweep, published in lockstep
+/// at the same shard boundaries. A crash between the K publishes leaves
+/// journals of different lengths; resume replays the minimum valid prefix
+/// over all corners and re-simulates the rest, so lockstep is self-healing
+/// rather than load-bearing. A failed shard is journaled as an empty block
+/// (the journal stays a contiguous prefix) and replays as a failure.
+std::vector<std::vector<CharacterizationRecord>> collect_sweep(
+    const dp::DatapathModule& module, const CharacterizationOptions& options,
+    const gate::TechLibrary& library, const sim::EventSimOptions& sim_options)
+{
+    HDPM_REQUIRE(options.checkpoint_every >= 1, "checkpoint_every must be positive");
+    const auto start = std::chrono::steady_clock::now();
+    const util::ThreadPool pool{options.threads};
+    const SweepPlan plan{module, options, library, sim_options, pool};
+    const std::size_t corners = plan.corners();
+    const bool emulation = options.backend == CharBackend::PowerEmulation;
+    const std::string module_key = module_journal_key(module);
+
+    CharRunStats stats;
+    stats.threads = pool.size();
+    stats.backend = options.backend;
+    stats.calibration_pairs = plan.calibration_pairs;
+    stats.calibration_scale = plan.calibration_scale;
+    stats.corners = options.corners.size();
+    stats.corner_calibration_pairs = plan.corner_calibration_pairs;
+
+    std::vector<std::unique_ptr<ShardMerger>> mergers;
+    for (std::size_t k = 0; k < corners; ++k) {
+        mergers.push_back(std::make_unique<ShardMerger>(plan.m, options));
+    }
+    const auto all_converged = [&] {
+        return std::all_of(mergers.begin(), mergers.end(),
+                           [](const auto& merger) { return merger->converged(); });
+    };
+
+    const bool checkpointing = !options.checkpoint.empty();
+    std::vector<CharCheckpoint> journals(corners);
+    std::vector<std::filesystem::path> journal_paths(corners);
+    std::vector<std::vector<CheckpointShard>> resumed(corners);
+    std::size_t resume_len = checkpointing ? plan.num_shards : 0;
+    for (std::size_t k = 0; checkpointing && k < corners; ++k) {
+        journal_paths[k] = options.corners.empty()
+                               ? options.checkpoint
+                               : std::filesystem::path{options.checkpoint.string() +
+                                                       ".c" + std::to_string(k)};
+        journals[k].fingerprint = sweep_corner_fingerprint(options, sim_options, k);
+        journals[k].module_key = module_key;
+        journals[k].input_bits = plan.m;
+        resumed[k] =
+            resume_journal(journal_paths[k], journals[k], plan.num_shards, stats);
+        resume_len = std::min(resume_len, resumed[k].size());
+    }
+
+    std::exception_ptr first_failure;
+    const auto report_progress = [&] {
+        if (options.progress) {
+            options.progress(CharProgress{stats.shards, plan.num_shards,
+                                          mergers[0]->records().size(),
+                                          options.max_transitions});
+        }
+    };
+
+    // A propagating shard failure is tagged with its location before any
+    // further handling, so strict aborts and captured degradations both
+    // point at the exact (module, bitwidth, shard) to replay.
+    const auto handle_shard_failure = [&](std::size_t shard, std::exception_ptr error) {
+        if (first_failure == nullptr) {
+            first_failure = error;
+        }
+        try {
+            std::rethrow_exception(error);
+        } catch (util::FaultError& fault) {
+            fault.context().shard = static_cast<std::int64_t>(shard);
+            fault.context().bitwidth = plan.m;
+            if (fault.context().component.empty()) {
+                fault.context().component = module_key;
+            }
+            if (options.strict_faults) {
+                throw;
+            }
+            stats.shard_failures.push_back(
+                ShardFailure{shard, fault.kind(), fault.what()});
+        } catch (const std::exception& e) {
+            if (options.strict_faults) {
+                throw;
+            }
+            stats.shard_failures.push_back(
+                ShardFailure{shard, util::FaultKind::ShardFailed, e.what()});
+        }
+    };
+
+    // Replay the common journaled prefix through the merge loops (no
+    // simulation). Replayed shards pass through the identical ShardMerger
+    // path as freshly simulated ones, which is what makes a resumed run
+    // reproduce the uninterrupted record stream — the stopping point
+    // included — bit for bit. An empty block is a shard the interrupted
+    // run failed; it replays as that failure, so the resumed run reports
+    // the same degradation.
+    for (std::size_t r = 0; r < resume_len && !all_converged(); ++r) {
+        const std::size_t shard = resumed[0][r].index;
+        if (resumed[0][r].records.empty()) {
+            util::FaultContext context;
+            context.detail = "shard failed in the interrupted run this journal resumes";
+            handle_shard_failure(shard, std::make_exception_ptr(util::FaultError{
+                                            util::FaultKind::ShardFailed, context}));
+        } else {
+            for (std::size_t k = 0; k < corners; ++k) {
+                mergers[k]->merge(resumed[k][r].records);
+            }
+            ++stats.shards;
+        }
+        for (std::size_t k = 0; k < corners; ++k) {
+            journals[k].shards.push_back(std::move(resumed[k][r]));
+        }
+        report_progress();
+    }
+    stats.shards_resumed = stats.shards;
+    std::size_t unpublished = 0;
+
+    // Convergence is evaluated over the merged stream at batch boundaries,
+    // so the stopping point — like every record before it — is a pure
+    // function of the stimulus plan.
+    for (std::size_t wave_start = resume_len;
+         wave_start < plan.num_shards && !all_converged(); wave_start += pool.size()) {
+        const std::size_t wave =
+            std::min<std::size_t>(pool.size(), plan.num_shards - wave_start);
+        auto attempts = pool.parallel_map(wave, [&](std::size_t i) {
+            ShardAttempt attempt;
+            try {
+                attempt.result = plan.run(wave_start + i);
+            } catch (...) {
+                attempt.error = std::current_exception();
+            }
+            return attempt;
+        });
+
+        for (std::size_t i = 0; i < attempts.size() && !all_converged(); ++i) {
+            const std::size_t shard = wave_start + i;
+            ShardAttempt& attempt = attempts[i];
+            if (attempt.error != nullptr) {
+                handle_shard_failure(shard, attempt.error);
+            } else {
+                const SweepShard& result = *attempt.result;
+                for (std::size_t k = 0; k < corners; ++k) {
+                    mergers[k]->merge(result.blocks[k]);
+                }
+                stats.sim_transitions += result.sim_transitions;
+                stats.sim_events += result.kernel.events_processed;
+                stats.warmup_vectors += result.warmup_vectors;
+                stats.warmup_batches += result.warmup_batches;
+                stats.emulation_passes += result.emulation_passes;
+                stats.max_queue_depth =
+                    std::max(stats.max_queue_depth, result.kernel.max_queue_depth);
+                if (emulation) {
+                    stats.emulated_pairs += result.blocks[0].size() * corners;
+                }
+                ++stats.shards;
+            }
+            for (std::size_t k = 0; checkpointing && k < corners; ++k) {
+                // A failed shard journals as an empty block.
+                std::vector<CharacterizationRecord> block;
+                if (attempt.result.has_value()) {
+                    block = std::move(attempt.result->blocks[k]);
+                }
+                journals[k].shards.push_back(CheckpointShard{shard, std::move(block)});
+            }
+            ++unpublished;
+            report_progress();
+            if (checkpointing && !all_converged() &&
+                unpublished >= options.checkpoint_every) {
+                for (std::size_t k = 0; k < corners; ++k) {
+                    save_checkpoint(journal_paths[k], journals[k]);
+                }
+                unpublished = 0;
+                ++stats.checkpoints_published;
+            }
+        }
+    }
+
+    std::vector<std::vector<CharacterizationRecord>> records;
+    bool any_records = false;
+    for (const auto& merger : mergers) {
+        records.push_back(merger->take_records());
+        any_records = any_records || !records.back().empty();
+    }
+    if (!any_records && first_failure != nullptr) {
+        // Degraded continuation produced nothing at all — that is not a
+        // result, it is the first failure wearing a disguise.
+        std::rethrow_exception(first_failure);
+    }
+    for (std::size_t k = 0; checkpointing && k < corners; ++k) {
+        // The run is complete; the journal has served its purpose.
+        std::error_code ec;
+        std::filesystem::remove(journal_paths[k], ec);
+    }
+
+    if (options.stats != nullptr) {
+        stats.collect_wall_ms = std::chrono::duration<double, std::milli>(
+                                    std::chrono::steady_clock::now() - start)
+                                    .count();
+        stats.events_per_sec = stats.collect_wall_ms > 0.0
+                                   ? static_cast<double>(stats.sim_events) /
+                                         (stats.collect_wall_ms / 1000.0)
+                                   : 0.0;
+        stats.records = records[0].size();
+        *options.stats = std::move(stats);
+    }
+    return records;
 }
 
 } // namespace
@@ -1077,82 +1192,55 @@ std::string module_journal_key(const dp::DatapathModule& module)
 
 // ---------------------------------------------------------------------------
 // ShardRunner / ShardMerger — the distribution-facing faces of the sharded
-// plan. ShardRunner reuses the exact per-shard simulation entry points the
-// in-process thread pool schedules (run_shard / run_shard_emulation), and
-// ShardMerger is the merge-and-convergence loop collect_records itself runs
+// plan. ShardRunner is built on the same SweepPlan (and so the same shard
+// runners and calibration) the in-process pipeline schedules, and
+// ShardMerger is the merge-and-convergence loop that pipeline itself runs
 // on, so "merge worker-journaled blocks in shard order" and "run everything
 // in one process" are the same computation by construction.
 // ---------------------------------------------------------------------------
 
 struct ShardRunner::Impl {
     Impl(const dp::DatapathModule& module, CharacterizationOptions opts,
-         const gate::TechLibrary& library, sim::EventSimOptions sim_opts)
-        : options(std::move(opts)), sim_options(sim_opts),
-          corner_library(options.corner.has_value()
-                             ? std::optional<gate::TechLibrary>(
-                                   library.at(*options.corner))
-                             : std::nullopt),
-          context(module.netlist(),
-                  corner_library.has_value() ? *corner_library : library),
-          m(module.total_input_bits()),
-          mode(options.mode.value_or(StimulusMode::StratifiedChain)),
-          shard_size(options.shard_size != 0 ? options.shard_size : options.batch),
-          num_shards((options.max_transitions + shard_size - 1) / shard_size),
+         const gate::TechLibrary& library, sim::EventSimOptions sim_options)
+        : options(std::move(opts)),
+          plan(module, options, library, sim_options, util::ThreadPool{options.threads}),
           fingerprint(characterization_fingerprint(options, sim_options)),
           module_key(module_journal_key(module))
     {
-        HDPM_REQUIRE(m >= 1 && m <= BitVec::kMaxWidth,
-                     "module input width out of range");
-        HDPM_REQUIRE(options.batch >= 1, "batch must be positive");
-        HDPM_REQUIRE(options.corners.empty(),
-                     "ShardRunner plans are single-corner; sweeps use "
-                     "collect_records_corners");
-        if (options.backend == CharBackend::PowerEmulation) {
-            // Calibration is a pure function of the stimulus plan, so every
-            // process that runs shards of this plan computes the identical
-            // weight vector.
-            const util::ThreadPool pool{options.threads};
-            calibration =
-                calibrate_emulation(context, m, mode, options, sim_options, pool);
-        }
     }
 
     CharacterizationOptions options;
-    sim::EventSimOptions sim_options;
-    std::optional<gate::TechLibrary> corner_library; // set iff options.corner
-    sim::SimContext context;
-    int m;
-    StimulusMode mode;
-    std::size_t shard_size;
-    std::size_t num_shards;
+    SweepPlan plan;
     std::uint64_t fingerprint;
     std::string module_key;
-    CalibrationResult calibration;
 };
 
 ShardRunner::ShardRunner(const dp::DatapathModule& module,
                          CharacterizationOptions options,
                          const gate::TechLibrary& library,
                          sim::EventSimOptions sim_options)
-    : impl_(std::make_unique<Impl>(module, std::move(options), library, sim_options))
 {
+    HDPM_REQUIRE(options.corners.empty(),
+                 "ShardRunner plans are single-corner; sweeps use "
+                 "collect_records_corners");
+    impl_ = std::make_unique<Impl>(module, std::move(options), library, sim_options);
 }
 
 ShardRunner::~ShardRunner() = default;
 
 std::size_t ShardRunner::num_shards() const noexcept
 {
-    return impl_->num_shards;
+    return impl_->plan.num_shards;
 }
 
 std::size_t ShardRunner::shard_size() const noexcept
 {
-    return impl_->shard_size;
+    return impl_->plan.shard_size;
 }
 
 int ShardRunner::input_bits() const noexcept
 {
-    return impl_->m;
+    return impl_->plan.m;
 }
 
 std::uint64_t ShardRunner::fingerprint() const noexcept
@@ -1168,19 +1256,9 @@ const std::string& ShardRunner::module_key() const noexcept
 std::vector<CharacterizationRecord> ShardRunner::run(std::size_t shard,
                                                      const TickFn& tick) const
 {
-    HDPM_REQUIRE(shard < impl_->num_shards, "shard index outside the plan");
-    const std::size_t planned = std::min(
-        impl_->shard_size, impl_->options.max_transitions - shard * impl_->shard_size);
-    ShardResult result =
-        impl_->options.backend == CharBackend::PowerEmulation
-            ? run_shard_emulation(impl_->context, impl_->m, impl_->mode,
-                                  impl_->options, impl_->calibration.weights, shard,
-                                  planned, tick)
-            : run_shard(impl_->context, impl_->m, impl_->mode, impl_->options,
-                        impl_->sim_options, shard, planned, tick);
-    return std::move(result.records);
+    HDPM_REQUIRE(shard < impl_->plan.num_shards, "shard index outside the plan");
+    return std::move(impl_->plan.run(shard, tick).blocks[0]);
 }
-
 struct ShardMerger::Impl {
     Impl(int input_bits, const CharacterizationOptions& options)
         : monitor(static_cast<std::size_t>(input_bits)), batch(options.batch),
@@ -1251,288 +1329,22 @@ std::vector<CharacterizationRecord> ShardMerger::take_records()
     return std::move(impl_->records);
 }
 
+
 std::vector<CharacterizationRecord> Characterizer::collect_records(
     const dp::DatapathModule& module, const CharacterizationOptions& options) const
 {
-    const int m = module.total_input_bits();
-    HDPM_REQUIRE(m >= 1 && m <= BitVec::kMaxWidth, "module input width out of range");
-    HDPM_REQUIRE(options.batch >= 1, "batch must be positive");
-    HDPM_REQUIRE(options.checkpoint_every >= 1, "checkpoint_every must be positive");
     HDPM_REQUIRE(options.corners.empty(),
                  "multi-corner sweeps go through collect_records_corners");
+    return std::move(collect_sweep(module, options, *library_, sim_options_)[0]);
+}
 
-    const auto start = std::chrono::steady_clock::now();
-    const StimulusMode mode = options.mode.value_or(StimulusMode::StratifiedChain);
-
-    // One immutable context (electrical view, fanout CSR, topo order) shared
-    // read-only by every shard's private EventSimulator. A corner-qualified
-    // run derives the scaled library first; SimContext consumes the library
-    // during construction, so the derived temporary may die right after.
-    std::optional<sim::SimContext> owned_context;
-    if (options.corner.has_value()) {
-        owned_context.emplace(module.netlist(), library_->at(*options.corner));
-    } else {
-        owned_context.emplace(module.netlist(), *library_);
-    }
-    const sim::SimContext& context = *owned_context;
-
-    // Fixed shard geometry: the stimulus plan depends on (seed, shard_size,
-    // max_transitions) only — never on the thread count.
-    const std::size_t shard_size =
-        options.shard_size != 0 ? options.shard_size : options.batch;
-    const std::size_t num_shards =
-        (options.max_transitions + shard_size - 1) / shard_size;
-
-    const util::ThreadPool pool{options.threads};
-
-    // Power-emulation backend: calibrate the per-net weight vector up front
-    // by running a small deterministic subsample through the event kernel.
-    // Calibration is a pure function of the stimulus plan (its shard ids
-    // reuse the sharded seed scheme, offset into their own half of the id
-    // space), so a resumed run recomputes the identical weights — nothing
-    // about it needs journaling.
-    const bool emulation = options.backend == CharBackend::PowerEmulation;
-    CalibrationResult calibration;
-    if (emulation) {
-        calibration =
-            calibrate_emulation(context, m, mode, options, sim_options_, pool);
-    }
-
-    // The merge-and-convergence loop, shared with the fleet coordinator:
-    // basic Hd classes suffice for chain modes; pairs mode monitors
-    // (hd, zeros) jointly via basic bins as well (a conservative criterion).
-    ShardMerger merger{m, options};
-
-    std::size_t shards_merged = 0;
-    std::uint64_t sim_transitions = 0;
-    std::uint64_t sim_events = 0;
-    std::uint64_t warmup_vectors = 0;
-    std::uint64_t warmup_batches = 0;
-    std::uint64_t emulated_pairs = 0;
-    std::uint64_t emulation_passes = 0;
-    std::size_t max_queue_depth = 0;
-
-    // Checkpoint/resume setup. The journal is stamped with the same options
-    // fingerprint the model library uses plus the module identity; only a
-    // journal from the identical stimulus plan is resumed — anything else
-    // is a leftover of some other run and is discarded (corrupt journals
-    // are additionally quarantined for inspection).
-    const bool checkpointing = !options.checkpoint.empty();
-    CharCheckpoint journal;
-    std::vector<CheckpointShard> resumed_shards;
-    std::size_t checkpoints_published = 0;
-    bool checkpoint_discarded = false;
-    bool checkpoint_salvaged = false;
-    if (checkpointing) {
-        journal.fingerprint = characterization_fingerprint(options, sim_options_);
-        journal.module_key = module_journal_key(module);
-        journal.input_bits = m;
-        {
-            // A .tmp sibling is the debris of a run killed mid-publish.
-            std::error_code ec;
-            std::filesystem::remove(options.checkpoint.string() + ".tmp", ec);
-        }
-        const auto matches_plan = [&](const CharCheckpoint& loaded) {
-            return loaded.fingerprint == journal.fingerprint &&
-                   loaded.module_key == journal.module_key &&
-                   loaded.input_bits == m && loaded.shards.size() <= num_shards;
-        };
-        try {
-            if (auto loaded = load_checkpoint(options.checkpoint)) {
-                if (matches_plan(*loaded)) {
-                    resumed_shards = std::move(loaded->shards);
-                } else {
-                    checkpoint_discarded = true;
-                }
-            }
-        } catch (const util::FaultError& error) {
-            if (error.kind() != util::FaultKind::CheckpointCorrupt) {
-                throw;
-            }
-            // Tolerant second read: a torn tail (the short write of a killed
-            // run) still holds every shard block that published whole. Keep
-            // that prefix — it re-merges bit-identically — and set the
-            // damaged file aside as evidence; the tail is re-simulated.
-            CheckpointSalvage salvage = salvage_checkpoint(options.checkpoint);
-            quarantine_checkpoint(options.checkpoint);
-            checkpoint_discarded = true;
-            if (salvage.checkpoint.has_value() && matches_plan(*salvage.checkpoint) &&
-                !salvage.checkpoint->shards.empty()) {
-                resumed_shards = std::move(salvage.checkpoint->shards);
-                checkpoint_salvaged = true;
-            }
-        }
-    }
-
-    std::vector<ShardFailure> shard_failures;
-    std::exception_ptr first_failure;
-
-    const auto report_progress = [&] {
-        if (options.progress) {
-            options.progress(CharProgress{shards_merged, num_shards,
-                                          merger.records().size(),
-                                          options.max_transitions});
-        }
-    };
-
-    // A propagating shard failure is tagged with its location before any
-    // further handling, so strict aborts and captured degradations both
-    // point at the exact (module, bitwidth, shard) to replay.
-    const auto handle_shard_failure = [&](std::size_t shard,
-                                          std::exception_ptr error) {
-        if (first_failure == nullptr) {
-            first_failure = error;
-        }
-        try {
-            std::rethrow_exception(error);
-        } catch (util::FaultError& fault) {
-            fault.context().shard = static_cast<std::int64_t>(shard);
-            fault.context().bitwidth = m;
-            if (fault.context().component.empty()) {
-                fault.context().component = module_journal_key(module);
-            }
-            if (options.strict_faults) {
-                throw;
-            }
-            shard_failures.push_back(
-                ShardFailure{shard, fault.kind(), fault.what()});
-        } catch (const std::exception& e) {
-            if (options.strict_faults) {
-                throw;
-            }
-            shard_failures.push_back(
-                ShardFailure{shard, util::FaultKind::ShardFailed, e.what()});
-        }
-    };
-
-    // Replay the journaled prefix through the merge loop (no simulation).
-    // Replayed shards pass through the identical ShardMerger path as
-    // freshly simulated ones, which is what makes a resumed run reproduce
-    // the uninterrupted record stream — the stopping point included — bit
-    // for bit.
-    const std::size_t resumed_count = resumed_shards.size();
-    for (CheckpointShard& shard : resumed_shards) {
-        merger.merge(shard.records);
-        journal.shards.push_back(std::move(shard));
-        ++shards_merged;
-        report_progress();
-        if (merger.converged()) {
-            break;
-        }
-    }
-    const std::size_t shards_resumed = shards_merged;
-    std::size_t unpublished = 0;
-
-    // Run the remaining shards in waves of pool.size() and merge each wave
-    // in shard order. Convergence is evaluated over the merged stream at
-    // batch boundaries, so the stopping point — like every record before it
-    // — is a pure function of the stimulus plan.
-    for (std::size_t wave_start = resumed_count;
-         wave_start < num_shards && !merger.converged(); wave_start += pool.size()) {
-        const std::size_t wave =
-            std::min<std::size_t>(pool.size(), num_shards - wave_start);
-        auto results = pool.parallel_map(wave, [&](std::size_t i) {
-            const std::size_t shard = wave_start + i;
-            const std::size_t planned =
-                std::min(shard_size, options.max_transitions - shard * shard_size);
-            ShardOutcome outcome;
-            try {
-                outcome.result =
-                    emulation ? run_shard_emulation(context, m, mode, options,
-                                                    calibration.weights, shard,
-                                                    planned)
-                              : run_shard(context, m, mode, options, sim_options_,
-                                          shard, planned);
-            } catch (...) {
-                outcome.error = std::current_exception();
-            }
-            return outcome;
-        });
-
-        for (std::size_t i = 0; i < results.size() && !merger.converged(); ++i) {
-            const std::size_t shard = wave_start + i;
-            ShardOutcome& outcome = results[i];
-            if (outcome.error != nullptr) {
-                handle_shard_failure(shard, outcome.error);
-                // The journal stays a contiguous prefix: a failed shard is
-                // recorded as an empty block (resuming past it reproduces
-                // this degraded run's record stream).
-                if (checkpointing) {
-                    journal.shards.push_back(CheckpointShard{shard, {}});
-                    ++unpublished;
-                }
-            } else {
-                ShardResult& result = *outcome.result;
-                merger.merge(result.records);
-                sim_transitions += result.sim_transitions;
-                sim_events += result.kernel.events_processed;
-                warmup_vectors += result.warmup_vectors;
-                warmup_batches += result.warmup_batches;
-                emulation_passes += result.emulation_passes;
-                if (emulation) {
-                    emulated_pairs += result.records.size();
-                }
-                max_queue_depth =
-                    std::max(max_queue_depth, result.kernel.max_queue_depth);
-                ++shards_merged;
-                if (checkpointing) {
-                    journal.shards.push_back(
-                        CheckpointShard{shard, std::move(result.records)});
-                    ++unpublished;
-                }
-            }
-            report_progress();
-            if (checkpointing && !merger.converged() &&
-                unpublished >= options.checkpoint_every) {
-                save_checkpoint(options.checkpoint, journal);
-                unpublished = 0;
-                ++checkpoints_published;
-            }
-        }
-    }
-
-    std::vector<CharacterizationRecord> records = merger.take_records();
-    if (records.empty() && first_failure != nullptr) {
-        // Degraded continuation produced nothing at all — that is not a
-        // result, it is the first failure wearing a disguise.
-        std::rethrow_exception(first_failure);
-    }
-    if (checkpointing) {
-        // The run is complete; the journal has served its purpose.
-        std::error_code ec;
-        std::filesystem::remove(options.checkpoint, ec);
-    }
-
-    if (options.stats != nullptr) {
-        options.stats->collect_wall_ms =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - start)
-                .count();
-        options.stats->sim_transitions = sim_transitions;
-        options.stats->sim_events = sim_events;
-        options.stats->events_per_sec =
-            options.stats->collect_wall_ms > 0.0
-                ? static_cast<double>(sim_events) /
-                      (options.stats->collect_wall_ms / 1000.0)
-                : 0.0;
-        options.stats->max_queue_depth = max_queue_depth;
-        options.stats->records = records.size();
-        options.stats->shards = shards_merged;
-        options.stats->threads = pool.size();
-        options.stats->warmup_vectors = warmup_vectors;
-        options.stats->warmup_batches = warmup_batches;
-        options.stats->shard_failures = std::move(shard_failures);
-        options.stats->shards_resumed = shards_resumed;
-        options.stats->checkpoints_published = checkpoints_published;
-        options.stats->checkpoint_discarded = checkpoint_discarded;
-        options.stats->checkpoint_salvaged = checkpoint_salvaged;
-        options.stats->backend = options.backend;
-        options.stats->emulated_pairs = emulated_pairs;
-        options.stats->emulation_passes = emulation_passes;
-        options.stats->calibration_pairs = calibration.event_pairs;
-        options.stats->calibration_scale = calibration.scale;
-    }
-    return records;
+std::vector<std::vector<CharacterizationRecord>> Characterizer::collect_records_corners(
+    const dp::DatapathModule& module, const CharacterizationOptions& options) const
+{
+    HDPM_REQUIRE(!options.corners.empty(), "corner sweep needs at least one corner");
+    HDPM_REQUIRE(!options.corner.has_value(),
+                 "options.corner and options.corners are mutually exclusive");
+    return collect_sweep(module, options, *library_, sim_options_);
 }
 
 HdModel fit_basic_model(int input_bits, std::span<const CharacterizationRecord> records)
@@ -1661,373 +1473,6 @@ EnhancedHdModel Characterizer::characterize_enhanced(
     return timed_fit(options, [&] {
         return fit_enhanced_model(module.total_input_bits(), zero_clusters, records);
     });
-}
-
-namespace {
-
-/// Journal fingerprint of corner @p k of a sweep. Every corner journals
-/// under its own single-corner fingerprint, so an emulation sweep
-/// journal is interchangeable with the matching single-corner run's (the
-/// record streams are bit-identical by construction). Event-kernel
-/// corners k > 0 are transfer approximations whose values depend on the
-/// whole corner list, so their fingerprints additionally fold the list —
-/// a sweep journal can never be resumed by an exact single-corner run,
-/// nor by a sweep over a different corner set.
-std::uint64_t sweep_corner_fingerprint(const CharacterizationOptions& options,
-                                       const sim::EventSimOptions& sim_options,
-                                       std::size_t k)
-{
-    CharacterizationOptions corner_options = options;
-    corner_options.corner = options.corners[k];
-    corner_options.corners.clear();
-    std::uint64_t fp = characterization_fingerprint(corner_options, sim_options);
-    if (options.backend == CharBackend::EventKernel && k > 0) {
-        for (const gate::Corner& corner : options.corners) {
-            fp = util::splitmix64(fp ^ std::bit_cast<std::uint64_t>(corner.vdd_v));
-            fp = util::splitmix64(fp ^ std::bit_cast<std::uint64_t>(corner.temp_c));
-            fp = util::splitmix64(fp ^
-                                  static_cast<std::uint64_t>(corner.load_class));
-        }
-    }
-    return fp;
-}
-
-/// A multi-corner shard's outcome, mirroring ShardOutcome.
-struct MultiShardOutcome {
-    std::optional<MultiShardResult> result;
-    std::exception_ptr error;
-};
-
-} // namespace
-
-std::vector<std::vector<CharacterizationRecord>> Characterizer::collect_records_corners(
-    const dp::DatapathModule& module, const CharacterizationOptions& options) const
-{
-    const std::size_t corners = options.corners.size();
-    HDPM_REQUIRE(corners >= 1, "corner sweep needs at least one corner");
-    HDPM_REQUIRE(!options.corner.has_value(),
-                 "options.corner and options.corners are mutually exclusive");
-    const int m = module.total_input_bits();
-    HDPM_REQUIRE(m >= 1 && m <= BitVec::kMaxWidth, "module input width out of range");
-    HDPM_REQUIRE(options.batch >= 1, "batch must be positive");
-    HDPM_REQUIRE(options.checkpoint_every >= 1, "checkpoint_every must be positive");
-
-    const auto start = std::chrono::steady_clock::now();
-    const StimulusMode mode = options.mode.value_or(StimulusMode::StratifiedChain);
-
-    // K derived libraries and electrical contexts, index-aligned with
-    // options.corners. The libraries must outlive nothing: SimContext
-    // consumes them during construction, but keeping the vector makes the
-    // derivation cost explicit and the contexts' provenance obvious.
-    std::vector<gate::TechLibrary> libraries;
-    libraries.reserve(corners);
-    for (const gate::Corner& corner : options.corners) {
-        libraries.push_back(library_->at(corner));
-    }
-    std::vector<std::unique_ptr<sim::SimContext>> contexts;
-    contexts.reserve(corners);
-    for (const gate::TechLibrary& library : libraries) {
-        contexts.push_back(
-            std::make_unique<sim::SimContext>(module.netlist(), library));
-    }
-    std::vector<const sim::SimContext*> context_ptrs;
-    context_ptrs.reserve(corners);
-    for (const auto& context : contexts) {
-        context_ptrs.push_back(context.get());
-    }
-
-    const std::size_t shard_size =
-        options.shard_size != 0 ? options.shard_size : options.batch;
-    const std::size_t num_shards =
-        (options.max_transitions + shard_size - 1) / shard_size;
-    const util::ThreadPool pool{options.threads};
-    const bool emulation = options.backend == CharBackend::PowerEmulation;
-
-    // Per-corner scoring weights. Emulation: each corner keeps its own
-    // glitch calibration at its own derived context — the calibration
-    // stimulus is corner-independent, so each weight vector is exactly
-    // what an independent single-corner run would compute. Event kernel:
-    // corner 0 needs no weights (it is simulated exactly); corners k > 0
-    // get transfer weights calibrated across all corners at once.
-    std::vector<std::vector<double>> weight_sets;
-    std::uint64_t emulation_calibration_pairs = 0;
-    double calibration_scale = 1.0;
-    CornerTransferResult transfer;
-    if (emulation) {
-        weight_sets.reserve(corners);
-        for (std::size_t k = 0; k < corners; ++k) {
-            CalibrationResult cal = calibrate_emulation(*context_ptrs[k], m, mode,
-                                                        options, sim_options_, pool);
-            emulation_calibration_pairs += cal.event_pairs;
-            if (k == 0) {
-                calibration_scale = cal.scale;
-            }
-            weight_sets.push_back(std::move(cal.weights));
-        }
-    } else if (corners > 1) {
-        transfer = calibrate_corner_transfer(context_ptrs, m, mode, options,
-                                             sim_options_, pool);
-    }
-
-    // One merger per corner, each running the identical merge-and-convergence
-    // loop its independent single-corner run would — so each corner's
-    // stopping point (and record stream) matches that run exactly. The
-    // sweep stops simulating only once every corner has converged; blocks
-    // merged into an already-converged merger are discarded, exactly as
-    // collect_records discards shards simulated ahead of a stop.
-    std::vector<std::unique_ptr<ShardMerger>> mergers;
-    mergers.reserve(corners);
-    for (std::size_t k = 0; k < corners; ++k) {
-        mergers.push_back(std::make_unique<ShardMerger>(m, options));
-    }
-    const auto all_converged = [&] {
-        for (const auto& merger : mergers) {
-            if (!merger->converged()) {
-                return false;
-            }
-        }
-        return true;
-    };
-
-    std::size_t shards_merged = 0;
-    std::uint64_t sim_transitions = 0;
-    std::uint64_t sim_events = 0;
-    std::uint64_t warmup_vectors = 0;
-    std::uint64_t warmup_batches = 0;
-    std::uint64_t emulated_pairs = 0;
-    std::uint64_t emulation_passes = 0;
-    std::size_t max_queue_depth = 0;
-
-    // Per-corner checkpoint journals at <checkpoint>.c<k>, published in
-    // lockstep at the same shard boundaries. A crash between the K file
-    // publishes leaves journals of different lengths; resume takes the
-    // minimum valid prefix over all corners and re-simulates the rest, so
-    // lockstep is self-healing rather than load-bearing.
-    const bool checkpointing = !options.checkpoint.empty();
-    std::vector<CharCheckpoint> journals(corners);
-    std::vector<std::filesystem::path> journal_paths(corners);
-    std::vector<std::vector<CheckpointShard>> resumed(corners);
-    std::size_t checkpoints_published = 0;
-    bool checkpoint_discarded = false;
-    bool checkpoint_salvaged = false;
-    std::size_t resume_len = 0;
-    if (checkpointing) {
-        resume_len = num_shards; // min over corners below
-        for (std::size_t k = 0; k < corners; ++k) {
-            journal_paths[k] =
-                options.checkpoint.string() + ".c" + std::to_string(k);
-            journals[k].fingerprint =
-                sweep_corner_fingerprint(options, sim_options_, k);
-            journals[k].module_key = module_journal_key(module);
-            journals[k].input_bits = m;
-            {
-                std::error_code ec;
-                std::filesystem::remove(journal_paths[k].string() + ".tmp", ec);
-            }
-            const auto matches_plan = [&](const CharCheckpoint& loaded) {
-                return loaded.fingerprint == journals[k].fingerprint &&
-                       loaded.module_key == journals[k].module_key &&
-                       loaded.input_bits == m && loaded.shards.size() <= num_shards;
-            };
-            try {
-                if (auto loaded = load_checkpoint(journal_paths[k])) {
-                    if (matches_plan(*loaded)) {
-                        resumed[k] = std::move(loaded->shards);
-                    } else {
-                        checkpoint_discarded = true;
-                    }
-                }
-            } catch (const util::FaultError& error) {
-                if (error.kind() != util::FaultKind::CheckpointCorrupt) {
-                    throw;
-                }
-                CheckpointSalvage salvage = salvage_checkpoint(journal_paths[k]);
-                quarantine_checkpoint(journal_paths[k]);
-                checkpoint_discarded = true;
-                if (salvage.checkpoint.has_value() &&
-                    matches_plan(*salvage.checkpoint) &&
-                    !salvage.checkpoint->shards.empty()) {
-                    resumed[k] = std::move(salvage.checkpoint->shards);
-                    checkpoint_salvaged = true;
-                }
-            }
-            resume_len = std::min(resume_len, resumed[k].size());
-        }
-        for (std::size_t k = 0; k < corners; ++k) {
-            resumed[k].resize(resume_len);
-        }
-    }
-
-    std::vector<ShardFailure> shard_failures;
-    std::exception_ptr first_failure;
-
-    const auto report_progress = [&] {
-        if (options.progress) {
-            options.progress(CharProgress{shards_merged, num_shards,
-                                          mergers[0]->records().size(),
-                                          options.max_transitions});
-        }
-    };
-
-    const auto handle_shard_failure = [&](std::size_t shard,
-                                          std::exception_ptr error) {
-        if (first_failure == nullptr) {
-            first_failure = error;
-        }
-        try {
-            std::rethrow_exception(error);
-        } catch (util::FaultError& fault) {
-            fault.context().shard = static_cast<std::int64_t>(shard);
-            fault.context().bitwidth = m;
-            if (fault.context().component.empty()) {
-                fault.context().component = module_journal_key(module);
-            }
-            if (options.strict_faults) {
-                throw;
-            }
-            shard_failures.push_back(
-                ShardFailure{shard, fault.kind(), fault.what()});
-        } catch (const std::exception& e) {
-            if (options.strict_faults) {
-                throw;
-            }
-            shard_failures.push_back(
-                ShardFailure{shard, util::FaultKind::ShardFailed, e.what()});
-        }
-    };
-
-    // Replay the common journaled prefix through all K merge loops.
-    for (std::size_t r = 0; r < resume_len && !all_converged(); ++r) {
-        for (std::size_t k = 0; k < corners; ++k) {
-            mergers[k]->merge(resumed[k][r].records);
-            journals[k].shards.push_back(std::move(resumed[k][r]));
-        }
-        ++shards_merged;
-        report_progress();
-    }
-    const std::size_t shards_resumed = shards_merged;
-    std::size_t unpublished = 0;
-
-    for (std::size_t wave_start = resume_len;
-         wave_start < num_shards && !all_converged(); wave_start += pool.size()) {
-        const std::size_t wave =
-            std::min<std::size_t>(pool.size(), num_shards - wave_start);
-        auto results = pool.parallel_map(wave, [&](std::size_t i) {
-            const std::size_t shard = wave_start + i;
-            const std::size_t planned =
-                std::min(shard_size, options.max_transitions - shard * shard_size);
-            MultiShardOutcome outcome;
-            try {
-                outcome.result =
-                    emulation
-                        ? run_shard_emulation_multi(*context_ptrs[0], m, mode,
-                                                    options, weight_sets, shard,
-                                                    planned)
-                        : run_shard_event_multi(*context_ptrs[0], m, mode, options,
-                                                sim_options_, transfer.weights,
-                                                shard, planned);
-            } catch (...) {
-                outcome.error = std::current_exception();
-            }
-            return outcome;
-        });
-
-        for (std::size_t i = 0; i < results.size() && !all_converged(); ++i) {
-            const std::size_t shard = wave_start + i;
-            MultiShardOutcome& outcome = results[i];
-            if (outcome.error != nullptr) {
-                handle_shard_failure(shard, outcome.error);
-                if (checkpointing) {
-                    for (std::size_t k = 0; k < corners; ++k) {
-                        journals[k].shards.push_back(CheckpointShard{shard, {}});
-                    }
-                    ++unpublished;
-                }
-            } else {
-                MultiShardResult& result = *outcome.result;
-                for (std::size_t k = 0; k < corners; ++k) {
-                    mergers[k]->merge(result.blocks[k]);
-                }
-                sim_transitions += result.sim_transitions;
-                sim_events += result.kernel.events_processed;
-                warmup_vectors += result.warmup_vectors;
-                warmup_batches += result.warmup_batches;
-                emulation_passes += result.emulation_passes;
-                if (emulation) {
-                    emulated_pairs += result.blocks[0].size() * corners;
-                }
-                max_queue_depth =
-                    std::max(max_queue_depth, result.kernel.max_queue_depth);
-                ++shards_merged;
-                if (checkpointing) {
-                    for (std::size_t k = 0; k < corners; ++k) {
-                        journals[k].shards.push_back(
-                            CheckpointShard{shard, std::move(result.blocks[k])});
-                    }
-                    ++unpublished;
-                }
-            }
-            report_progress();
-            if (checkpointing && !all_converged() &&
-                unpublished >= options.checkpoint_every) {
-                for (std::size_t k = 0; k < corners; ++k) {
-                    save_checkpoint(journal_paths[k], journals[k]);
-                }
-                unpublished = 0;
-                ++checkpoints_published;
-            }
-        }
-    }
-
-    std::vector<std::vector<CharacterizationRecord>> records;
-    records.reserve(corners);
-    bool any_records = false;
-    for (std::size_t k = 0; k < corners; ++k) {
-        records.push_back(mergers[k]->take_records());
-        any_records = any_records || !records.back().empty();
-    }
-    if (!any_records && first_failure != nullptr) {
-        std::rethrow_exception(first_failure);
-    }
-    if (checkpointing) {
-        for (std::size_t k = 0; k < corners; ++k) {
-            std::error_code ec;
-            std::filesystem::remove(journal_paths[k], ec);
-        }
-    }
-
-    if (options.stats != nullptr) {
-        options.stats->collect_wall_ms =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - start)
-                .count();
-        options.stats->sim_transitions = sim_transitions;
-        options.stats->sim_events = sim_events;
-        options.stats->events_per_sec =
-            options.stats->collect_wall_ms > 0.0
-                ? static_cast<double>(sim_events) /
-                      (options.stats->collect_wall_ms / 1000.0)
-                : 0.0;
-        options.stats->max_queue_depth = max_queue_depth;
-        options.stats->records = records[0].size();
-        options.stats->shards = shards_merged;
-        options.stats->threads = pool.size();
-        options.stats->warmup_vectors = warmup_vectors;
-        options.stats->warmup_batches = warmup_batches;
-        options.stats->shard_failures = std::move(shard_failures);
-        options.stats->shards_resumed = shards_resumed;
-        options.stats->checkpoints_published = checkpoints_published;
-        options.stats->checkpoint_discarded = checkpoint_discarded;
-        options.stats->checkpoint_salvaged = checkpoint_salvaged;
-        options.stats->backend = options.backend;
-        options.stats->emulated_pairs = emulated_pairs;
-        options.stats->emulation_passes = emulation_passes;
-        options.stats->calibration_pairs = emulation_calibration_pairs;
-        options.stats->calibration_scale = calibration_scale;
-        options.stats->corners = corners;
-        options.stats->corner_calibration_pairs = transfer.event_pairs;
-    }
-    return records;
 }
 
 std::vector<HdModel> Characterizer::characterize_corners(

@@ -266,6 +266,9 @@ public:
         CharacterizationOptions options = {}) const;
 
     /// Raw measured transitions (for ablations and convergence studies).
+    /// This is the one-corner sweep: the collect_records_corners pipeline
+    /// run on the list {options.corner}, journaling to options.checkpoint
+    /// itself rather than a ".c0" sibling.
     ///
     /// The stimulus plan is split into fixed-size shards, each seeded
     /// `seed ^ splitmix64(shard)` and simulated independently (its own

@@ -178,52 +178,13 @@ std::vector<std::uint64_t> BatchedEvaluator::count_toggles(std::span<const BitVe
     return counts;
 }
 
-std::vector<double> BatchedEvaluator::count_weighted_toggles(
-    std::span<const BitVec> stream, std::span<const double> weights,
-    std::vector<std::uint64_t>* counts)
+void BatchedEvaluator::count_weighted_toggles(
+    std::span<const BitVec> stream, std::span<const std::span<const double>> weight_sets,
+    std::span<std::vector<double>> charges, std::vector<std::uint64_t>& counts)
 {
     HDPM_REQUIRE(!stream.empty(), "count_weighted_toggles needs at least one vector");
-    HDPM_REQUIRE(weights.size() == lanes_.size(), "netlist '", netlist_->name(),
-                 "' has ", lanes_.size(), " nets, weights has ", weights.size());
-    std::vector<double> charges(stream.size() - 1, 0.0);
-    if (counts != nullptr) {
-        counts->assign(stream.size() - 1, 0);
-    }
-    std::size_t base = 0;
-    while (base + 1 < stream.size()) {
-        const std::size_t len =
-            std::min<std::size_t>(kLanes, stream.size() - base);
-        settle(stream.subspan(base, len));
-        const std::size_t pairs = len - 1;
-        const std::uint64_t pair_mask =
-            pairs >= 64 ? kAllLanes : (std::uint64_t{1} << pairs) - 1;
-        for (std::size_t net = 0; net < lanes_.size(); ++net) {
-            const std::uint64_t word = lanes_[net];
-            std::uint64_t diff = (word ^ (word >> 1)) & pair_mask;
-            if (diff == 0) {
-                continue;
-            }
-            const double w = weights[net];
-            while (diff != 0) {
-                const std::size_t j =
-                    base + static_cast<std::size_t>(std::countr_zero(diff));
-                charges[j] += w;
-                if (counts != nullptr) {
-                    (*counts)[j] += 1;
-                }
-                diff &= diff - 1;
-            }
-        }
-        base += pairs;
-    }
-    return charges;
-}
-
-void BatchedEvaluator::count_weighted_toggles_multi(
-    std::span<const BitVec> stream, std::span<const std::span<const double>> weight_sets,
-    std::span<std::vector<double>> charges, std::vector<std::uint64_t>* counts)
-{
-    HDPM_REQUIRE(!stream.empty(), "count_weighted_toggles_multi needs at least one vector");
+    HDPM_REQUIRE(!weight_sets.empty(),
+                 "count_weighted_toggles needs at least one weight set");
     HDPM_REQUIRE(weight_sets.size() == charges.size(), "weight_sets has ",
                  weight_sets.size(), " sets, charges has ", charges.size());
     for (const std::span<const double> weights : weight_sets) {
@@ -233,9 +194,7 @@ void BatchedEvaluator::count_weighted_toggles_multi(
     for (std::vector<double>& c : charges) {
         c.assign(stream.size() - 1, 0.0);
     }
-    if (counts != nullptr) {
-        counts->assign(stream.size() - 1, 0);
-    }
+    counts.assign(stream.size() - 1, 0);
     std::size_t base = 0;
     while (base + 1 < stream.size()) {
         const std::size_t len =
@@ -244,29 +203,30 @@ void BatchedEvaluator::count_weighted_toggles_multi(
         const std::size_t pairs = len - 1;
         const std::uint64_t pair_mask =
             pairs >= 64 ? kAllLanes : (std::uint64_t{1} << pairs) - 1;
+        std::uint64_t* const tally = counts.data() + base;
+        // Nets iterate in ascending order and every set accumulates in that
+        // order, so each (set, transition) sum is the same += sequence
+        // whatever the number of sets. Each set walks the net's toggle bits
+        // with its weight and output row in registers; the first set's walk
+        // also tallies the unweighted counts.
         for (std::size_t net = 0; net < lanes_.size(); ++net) {
             const std::uint64_t word = lanes_[net];
-            const std::uint64_t net_diff = (word ^ (word >> 1)) & pair_mask;
-            if (net_diff == 0) {
+            const std::uint64_t toggled = (word ^ (word >> 1)) & pair_mask;
+            if (toggled == 0) {
                 continue;
             }
-            // Nets iterate in ascending order and each set accumulates in
-            // that order — per set, the exact += sequence of a single-set
-            // count_weighted_toggles call (deterministic floating point).
-            for (std::size_t k = 0; k < weight_sets.size(); ++k) {
-                const double w = weight_sets[k][net];
-                std::vector<double>& out = charges[k];
-                std::uint64_t diff = net_diff;
-                while (diff != 0) {
-                    out[base + static_cast<std::size_t>(std::countr_zero(diff))] += w;
-                    diff &= diff - 1;
-                }
+            const double w0 = weight_sets[0][net];
+            double* const out0 = charges[0].data() + base;
+            for (std::uint64_t diff = toggled; diff != 0; diff &= diff - 1) {
+                const auto j = static_cast<std::size_t>(std::countr_zero(diff));
+                out0[j] += w0;
+                tally[j] += 1;
             }
-            if (counts != nullptr) {
-                std::uint64_t diff = net_diff;
-                while (diff != 0) {
-                    (*counts)[base + static_cast<std::size_t>(std::countr_zero(diff))] += 1;
-                    diff &= diff - 1;
+            for (std::size_t k = 1; k < weight_sets.size(); ++k) {
+                const double w = weight_sets[k][net];
+                double* const out = charges[k].data() + base;
+                for (std::uint64_t diff = toggled; diff != 0; diff &= diff - 1) {
+                    out[static_cast<std::size_t>(std::countr_zero(diff))] += w;
                 }
             }
         }

@@ -68,33 +68,23 @@ public:
     /// passes. A single-vector stream has no pairs and returns no counts.
     std::vector<std::uint64_t> count_toggles(std::span<const util::BitVec> stream);
 
-    /// Charge-weighted variant of count_toggles: element j is the sum of
-    /// @p weights[net] over every net whose settled value differs between
-    /// stream[j] and stream[j+1] — i.e. the zero-delay cycle charge of the
-    /// transition when weights holds per-net per-toggle charge. Same
-    /// window-overlap contract (N vectors → N-1 sums). Per transition the
-    /// weights accumulate in ascending net order, so the floating-point
-    /// result is deterministic. When @p counts is non-null it receives the
-    /// unweighted toggle counts of the same pass (one settle sweep serves
-    /// both). @p weights must hold one entry per net.
-    std::vector<double> count_weighted_toggles(std::span<const util::BitVec> stream,
-                                               std::span<const double> weights,
-                                               std::vector<std::uint64_t>* counts = nullptr);
-
-    /// Multi-weight-set variant of count_weighted_toggles — the multi-
-    /// corner chain scorer: one settle sweep over the stream scores every
-    /// weight set at once. charges[k] is resized to N-1 and receives the
-    /// stream scored against weight_sets[k]; per transition and per set the
-    /// weights accumulate in ascending net order, exactly as a single-set
-    /// count_weighted_toggles call would, so charges[k] is bit-identical
-    /// to count_weighted_toggles(stream, weight_sets[k]) while the settle
-    /// work is paid once instead of K times. When @p counts is non-null it
-    /// receives the unweighted toggle counts (weight-set independent).
-    void count_weighted_toggles_multi(
-        std::span<const util::BitVec> stream,
-        std::span<const std::span<const double>> weight_sets,
-        std::span<std::vector<double>> charges,
-        std::vector<std::uint64_t>* counts = nullptr);
+    /// Charge-weighted variant of count_toggles, scoring any number of
+    /// weight sets from one settle sweep: charges[k] is resized to N-1 and
+    /// element j receives the sum of weight_sets[k][net] over every net
+    /// whose settled value differs between stream[j] and stream[j+1] —
+    /// i.e. the zero-delay cycle charge of the transition when the set
+    /// holds per-net per-toggle charge (the power-emulation chain scorer;
+    /// one set per corner). Same window-overlap contract (N vectors → N-1
+    /// sums). Per set and transition the weights accumulate in ascending
+    /// net order, so the floating-point result is deterministic and
+    /// independent of how many other sets share the call. @p counts
+    /// receives the unweighted toggle counts (count_toggles' result),
+    /// tallied in the first set's bit walk rather than a pass of its own.
+    /// At least one set is required; every set must hold one entry per net.
+    void count_weighted_toggles(std::span<const util::BitVec> stream,
+                                std::span<const std::span<const double>> weight_sets,
+                                std::span<std::vector<double>> charges,
+                                std::vector<std::uint64_t>& counts);
 
     /// Settle @p us and @p vs (equal sizes, 1..kLanes vectors each) in two
     /// word-parallel passes and derive the per-net pair-toggle words:

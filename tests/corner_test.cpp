@@ -35,7 +35,8 @@ const std::vector<gate::Corner> kCorners = {
 };
 
 /// The shared stimulus plan: 8 shards of 150, convergence disabled.
-CharacterizationOptions sweep_options(CharBackend backend, unsigned threads)
+CharacterizationOptions sweep_options(CharBackend backend, unsigned threads,
+                                      StimulusMode mode = StimulusMode::StratifiedPairs)
 {
     CharacterizationOptions options;
     options.max_transitions = 1200;
@@ -43,7 +44,7 @@ CharacterizationOptions sweep_options(CharBackend backend, unsigned threads)
     options.batch = 1200;
     options.shard_size = 150;
     options.seed = 23;
-    options.mode = StimulusMode::StratifiedPairs;
+    options.mode = mode;
     options.backend = backend;
     options.calibration_pairs = 256;
     options.threads = threads;
@@ -51,14 +52,24 @@ CharacterizationOptions sweep_options(CharBackend backend, unsigned threads)
 }
 
 /// Independent single-corner run under the same plan.
-std::vector<CharacterizationRecord> collect_single(const DatapathModule& module,
-                                                   CharBackend backend,
-                                                   const gate::Corner& corner)
+std::vector<CharacterizationRecord> collect_single(
+    const DatapathModule& module, CharBackend backend, const gate::Corner& corner,
+    StimulusMode mode = StimulusMode::StratifiedPairs)
 {
     const Characterizer characterizer;
-    CharacterizationOptions options = sweep_options(backend, 1);
+    CharacterizationOptions options = sweep_options(backend, 1, mode);
     options.corner = corner;
     return characterizer.collect_records(module, options);
+}
+
+/// Stimulus modes the sweep-vs-independent cases cover: pairs (the
+/// enhanced model's) and the stratified chain (the basic model's).
+constexpr StimulusMode kModes[] = {StimulusMode::StratifiedPairs,
+                                   StimulusMode::StratifiedChain};
+
+std::string mode_label(StimulusMode mode)
+{
+    return mode == StimulusMode::StratifiedPairs ? "pairs" : "chain";
 }
 
 void expect_identical_records(const std::vector<CharacterizationRecord>& a,
@@ -88,25 +99,39 @@ struct AbortRun {};
 TEST(CornerSweep, EmulationSweepIsBitIdenticalToIndependentRunsAcrossThreads)
 {
     const DatapathModule module = dp::make_module(ModuleType::RippleAdder, 4);
-    std::vector<std::vector<CharacterizationRecord>> independent;
-    for (const gate::Corner& corner : kCorners) {
-        independent.push_back(
-            collect_single(module, CharBackend::PowerEmulation, corner));
-    }
     const Characterizer characterizer;
-    for (const unsigned threads : {1U, 4U}) {
-        CharacterizationOptions options =
-            sweep_options(CharBackend::PowerEmulation, threads);
-        options.corners = kCorners;
-        CharRunStats stats;
-        options.stats = &stats;
-        const auto sweep = characterizer.collect_records_corners(module, options);
-        ASSERT_EQ(sweep.size(), kCorners.size());
-        EXPECT_EQ(stats.corners, kCorners.size());
+    for (const StimulusMode mode : kModes) {
+        std::vector<std::vector<CharacterizationRecord>> independent;
+        for (const gate::Corner& corner : kCorners) {
+            independent.push_back(
+                collect_single(module, CharBackend::PowerEmulation, corner, mode));
+        }
+        for (const unsigned threads : {1U, 4U}) {
+            CharacterizationOptions options =
+                sweep_options(CharBackend::PowerEmulation, threads, mode);
+            options.corners = kCorners;
+            CharRunStats stats;
+            options.stats = &stats;
+            const auto sweep = characterizer.collect_records_corners(module, options);
+            ASSERT_EQ(sweep.size(), kCorners.size());
+            EXPECT_EQ(stats.corners, kCorners.size());
+            for (std::size_t k = 0; k < kCorners.size(); ++k) {
+                expect_identical_records(independent[k], sweep[k],
+                                         "emulation " + mode_label(mode) + " corner " +
+                                             std::to_string(k) + " @" +
+                                             std::to_string(threads) + "t");
+            }
+        }
+        // A one-corner sweep {c} is the single-corner run at c.
         for (std::size_t k = 0; k < kCorners.size(); ++k) {
-            expect_identical_records(independent[k], sweep[k],
-                                     "emulation corner " + std::to_string(k) +
-                                         " @" + std::to_string(threads) + "t");
+            CharacterizationOptions options =
+                sweep_options(CharBackend::PowerEmulation, 4, mode);
+            options.corners = {kCorners[k]};
+            const auto sweep = characterizer.collect_records_corners(module, options);
+            ASSERT_EQ(sweep.size(), 1U);
+            expect_identical_records(independent[k], sweep[0],
+                                     "emulation " + mode_label(mode) +
+                                         " one-corner sweep " + std::to_string(k));
         }
     }
 }
@@ -115,29 +140,43 @@ TEST(CornerSweep, EventSweepCornerZeroIsExactAndTransfersAreClose)
 {
     const DatapathModule module = dp::make_module(ModuleType::RippleAdder, 4);
     const Characterizer characterizer;
-    CharacterizationOptions options = sweep_options(CharBackend::EventKernel, 1);
-    options.corners = kCorners;
-    CharRunStats stats;
-    options.stats = &stats;
-    const auto sweep = characterizer.collect_records_corners(module, options);
-    ASSERT_EQ(sweep.size(), kCorners.size());
-    EXPECT_GT(stats.corner_calibration_pairs, 0U);
+    // The full list, plus one-corner lists {c}: a one-corner sweep is the
+    // single-corner run at c.
+    std::vector<std::vector<gate::Corner>> lists = {kCorners};
+    for (const gate::Corner& corner : kCorners) {
+        lists.push_back({corner});
+    }
+    for (const StimulusMode mode : kModes) {
+        for (const std::vector<gate::Corner>& corners : lists) {
+            const std::string label = "event " + mode_label(mode) + " " +
+                                      std::to_string(corners.size()) + "-corner sweep";
+            CharacterizationOptions options =
+                sweep_options(CharBackend::EventKernel, 1, mode);
+            options.corners = corners;
+            CharRunStats stats;
+            options.stats = &stats;
+            const auto sweep = characterizer.collect_records_corners(module, options);
+            ASSERT_EQ(sweep.size(), corners.size()) << label;
+            EXPECT_EQ(stats.corner_calibration_pairs > 0, corners.size() > 1) << label;
 
-    // Corner 0 is the exactly simulated reference stream.
-    expect_identical_records(collect_single(module, CharBackend::EventKernel,
-                                            kCorners[0]),
-                             sweep[0], "event corner 0");
+            // Corner 0 is the exactly simulated reference stream.
+            expect_identical_records(
+                collect_single(module, CharBackend::EventKernel, corners[0], mode),
+                sweep[0], label + " corner 0");
 
-    // Corners k > 0 ride calibrated transfer weights: per-record values are
-    // approximate, but the aggregate charge must land close to what the
-    // exact per-corner simulation measures (same stimulus, same plan).
-    for (std::size_t k = 1; k < kCorners.size(); ++k) {
-        const auto exact =
-            collect_single(module, CharBackend::EventKernel, kCorners[k]);
-        ASSERT_EQ(exact.size(), sweep[k].size());
-        const double reference = mean_charge(exact);
-        EXPECT_NEAR(mean_charge(sweep[k]), reference, 0.10 * reference)
-            << "corner " << k;
+            // Corners k > 0 ride calibrated transfer weights: per-record
+            // values are approximate, but the aggregate charge must land
+            // close to what the exact per-corner simulation measures (same
+            // stimulus, same plan).
+            for (std::size_t k = 1; k < corners.size(); ++k) {
+                const auto exact =
+                    collect_single(module, CharBackend::EventKernel, corners[k], mode);
+                ASSERT_EQ(exact.size(), sweep[k].size()) << label;
+                const double reference = mean_charge(exact);
+                EXPECT_NEAR(mean_charge(sweep[k]), reference, 0.10 * reference)
+                    << label << " corner " << k;
+            }
+        }
     }
 }
 

@@ -9,6 +9,7 @@
 #include <bit>
 #include <memory>
 #include <ostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -383,10 +384,11 @@ TEST(BatchedEvaluator, CountTogglesWindowBoundary)
     }
 }
 
-/// The charge-weighted variant against per-vector functional sums: each
-/// transition's weighted total must equal the sum of weights over exactly
-/// the nets whose settled value changed, and the piggy-backed unweighted
-/// counts must match count_toggles.
+/// The charge-weighted variant against per-vector functional sums: for
+/// each of two weight sets scored in one call, each transition's weighted
+/// total must equal the sum of that set's weights over exactly the nets
+/// whose settled value changed, and the piggy-backed unweighted counts
+/// must match count_toggles.
 TEST(BatchedEvaluator, WeightedTogglesMatchFunctionalSums)
 {
     const dp::DatapathModule module = dp::make_module(dp::ModuleType::CsaMultiplier, 4);
@@ -397,10 +399,12 @@ TEST(BatchedEvaluator, WeightedTogglesMatchFunctionalSums)
     FunctionalEvaluator after{context};
 
     const std::size_t nets = module.netlist().num_nets();
-    std::vector<double> weights(nets, 0.0);
+    std::vector<std::vector<double>> weights(2, std::vector<double>(nets, 0.0));
     Rng wrng{11};
-    for (double& w : weights) {
-        w = 0.25 + static_cast<double>(wrng.next_u64() % 1000) / 100.0;
+    for (std::vector<double>& set : weights) {
+        for (double& w : set) {
+            w = 0.25 + static_cast<double>(wrng.next_u64() % 1000) / 100.0;
+        }
     }
 
     Rng rng{404};
@@ -408,21 +412,26 @@ TEST(BatchedEvaluator, WeightedTogglesMatchFunctionalSums)
     for (int i = 0; i < 150; ++i) { // crosses two window boundaries
         stream.emplace_back(m, rng.next_u64());
     }
+    const std::vector<std::span<const double>> weight_sets(weights.begin(),
+                                                           weights.end());
+    std::vector<std::vector<double>> charges(weights.size());
     std::vector<std::uint64_t> counts;
-    const std::vector<double> charges =
-        batched.count_weighted_toggles(stream, weights, &counts);
-    ASSERT_EQ(charges.size(), stream.size() - 1);
+    batched.count_weighted_toggles(stream, weight_sets, charges, counts);
     ASSERT_EQ(counts, batched.count_toggles(stream));
-    for (std::size_t j = 0; j + 1 < stream.size(); ++j) {
-        (void)before.eval(stream[j]);
-        (void)after.eval(stream[j + 1]);
-        double expected = 0.0;
-        for (NetId net = 0; net < nets; ++net) {
-            if (before.value(net) != after.value(net)) {
-                expected += weights[net];
+    for (std::size_t k = 0; k < weights.size(); ++k) {
+        ASSERT_EQ(charges[k].size(), stream.size() - 1) << "set " << k;
+        for (std::size_t j = 0; j + 1 < stream.size(); ++j) {
+            (void)before.eval(stream[j]);
+            (void)after.eval(stream[j + 1]);
+            double expected = 0.0;
+            for (NetId net = 0; net < nets; ++net) {
+                if (before.value(net) != after.value(net)) {
+                    expected += weights[k][net];
+                }
             }
+            EXPECT_DOUBLE_EQ(charges[k][j], expected)
+                << "set " << k << " transition " << j;
         }
-        EXPECT_DOUBLE_EQ(charges[j], expected) << "transition " << j;
     }
 }
 

@@ -198,32 +198,122 @@ TEST(FaultInjection, ShardFailureIsCapturedAndSiblingsContinue)
     SKIP_WITHOUT_HOOKS();
     const DatapathModule module = dp::make_module(ModuleType::RippleAdder, 2);
     const Characterizer characterizer;
-    const CharacterizationOptions plan = small_plan();
 
-    // Ground truth without injection.
-    const auto baseline = characterizer.collect_records(module, plan);
-    ASSERT_EQ(baseline.size(), 400U);
+    // Inputs: the single-corner plan, and a 3-corner power-emulation sweep
+    // of it (one failing shard loses its block at every corner).
+    CharacterizationOptions sweep = small_plan();
+    sweep.backend = CharBackend::PowerEmulation;
+    sweep.corners = {{3.3, 25.0, gate::LoadClass::Nominal},
+                     {2.5, 85.0, gate::LoadClass::Nominal},
+                     {3.0, 50.0, gate::LoadClass::Heavy}};
+    const auto collect = [&](const CharacterizationOptions& options)
+        -> std::vector<std::vector<CharacterizationRecord>> {
+        if (options.corners.empty()) {
+            return {characterizer.collect_records(module, options)};
+        }
+        return characterizer.collect_records_corners(module, options);
+    };
 
-    FaultInjector injector{17};
-    ScopedFaultInjector scope{injector};
-    injector.arm(FaultPoint::ShardException);
+    for (const CharacterizationOptions& plan : {small_plan(), sweep}) {
+        const std::string label = std::to_string(plan.corners.size()) + " corners";
 
-    CharacterizationOptions options = plan;
+        // Ground truth without injection.
+        const auto baseline = collect(plan);
+        ASSERT_EQ(baseline[0].size(), 400U) << label;
+
+        FaultInjector injector{17};
+        ScopedFaultInjector scope{injector};
+        injector.arm(FaultPoint::ShardException);
+
+        CharacterizationOptions options = plan;
+        CharRunStats stats;
+        options.stats = &stats;
+        const auto records = collect(options);
+        EXPECT_EQ(injector.fired_count(FaultPoint::ShardException), 1U) << label;
+
+        // The failure is reported once.
+        ASSERT_EQ(stats.shard_failures.size(), 1U) << label;
+        EXPECT_EQ(stats.shard_failures[0].shard, 0U) << label;
+        EXPECT_EQ(stats.shard_failures[0].kind, FaultKind::ShardFailed) << label;
+        EXPECT_FALSE(stats.shard_failures[0].message.empty()) << label;
+
+        // Every corner lost the same shard (100 records); everything else
+        // survived unchanged.
+        ASSERT_EQ(records.size(), baseline.size()) << label;
+        for (std::size_t k = 0; k < records.size(); ++k) {
+            ASSERT_EQ(records[k].size(), baseline[k].size() - 100) << label << " " << k;
+            for (std::size_t i = 0; i < records[k].size(); ++i) {
+                ASSERT_EQ(records[k][i].charge_fc, baseline[k][i + 100].charge_fc)
+                    << label << " corner " << k << " record " << i;
+            }
+        }
+
+        // The degraded record set still fits a usable model.
+        const HdModel model = fit_basic_model(module.total_input_bits(), records[0]);
+        EXPECT_GT(model.coefficient(1), 0.0) << label;
+    }
+}
+
+TEST(FaultInjection, ResumedDegradedRunReportsItsFailedShard)
+{
+    SKIP_WITHOUT_HOOKS();
+    const DatapathModule module = dp::make_module(ModuleType::RippleAdder, 2);
+    const Characterizer characterizer;
+    const std::filesystem::path journal =
+        std::filesystem::path{::testing::TempDir()} / "degraded_resume.journal";
+    std::filesystem::remove(journal);
+
+    // The uninterrupted degraded run: shard 0 fails, its siblings continue.
+    CharRunStats degraded_stats;
+    std::vector<CharacterizationRecord> degraded;
+    {
+        FaultInjector injector{41};
+        ScopedFaultInjector scope{injector};
+        injector.arm(FaultPoint::ShardException);
+        CharacterizationOptions options = small_plan();
+        options.stats = &degraded_stats;
+        degraded = characterizer.collect_records(module, options);
+    }
+    ASSERT_EQ(degraded_stats.shard_failures.size(), 1U);
+
+    // The same run, checkpointed and killed after 3 merged shards: its
+    // journal holds the failed shard 0 as an empty block.
+    struct AbortRun {};
+    {
+        FaultInjector injector{41};
+        ScopedFaultInjector scope{injector};
+        injector.arm(FaultPoint::ShardException);
+        CharacterizationOptions options = small_plan();
+        options.checkpoint = journal;
+        options.progress = [](const CharProgress& p) {
+            if (p.shards_merged >= 3) {
+                throw AbortRun{};
+            }
+        };
+        EXPECT_THROW((void)characterizer.collect_records(module, options), AbortRun);
+    }
+    ASSERT_TRUE(std::filesystem::exists(journal));
+
+    // Resume without injection: the journaled failure is still reported,
+    // so the resumed run matches the uninterrupted degraded one.
+    CharacterizationOptions options = small_plan();
+    options.checkpoint = journal;
     CharRunStats stats;
     options.stats = &stats;
     const auto records = characterizer.collect_records(module, options);
-    EXPECT_EQ(injector.fired_count(FaultPoint::ShardException), 1U);
-
-    // One shard (100 records) is missing, everything else survived.
-    EXPECT_EQ(records.size(), baseline.size() - 100);
-    ASSERT_EQ(stats.shard_failures.size(), 1U);
-    EXPECT_EQ(stats.shard_failures[0].shard, 0U);
-    EXPECT_EQ(stats.shard_failures[0].kind, FaultKind::ShardFailed);
-    EXPECT_FALSE(stats.shard_failures[0].message.empty());
-
-    // The degraded record set still fits a usable model.
-    const HdModel model = fit_basic_model(module.total_input_bits(), records);
-    EXPECT_GT(model.coefficient(1), 0.0);
+    EXPECT_GT(stats.shards_resumed, 0U);
+    EXPECT_EQ(stats.shards, degraded_stats.shards);
+    ASSERT_EQ(stats.shard_failures.size(), degraded_stats.shard_failures.size());
+    for (std::size_t i = 0; i < stats.shard_failures.size(); ++i) {
+        EXPECT_EQ(stats.shard_failures[i].shard, degraded_stats.shard_failures[i].shard);
+        EXPECT_EQ(stats.shard_failures[i].kind, FaultKind::ShardFailed);
+    }
+    ASSERT_EQ(records.size(), degraded.size());
+    for (std::size_t i = 0; i < records.size(); ++i) {
+        ASSERT_EQ(records[i].charge_fc, degraded[i].charge_fc) << "record " << i;
+        ASSERT_EQ(records[i].toggle_mask, degraded[i].toggle_mask) << "record " << i;
+    }
+    EXPECT_FALSE(std::filesystem::exists(journal));
 }
 
 TEST(FaultInjection, StrictModeAbortsOnFirstShardFailureWithLocation)
