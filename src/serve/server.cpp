@@ -133,6 +133,13 @@ void Server::start()
         core::EstimationEngine* engine = engines_[i].get();
         workers_.emplace_back([this, engine] { worker_loop(*engine); });
     }
+    {
+        // Accept only once every worker waits for a connection: an acceptor
+        // that ran first would find no idle worker and shed the first
+        // connections of a server with no accept queue.
+        std::unique_lock<std::mutex> lock{queue_mutex_};
+        idle_cv_.wait(lock, [&] { return idle_workers_ == workers; });
+    }
     acceptor_ = std::thread([this] { acceptor_loop(); });
 }
 
@@ -222,6 +229,7 @@ void Server::worker_loop(core::EstimationEngine& engine)
         {
             std::unique_lock<std::mutex> lock{queue_mutex_};
             ++idle_workers_;
+            idle_cv_.notify_all();
             queue_cv_.wait(lock, [this] { return closed_ || !pending_.empty(); });
             --idle_workers_;
             if (pending_.empty() || (closed_ && abandon_queue_)) {

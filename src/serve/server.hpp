@@ -166,6 +166,7 @@ private:
 
     std::mutex queue_mutex_;
     std::condition_variable queue_cv_;
+    std::condition_variable idle_cv_; ///< signalled when a worker goes idle
     std::deque<int> pending_;       ///< accepted fds awaiting a worker
     std::size_t idle_workers_ = 0;  ///< workers blocked waiting for an fd
     bool closed_ = false;           ///< no more pushes; workers drain then exit

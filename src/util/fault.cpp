@@ -83,6 +83,7 @@ FaultError::FaultError(FaultKind kind, FaultContext context)
 
 void FaultInjector::arm(FaultPoint point, std::uint64_t countdown)
 {
+    const std::lock_guard<std::mutex> lock{mutex_};
     Point& p = points_[static_cast<std::size_t>(point)];
     p.armed = true;
     p.countdown = countdown == 0 ? 1 : countdown;
@@ -90,6 +91,7 @@ void FaultInjector::arm(FaultPoint point, std::uint64_t countdown)
 
 bool FaultInjector::fire(FaultPoint point) noexcept
 {
+    const std::lock_guard<std::mutex> lock{mutex_};
     Point& p = points_[static_cast<std::size_t>(point)];
     if (!p.armed) {
         return false;
@@ -104,6 +106,7 @@ bool FaultInjector::fire(FaultPoint point) noexcept
 
 std::uint64_t FaultInjector::fired_count(FaultPoint point) const noexcept
 {
+    const std::lock_guard<std::mutex> lock{mutex_};
     return points_[static_cast<std::size_t>(point)].fired;
 }
 

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstdint>
+#include <mutex>
 #include <string>
 
 #include "util/error.hpp"
@@ -137,7 +138,9 @@ inline constexpr std::size_t kNumFaultPoints = 8;
 /// (seed, countdown) always produces the identical corruption.
 ///
 /// Installation is process-global and not thread-safe by design: tests
-/// install an injector, run the scenario, and uninstall. Production code
+/// install an injector, run the scenario, and uninstall. Passes are
+/// thread-safe — concurrently running shards may hit one point, and
+/// exactly one hit fires. Production code
 /// never installs one, and with HDPM_FAULT_INJECTION compiled out (the
 /// default in Release builds) the hooks vanish entirely.
 class FaultInjector {
@@ -176,6 +179,7 @@ private:
     };
 
     std::uint64_t seed_;
+    mutable std::mutex mutex_; ///< guards points_
     std::array<Point, kNumFaultPoints> points_{};
 };
 

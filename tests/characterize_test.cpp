@@ -632,27 +632,80 @@ std::vector<CharacterizationRecord> collect_emulated(
 TEST(Emulation, ThreadCountMatrixIsBitIdentical)
 {
     const DatapathModule module = dp::make_module(ModuleType::RippleAdder, 4);
+    const int m = module.total_input_bits();
+    // Calibration geometries: two shards of several pieces each; one shard
+    // larger than a piece (shard_size >= calibration_pairs, the CLI and
+    // serve default); and 200 pairs, a multiple of neither the 64-pair nor
+    // the 63-transition piece. Each runs single-corner and as a K=3 sweep.
+    struct Geometry {
+        std::size_t calibration;
+        std::size_t shard_size;
+    };
+    constexpr Geometry kGeometries[] = {{256, 150}, {256, 2000}, {200, 150}};
+    const std::vector<gate::Corner> sweep = {{3.3, 25.0, gate::LoadClass::Nominal},
+                                             {2.5, 85.0, gate::LoadClass::Nominal},
+                                             {3.0, 50.0, gate::LoadClass::Heavy}};
+    const Characterizer characterizer;
     for (const StimulusMode mode :
          {StimulusMode::StratifiedPairs, StimulusMode::StratifiedChain,
           StimulusMode::RandomChain}) {
-        const auto baseline = collect_emulated(module, mode, 1, 256);
-        const EnhancedHdModel baseline_model =
-            fit_enhanced_model(module.total_input_bits(), 0, baseline);
-        for (const unsigned threads : {2U, 4U, 8U}) {
-            const std::string label = std::to_string(static_cast<int>(mode)) +
-                                      "/" + std::to_string(threads) + "t";
-            const auto records = collect_emulated(module, mode, threads, 256);
-            expect_identical_records(baseline, records, label);
-            // The calibrated weights feed every record, so coefficient
-            // equality also proves the calibration fit is thread-invariant.
-            const EnhancedHdModel model =
-                fit_enhanced_model(module.total_input_bits(), 0, records);
-            const int m = module.total_input_bits();
-            for (int hd = 1; hd <= m; ++hd) {
-                for (int z = 0; z <= m - hd; ++z) {
-                    ASSERT_EQ(model.coefficient(hd, z),
-                              baseline_model.coefficient(hd, z))
-                        << label << " (" << hd << ", " << z << ")";
+        for (const Geometry& geometry : kGeometries) {
+            for (const std::vector<gate::Corner>& corners :
+                 {std::vector<gate::Corner>{}, sweep}) {
+                const auto run = [&](unsigned threads, CharRunStats& stats) {
+                    CharacterizationOptions options;
+                    options.max_transitions = 1200;
+                    options.min_transitions = 1200;
+                    options.batch = 1200;
+                    options.shard_size = geometry.shard_size;
+                    options.seed = 23;
+                    options.mode = mode;
+                    options.threads = threads;
+                    options.backend = CharBackend::PowerEmulation;
+                    options.calibration_pairs = geometry.calibration;
+                    options.corners = corners;
+                    options.stats = &stats;
+                    if (corners.empty()) {
+                        return std::vector<std::vector<CharacterizationRecord>>{
+                            characterizer.collect_records(module, options)};
+                    }
+                    return characterizer.collect_records_corners(module, options);
+                };
+                CharRunStats baseline_stats;
+                const auto baseline = run(1, baseline_stats);
+                EXPECT_EQ(baseline_stats.calibration_pairs,
+                          geometry.calibration * baseline.size());
+                for (const unsigned threads : {2U, 4U, 8U}) {
+                    const std::string label =
+                        std::to_string(static_cast<int>(mode)) + "/" +
+                        std::to_string(geometry.calibration) + " pairs/" +
+                        std::to_string(geometry.shard_size) + " shard/" +
+                        std::to_string(baseline.size()) + " corners/" +
+                        std::to_string(threads) + "t";
+                    CharRunStats stats;
+                    const auto records = run(threads, stats);
+                    EXPECT_EQ(stats.calibration_scale, baseline_stats.calibration_scale)
+                        << label;
+                    EXPECT_EQ(stats.calibration_pairs, baseline_stats.calibration_pairs)
+                        << label;
+                    ASSERT_EQ(records.size(), baseline.size()) << label;
+                    for (std::size_t k = 0; k < records.size(); ++k) {
+                        expect_identical_records(baseline[k], records[k],
+                                                 label + " corner " + std::to_string(k));
+                        // The calibrated weights feed every record, so
+                        // coefficient equality also proves the calibration
+                        // fit is thread-invariant.
+                        const EnhancedHdModel model = fit_enhanced_model(m, 0, records[k]);
+                        const EnhancedHdModel baseline_model =
+                            fit_enhanced_model(m, 0, baseline[k]);
+                        for (int hd = 1; hd <= m; ++hd) {
+                            for (int z = 0; z <= m - hd; ++z) {
+                                ASSERT_EQ(model.coefficient(hd, z),
+                                          baseline_model.coefficient(hd, z))
+                                    << label << " (" << hd << ", " << z << ")";
+                            }
+                        }
+                    }
                 }
             }
         }

@@ -184,24 +184,56 @@ TEST(CornerSweep, EventSweepIsBitIdenticalAcrossThreadCounts)
 {
     // The transfer-weight path (calibration included) must be a pure
     // function of the plan: any thread count produces the same bytes for
-    // every corner, approximated ones included.
+    // every corner, approximated ones included. Calibration geometries: two
+    // shards of several pieces each; one shard larger than a piece
+    // (shard_size >= calibration_pairs, the CLI and serve default); and 200
+    // pairs, a multiple of neither the 64-pair nor the 63-transition piece.
+    struct Geometry {
+        std::size_t calibration;
+        std::size_t shard_size;
+    };
+    constexpr Geometry kGeometries[] = {{256, 150}, {256, 2000}, {200, 150}};
     const DatapathModule module = dp::make_module(ModuleType::RippleAdder, 4);
     const Characterizer characterizer;
-    CharacterizationOptions baseline_options =
-        sweep_options(CharBackend::EventKernel, 1);
-    baseline_options.corners = kCorners;
-    const auto baseline =
-        characterizer.collect_records_corners(module, baseline_options);
-    for (const unsigned threads : {2U, 4U}) {
-        CharacterizationOptions options =
-            sweep_options(CharBackend::EventKernel, threads);
-        options.corners = kCorners;
-        const auto sweep = characterizer.collect_records_corners(module, options);
-        ASSERT_EQ(sweep.size(), baseline.size());
-        for (std::size_t k = 0; k < baseline.size(); ++k) {
-            expect_identical_records(baseline[k], sweep[k],
-                                     "event corner " + std::to_string(k) + " @" +
-                                         std::to_string(threads) + "t");
+    for (const StimulusMode mode :
+         {StimulusMode::StratifiedPairs, StimulusMode::StratifiedChain,
+          StimulusMode::RandomChain}) {
+        for (const Geometry& geometry : kGeometries) {
+            const auto run = [&](unsigned threads, CharRunStats& stats) {
+                CharacterizationOptions options =
+                    sweep_options(CharBackend::EventKernel, threads, mode);
+                options.calibration_pairs = geometry.calibration;
+                options.shard_size = geometry.shard_size;
+                options.corners = kCorners;
+                options.stats = &stats;
+                return characterizer.collect_records_corners(module, options);
+            };
+            CharRunStats baseline_stats;
+            const auto baseline = run(1, baseline_stats);
+            EXPECT_EQ(baseline_stats.corner_calibration_pairs,
+                      geometry.calibration * kCorners.size());
+            for (const unsigned threads : {2U, 4U}) {
+                const std::string label =
+                    std::to_string(static_cast<int>(mode)) + "/" +
+                    std::to_string(geometry.calibration) + " pairs/" +
+                    std::to_string(geometry.shard_size) + " shard @" +
+                    std::to_string(threads) + "t";
+                CharRunStats stats;
+                const auto sweep = run(threads, stats);
+                EXPECT_EQ(stats.corner_calibration_pairs,
+                          baseline_stats.corner_calibration_pairs)
+                    << label;
+                EXPECT_EQ(stats.calibration_pairs, baseline_stats.calibration_pairs)
+                    << label;
+                EXPECT_EQ(stats.calibration_scale, baseline_stats.calibration_scale)
+                    << label;
+                ASSERT_EQ(sweep.size(), baseline.size()) << label;
+                for (std::size_t k = 0; k < baseline.size(); ++k) {
+                    expect_identical_records(baseline[k], sweep[k],
+                                             "event corner " + std::to_string(k) + " " +
+                                                 label);
+                }
+            }
         }
     }
 }

@@ -259,6 +259,71 @@ TEST(EventSim, RepeatedInitializeIsStateless)
     }
 }
 
+/// The property the characterizer's calibration pieces rest on: after a
+/// completed cycle the kernel rests at the zero-delay fixpoint of the
+/// applied vector with nothing pending, so a chain cut anywhere and
+/// restarted with initialize(chain[j]) on a fresh simulator reproduces
+/// every cycle of the uncut chain exactly — and the parts' per-net toggle
+/// totals sum to the uncut chain's.
+TEST(EventSim, ChainCutAndReinitializedIsExact)
+{
+    for (const dp::ModuleType type : dp::all_module_types()) {
+        const dp::DatapathModule module = dp::make_module(type, 6);
+        const int m = module.total_input_bits();
+        const SimContext context{module.netlist(), TechLibrary::generic350()};
+
+        Rng rng{4242};
+        std::vector<BitVec> chain;
+        for (int i = 0; i < 200; ++i) {
+            chain.emplace_back(m, rng.next_u64());
+        }
+        // Arbitrary cut points, plus the calibration's 63-transition grid.
+        std::vector<std::size_t> cuts = {0, 1, 2, 63, 126, 127, 189, 199};
+        for (int i = 0; i < 6; ++i) {
+            cuts.push_back(static_cast<std::size_t>(rng.uniform_int(std::int64_t{1}, std::int64_t{198})));
+        }
+        cuts.push_back(chain.size() - 1);
+        std::sort(cuts.begin(), cuts.end());
+        cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+
+        for (const std::int64_t window : {std::int64_t{0}, std::int64_t{100}}) {
+            for (const bool input_charge : {true, false}) {
+                const std::string label = dp::module_type_id(type) + " window " +
+                                          std::to_string(window) + " input charge " +
+                                          std::to_string(input_charge);
+                EventSimOptions options;
+                options.inertial_window_ps = window;
+                options.count_input_charge = input_charge;
+
+                EventSimulator uncut{context, options};
+                uncut.initialize(chain.front());
+                std::vector<CycleResult> expected;
+                for (std::size_t j = 1; j < chain.size(); ++j) {
+                    expected.push_back(uncut.apply(chain[j]));
+                }
+
+                std::vector<std::uint64_t> toggles(module.netlist().num_nets(), 0);
+                for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
+                    EventSimulator part{context, options};
+                    part.initialize(chain[cuts[c]]);
+                    for (std::size_t j = cuts[c]; j < cuts[c + 1]; ++j) {
+                        const CycleResult got = part.apply(chain[j + 1]);
+                        EXPECT_EQ(got.charge_fc, expected[j].charge_fc) << label << " @" << j;
+                        EXPECT_EQ(got.transitions, expected[j].transitions)
+                            << label << " @" << j;
+                        EXPECT_EQ(got.settle_time_ps, expected[j].settle_time_ps)
+                            << label << " @" << j;
+                    }
+                    for (std::size_t net = 0; net < toggles.size(); ++net) {
+                        toggles[net] += part.cumulative_transitions()[net];
+                    }
+                }
+                EXPECT_EQ(toggles, uncut.cumulative_transitions()) << label;
+            }
+        }
+    }
+}
+
 TEST(EventSim, WheelHandlesSingleCellNetlist)
 {
     // Degenerate wheel geometry: one cell, minimal horizon.

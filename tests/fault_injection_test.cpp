@@ -11,9 +11,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <chrono>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/characterize.hpp"
@@ -337,6 +340,66 @@ TEST(FaultInjection, StrictModeAbortsOnFirstShardFailureWithLocation)
         EXPECT_EQ(fault.context().shard, 0);
         EXPECT_EQ(fault.context().bitwidth, module.total_input_bits());
         EXPECT_FALSE(fault.context().component.empty());
+    }
+}
+
+/// Threads of this process (Linux), or 0 where /proc is unavailable. A
+/// joined thread can linger in /proc for a moment after its join returns.
+std::size_t live_threads()
+{
+    std::error_code ec;
+    std::size_t count = 0;
+    for (std::filesystem::directory_iterator it{"/proc/self/task", ec}, end;
+         !ec && it != end; it.increment(ec)) {
+        ++count;
+    }
+    return ec ? 0 : count;
+}
+
+TEST(FaultInjection, StrictAbortWithShardsInFlightRethrowsAndJoins)
+{
+    SKIP_WITHOUT_HOOKS();
+    // 20 event-kernel shards streamed over 4 workers: the third shard to
+    // start throws while its siblings are still simulating. The strict
+    // merge rethrows the tagged fault only after every worker has joined.
+    const DatapathModule module = dp::make_module(ModuleType::CsaMultiplier, 8);
+    const Characterizer characterizer;
+    CharacterizationOptions options = small_plan();
+    options.max_transitions = 4000;
+    options.min_transitions = 4000;
+    options.batch = 4000;
+    options.shard_size = 200;
+    options.threads = 4;
+
+    // A clean run first: runtimes that start helper threads lazily (a
+    // sanitizer's, say) have done so before the baseline count.
+    ASSERT_EQ(characterizer.collect_records(module, options).size(), 4000U);
+    options.strict_faults = true;
+    std::size_t threads_before = live_threads();
+    for (int wait = 0; wait < 10; ++wait) { // let the clean run's threads leave
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        threads_before = std::min(threads_before, live_threads());
+    }
+    for (int round = 0; round < 5; ++round) {
+        FaultInjector injector{43};
+        ScopedFaultInjector scope{injector};
+        injector.arm(FaultPoint::ShardException, 3);
+        try {
+            (void)characterizer.collect_records(module, options);
+            FAIL() << "strict run did not abort (round " << round << ")";
+        } catch (const util::FaultError& fault) {
+            EXPECT_EQ(fault.kind(), FaultKind::ShardFailed) << round;
+            EXPECT_GE(fault.context().shard, 0) << round;
+            EXPECT_LT(fault.context().shard, 20) << round;
+            EXPECT_EQ(fault.context().bitwidth, module.total_input_bits()) << round;
+            EXPECT_FALSE(fault.context().component.empty()) << round;
+        }
+        EXPECT_EQ(injector.fired_count(FaultPoint::ShardException), 1U) << round;
+        // Joined threads leave /proc within moments; a leaked one never does.
+        for (int wait = 0; wait < 200 && live_threads() > threads_before; ++wait) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        }
+        EXPECT_LE(live_threads(), threads_before) << "leaked thread, round " << round;
     }
 }
 
