@@ -4,8 +4,7 @@
 ///
 ///   hdpowerd --socket /tmp/hdpowerd.sock [--models DIR] [--workers N]
 ///            [--queue N] [--tcp [PORT]] [--threads N] [--budget N]
-///            [--hist-entries N] [--hist-bytes N] [--shards N]
-///            [--models-per-shard N]
+///            [--hist-entries N] [--hist-bytes N] [--model-entries N]
 ///
 /// The daemon prints one "listening on ..." line per endpoint once it is
 /// accepting (scripts wait for that), serves until SIGTERM/SIGINT, then
@@ -51,12 +50,11 @@ extern "C" void handle_shutdown_signal(int)
         << "  --workers N          serving threads (default: hardware threads)\n"
         << "  --queue N            bounded accept queue; 0 = never queue "
            "(default 64)\n"
-        << "  --threads N          kernel threads per worker engine (default 1)\n"
+        << "  --threads N          kernel threads per histogram build (default 1)\n"
         << "  --budget N           characterize-on-miss transition budget\n"
         << "  --hist-entries N     shared histogram cache entries (default 64)\n"
         << "  --hist-bytes N       shared histogram cache byte budget\n"
-        << "  --shards N           model cache shards (default 8)\n"
-        << "  --models-per-shard N model cache entries per shard (default 64)\n"
+        << "  --model-entries N    model cache entries (default 512)\n"
         << "  --drain-timeout MS   drain grace before blocked writers are cut "
            "(default 5000)\n"
         << "  --idle-timeout MS    close connections idle (no complete request) "
@@ -103,10 +101,8 @@ int main(int argc, char** argv)
             options.histogram_cache_entries = std::stoul(next());
         } else if (flag == "--hist-bytes") {
             options.histogram_cache_bytes = std::stoul(next());
-        } else if (flag == "--shards") {
-            options.model_shards = std::stoul(next());
-        } else if (flag == "--models-per-shard") {
-            options.model_cache_per_shard = std::stoul(next());
+        } else if (flag == "--model-entries") {
+            options.model_cache_entries = std::stoul(next());
         } else if (flag == "--drain-timeout") {
             options.drain_timeout_ms = std::stoul(next());
         } else if (flag == "--idle-timeout") {

@@ -21,8 +21,7 @@ double elapsed_seconds(Clock::time_point start)
 EstimationEngine::EstimationEngine(streams::KernelOptions options,
                                    std::size_t cache_capacity,
                                    std::size_t cache_bytes)
-    : options_(options), cache_capacity_(std::max<std::size_t>(cache_capacity, 1)),
-      cache_bytes_(cache_bytes)
+    : options_(options), cache_(cache_capacity, cache_bytes)
 {
 }
 
@@ -37,71 +36,35 @@ streams::KernelOptions EstimationEngine::options_for(
     return opts;
 }
 
-EstimationEngine::CacheEntry& EstimationEngine::entry_for(
-    const streams::PackedTrace& trace)
+void EstimationEngine::count(util::CacheOutcome outcome) noexcept
 {
-    const CacheKey key{trace.id(), trace.width()};
-    auto it = cache_.find(key);
-    if (it != cache_.end()) {
-        // Refresh LRU position.
-        lru_.remove(key);
-        lru_.push_front(key);
-        return it->second;
+    if (outcome == util::CacheOutcome::Built) {
+        ++stats_.histograms_built;
+    } else {
+        ++stats_.cache_hits;
     }
-    lru_.push_front(key);
-    CacheEntry& entry = cache_[key];
-    evict_to_budget();
-    return entry;
 }
 
-void EstimationEngine::evict_to_budget()
-{
-    while (cache_.size() > 1 &&
-           (cache_.size() > cache_capacity_ || bytes_used_ > cache_bytes_)) {
-        const CacheKey victim = lru_.back();
-        lru_.pop_back();
-        const auto it = cache_.find(victim);
-        if (it != cache_.end()) {
-            const CacheEntry& entry = it->second;
-            if (entry.hd) {
-                bytes_used_ -= entry.hd->counts.size() * sizeof(std::uint64_t);
-            }
-            if (entry.classes) {
-                bytes_used_ -= entry.classes->counts.size() * sizeof(std::uint64_t);
-            }
-            cache_.erase(it);
-        }
-    }
-}
+// The cache always keeps its most recently used entry, so the histogram
+// behind each returned reference outlives the local shared_ptr until the
+// next lookup on this (single-threaded) engine.
 
 const streams::HdHistogram& EstimationEngine::hd_histogram(
     const streams::PackedTrace& trace)
 {
-    CacheEntry& entry = entry_for(trace);
-    if (!entry.hd) {
-        entry.hd = streams::hd_histogram(trace, options_for(trace));
-        bytes_used_ += entry.hd->counts.size() * sizeof(std::uint64_t);
-        ++stats_.histograms_built;
-        evict_to_budget();
-    } else {
-        ++stats_.cache_hits;
-    }
-    return *entry.hd;
+    util::CacheOutcome outcome = util::CacheOutcome::Hit;
+    const auto histogram = cache_.hd(trace, options_for(trace), &outcome);
+    count(outcome);
+    return *histogram;
 }
 
 const streams::HdClassHistogram& EstimationEngine::hd_class_histogram(
     const streams::PackedTrace& trace)
 {
-    CacheEntry& entry = entry_for(trace);
-    if (!entry.classes) {
-        entry.classes = streams::hd_class_histogram(trace, options_for(trace));
-        bytes_used_ += entry.classes->counts.size() * sizeof(std::uint64_t);
-        ++stats_.histograms_built;
-        evict_to_budget();
-    } else {
-        ++stats_.cache_hits;
-    }
-    return *entry.classes;
+    util::CacheOutcome outcome = util::CacheOutcome::Hit;
+    const auto histogram = cache_.hd_class(trace, options_for(trace), &outcome);
+    count(outcome);
+    return *histogram;
 }
 
 double EstimationEngine::estimate(const HdModel& model,
@@ -155,13 +118,6 @@ std::vector<double> EstimationEngine::estimate_batch(std::span<const AnyModel> m
             model));
     }
     return results;
-}
-
-void EstimationEngine::clear_cache()
-{
-    cache_.clear();
-    lru_.clear();
-    bytes_used_ = 0;
 }
 
 } // namespace hdpm::core

@@ -1,16 +1,14 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <optional>
 #include <span>
-#include <unordered_map>
 #include <variant>
 #include <vector>
 
 #include "core/bitwise_model.hpp"
 #include "core/enhanced_model.hpp"
 #include "core/hd_model.hpp"
+#include "core/histogram_cache.hpp"
 #include "streams/kernels.hpp"
 #include "streams/packed_trace.hpp"
 
@@ -40,20 +38,18 @@ using AnyModel =
     std::variant<const HdModel*, const EnhancedHdModel*, const BitwiseLinearModel*>;
 
 /// Batched trace-evaluation engine: evaluates models against packed traces,
-/// computing each trace's classification histogram once and caching it per
-/// (trace identity, trace geometry, histogram kind) so that serving many
-/// models — or the same model repeatedly — against one trace pays for
-/// classification once.
+/// computing each trace's classification histogram once and caching it in a
+/// private HistogramCache (keyed by trace identity, trace geometry and
+/// histogram kind) so that serving many models — or the same model
+/// repeatedly — against one trace pays for classification once.
 ///
 /// The kernels run with the engine's KernelOptions (packed/scalar, thread
 /// count, chunking, SIMD tier); results are bit-identical across those
-/// knobs, so the cache never needs to key on them. It does key on the
-/// trace's width alongside its id — width fixes both the bin count and the
-/// words-per-sample stride, so two traces that ever shared an id but not a
-/// geometry can never alias an entry. Eviction is LRU and byte-aware: an
-/// Hd entry holds (width+1) bins but a class entry holds (width+1)² — wide
-/// traces are charged accordingly against cache_bytes. The engine itself
-/// is not thread-safe: one engine per serving thread (the kernels
+/// knobs, so the cache never keys on them. The cache holds at most
+/// cache_capacity histograms (an Hd and a class histogram of one trace are
+/// two) within cache_bytes; an Hd entry holds (width+1) bins but a class
+/// entry holds (width+1)², and wide traces are charged accordingly. The
+/// engine itself is not thread-safe: one engine per thread (the kernels
 /// parallelize internally).
 class EstimationEngine {
 public:
@@ -89,7 +85,8 @@ public:
     [[nodiscard]] std::vector<double> estimate_batch(std::span<const AnyModel> models,
                                                      const streams::PackedTrace& trace);
 
-    /// The trace's Hd histogram, computed on first use and cached.
+    /// The trace's Hd histogram, computed on first use and cached. The
+    /// reference stays valid until the next call on this engine.
     [[nodiscard]] const streams::HdHistogram& hd_histogram(
         const streams::PackedTrace& trace);
 
@@ -101,59 +98,20 @@ public:
     void reset_stats() noexcept { stats_ = {}; }
 
     /// Bytes of histogram bins currently held by the cache.
-    [[nodiscard]] std::size_t cache_bytes_used() const noexcept { return bytes_used_; }
-
-    /// Drop all cached histograms.
-    void clear_cache();
+    [[nodiscard]] std::size_t cache_bytes_used() const { return cache_.bytes_used(); }
 
 private:
-    /// Cache identity: the trace id plus its width. The width pins the
-    /// histogram geometry (bin count and words-per-sample), so an id that
-    /// is ever reused across different trace shapes cannot serve a stale
-    /// histogram of the wrong size.
-    struct CacheKey {
-        std::uint64_t id = 0;
-        int width = 0;
-
-        friend bool operator==(const CacheKey&, const CacheKey&) = default;
-    };
-
-    struct CacheKeyHash {
-        [[nodiscard]] std::size_t operator()(const CacheKey& key) const noexcept
-        {
-            // splitmix-style mix of the two fields.
-            std::uint64_t x =
-                key.id ^ (static_cast<std::uint64_t>(key.width) * 0x9e3779b97f4a7c15ULL);
-            x ^= x >> 30;
-            x *= 0xbf58476d1ce4e5b9ULL;
-            x ^= x >> 27;
-            return static_cast<std::size_t>(x);
-        }
-    };
-
-    struct CacheEntry {
-        std::optional<streams::HdHistogram> hd;
-        std::optional<streams::HdClassHistogram> classes;
-    };
-
-    CacheEntry& entry_for(const streams::PackedTrace& trace);
-
     /// Kernel options with the chunk size rescaled so a chunk covers
     /// roughly the same number of *words* regardless of the trace's
     /// stride (wide samples get proportionally fewer samples per chunk).
     [[nodiscard]] streams::KernelOptions options_for(
         const streams::PackedTrace& trace) const noexcept;
 
-    /// Evict LRU entries until both the entry and byte budgets hold,
-    /// keeping at least the most recently used entry.
-    void evict_to_budget();
+    /// Tally a histogram lookup in stats_.
+    void count(util::CacheOutcome outcome) noexcept;
 
     streams::KernelOptions options_;
-    std::size_t cache_capacity_;
-    std::size_t cache_bytes_;
-    std::size_t bytes_used_ = 0;
-    std::unordered_map<CacheKey, CacheEntry, CacheKeyHash> cache_;
-    std::list<CacheKey> lru_; ///< most recently used first
+    HistogramCache cache_;
     EstimateRunStats stats_;
 };
 

@@ -1,45 +1,14 @@
 #include "serve/model_cache.hpp"
 
-#include <algorithm>
-
 namespace hdpm::serve {
 
-namespace {
-
-std::size_t key_hash(const std::string& key) noexcept
+ModelCache::ModelCache(const core::ModelLibrary& library,
+                       core::CharacterizationOptions char_options, std::size_t capacity)
+    : library_(&library), char_options_(std::move(char_options)), lru_(capacity)
 {
-    // FNV-1a over the key string; stable across runs (unlike
-    // std::hash<std::string>, which libstdc++ seeds per-process for
-    // some configurations), so shard assignment is reproducible.
-    std::uint64_t hash = 0xcbf2'9ce4'8422'2325ULL;
-    for (const char c : key) {
-        hash ^= static_cast<std::uint8_t>(c);
-        hash *= 0x0000'0100'0000'01b3ULL;
-    }
-    return static_cast<std::size_t>(hash);
 }
 
-} // namespace
-
-ShardedModelCache::ShardedModelCache(const core::ModelLibrary& library,
-                                     core::CharacterizationOptions char_options,
-                                     std::size_t shards,
-                                     std::size_t capacity_per_shard)
-    : library_(&library), char_options_(std::move(char_options)),
-      capacity_per_shard_(std::max<std::size_t>(capacity_per_shard, 1))
-{
-    shards_.reserve(std::max<std::size_t>(shards, 1));
-    for (std::size_t i = 0; i < std::max<std::size_t>(shards, 1); ++i) {
-        shards_.push_back(std::make_unique<Shard>());
-    }
-}
-
-std::size_t ShardedModelCache::shard_for(const std::string& key) const noexcept
-{
-    return key_hash(key) % shards_.size();
-}
-
-std::shared_ptr<const ServedModel> ShardedModelCache::get(
+std::shared_ptr<const ServedModel> ModelCache::get(
     dp::ModuleType type, std::span<const int> widths, bool enhanced,
     int zero_clusters, const std::optional<gate::Corner>& corner)
 {
@@ -53,73 +22,18 @@ std::shared_ptr<const ServedModel> ShardedModelCache::get(
     if (enhanced) {
         key += ".z" + std::to_string(zero_clusters);
     }
-    Shard& shard = *shards_[shard_for(key)];
-
-    std::shared_future<std::shared_ptr<const ServedModel>> flight;
-    std::promise<std::shared_ptr<const ServedModel>> promise;
-    bool leader = false;
-    {
-        const std::lock_guard<std::mutex> lock{shard.mutex};
-        const auto it = shard.entries.find(key);
-        if (it != shard.entries.end()) {
-            flight = it->second;
-            shard.lru.remove(key);
-            shard.lru.push_front(key);
-        } else {
-            leader = true;
-            flight = promise.get_future().share();
-            shard.entries.emplace(key, flight);
-            shard.lru.push_front(key);
-            // Evict cold *completed* entries beyond capacity. In-flight
-            // entries are skipped: evicting one would detach its waiters
-            // from the single-flight and re-run the characterization.
-            auto victim = shard.lru.end();
-            while (shard.entries.size() > capacity_per_shard_ &&
-                   victim != shard.lru.begin()) {
-                --victim;
-                const auto entry = shard.entries.find(*victim);
-                if (entry != shard.entries.end() &&
-                    entry->second.wait_for(std::chrono::seconds{0}) ==
-                        std::future_status::ready) {
-                    shard.entries.erase(entry);
-                    victim = shard.lru.erase(victim);
-                    evictions_.fetch_add(1, std::memory_order_relaxed);
-                }
-            }
-        }
-    }
-
-    if (!leader) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        return flight.get(); // rethrows a leader failure
-    }
-
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    try {
-        core::CharacterizationOptions options = char_options_;
-        options.corner = effective;
-        std::shared_ptr<const ServedModel> model;
-        if (enhanced) {
-            model = std::make_shared<const ServedModel>(
-                library_->get_or_characterize_enhanced(type, widths, zero_clusters,
-                                                       options));
-        } else {
-            model = std::make_shared<const ServedModel>(
-                library_->get_or_characterize(type, widths, options));
-        }
-        promise.set_value(model);
-        return model;
-    } catch (...) {
-        // Propagate to waiters, then release the key so a later request
-        // can retry (e.g. after a transient I/O failure).
-        promise.set_exception(std::current_exception());
-        {
-            const std::lock_guard<std::mutex> lock{shard.mutex};
-            shard.entries.erase(key);
-            shard.lru.remove(key);
-        }
-        throw;
-    }
+    return lru_
+        .get(key,
+             [&]() -> ServedModel {
+                 core::CharacterizationOptions options = char_options_;
+                 options.corner = effective;
+                 if (enhanced) {
+                     return library_->get_or_characterize_enhanced(type, widths,
+                                                                   zero_clusters, options);
+                 }
+                 return library_->get_or_characterize(type, widths, options);
+             })
+        .value;
 }
 
 } // namespace hdpm::serve

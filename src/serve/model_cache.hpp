@@ -1,42 +1,32 @@
 #pragma once
 
-#include <atomic>
-#include <future>
-#include <list>
 #include <memory>
-#include <mutex>
+#include <optional>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <variant>
-#include <vector>
 
 #include "core/model_library.hpp"
+#include "util/single_flight_lru.hpp"
 
 namespace hdpm::serve {
 
 /// A model the cache serves: either family, immutable once loaded.
 using ServedModel = std::variant<core::HdModel, core::EnhancedHdModel>;
 
-/// Sharded, capacity-bounded front over a core::ModelLibrary.
+/// Capacity-bounded front over a core::ModelLibrary.
 ///
 /// The library already resolves cold misses with single-flight
 /// characterize-on-miss semantics, but it parses a model file on *every*
-/// lookup; this cache keeps the deserialized models hot in memory. It is
-/// sharded by key hash so a cold lookup — which may run a multi-second
-/// characterization under the library's flight — only ever holds its own
-/// shard's lock, and even that only for the map insert: concurrent
-/// requests for *other* models on the same shard proceed, and concurrent
-/// requests for the *same* model block on the leader's shared_future
-/// rather than re-characterizing (single-flight at this layer too).
-///
-/// Eviction is LRU per shard with a per-shard entry capacity; in-flight
-/// entries are never evicted. A leader failure propagates to every waiter
-/// of that flight and the key is released for retry.
-class ShardedModelCache {
+/// lookup; this cache keeps the deserialized models hot in memory.
+/// Concurrent requests for the same model block on the first requester's
+/// load rather than re-characterizing (single flight at this layer too),
+/// and a failed load reaches every waiter and releases the key for retry.
+/// Eviction is LRU over loaded models; a load in flight is never evicted.
+class ModelCache {
 public:
-    ShardedModelCache(const core::ModelLibrary& library,
-                      core::CharacterizationOptions char_options,
-                      std::size_t shards = 8, std::size_t capacity_per_shard = 64);
+    ModelCache(const core::ModelLibrary& library,
+               core::CharacterizationOptions char_options, std::size_t capacity);
 
     /// The model for (type, widths, kind, corner), loading or
     /// characterizing on miss. @p zero_clusters selects the enhanced
@@ -49,39 +39,19 @@ public:
         int zero_clusters,
         const std::optional<gate::Corner>& corner = std::nullopt);
 
+    /// Lookups served without loading, including those that waited on a
+    /// concurrent load of the same model.
     [[nodiscard]] std::uint64_t hits() const noexcept
     {
-        return hits_.load(std::memory_order_relaxed);
+        return lru_.hits() + lru_.coalesced();
     }
-    [[nodiscard]] std::uint64_t misses() const noexcept
-    {
-        return misses_.load(std::memory_order_relaxed);
-    }
-    [[nodiscard]] std::uint64_t evictions() const noexcept
-    {
-        return evictions_.load(std::memory_order_relaxed);
-    }
-    [[nodiscard]] std::size_t shard_count() const noexcept { return shards_.size(); }
-
-    /// Shard index a key hashes to (exposed for tests).
-    [[nodiscard]] std::size_t shard_for(const std::string& key) const noexcept;
+    /// Models loaded (from disk or by characterization).
+    [[nodiscard]] std::uint64_t misses() const noexcept { return lru_.built(); }
 
 private:
-    struct Shard {
-        std::mutex mutex;
-        std::unordered_map<std::string,
-                           std::shared_future<std::shared_ptr<const ServedModel>>>
-            entries;
-        std::list<std::string> lru; ///< most recently used first
-    };
-
     const core::ModelLibrary* library_;
     core::CharacterizationOptions char_options_;
-    std::size_t capacity_per_shard_;
-    std::vector<std::unique_ptr<Shard>> shards_;
-    std::atomic<std::uint64_t> hits_{0};
-    std::atomic<std::uint64_t> misses_{0};
-    std::atomic<std::uint64_t> evictions_{0};
+    util::SingleFlightLru<std::string, ServedModel> lru_;
 };
 
 } // namespace hdpm::serve

@@ -317,7 +317,11 @@ EstimateReply decode_estimate_reply(WireReader& r)
     EstimateReply reply;
     reply.estimate_fc = r.f64();
     reply.cycles = r.u64();
-    reply.source = static_cast<HistogramSource>(r.u8());
+    const std::uint8_t source = r.u8();
+    if (source > static_cast<std::uint8_t>(HistogramSource::Coalesced)) {
+        protocol_fault("unknown histogram source " + std::to_string(source));
+    }
+    reply.source = static_cast<HistogramSource>(source);
     reply.server_models = r.u64();
     reply.server_histograms_built = r.u64();
     reply.server_cache_hits = r.u64();

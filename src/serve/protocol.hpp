@@ -90,7 +90,6 @@ enum class HistogramSource : std::uint8_t {
     Cached = 0,    ///< shared-cache hit
     Built = 1,     ///< this request built the histogram
     Coalesced = 2, ///< waited on a concurrent request's build
-    Bypassed = 3,  ///< model kind does not use histograms
 };
 
 struct EstimateReply {

@@ -45,14 +45,26 @@ void close_quietly(int fd) noexcept
 /// per-connection memory a slow reader can pin.
 constexpr std::size_t kFlushBytes = std::size_t{1} << 20;
 
+/// How a reply reports the histogram cache's outcome on the wire.
+HistogramSource wire_source(util::CacheOutcome outcome) noexcept
+{
+    switch (outcome) {
+    case util::CacheOutcome::Built:
+        return HistogramSource::Built;
+    case util::CacheOutcome::Coalesced:
+        return HistogramSource::Coalesced;
+    case util::CacheOutcome::Hit:
+        break;
+    }
+    return HistogramSource::Cached;
+}
+
 } // namespace
 
 Server::Server(ServerOptions options)
     : options_(std::move(options)), library_(options_.models_dir),
-      models_(std::make_unique<ShardedModelCache>(library_, options_.char_options,
-                                                  options_.model_shards,
-                                                  options_.model_cache_per_shard)),
-      broker_(options_.histogram_cache_entries, options_.histogram_cache_bytes)
+      models_(library_, options_.char_options, options_.model_cache_entries),
+      histograms_(options_.histogram_cache_entries, options_.histogram_cache_bytes)
 {
 }
 
@@ -124,14 +136,9 @@ void Server::start()
                                  ? options_.workers
                                  : std::max(1U, std::thread::hardware_concurrency());
     running_.store(true);
-    engines_.reserve(workers);
     workers_.reserve(workers);
     for (unsigned i = 0; i < workers; ++i) {
-        engines_.push_back(std::make_unique<core::EstimationEngine>(options_.kernel));
-    }
-    for (unsigned i = 0; i < workers; ++i) {
-        core::EstimationEngine* engine = engines_[i].get();
-        workers_.emplace_back([this, engine] { worker_loop(*engine); });
+        workers_.emplace_back([this] { worker_loop(); });
     }
     {
         // Accept only once every worker waits for a connection: an acceptor
@@ -222,7 +229,7 @@ void Server::shed_connection(int fd)
     close_quietly(fd);
 }
 
-void Server::worker_loop(core::EstimationEngine& engine)
+void Server::worker_loop()
 {
     while (true) {
         int fd = -1;
@@ -248,7 +255,7 @@ void Server::worker_loop(core::EstimationEngine& engine)
             }
         }
         try {
-            serve_connection(fd, engine);
+            serve_connection(fd);
         } catch (...) {
             // Torn frame or socket error: the error response (if any) was
             // already queued by handle_request; nothing else to salvage.
@@ -261,7 +268,7 @@ void Server::worker_loop(core::EstimationEngine& engine)
     }
 }
 
-void Server::serve_connection(int fd, core::EstimationEngine& engine)
+void Server::serve_connection(int fd)
 {
     std::vector<std::uint8_t> in;
     std::vector<std::uint8_t> out;
@@ -340,7 +347,7 @@ void Server::serve_connection(int fd, core::EstimationEngine& engine)
             }
             counters_.requests.fetch_add(1, std::memory_order_relaxed);
             const std::span<const std::uint8_t> payload{in.data() + parsed + 4, length};
-            append_frame(out, handle_request(payload, engine));
+            append_frame(out, handle_request(payload));
             parsed += 4 + std::size_t{length};
             last_frame = Clock::now();
             if (out.size() >= kFlushBytes) {
@@ -370,8 +377,7 @@ void Server::serve_connection(int fd, core::EstimationEngine& engine)
     }
 }
 
-std::vector<std::uint8_t> Server::handle_request(std::span<const std::uint8_t> payload,
-                                                 core::EstimationEngine& engine)
+std::vector<std::uint8_t> Server::handle_request(std::span<const std::uint8_t> payload)
 {
     try {
         WireReader reader{payload};
@@ -418,7 +424,7 @@ std::vector<std::uint8_t> Server::handle_request(std::span<const std::uint8_t> p
             return writer.take();
         }
         case MessageType::Estimate:
-            return handle_estimate(reader, engine);
+            return handle_estimate(reader);
         case MessageType::Stats: {
             reader.expect_end();
             WireWriter writer;
@@ -429,7 +435,7 @@ std::vector<std::uint8_t> Server::handle_request(std::span<const std::uint8_t> p
         case MessageType::CloseTrace: {
             const std::uint64_t id = reader.u64();
             reader.expect_end();
-            broker_.invalidate(id);
+            histograms_.invalidate(id);
             const bool found = traces_.close(id);
             WireWriter writer;
             writer.u8(static_cast<std::uint8_t>(StatusCode::Ok));
@@ -455,8 +461,7 @@ std::vector<std::uint8_t> Server::handle_request(std::span<const std::uint8_t> p
     }
 }
 
-std::vector<std::uint8_t> Server::handle_estimate(WireReader& reader,
-                                                  core::EstimationEngine& engine)
+std::vector<std::uint8_t> Server::handle_estimate(WireReader& reader)
 {
     const EstimateRequest request = decode_estimate_request(reader);
     reader.expect_end();
@@ -501,33 +506,23 @@ std::vector<std::uint8_t> Server::handle_estimate(WireReader& reader,
 
     const Clock::time_point start = Clock::now();
     const std::shared_ptr<const ServedModel> model =
-        models_->get(type, widths, request.kind == ModelKind::Enhanced,
-                     request.zero_clusters, request.corner);
+        models_.get(type, widths, request.kind == ModelKind::Enhanced,
+                    request.zero_clusters, request.corner);
 
     EstimateReply reply;
-    BrokerOutcome outcome = BrokerOutcome::Hit;
+    util::CacheOutcome outcome = util::CacheOutcome::Hit;
     if (request.kind == ModelKind::Enhanced) {
-        const auto histogram = broker_.hd_class(*trace, engine.options(), &outcome);
+        const auto histogram = histograms_.hd_class(*trace, options_.kernel, &outcome);
         reply.estimate_fc =
             std::get<core::EnhancedHdModel>(*model).estimate_from_histogram(*histogram);
         reply.cycles = histogram->pairs;
     } else {
-        const auto histogram = broker_.hd(*trace, engine.options(), &outcome);
+        const auto histogram = histograms_.hd(*trace, options_.kernel, &outcome);
         reply.estimate_fc =
             std::get<core::HdModel>(*model).estimate_from_histogram(*histogram);
         reply.cycles = histogram->pairs;
     }
-    switch (outcome) {
-    case BrokerOutcome::Hit:
-        reply.source = HistogramSource::Cached;
-        break;
-    case BrokerOutcome::Built:
-        reply.source = HistogramSource::Built;
-        break;
-    case BrokerOutcome::Coalesced:
-        reply.source = HistogramSource::Coalesced;
-        break;
-    }
+    reply.source = wire_source(outcome);
 
     counters_.estimates.fetch_add(1, std::memory_order_relaxed);
     counters_.serve_nanos.fetch_add(
@@ -537,8 +532,8 @@ std::vector<std::uint8_t> Server::handle_estimate(WireReader& reader,
         std::memory_order_relaxed);
 
     reply.server_models = counters_.estimates.load(std::memory_order_relaxed);
-    reply.server_histograms_built = broker_.built();
-    reply.server_cache_hits = broker_.hits();
+    reply.server_histograms_built = histograms_.built();
+    reply.server_cache_hits = histograms_.hits();
 
     WireWriter writer;
     writer.u8(static_cast<std::uint8_t>(StatusCode::Ok));
@@ -556,11 +551,11 @@ ServerStatsReply Server::stats_snapshot() const
     stats.estimates = counters_.estimates.load();
     stats.errors = counters_.errors.load();
     stats.models_served = counters_.estimates.load();
-    stats.histograms_built = broker_.built();
-    stats.histogram_cache_hits = broker_.hits();
-    stats.histogram_coalesced = broker_.coalesced();
-    stats.model_cache_hits = models_->hits();
-    stats.model_cache_misses = models_->misses();
+    stats.histograms_built = histograms_.built();
+    stats.histogram_cache_hits = histograms_.hits();
+    stats.histogram_coalesced = histograms_.coalesced();
+    stats.model_cache_hits = models_.hits();
+    stats.model_cache_misses = models_.misses();
     stats.traces_registered = traces_.registered();
     stats.trace_bytes = traces_.bytes();
     stats.serve_seconds =
@@ -668,7 +663,6 @@ void Server::join_all()
         worker.join();
     }
     workers_.clear();
-    engines_.clear();
     close_quietly(wake_pipe_[0]);
     close_quietly(wake_pipe_[1]);
     wake_pipe_[0] = wake_pipe_[1] = -1;

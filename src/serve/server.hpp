@@ -4,7 +4,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -12,9 +11,8 @@
 #include <unordered_set>
 #include <vector>
 
-#include "core/estimation_engine.hpp"
+#include "core/histogram_cache.hpp"
 #include "core/model_library.hpp"
-#include "serve/histogram_broker.hpp"
 #include "serve/model_cache.hpp"
 #include "serve/protocol.hpp"
 #include "serve/trace_store.hpp"
@@ -30,8 +28,7 @@ struct ServerOptions {
     bool tcp = false;
     std::uint16_t tcp_port = 0;
 
-    /// Serving worker threads (each owns an EstimationEngine); 0 = one
-    /// per hardware thread.
+    /// Serving worker threads; 0 = one per hardware thread.
     unsigned workers = 0;
 
     /// Accepted connections waiting for a free worker beyond the workers
@@ -40,18 +37,17 @@ struct ServerOptions {
     /// daemon never queues unboundedly and never drops silently.
     std::size_t accept_queue = 64;
 
-    /// Kernel configuration of the per-worker engines. Defaults to a
+    /// Kernel configuration of histogram builds. Defaults to a
     /// single-threaded kernel: parallelism comes from the worker pool, so
     /// the kernels should not oversubscribe the host.
     streams::KernelOptions kernel{.threads = 1};
 
-    /// Shared histogram cache bounds (the request batcher's store).
+    /// Shared histogram cache bounds (histograms, not traces).
     std::size_t histogram_cache_entries = 64;
     std::size_t histogram_cache_bytes = std::size_t{256} << 20;
 
-    /// Sharded model cache: shard count and per-shard entry capacity.
-    std::size_t model_shards = 8;
-    std::size_t model_cache_per_shard = 64;
+    /// Deserialized models kept hot by the model cache.
+    std::size_t model_cache_entries = 512;
 
     /// Directory of the backing core::ModelLibrary.
     std::string models_dir = "hdpowerd_models";
@@ -92,11 +88,10 @@ struct ServerCounters {
 };
 
 /// The hdpowerd serving core: a listening acceptor thread, a bounded
-/// connection queue, and a pool of worker threads, each with its own
-/// core::EstimationEngine, sharing the TraceStore, the ShardedModelCache,
-/// and the HistogramBroker (request coalescing). Estimates are
-/// bit-identical to calling EstimationEngine directly: the same kernels
-/// produce the same integer histograms and the same
+/// connection queue, and a pool of worker threads sharing the TraceStore,
+/// the ModelCache and the core::HistogramCache (request coalescing).
+/// Estimates are bit-identical to calling core::EstimationEngine directly:
+/// the same kernels produce the same integer histograms and the same
 /// estimate_from_histogram reduction.
 ///
 /// Lifecycle: construct -> start() -> [serve] -> drain() or stop().
@@ -128,8 +123,9 @@ public:
     [[nodiscard]] std::uint16_t tcp_port() const noexcept { return bound_tcp_port_; }
 
     [[nodiscard]] TraceStore& traces() noexcept { return traces_; }
-    [[nodiscard]] HistogramBroker& broker() noexcept { return broker_; }
-    [[nodiscard]] ShardedModelCache& models() noexcept { return *models_; }
+    /// The shared histogram cache that coalesces same-trace builds.
+    [[nodiscard]] core::HistogramCache& broker() noexcept { return histograms_; }
+    [[nodiscard]] ModelCache& models() noexcept { return models_; }
     [[nodiscard]] const ServerCounters& counters() const noexcept { return counters_; }
 
     /// Snapshot of every counter in wire form.
@@ -142,22 +138,20 @@ private:
     };
 
     void acceptor_loop();
-    void worker_loop(core::EstimationEngine& engine);
-    void serve_connection(int fd, core::EstimationEngine& engine);
+    void worker_loop();
+    void serve_connection(int fd);
     /// Handle one decoded request; returns the response payload.
-    std::vector<std::uint8_t> handle_request(std::span<const std::uint8_t> payload,
-                                             core::EstimationEngine& engine);
-    std::vector<std::uint8_t> handle_estimate(WireReader& reader,
-                                              core::EstimationEngine& engine);
+    std::vector<std::uint8_t> handle_request(std::span<const std::uint8_t> payload);
+    std::vector<std::uint8_t> handle_estimate(WireReader& reader);
     void shed_connection(int fd);
     void close_listeners();
     void join_all();
 
     ServerOptions options_;
     core::ModelLibrary library_;
-    std::unique_ptr<ShardedModelCache> models_;
+    ModelCache models_;
     TraceStore traces_;
-    HistogramBroker broker_;
+    core::HistogramCache histograms_;
     ServerCounters counters_;
 
     std::vector<Listener> listeners_;
@@ -177,7 +171,6 @@ private:
 
     std::thread acceptor_;
     std::vector<std::thread> workers_;
-    std::vector<std::unique_ptr<core::EstimationEngine>> engines_;
     std::atomic<bool> running_{false};
     std::atomic<bool> draining_{false};
     std::atomic<bool> force_cut_{false}; ///< drain deadline passed: SHUT_RDWR

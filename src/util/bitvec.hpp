@@ -25,11 +25,8 @@ public:
     /// A vector of @p width bits initialized from the low bits of @p bits.
     /// Bits of @p bits above @p width are masked off.
     constexpr BitVec(int width, std::uint64_t bits = 0)
-        : width_(width), bits_(bits & mask(width))
+        : width_(checked_width(width)), bits_(bits & mask(width))
     {
-        if (width < 0 || width > kMaxWidth) {
-            throw PreconditionError("BitVec width out of range");
-        }
     }
 
     /// Number of bits in the vector.
@@ -128,6 +125,16 @@ public:
     [[nodiscard]] std::string to_string() const;
 
 private:
+    /// @p width, checked. width_ is declared before bits_, so an
+    /// out-of-range width throws before mask() can shift by it.
+    static constexpr int checked_width(int width)
+    {
+        if (width < 0 || width > kMaxWidth) {
+            throw PreconditionError("BitVec width out of range");
+        }
+        return width;
+    }
+
     static constexpr std::uint64_t mask(int width) noexcept
     {
         return width >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << width) - 1;

@@ -219,6 +219,29 @@ TEST(Serve, MalformedFrameGetsProtocolFaultThenClose)
     server.drain();
 }
 
+TEST(Serve, EstimateReplyWithUnknownSourceIsAProtocolFault)
+{
+    // The histogram source byte arrives from the peer: a value outside the
+    // enum is a structured protocol fault, never a silently cast enum.
+    serve::WireWriter writer;
+    serve::encode_estimate_reply(writer, serve::EstimateReply{.estimate_fc = 1.5,
+                                                              .cycles = 7});
+    std::vector<std::uint8_t> bytes = writer.bytes();
+    constexpr std::size_t kSourceOffset = 8 + 8; // after estimate_fc, cycles
+    serve::WireReader valid{bytes};
+    EXPECT_EQ(serve::decode_estimate_reply(valid).source, serve::HistogramSource::Cached);
+    for (const std::uint8_t source : {std::uint8_t{3}, std::uint8_t{255}}) {
+        bytes[kSourceOffset] = source;
+        serve::WireReader reader{bytes};
+        try {
+            (void)serve::decode_estimate_reply(reader);
+            FAIL() << "source byte " << int{source} << " was accepted";
+        } catch (const util::FaultError& error) {
+            EXPECT_EQ(error.kind(), util::FaultKind::ProtocolError);
+        }
+    }
+}
+
 TEST(Serve, HostileRegisterTraceIsRejectedStructurally)
 {
     const serve::ServerOptions options = quick_options("hostile.sock");

@@ -5,13 +5,16 @@
 #include <new>
 
 #include "core/characterize.hpp"
+#include "core/estimation_engine.hpp"
 #include "dpgen/module.hpp"
+#include "streams/packed_trace.hpp"
 
 // Counting global allocator: every heap allocation in the process bumps one
 // relaxed atomic. The replacements are deliberately minimal — they only
 // exist so the tests below can assert that the pairs-mode characterization
-// loop is allocation-free in steady state (a perf invariant of the batched
-// stimulus pipeline, cheap to regress silently with one stray std::vector).
+// loop and warm estimation are allocation-free in steady state (perf
+// invariants cheap to regress silently with one stray std::vector or list
+// node).
 namespace {
 std::atomic<std::uint64_t> g_alloc_count{0};
 } // namespace
@@ -144,6 +147,46 @@ INSTANTIATE_TEST_SUITE_P(WarmupModes, SteadyAllocTest,
                                         ? "Batched"
                                         : "PerRecord";
                          });
+
+TEST(SteadyAlloc, WarmEngineEstimateDoesNotAllocate)
+{
+    // Both histogram kinds of one trace are cached by the first two calls;
+    // every later estimate is a cache hit plus a dot product. A hit that
+    // allocated (an LRU node per refresh, say) would cost 20000 here.
+    constexpr int kWidth = 8;
+    std::vector<std::int64_t> values(512);
+    for (std::size_t i = 0; i < values.size(); ++i) {
+        values[i] = static_cast<std::int64_t>((i * 37) % 256) - 128;
+    }
+    const streams::PackedTrace trace = streams::PackedTrace::from_values(values, kWidth);
+    const HdModel basic{kWidth, std::vector<double>(kWidth, 2.0)};
+    std::vector<std::vector<double>> coefficients;
+    std::vector<std::vector<double>> deviations;
+    std::vector<std::vector<std::size_t>> samples;
+    for (int hd = 1; hd <= kWidth; ++hd) {
+        const auto levels = static_cast<std::size_t>(kWidth - hd + 1);
+        coefficients.emplace_back(levels, 1.0 + hd);
+        deviations.emplace_back(levels, 0.0);
+        samples.emplace_back(levels, 1);
+    }
+    const EnhancedHdModel enhanced{kWidth, 0, std::move(coefficients),
+                                   std::move(deviations), std::move(samples), basic};
+
+    EstimationEngine engine;
+    double sum = engine.estimate(basic, trace) + engine.estimate(enhanced, trace);
+    ASSERT_EQ(engine.stats().histograms_built, 2U);
+
+    const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+    for (int i = 0; i < 10000; ++i) {
+        sum += engine.estimate(basic, trace);
+        sum += engine.estimate(enhanced, trace);
+    }
+    const std::uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
+    EXPECT_EQ(after - before, 0U) << "warm estimates must not allocate";
+    EXPECT_EQ(engine.stats().histograms_built, 2U);
+    EXPECT_EQ(engine.stats().cache_hits, 20000U);
+    EXPECT_GT(sum, 0.0);
+}
 
 } // namespace
 } // namespace hdpm::core
