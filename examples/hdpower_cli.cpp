@@ -7,8 +7,7 @@
 ///                                                [--enhanced [K]]
 ///   hdpower_cli estimate <module> <width...> --data <I|II|III|IV|V>
 ///                        [--patterns N] [--models DIR] [--verify]
-///                        [--stream FILE]... [--kernel scalar|packed]
-///                        [--threads N] [--enhanced [K]]
+///                        [--stream FILE]... [--threads N] [--enhanced [K]]
 ///   hdpower_cli report <module> <width...> --data <type> [--patterns N]
 ///                        [--top K]
 ///   hdpower_cli sweep <module> <wmin> <wmax> --data <type>
@@ -17,6 +16,9 @@
 /// Characterized models are cached in the model library directory
 /// (default ./hdpm_models), so repeated estimates are instant.
 ///
+/// Every numeric flag and width is a plain decimal integer: a sign,
+/// trailing characters or an out-of-range value is a usage error.
+///
 /// Exit codes: 0 = success; 1 = runtime failure; 2 = usage error;
 /// 3 = characterization completed but degraded (some stimulus shards
 /// failed and were skipped — the model is usable but has reduced
@@ -24,8 +26,11 @@
 
 #include <algorithm>
 #include <array>
+#include <cctype>
+#include <charconv>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -46,7 +51,7 @@ namespace {
               << "  list\n"
               << "  info <module> <width...>\n"
               << "  characterize <module> <width...> [--models DIR] [--budget N] "
-                 "[--enhanced [K]] [--threads N] [--warmup batched|per-record]\n"
+                 "[--enhanced [K]] [--threads N]\n"
                  "                                   [--checkpoint FILE] [--strict] "
                  "[--backend event|emulation] [--calibration N] [--shard-size N]\n"
                  "                                   [--corner VDD:TEMP[:LOAD]] "
@@ -54,19 +59,19 @@ namespace {
               << "  estimate <module> <width...> --data <I..V> [--patterns N] "
                  "[--models DIR] [--verify] [--threads N]\n"
                  "                               [--stream FILE]... "
-                 "[--kernel scalar|packed] [--enhanced [K]]\n"
+                 "[--enhanced [K]]\n"
                  "                               [--simd scalar|avx2|avx512|auto] "
                  "[--repeat N] [--corner VDD:TEMP[:LOAD]]\n"
               << "  report <module> <width...> --data <I..V> [--patterns N] [--top K]\n"
               << "  sweep <module> <wmin> <wmax> --data <I..V> [--models DIR] "
                  "[--budget N] [--threads N]\n"
               << "--threads 0 (the default) uses every hardware thread;\n"
-              << "characterization results are bit-identical for any thread count,\n"
-              << "either warm-up mode, and with or without a checkpoint journal.\n"
+              << "characterization results are bit-identical for any thread count\n"
+              << "and with or without a checkpoint journal.\n"
               << "--checkpoint FILE journals completed shards crash-safely so a\n"
               << "killed run resumes where it stopped; --strict makes the first\n"
               << "shard failure fatal instead of degrading coverage.\n"
-              << "--simd pins the packed kernel's instruction tier (default auto =\n"
+              << "--simd pins the estimation kernel's instruction tier (default auto =\n"
               << "widest the host supports); every tier is bit-identical.\n"
               << "--backend emulation scores stimulus word-parallel (64 pairs per\n"
               << "pass) with a glitch correction calibrated on --calibration N\n"
@@ -78,8 +83,32 @@ namespace {
               << "amortized stimulus sweep (see docs/corners.md).\n"
               << "modules wider than 64 input bits are served via the section-5\n"
               << "parameterizable family (characterized at small prototype widths).\n"
+              << "numeric flags and widths take plain decimal integers (no sign).\n"
               << "exit codes: 0 ok, 1 runtime failure, 2 usage, 3 completed degraded\n";
     std::exit(2);
+}
+
+/// Parse @p text as a plain decimal integer: digits only, no sign, no
+/// trailing characters, and within T's range. Anything else is a usage
+/// error naming @p what (the flag, or "width").
+template <typename T>
+T parse_number(const std::string& what, const std::string& text)
+{
+    T value{};
+    const char* const end = text.data() + text.size();
+    const auto [stop, ec] = std::from_chars(text.data(), end, value);
+    // from_chars accepts a '-' for signed T; demand a leading digit instead.
+    if (std::isdigit(static_cast<unsigned char>(text[0])) == 0 || ec != std::errc{} ||
+        stop != end) {
+        std::cerr << "invalid value '" << text << "' for " << what
+                  << " (expected a non-negative decimal integer";
+        if (ec == std::errc::result_out_of_range) {
+            std::cerr << " no larger than " << std::numeric_limits<T>::max();
+        }
+        std::cerr << ")\n";
+        std::exit(2);
+    }
+    return value;
 }
 
 streams::DataType parse_data_type(const std::string& label)
@@ -102,7 +131,6 @@ struct Cli {
     std::size_t patterns = 2000;
     std::size_t top_k = 10;
     unsigned threads = 0;
-    core::WarmupMode warmup = core::WarmupMode::Batched;
     core::CharBackend backend = core::CharBackend::EventKernel;
     std::size_t calibration = 512;
     std::size_t shard_size = 0; ///< 0 = batch (part of the stimulus plan)
@@ -114,7 +142,6 @@ struct Cli {
     bool has_data = false;
     streams::DataType data{};
     std::vector<std::string> stream_files; ///< one CSV per operand
-    streams::EstimationKernel kernel = streams::EstimationKernel::Packed;
     std::optional<util::cpu::SimdLevel> simd; ///< nullopt = runtime auto
     std::size_t repeat = 1; ///< estimate: serve the query N times
     std::optional<gate::Corner> corner;  ///< single operating corner
@@ -154,7 +181,7 @@ Cli parse_module_args(int argc, char** argv, int start)
     cli.module_type = dp::module_type_from_id(argv[start]);
     int i = start + 1;
     while (i < argc && argv[i][0] != '-') {
-        cli.widths.push_back(std::stoi(argv[i]));
+        cli.widths.push_back(parse_number<int>("width", argv[i]));
         ++i;
     }
     if (cli.widths.empty()) {
@@ -170,27 +197,19 @@ Cli parse_module_args(int argc, char** argv, int start)
             }
             return argv[++i];
         };
+        auto next_number = [&]<typename T>(T& value) {
+            value = parse_number<T>(flag, next());
+        };
         if (flag == "--models") {
             cli.models_dir = next();
         } else if (flag == "--budget") {
-            cli.budget = std::stoul(next());
+            next_number(cli.budget);
         } else if (flag == "--patterns") {
-            cli.patterns = std::stoul(next());
+            next_number(cli.patterns);
         } else if (flag == "--top") {
-            cli.top_k = std::stoul(next());
+            next_number(cli.top_k);
         } else if (flag == "--threads") {
-            cli.threads = static_cast<unsigned>(std::stoul(next()));
-        } else if (flag == "--warmup") {
-            const std::string mode = next();
-            if (mode == "batched") {
-                cli.warmup = core::WarmupMode::Batched;
-            } else if (mode == "per-record") {
-                cli.warmup = core::WarmupMode::PerRecord;
-            } else {
-                std::cerr << "unknown warm-up mode '" << mode
-                          << "' (use batched or per-record)\n";
-                std::exit(2);
-            }
+            next_number(cli.threads);
         } else if (flag == "--backend") {
             const std::string backend = next();
             if (backend == "event") {
@@ -203,9 +222,9 @@ Cli parse_module_args(int argc, char** argv, int start)
                 std::exit(2);
             }
         } else if (flag == "--calibration") {
-            cli.calibration = std::stoul(next());
+            next_number(cli.calibration);
         } else if (flag == "--shard-size") {
-            cli.shard_size = std::stoul(next());
+            next_number(cli.shard_size);
         } else if (flag == "--checkpoint") {
             cli.checkpoint = next();
         } else if (flag == "--strict") {
@@ -215,17 +234,6 @@ Cli parse_module_args(int argc, char** argv, int start)
             cli.has_data = true;
         } else if (flag == "--stream") {
             cli.stream_files.push_back(next());
-        } else if (flag == "--kernel") {
-            const std::string kernel = next();
-            if (kernel == "scalar") {
-                cli.kernel = streams::EstimationKernel::Scalar;
-            } else if (kernel == "packed") {
-                cli.kernel = streams::EstimationKernel::Packed;
-            } else {
-                std::cerr << "unknown kernel '" << kernel
-                          << "' (use scalar or packed)\n";
-                std::exit(2);
-            }
         } else if (flag == "--simd") {
             const std::string tier = next();
             bool ok = false;
@@ -236,7 +244,8 @@ Cli parse_module_args(int argc, char** argv, int start)
                 std::exit(2);
             }
         } else if (flag == "--repeat") {
-            cli.repeat = std::max<std::size_t>(1, std::stoul(next()));
+            next_number(cli.repeat);
+            cli.repeat = std::max<std::size_t>(1, cli.repeat);
         } else if (flag == "--verify") {
             cli.verify = true;
         } else if (flag == "--corner") {
@@ -246,7 +255,7 @@ Cli parse_module_args(int argc, char** argv, int start)
         } else if (flag == "--enhanced") {
             cli.enhanced = true;
             if (i + 1 < argc && argv[i + 1][0] != '-') {
-                cli.zero_clusters = std::stoi(argv[++i]);
+                cli.zero_clusters = parse_number<int>(flag, argv[++i]);
             }
         } else {
             std::cerr << "unknown flag '" << flag << "'\n";
@@ -262,7 +271,6 @@ core::CharacterizationOptions char_options(const Cli& cli)
     options.max_transitions = cli.budget;
     options.min_transitions = cli.budget / 2;
     options.threads = cli.threads;
-    options.warmup = cli.warmup;
     options.backend = cli.backend;
     options.calibration_pairs = cli.calibration;
     options.shard_size = cli.shard_size;
@@ -493,9 +501,6 @@ int cmd_characterize(const Cli& cli)
                 std::cout << "warm-up: " << stats.warmup_vectors
                           << " vectors settled word-parallel in "
                           << stats.warmup_batches << " 64-lane batches\n";
-            } else if (stats.warmup_vectors > 0) {
-                std::cout << "warm-up: " << stats.warmup_vectors
-                          << " vectors settled per record\n";
             }
             std::cout << "backend: " << core::char_backend_name(stats.backend);
             if (stats.backend == core::CharBackend::PowerEmulation) {
@@ -606,7 +611,6 @@ int cmd_estimate(const Cli& cli)
     }
 
     streams::KernelOptions kernel_options;
-    kernel_options.kernel = cli.kernel;
     kernel_options.threads = cli.threads;
     kernel_options.simd = cli.simd;
     core::EstimationEngine engine{kernel_options};
@@ -666,15 +670,12 @@ int cmd_estimate(const Cli& cli)
     std::cout << "  model:                " << model_desc << '\n';
     std::cout << "  macro-model estimate: " << estimate << " fC/cycle\n";
     const core::EstimateRunStats& stats = engine.stats();
-    std::string kernel_desc = streams::kernel_name(cli.kernel);
-    if (cli.kernel == streams::EstimationKernel::Packed) {
-        // Report the tier that actually ran: requests above the host's
-        // capability are clamped by the dispatch layer.
-        const auto requested = cli.simd.has_value() ? *cli.simd : util::cpu::active();
-        kernel_desc += '/';
-        kernel_desc += util::cpu::level_name(
-            std::min(requested, util::cpu::max_supported()));
-    }
+    // Report the tier that actually ran: requests above the host's
+    // capability are clamped by the dispatch layer.
+    const auto requested = cli.simd.has_value() ? *cli.simd : util::cpu::active();
+    const std::string kernel_desc =
+        std::string{"packed/"} +
+        util::cpu::level_name(std::min(requested, util::cpu::max_supported()));
     std::cout << "  served " << stats.cycles << " cycles in "
               << util::TextTable::fmt(stats.seconds * 1e3, 2) << " ms ("
               << util::TextTable::fmt(stats.cycles_per_second() / 1e6, 1)

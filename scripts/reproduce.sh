@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
 # Reproduce the full evaluation: build, test, run every table/figure bench.
+# Speed figures come from the layered benchmark instead:
+#   python3 perfbench/run.py --workload all
 #
 # Usage:
 #   scripts/reproduce.sh [results-dir] [extra bench flags...]
@@ -24,12 +26,8 @@ for bench in build/bench/bench_*; do
   [ -x "$bench" ] || continue
   name=$(basename "$bench")
   echo "== $name =="
-  if [ "$name" = "bench_speed" ]; then
-    "$bench" 2>&1 | tee "$results_dir/$name.log"
-  else
-    "$bench" --csv "$results_dir/csv" "${bench_flags[@]}" 2>&1 |
-      tee "$results_dir/$name.log"
-  fi
+  "$bench" --csv "$results_dir/csv" "${bench_flags[@]}" 2>&1 |
+    tee "$results_dir/$name.log"
 done
 
 echo

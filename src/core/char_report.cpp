@@ -108,12 +108,8 @@ void print_characterization_report(std::ostream& os,
                << " M events/s (peak queue " << report.run.max_queue_depth << ")";
         }
         if (report.run.warmup_vectors > 0) {
-            os << "\nwarm-up: " << report.run.warmup_vectors << " vectors, ";
-            if (report.run.warmup_batches > 0) {
-                os << report.run.warmup_batches << " word-parallel 64-lane batches";
-            } else {
-                os << "settled per record";
-            }
+            os << "\nwarm-up: " << report.run.warmup_vectors << " vectors, "
+               << report.run.warmup_batches << " word-parallel 64-lane batches";
         }
         os << "\nbackend: " << char_backend_name(report.run.backend);
         if (report.run.backend == CharBackend::PowerEmulation) {

@@ -354,16 +354,12 @@ SweepShard run_event_shard(const SweepPlan& plan, std::size_t shard, std::size_t
         // compiled view) and each lane is scattered into the event
         // simulator via load_state before the timed apply. RNG consumption
         // order is identical to per-record generation, and the zero-delay
-        // fixpoint of u is unique, so records are bit-identical to the
-        // WarmupMode::PerRecord baseline. The loop body performs no heap
+        // fixpoint of u is unique, so each record is bit-identical to an
+        // initialize(u) + apply(v) pair (tests/event_kernel_test.cpp,
+        // LoadState.MatchesInitialize). The loop body performs no heap
         // allocation in steady state (tests/steady_alloc_test.cpp).
-        const bool batched = plan.options.warmup == WarmupMode::Batched;
-        std::optional<sim::BatchedEvaluator> evaluator;
-        std::vector<std::uint8_t> lane_values;
-        if (batched) {
-            evaluator.emplace(context);
-            lane_values.resize(context.netlist().num_nets());
-        }
+        sim::BatchedEvaluator evaluator{context};
+        std::vector<std::uint8_t> lane_values(context.netlist().num_nets());
         std::array<BitVec, kLanes> u_block;
         std::array<BitVec, kLanes> v_block;
         std::array<std::pair<int, int>, kLanes> cls_block; // (hd, zeros)
@@ -376,18 +372,12 @@ SweepShard run_event_shard(const SweepPlan& plan, std::size_t shard, std::size_t
             for (std::size_t j = 0; j < block; ++j) {
                 cls_block[j] = stimulus.next_pair(u_block[j], v_block[j]);
             }
-            if (batched) {
-                evaluator->settle({u_block.data(), block});
-                ++out.warmup_batches;
-            }
+            evaluator.settle({u_block.data(), block});
+            ++out.warmup_batches;
             out.warmup_vectors += block;
             for (std::size_t j = 0; j < block; ++j) {
-                if (batched) {
-                    evaluator->export_lane(static_cast<int>(j), lane_values);
-                    simulator.load_state(u_block[j], lane_values);
-                } else {
-                    simulator.initialize(u_block[j]);
-                }
+                evaluator.export_lane(static_cast<int>(j), lane_values);
+                simulator.load_state(u_block[j], lane_values);
                 push({cls_block[j].first, cls_block[j].second, 0.0,
                       (u_block[j] ^ v_block[j]).raw()},
                      simulator.apply(v_block[j]));
@@ -776,7 +766,12 @@ SweepPlan::SweepPlan(const dp::DatapathModule& module,
 {
     HDPM_REQUIRE(m >= 1 && m <= BitVec::kMaxWidth, "module input width out of range");
     HDPM_REQUIRE(options.batch >= 1, "batch must be positive");
+    HDPM_REQUIRE(options.max_transitions >= 1, "max_transitions must be positive");
     num_shards = (options.max_transitions + shard_size - 1) / shard_size;
+    // The round-up wraps to 0 exactly when it overflows (the wrapped sum is
+    // below shard_size), e.g. for a negative budget parsed as unsigned.
+    HDPM_REQUIRE(num_shards > 0, "max_transitions ", options.max_transitions,
+                 " overflows the shard count at shard size ", shard_size);
 
     // A corner-qualified context derives the scaled library first;
     // SimContext consumes the library during construction, so the derived
@@ -1368,6 +1363,9 @@ std::vector<std::vector<CharacterizationRecord>> Characterizer::collect_records_
 HdModel fit_basic_model(int input_bits, std::span<const CharacterizationRecord> records)
 {
     HDPM_REQUIRE(input_bits >= 1, "bad input width");
+    // An all-zero model from zero records would pass for a characterized
+    // one in every cache it reaches.
+    HDPM_REQUIRE(!records.empty(), "cannot fit a model from zero records");
     const auto m = static_cast<std::size_t>(input_bits);
     std::vector<double> sum(m, 0.0);
     std::vector<std::size_t> count(m, 0);

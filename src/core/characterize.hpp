@@ -61,23 +61,6 @@ enum class CharBackend {
 /// Human-readable backend name ("event-kernel" / "power-emulation").
 [[nodiscard]] const char* char_backend_name(CharBackend backend) noexcept;
 
-/// How StratifiedPairs records establish their pre-transition steady state
-/// (the warm-up settle of u before the timed apply of v). Both modes
-/// produce bit-identical records: a combinational netlist has a unique
-/// zero-delay fixpoint, so settling u word-parallel and scattering the
-/// result into the event simulator reaches exactly the post-initialize(u)
-/// state. Chain modes never warm up and ignore this knob.
-enum class WarmupMode {
-    /// Settle warm-up vectors 64 at a time with sim::BatchedEvaluator and
-    /// adopt each lane via EventSimulator::load_state. The default — one
-    /// word-parallel pass replaces 64 O(cells) scalar settles.
-    Batched,
-
-    /// A full EventSimulator::initialize before every record. Retained as
-    /// the differential-testing baseline for the batched fast path.
-    PerRecord,
-};
-
 /// One stimulus-shard failure captured by a non-strict run. The shard
 /// index plus the run's (seed, shard_size) locate the exact stimulus
 /// stream, so a captured failure can be replayed in isolation by re-running
@@ -160,8 +143,8 @@ struct CharacterizationOptions {
     /// always respected.
     std::optional<StimulusMode> mode;
 
-    /// Reference engine for record charges. Unlike threads/warmup — and
-    /// like shard_size — the backend is part of the measurement plan:
+    /// Reference engine for record charges. Unlike threads — and like
+    /// shard_size — the backend is part of the measurement plan:
     /// emulated charges approximate the event kernel's, so the choice is
     /// fingerprinted into stored models and checkpoint journals.
     CharBackend backend = CharBackend::EventKernel;
@@ -189,11 +172,6 @@ struct CharacterizationOptions {
     /// generated stream (and therefore the fitted coefficients).
     std::size_t shard_size = 0;
 
-    /// Pairs-mode warm-up strategy. Like threads — and unlike shard_size —
-    /// this is purely an execution choice: records are bit-identical for
-    /// either value (see WarmupMode).
-    WarmupMode warmup = WarmupMode::Batched;
-
     /// Checkpoint journal path (empty = no checkpointing). When set, the
     /// merged record prefix is published crash-safely (sibling .tmp +
     /// atomic rename, stamped with the run's options fingerprint and the
@@ -201,9 +179,9 @@ struct CharacterizationOptions {
     /// with the same stimulus plan resumes from the journal and produces
     /// bit-identical records; the journal is deleted once the run
     /// completes. A journal from a different plan or module is discarded;
-    /// a corrupt one is quarantined with a ".corrupt" suffix. Like threads
-    /// and warmup, this knob is execution-only: it never changes the
-    /// records and is excluded from the options fingerprint.
+    /// a corrupt one is quarantined with a ".corrupt" suffix. Like threads,
+    /// this knob is execution-only: it never changes the records and is
+    /// excluded from the options fingerprint.
     std::filesystem::path checkpoint;
 
     /// Merged shards between checkpoint publishes (must be >= 1).

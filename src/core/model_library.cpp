@@ -87,7 +87,7 @@ std::uint64_t characterization_fingerprint(const CharacterizationOptions& option
         mix(static_cast<std::uint64_t>(options.corner->load_class));
     }
     // Deliberately excluded (execution-only, results bit-identical):
-    // threads, warmup, scheduler, max_events_per_cycle, progress, stats,
+    // threads, max_events_per_cycle, progress, stats,
     // checkpoint/checkpoint_every (resume is bit-identical), strict_faults.
     // Also excluded: options.corners — a sweep journals and stores each
     // corner under its own single-corner fingerprint (see

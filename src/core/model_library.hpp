@@ -15,10 +15,9 @@ namespace hdpm::core {
 /// coefficients: the stimulus plan (seed, budgets, batch, tolerance, mode,
 /// shard size) and the reference-simulation physics (input-charge
 /// accounting, inertial window). Execution-only knobs that are proven
-/// bit-identical — threads, warm-up mode, scheduler kind, the event-budget
-/// safety valve, progress/stats observers — are deliberately excluded, so
-/// re-running with a different thread count or warm-up strategy still hits
-/// the stored model.
+/// bit-identical — threads, the event-budget safety valve, checkpointing,
+/// progress/stats observers — are deliberately excluded, so re-running
+/// with a different thread count still hits the stored model.
 [[nodiscard]] std::uint64_t characterization_fingerprint(
     const CharacterizationOptions& options, const sim::EventSimOptions& sim_options);
 

@@ -10,9 +10,7 @@
 
 namespace hdpm::sim {
 
-using netlist::Cell;
 using netlist::CellId;
-using netlist::kInvalidId;
 using netlist::NetId;
 using util::BitVec;
 
@@ -56,11 +54,7 @@ EventSimulator::EventSimulator(const SimContext& context, EventSimOptions option
 {
     HDPM_REQUIRE(netlist_->num_nets() < (std::size_t{1} << 31),
                  "netlist too large for packed wheel events");
-    if (options_.scheduler == SchedulerKind::BinaryHeap) {
-        cell_stamp_.assign(netlist_->num_cells(), 0);
-    } else {
-        wheel_.configure(context.max_cell_delay_ps());
-    }
+    wheel_.configure(context.max_cell_delay_ps());
 }
 
 EventSimulator::EventSimulator(std::shared_ptr<const SimContext> context,
@@ -116,24 +110,16 @@ void EventSimulator::load_state(const BitVec& inputs,
 
 /// Reset every piece of per-cycle scheduler state so repeated
 /// initialize/load_state calls start from one identical state: zeroed
-/// per-net generations, then per scheduler a swap-against-empty instead of
-/// a pop loop plus zeroed sequence / stamp counters for the heap, and for
-/// the wheel a bitmap scan that clears whatever a faulted cycle left
-/// pending (a completed cycle leaves it empty). Cumulative counters
-/// (transition/charge per net, kernel stats) survive.
+/// per-net generations, then a bitmap scan of the wheel that clears
+/// whatever a faulted cycle left pending (a completed cycle leaves it
+/// empty). Cumulative counters (transition/charge per net, kernel stats)
+/// survive.
 void EventSimulator::reset_cycle_state()
 {
     for (std::size_t net = 0; net < sched_.size(); ++net) {
         sched_[net] = NetSched{values_[net], 0, 0, 0, 0};
     }
-    if (options_.scheduler == SchedulerKind::BinaryHeap) {
-        std::fill(cell_stamp_.begin(), cell_stamp_.end(), 0);
-        stamp_epoch_ = 0;
-        seq_counter_ = 0;
-        HeapQueue{}.swap(queue_);
-    } else {
-        wheel_.clear();
-    }
+    wheel_.clear();
 
     initialized_ = true;
     if (track_cycle_toggles_) {
@@ -162,28 +148,6 @@ void EventSimulator::clear_cycle_toggles()
     cycle_dirty_.clear();
 }
 
-void EventSimulator::toggle_net(NetId net, std::uint8_t value, std::int64_t time,
-                                bool count_charge, CycleResult& result)
-{
-    values_[net] = value;
-    ++transition_count_[net];
-    if (track_cycle_toggles_) {
-        if (cycle_toggle_count_[net]++ == 0) {
-            cycle_dirty_.push_back(net);
-        }
-    }
-    ++result.transitions;
-    result.settle_time_ps = std::max(result.settle_time_ps, time);
-    if (count_charge) {
-        const double q = context_->edge_charge_fc(net);
-        result.charge_fc += q;
-        charge_per_net_[net] += q;
-    }
-    if (tracer_ != nullptr) {
-        tracer_->change(cycle_start_time_ + time, net, value != 0);
-    }
-}
-
 CycleResult EventSimulator::apply(const BitVec& inputs)
 {
     HDPM_REQUIRE(initialized_, "EventSimulator::apply before initialize");
@@ -204,8 +168,7 @@ CycleResult EventSimulator::apply(const BitVec& inputs)
     const std::uint64_t budget = HDPM_FAULT_FIRE(util::FaultPoint::EventBudget)
                                      ? 0
                                      : options_.max_events_per_cycle;
-    return options_.scheduler == SchedulerKind::BinaryHeap ? apply_heap(inputs, budget)
-                                                           : apply_wheel(inputs, budget);
+    return apply_wheel(inputs, budget);
 }
 
 void EventSimulator::fail_event_budget(const std::uint64_t budget) const
@@ -248,8 +211,8 @@ CycleResult EventSimulator::apply_wheel(const BitVec& inputs, const std::uint64_
     const bool track = track_cycle_toggles_;
     const std::int64_t cycle_start = cycle_start_time_;
 
-    // Results accumulate in locals in toggle order, the order the heap
-    // kernel sums them in, so the floating-point charge is bit-identical.
+    // Results accumulate in locals in toggle order, so the floating-point
+    // charge is a deterministic function of the event order.
     double charge = 0.0;
     std::uint64_t transitions = 0;
     std::int64_t settle = 0;
@@ -284,7 +247,7 @@ CycleResult EventSimulator::apply_wheel(const BitVec& inputs, const std::uint64_
     };
     // Evaluate the touched cells at time `now` and push every resulting
     // change into its slot; bucket order is push order, which is
-    // schedule-sequence order — the heap's tie-break.
+    // schedule-sequence order.
     std::size_t pending = 0;
     auto evaluate_touched = [&](std::int64_t now) {
         for (std::size_t i = 0; i < num_touched; ++i) {
@@ -382,91 +345,6 @@ CycleResult EventSimulator::apply_wheel(const BitVec& inputs, const std::uint64_
         cycle_start_time_ += tracer->cycle_period_ps();
     }
     return CycleResult{charge, transitions, settle};
-}
-
-CycleResult EventSimulator::apply_heap(const BitVec& inputs, const std::uint64_t budget)
-{
-    const auto& pis = netlist_->primary_inputs();
-    CycleResult result;
-    std::uint64_t processed = 0;
-    ++stamp_epoch_;
-    std::size_t num_touched = 0;
-
-    // Apply primary-input changes at t = 0.
-    for (std::size_t i = 0; i < pis.size(); ++i) {
-        const NetId net = pis[i];
-        const std::uint8_t v = inputs.get(static_cast<int>(i)) ? 1 : 0;
-        if (v == values_[net]) {
-            continue;
-        }
-        toggle_net(net, v, 0, options_.count_input_charge, result);
-        for (const CellId consumer : context_->fanout(net)) {
-            if (cell_stamp_[consumer] != stamp_epoch_) {
-                cell_stamp_[consumer] = stamp_epoch_;
-                touched_[num_touched++] = consumer;
-            }
-        }
-    }
-
-    std::uint8_t in_vals[gate::kMaxGateInputs];
-    auto evaluate_and_schedule = [&](CellId id, std::int64_t now) {
-        const Cell& cell = netlist_->cell(id);
-        const auto ins = cell.input_span();
-        for (std::size_t i = 0; i < ins.size(); ++i) {
-            in_vals[i] = values_[ins[i]];
-        }
-        const std::uint8_t out =
-            gate::gate_eval(cell.kind, {in_vals, ins.size()}) ? 1 : 0;
-        const std::int64_t t = now + context_->electrical().cell_delay_ps(id);
-        NetSched& ns = sched_[cell.output];
-        if (prepare_schedule(ns, values_[cell.output], out, t,
-                             options_.inertial_window_ps)) {
-            queue_.push(HeapEvent{t, seq_counter_++, cell.output, out, ns.generation});
-            stats_.max_queue_depth = std::max(stats_.max_queue_depth, queue_.size());
-        }
-    };
-
-    for (std::size_t i = 0; i < num_touched; ++i) {
-        evaluate_and_schedule(touched_[i], 0);
-    }
-
-    // Main event loop: drain the queue, grouping events per timestamp so
-    // each cell evaluates at most once per time step.
-    while (!queue_.empty()) {
-        const std::int64_t now = queue_.top().time;
-        num_touched = 0;
-        ++stamp_epoch_;
-        while (!queue_.empty() && queue_.top().time == now) {
-            const HeapEvent ev = queue_.top();
-            queue_.pop();
-            if (++processed > budget) {
-                fail_event_budget(budget);
-            }
-            if (ev.generation != sched_[ev.net].generation) {
-                continue; // superseded by an inertial cancellation
-            }
-            --sched_[ev.net].pending_count;
-            // Per-net event times are monotone and scheduled values
-            // alternate, so a valid event always toggles its net.
-            HDPM_ASSERT(ev.value != values_[ev.net], "no-op event on net ", ev.net);
-            toggle_net(ev.net, ev.value, now, true, result);
-            for (const CellId consumer : context_->fanout(ev.net)) {
-                if (cell_stamp_[consumer] != stamp_epoch_) {
-                    cell_stamp_[consumer] = stamp_epoch_;
-                    touched_[num_touched++] = consumer;
-                }
-            }
-        }
-        for (std::size_t i = 0; i < num_touched; ++i) {
-            evaluate_and_schedule(touched_[i], now);
-        }
-    }
-
-    stats_.events_processed += processed;
-    if (tracer_ != nullptr) {
-        cycle_start_time_ += tracer_->cycle_period_ps();
-    }
-    return result;
 }
 
 BitVec EventSimulator::outputs() const

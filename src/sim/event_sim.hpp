@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <queue>
 #include <span>
 #include <vector>
 
@@ -13,21 +12,6 @@
 namespace hdpm::sim {
 
 class VcdWriter;
-
-/// Which event-queue implementation the simulator runs on. Both produce
-/// bit-identical results — events are ordered by (time, schedule sequence)
-/// either way; see docs/simulator.md for the argument.
-enum class SchedulerKind : std::uint8_t {
-    /// Calendar / timing-wheel queue: O(1) push and pop, arena-backed slot
-    /// buckets with no per-event allocation, LUT-compiled cell evaluation
-    /// over the SimContext SoA view. The production kernel.
-    TimingWheel,
-
-    /// The original std::priority_queue kernel with switch-based gate
-    /// evaluation through Netlist::cell. Retained as the differential-
-    /// testing and benchmarking baseline; not optimized further.
-    BinaryHeap,
-};
 
 /// Options of the event-driven simulator.
 struct EventSimOptions {
@@ -51,9 +35,6 @@ struct EventSimOptions {
     /// can be replayed in isolation. The simulator itself stays usable: the
     /// next initialize()/load_state() performs a full scheduler reset.
     std::uint64_t max_events_per_cycle = 50'000'000;
-
-    /// Event-queue implementation (results are identical; see above).
-    SchedulerKind scheduler = SchedulerKind::TimingWheel;
 };
 
 /// Per-cycle simulation result.
@@ -113,7 +94,7 @@ public:
     /// BatchedEvaluator::export_lane produces) and must be the zero-delay
     /// fixpoint of @p inputs — for a combinational netlist that fixpoint is
     /// unique, so the post-call state is exactly the post-initialize(inputs)
-    /// state (same values, same full scheduler/sequence/stamp reset) without
+    /// state (same values, same full scheduler reset) without
     /// the O(cells) settle pass. The characterizer's batched pairs-mode
     /// warm-up is the intended caller.
     void load_state(const util::BitVec& inputs,
@@ -195,27 +176,13 @@ private:
     };
     static_assert(sizeof(NetSched) == 16);
 
-    struct HeapEvent {
-        std::int64_t time;
-        std::uint64_t seq;
-        netlist::NetId net;
-        std::uint8_t value;
-        std::uint32_t generation;
-    };
-    struct HeapLater {
-        bool operator()(const HeapEvent& a, const HeapEvent& b) const noexcept
-        {
-            return a.time != b.time ? a.time > b.time : a.seq > b.seq;
-        }
-    };
-    using HeapQueue = std::priority_queue<HeapEvent, std::vector<HeapEvent>, HeapLater>;
-
     /// A pending net change in the timing wheel, packed into 8 bytes: bit 31
     /// of net_val is the scheduled value, the low bits the net (the netlist
     /// layer never allocates 2^31 nets). No time or sequence field: the slot
     /// encodes the time, and the bucket's push order is the schedule
-    /// sequence order (the wheel only ever appends), which reproduces the
-    /// heap's (time, seq) tie-break exactly.
+    /// sequence order (the wheel only ever appends), so events of one
+    /// timestamp drain in the order they were scheduled — the (time,
+    /// schedule sequence) order of a priority-queue kernel.
     struct WheelEvent {
         std::uint32_t net_val;
         std::uint32_t generation;
@@ -256,18 +223,15 @@ private:
         std::int64_t horizon = 1;            // max schedulable delay
     };
 
-    CycleResult apply_heap(const util::BitVec& inputs, std::uint64_t budget);
     CycleResult apply_wheel(const util::BitVec& inputs, std::uint64_t budget);
     /// Throw the structured SimBudgetExceeded diagnostic for this cycle.
     [[noreturn]] void fail_event_budget(std::uint64_t budget) const;
     /// The per-cycle scheduler reset shared by initialize and load_state.
     void reset_cycle_state();
-    void toggle_net(netlist::NetId net, std::uint8_t value, std::int64_t time,
-                    bool count_charge, CycleResult& result);
     /// Shared inertial-window/cancellation bookkeeping; returns true when
     /// the caller must enqueue an event for (net, value, time). Static and
-    /// inline in the header so both apply kernels fold it into their hot
-    /// loops with the window in a register.
+    /// inline in the header so apply_wheel folds it into its hot loop with
+    /// the window in a register.
     static bool prepare_schedule(NetSched& ns, std::uint8_t current, std::uint8_t value,
                                  std::int64_t time, std::int64_t inertial_window_ps)
     {
@@ -301,14 +265,7 @@ private:
     std::vector<std::uint8_t> values_;
     std::vector<NetSched> sched_; // per-net scheduler state
 
-    // BinaryHeap scheduler: queue, tie-break sequence and per-timestamp
-    // cell evaluation dedup (cell_stamp_ stays empty on the wheel).
-    HeapQueue queue_;
-    std::uint64_t seq_counter_ = 0;
-    std::vector<std::uint64_t> cell_stamp_;
-    std::uint64_t stamp_epoch_ = 0;
-
-    TimingWheel wheel_; // TimingWheel scheduler
+    TimingWheel wheel_;
 
     /// Cells to evaluate at the current timestamp, written by index. Sized
     /// once to the fanout CSR entry count, which bounds every timestamp's

@@ -31,8 +31,7 @@ BitStats measure_bit_stats(std::span<const BitVec> patterns)
         HDPM_REQUIRE(patterns[j].width() == m, "pattern width mismatch at index ", j);
         words.push_back(patterns[j].raw());
     }
-    const PackedBitCounts counts =
-        count_bits_words(words, m, EstimationKernel::Packed);
+    const PackedBitCounts counts = count_bits_words(words, m);
 
     BitStats stats;
     stats.pattern_count = patterns.size();

@@ -8,8 +8,6 @@
 
 namespace hdpm::streams {
 
-using util::BitVec;
-
 namespace {
 
 /// Words per sample for a given total width (the PackedTrace stride).
@@ -35,8 +33,7 @@ constexpr std::size_t block_transitions(std::size_t stride) noexcept
 /// merged in chunk order reproduce the single-pass counts bit-for-bit.
 
 HdHistogram hd_histogram_range(std::span<const std::uint64_t> words, std::size_t begin,
-                               std::size_t end, int width, EstimationKernel kernel,
-                               util::cpu::SimdLevel level)
+                               std::size_t end, int width, util::cpu::SimdLevel level)
 {
     HdHistogram h;
     h.width = width;
@@ -49,32 +46,6 @@ HdHistogram hd_histogram_range(std::span<const std::uint64_t> words, std::size_t
     }
     const std::size_t stride = stride_for(width);
     const std::uint64_t* w = words.data();
-
-    if (kernel == EstimationKernel::Scalar) {
-        if (stride == 1) {
-            // Baseline: one BitVec pair per transition, as estimate_cycles
-            // and extract_hd_distribution have always classified.
-            for (std::size_t j = first; j < end; ++j) {
-                const int hd =
-                    BitVec::hamming_distance(BitVec{width, words[j - 1]},
-                                             BitVec{width, words[j]});
-                ++h.counts[static_cast<std::size_t>(hd)];
-            }
-        } else {
-            // Wide baseline: a per-bit walk with no popcounts at all, the
-            // most naive (and most independent) classification possible.
-            for (std::size_t j = first; j < end; ++j) {
-                const std::uint64_t* prev = w + (j - 1) * stride;
-                const std::uint64_t* cur = w + j * stride;
-                std::size_t hd = 0;
-                for (int i = 0; i < width; ++i) {
-                    hd += ((prev[i / 64] ^ cur[i / 64]) >> (i % 64)) & 1U;
-                }
-                ++h.counts[hd];
-            }
-        }
-        return h;
-    }
 
     if (stride == 1 && level == util::cpu::SimdLevel::Scalar) {
         // Single-word fast path: popcount over word XORs. Adjacent
@@ -169,7 +140,6 @@ HdHistogram hd_histogram_range(std::span<const std::uint64_t> words, std::size_t
 
 HdClassHistogram hd_class_histogram_range(std::span<const std::uint64_t> words,
                                           std::size_t begin, std::size_t end, int width,
-                                          EstimationKernel kernel,
                                           util::cpu::SimdLevel level)
 {
     HdClassHistogram h;
@@ -183,34 +153,6 @@ HdClassHistogram hd_class_histogram_range(std::span<const std::uint64_t> words,
     }
     const std::size_t stride = stride_for(width);
     const std::uint64_t* w = words.data();
-
-    if (kernel == EstimationKernel::Scalar) {
-        if (stride == 1) {
-            for (std::size_t j = first; j < end; ++j) {
-                const BitVec u{width, words[j - 1]};
-                const BitVec v{width, words[j]};
-                const auto hd =
-                    static_cast<std::size_t>(BitVec::hamming_distance(u, v));
-                const auto zeros = static_cast<std::size_t>(BitVec::stable_zeros(u, v));
-                ++h.counts[hd * table + zeros];
-            }
-        } else {
-            for (std::size_t j = first; j < end; ++j) {
-                const std::uint64_t* prev = w + (j - 1) * stride;
-                const std::uint64_t* cur = w + j * stride;
-                std::size_t hd = 0;
-                std::size_t zeros = 0;
-                for (int i = 0; i < width; ++i) {
-                    const std::uint64_t p = (prev[i / 64] >> (i % 64)) & 1U;
-                    const std::uint64_t c = (cur[i / 64] >> (i % 64)) & 1U;
-                    hd += p ^ c;
-                    zeros += (p | c) ^ 1U;
-                }
-                ++h.counts[hd * table + zeros];
-            }
-        }
-        return h;
-    }
 
     if (stride == 1 && level == util::cpu::SimdLevel::Scalar) {
         // Single-word fast path: two interleaved sub-tables (see the Hd
@@ -273,8 +215,7 @@ HdClassHistogram hd_class_histogram_range(std::span<const std::uint64_t> words,
 }
 
 PackedBitCounts count_bits_range(std::span<const std::uint64_t> words, std::size_t begin,
-                                 std::size_t end, int width, EstimationKernel kernel,
-                                 util::cpu::SimdLevel level)
+                                 std::size_t end, int width, util::cpu::SimdLevel level)
 {
     PackedBitCounts c;
     c.width = width;
@@ -286,31 +227,7 @@ PackedBitCounts count_bits_range(std::span<const std::uint64_t> words, std::size
     const std::size_t stride = stride_for(width);
     const std::uint64_t* w = words.data();
 
-    if (kernel == EstimationKernel::Scalar) {
-        // Baseline: the original per-bit walk of measure_bit_stats (a
-        // BitVec `.get(i)` loop for single-word samples, the same shift
-        // walk for wider ones).
-        for (std::size_t j = begin; j < end; ++j) {
-            const std::uint64_t* s = w + j * stride;
-            for (int i = 0; i < width; ++i) {
-                if ((s[i / 64] >> (i % 64)) & 1U) {
-                    ++c.ones[static_cast<std::size_t>(i)];
-                }
-            }
-        }
-        for (std::size_t j = first; j < end; ++j) {
-            const std::uint64_t* prev = w + (j - 1) * stride;
-            const std::uint64_t* cur = w + j * stride;
-            for (int i = 0; i < width; ++i) {
-                if (((prev[i / 64] ^ cur[i / 64]) >> (i % 64)) & 1U) {
-                    ++c.toggles[static_cast<std::size_t>(i)];
-                }
-            }
-        }
-        return c;
-    }
-
-    // Packed: CSA vertical counters (scalar or Harley–Seal AVX2 via the
+    // CSA vertical counters (scalar or Harley–Seal AVX2 via the
     // dispatch table) accumulate per-position tallies with O(1) word-level
     // ops per sample instead of a width-long bit loop. Totals are laid out
     // word-major (k·64 + bit), which is exactly the global bit order.
@@ -368,11 +285,6 @@ util::cpu::SimdLevel resolve_level(const std::optional<util::cpu::SimdLevel>& si
 
 } // namespace
 
-std::string kernel_name(EstimationKernel kernel)
-{
-    return kernel == EstimationKernel::Scalar ? "scalar" : "packed";
-}
-
 double HdHistogram::average_hd() const noexcept
 {
     if (pairs == 0) {
@@ -405,7 +317,6 @@ std::uint64_t HdClassHistogram::count(int hd, int zeros) const
 }
 
 HdHistogram hd_histogram_words(std::span<const std::uint64_t> words, int width,
-                               EstimationKernel kernel,
                                std::optional<util::cpu::SimdLevel> simd)
 {
     const std::size_t stride = stride_for(width);
@@ -413,11 +324,11 @@ HdHistogram hd_histogram_words(std::span<const std::uint64_t> words, int width,
                  " is not a multiple of the ", stride, "-word sample stride");
     const std::size_t n = words.size() / stride;
     HDPM_REQUIRE(n >= 2, "need at least two samples");
-    return hd_histogram_range(words, 0, n, width, kernel, resolve_level(simd));
+    return hd_histogram_range(words, 0, n, width, resolve_level(simd));
 }
 
 HdClassHistogram hd_class_histogram_words(std::span<const std::uint64_t> words,
-                                          int width, EstimationKernel kernel,
+                                          int width,
                                           std::optional<util::cpu::SimdLevel> simd)
 {
     const std::size_t stride = stride_for(width);
@@ -425,11 +336,10 @@ HdClassHistogram hd_class_histogram_words(std::span<const std::uint64_t> words,
                  " is not a multiple of the ", stride, "-word sample stride");
     const std::size_t n = words.size() / stride;
     HDPM_REQUIRE(n >= 2, "need at least two samples");
-    return hd_class_histogram_range(words, 0, n, width, kernel, resolve_level(simd));
+    return hd_class_histogram_range(words, 0, n, width, resolve_level(simd));
 }
 
 PackedBitCounts count_bits_words(std::span<const std::uint64_t> words, int width,
-                                 EstimationKernel kernel,
                                  std::optional<util::cpu::SimdLevel> simd)
 {
     const std::size_t stride = stride_for(width);
@@ -437,7 +347,7 @@ PackedBitCounts count_bits_words(std::span<const std::uint64_t> words, int width
                  " is not a multiple of the ", stride, "-word sample stride");
     const std::size_t n = words.size() / stride;
     HDPM_REQUIRE(n >= 2, "need at least two samples");
-    return count_bits_range(words, 0, n, width, kernel, resolve_level(simd));
+    return count_bits_range(words, 0, n, width, resolve_level(simd));
 }
 
 HdHistogram hd_histogram(const PackedTrace& trace, const KernelOptions& options)
@@ -446,8 +356,7 @@ HdHistogram hd_histogram(const PackedTrace& trace, const KernelOptions& options)
     return run_chunked<HdHistogram>(
         trace, options,
         [&](std::size_t begin, std::size_t end) {
-            return hd_histogram_range(trace.words(), begin, end, trace.width(),
-                                      options.kernel, level);
+            return hd_histogram_range(trace.words(), begin, end, trace.width(), level);
         },
         [](HdHistogram& total, const HdHistogram& part) {
             total.pairs += part.pairs;
@@ -464,8 +373,7 @@ HdClassHistogram hd_class_histogram(const PackedTrace& trace,
     return run_chunked<HdClassHistogram>(
         trace, options,
         [&](std::size_t begin, std::size_t end) {
-            return hd_class_histogram_range(trace.words(), begin, end, trace.width(),
-                                            options.kernel, level);
+            return hd_class_histogram_range(trace.words(), begin, end, trace.width(), level);
         },
         [](HdClassHistogram& total, const HdClassHistogram& part) {
             total.pairs += part.pairs;
@@ -481,8 +389,7 @@ PackedBitCounts count_bits(const PackedTrace& trace, const KernelOptions& option
     return run_chunked<PackedBitCounts>(
         trace, options,
         [&](std::size_t begin, std::size_t end) {
-            return count_bits_range(trace.words(), begin, end, trace.width(),
-                                    options.kernel, level);
+            return count_bits_range(trace.words(), begin, end, trace.width(), level);
         },
         [](PackedBitCounts& total, const PackedBitCounts& part) {
             total.samples += part.samples;

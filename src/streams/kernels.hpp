@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "streams/packed_trace.hpp"
@@ -10,26 +9,13 @@
 
 namespace hdpm::streams {
 
-/// Which implementation the stream-classification kernels use.
-///
-/// Packed is the production path: whole samples processed as uint64 words
-/// (popcount, bit-sliced vertical counters), dispatching to the widest
-/// SIMD tier the host supports (see util::cpu). Scalar is the original
-/// bit-by-bit / BitVec-per-pair code, retained as the differential
-/// baseline — all paths produce bit-identical integer counts by
-/// construction, for every width, thread count, chunk size, and SIMD
-/// level, and the property tests in tests/ hold them to that.
-enum class EstimationKernel {
-    Scalar, ///< per-pair BitVec ops, per-bit `.get(i)` loops (baseline)
-    Packed, ///< word-parallel popcount / vertical-counter kernels
-};
-
-[[nodiscard]] std::string kernel_name(EstimationKernel kernel);
-
-/// Knobs shared by the classification kernels.
+/// Knobs shared by the classification kernels. The kernels process whole
+/// samples as uint64 words (popcount, bit-sliced vertical counters),
+/// dispatching to the widest SIMD tier the host supports (see util::cpu).
+/// Every configuration produces bit-identical integer counts by
+/// construction — for every width, thread count, chunk size and SIMD tier
+/// — and the tests hold them to a per-bit reference walk.
 struct KernelOptions {
-    EstimationKernel kernel = EstimationKernel::Packed;
-
     /// Worker threads for chunked classification; 0 = all hardware
     /// threads, 1 = run inline on the calling thread.
     unsigned threads = 1;
@@ -40,10 +26,10 @@ struct KernelOptions {
     /// for any thread count and chunk size.
     std::size_t chunk = std::size_t{1} << 16;
 
-    /// SIMD tier for the packed kernel; nullopt defers to
-    /// util::cpu::active() (runtime detection, the HDPM_SIMD environment
-    /// variable, or util::cpu::force()). Requests above the host's
-    /// capability are clamped. Has no effect on the scalar kernel.
+    /// SIMD tier; nullopt defers to util::cpu::active() (runtime
+    /// detection, the HDPM_SIMD environment variable, or
+    /// util::cpu::force()). Requests above the host's capability are
+    /// clamped.
     std::optional<util::cpu::SimdLevel> simd{};
 };
 
@@ -101,15 +87,12 @@ struct PackedBitCounts {
 /// callers that already hold raw words.
 [[nodiscard]] HdHistogram hd_histogram_words(
     std::span<const std::uint64_t> words, int width,
-    EstimationKernel kernel = EstimationKernel::Packed,
     std::optional<util::cpu::SimdLevel> simd = {});
 [[nodiscard]] HdClassHistogram hd_class_histogram_words(
     std::span<const std::uint64_t> words, int width,
-    EstimationKernel kernel = EstimationKernel::Packed,
     std::optional<util::cpu::SimdLevel> simd = {});
 [[nodiscard]] PackedBitCounts count_bits_words(
     std::span<const std::uint64_t> words, int width,
-    EstimationKernel kernel = EstimationKernel::Packed,
     std::optional<util::cpu::SimdLevel> simd = {});
 
 } // namespace hdpm::streams

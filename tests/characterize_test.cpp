@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 
 #include "core/characterize.hpp"
 #include "core/checkpoint.hpp"
+#include "core/model_library.hpp"
 #include "core/workloads.hpp"
 #include "sim/power.hpp"
 #include "util/error.hpp"
@@ -252,6 +255,75 @@ TEST(FitEnhancedModel, BinsByZeros)
     EXPECT_DOUBLE_EQ(model.fallback().coefficient(1), 30.0);
 }
 
+TEST(FitModel, RejectsZeroRecords)
+{
+    const std::vector<CharacterizationRecord> none;
+    EXPECT_THROW((void)fit_basic_model(3, none), util::PreconditionError);
+    EXPECT_THROW((void)fit_enhanced_model(3, 0, none), util::PreconditionError);
+}
+
+// ---------------------------------------------------------------------------
+// Degenerate budgets: a zero budget, or one whose shard count overflows (a
+// negative budget parsed as unsigned), must be rejected before any shard or
+// calibration runs — and must never leave a model in the library.
+// ---------------------------------------------------------------------------
+
+void expect_budget_rejected(std::size_t budget, CharBackend backend)
+{
+    const std::string label = std::to_string(budget) + " / " + char_backend_name(backend);
+    const DatapathModule module = dp::make_module(ModuleType::RippleAdder, 4);
+    const std::filesystem::path dir =
+        std::filesystem::path{::testing::TempDir()} /
+        ("bad_budget_" + std::to_string(budget % 1000) + "_" +
+         std::to_string(static_cast<int>(backend)));
+    std::filesystem::remove_all(dir);
+    const ModelLibrary library{dir};
+
+    std::size_t shards_merged = 0;
+    CharacterizationOptions options;
+    options.max_transitions = budget;
+    options.min_transitions = 0;
+    options.shard_size = 1000;
+    options.backend = backend;
+    options.progress = [&](const CharProgress&) { ++shards_merged; };
+
+    const Characterizer characterizer;
+    EXPECT_THROW((void)characterizer.collect_records(module, options),
+                 util::PreconditionError)
+        << label;
+    EXPECT_THROW((void)ShardRunner(module, options), util::PreconditionError) << label;
+    EXPECT_THROW((void)library.get_or_characterize(ModuleType::RippleAdder,
+                                                   std::array<int, 1>{4}, options),
+                 util::PreconditionError)
+        << label;
+    EXPECT_THROW((void)library.get_or_characterize_enhanced(
+                     ModuleType::RippleAdder, std::array<int, 1>{4}, 0, options),
+                 util::PreconditionError)
+        << label;
+    EXPECT_EQ(shards_merged, 0U) << label;
+    std::size_t files = 0;
+    for (const auto& entry : std::filesystem::directory_iterator{dir}) {
+        ADD_FAILURE() << label << ": stored " << entry.path().filename();
+        ++files;
+    }
+    EXPECT_EQ(files, 0U) << label;
+}
+
+TEST(Characterize, ZeroBudgetIsRejectedBeforeAnyShardRuns)
+{
+    expect_budget_rejected(0, CharBackend::EventKernel);
+    expect_budget_rejected(0, CharBackend::PowerEmulation);
+}
+
+TEST(Characterize, OverflowingBudgetIsRejectedBeforeAnyShardRuns)
+{
+    // "--budget -5" parsed by stoul: 2^64 - 5, whose shard-count round-up
+    // (budget + shard_size - 1) wraps to zero shards.
+    const std::size_t wrapped = std::numeric_limits<std::size_t>::max() - 4;
+    expect_budget_rejected(wrapped, CharBackend::EventKernel);
+    expect_budget_rejected(wrapped, CharBackend::PowerEmulation);
+}
+
 TEST(Characterize, ModelPredictsRandomStreamAverage)
 {
     // Closing the loop: a characterized model must estimate the average
@@ -272,20 +344,17 @@ TEST(Characterize, ModelPredictsRandomStreamAverage)
 }
 
 // ---------------------------------------------------------------------------
-// Execution-knob determinism: warm-up mode, thread count and scheduler kind
-// are pure execution choices — every combination must produce bit-identical
-// record streams and therefore bit-identical fitted coefficients. These are
-// the invariants that let ModelLibrary exclude all three knobs from its
-// options fingerprint and let characterization default to all cores.
+// Execution-knob determinism: the thread count is a pure execution choice —
+// every value must produce bit-identical record streams and therefore
+// bit-identical fitted coefficients. This is the invariant that lets
+// ModelLibrary exclude it from its options fingerprint and lets
+// characterization default to all cores.
 // ---------------------------------------------------------------------------
 
 std::vector<CharacterizationRecord> collect_pairs(const DatapathModule& module,
-                                                  WarmupMode warmup, unsigned threads,
-                                                  sim::SchedulerKind scheduler)
+                                                  unsigned threads)
 {
-    sim::EventSimOptions sim_options;
-    sim_options.scheduler = scheduler;
-    const Characterizer characterizer{gate::TechLibrary::generic350(), sim_options};
+    const Characterizer characterizer;
 
     CharacterizationOptions options;
     options.max_transitions = 1200;
@@ -294,7 +363,6 @@ std::vector<CharacterizationRecord> collect_pairs(const DatapathModule& module,
     options.shard_size = 150; // several shards, so the thread count matters
     options.seed = 23;
     options.mode = StimulusMode::StratifiedPairs;
-    options.warmup = warmup;
     options.threads = threads;
     return characterizer.collect_records(module, options);
 }
@@ -313,55 +381,28 @@ void expect_identical_records(const std::vector<CharacterizationRecord>& a,
     }
 }
 
-TEST(Determinism, WarmupThreadsSchedulerMatrixIsBitIdentical)
+TEST(Determinism, ThreadsMatrixIsBitIdentical)
 {
     const DatapathModule module = dp::make_module(ModuleType::RippleAdder, 4);
-    const auto baseline = collect_pairs(module, WarmupMode::PerRecord, 1,
-                                        sim::SchedulerKind::BinaryHeap);
+    const auto baseline = collect_pairs(module, 1);
     const EnhancedHdModel baseline_model =
         fit_enhanced_model(module.total_input_bits(), 0, baseline);
 
-    for (const WarmupMode warmup : {WarmupMode::Batched, WarmupMode::PerRecord}) {
-        for (const unsigned threads : {1U, 4U}) {
-            for (const sim::SchedulerKind scheduler :
-                 {sim::SchedulerKind::TimingWheel, sim::SchedulerKind::BinaryHeap}) {
-                const std::string label =
-                    std::string{warmup == WarmupMode::Batched ? "batched" : "per-record"} +
-                    "/" + std::to_string(threads) + "t/" +
-                    (scheduler == sim::SchedulerKind::TimingWheel ? "wheel" : "heap");
-                const auto records = collect_pairs(module, warmup, threads, scheduler);
-                expect_identical_records(baseline, records, label);
+    for (const unsigned threads : {2U, 3U, 4U, 8U}) {
+        const std::string label = std::to_string(threads) + "t";
+        const auto records = collect_pairs(module, threads);
+        expect_identical_records(baseline, records, label);
 
-                const EnhancedHdModel model =
-                    fit_enhanced_model(module.total_input_bits(), 0, records);
-                ASSERT_EQ(model.num_coefficients(), baseline_model.num_coefficients())
-                    << label;
-                const int m = module.total_input_bits();
-                for (int hd = 1; hd <= m; ++hd) {
-                    for (int z = 0; z <= m - hd; ++z) {
-                        ASSERT_EQ(model.coefficient(hd, z),
-                                  baseline_model.coefficient(hd, z))
-                            << label << " (" << hd << ", " << z << ")";
-                    }
-                }
+        const EnhancedHdModel model =
+            fit_enhanced_model(module.total_input_bits(), 0, records);
+        ASSERT_EQ(model.num_coefficients(), baseline_model.num_coefficients()) << label;
+        const int m = module.total_input_bits();
+        for (int hd = 1; hd <= m; ++hd) {
+            for (int z = 0; z <= m - hd; ++z) {
+                ASSERT_EQ(model.coefficient(hd, z), baseline_model.coefficient(hd, z))
+                    << label << " (" << hd << ", " << z << ")";
             }
         }
-    }
-}
-
-TEST(Determinism, BatchedWarmupMatchesPerRecordOnEveryModuleFamily)
-{
-    // The unique-fixpoint argument is structural, but each module family
-    // exercises different gate mixes and reconvergence patterns — sweep
-    // them all with a small budget.
-    for (const ModuleType type : dp::all_module_types()) {
-        const DatapathModule module = dp::make_module(type, 3);
-        const auto batched = collect_pairs(module, WarmupMode::Batched, 1,
-                                           sim::SchedulerKind::TimingWheel);
-        const auto per_record = collect_pairs(module, WarmupMode::PerRecord, 1,
-                                              sim::SchedulerKind::TimingWheel);
-        expect_identical_records(batched, per_record,
-                                 dp::module_type_id(type));
     }
 }
 
@@ -378,19 +419,13 @@ TEST(Determinism, WarmupCountersReflectMode)
     options.mode = StimulusMode::StratifiedPairs;
     options.threads = 1;
 
+    // Pairs mode settles its warm-up vectors in 64-lane batches: 500
+    // vectors take ceil(500 / 64) = 8 passes.
     CharRunStats stats;
     options.stats = &stats;
-    options.warmup = WarmupMode::Batched;
     (void)characterizer.collect_records(module, options);
     EXPECT_EQ(stats.warmup_vectors, 500U);
-    EXPECT_GT(stats.warmup_batches, 0U);
-
-    CharRunStats per_record_stats;
-    options.stats = &per_record_stats;
-    options.warmup = WarmupMode::PerRecord;
-    (void)characterizer.collect_records(module, options);
-    EXPECT_EQ(per_record_stats.warmup_vectors, 500U);
-    EXPECT_EQ(per_record_stats.warmup_batches, 0U);
+    EXPECT_EQ(stats.warmup_batches, 8U);
 
     // Chain modes never warm up and leave the counters untouched.
     CharRunStats chain_stats;
@@ -404,9 +439,9 @@ TEST(Determinism, WarmupCountersReflectMode)
 // ---------------------------------------------------------------------------
 // Checkpoint/resume: an interrupted run leaves a crash-safe journal, and a
 // later run with the same stimulus plan resumes from it bit-identically —
-// under any execution-knob combination, because the journal (like the
-// stored-model fingerprint) is independent of threads, warm-up and
-// scheduler. A stale or damaged journal is never trusted.
+// under any thread count, because the journal (like the stored-model
+// fingerprint) is independent of it. A stale or damaged journal is never
+// trusted.
 // ---------------------------------------------------------------------------
 
 /// Exception an aborting progress callback uses to simulate a run killed
@@ -415,13 +450,10 @@ TEST(Determinism, WarmupCountersReflectMode)
 struct AbortRun {};
 
 std::vector<CharacterizationRecord> collect_pairs_checkpointed(
-    const DatapathModule& module, WarmupMode warmup, unsigned threads,
-    sim::SchedulerKind scheduler, const std::filesystem::path& checkpoint,
+    const DatapathModule& module, unsigned threads, const std::filesystem::path& checkpoint,
     CharRunStats* stats, std::size_t abort_after_shards)
 {
-    sim::EventSimOptions sim_options;
-    sim_options.scheduler = scheduler;
-    const Characterizer characterizer{gate::TechLibrary::generic350(), sim_options};
+    const Characterizer characterizer;
 
     CharacterizationOptions options;
     options.max_transitions = 1200;
@@ -430,7 +462,6 @@ std::vector<CharacterizationRecord> collect_pairs_checkpointed(
     options.shard_size = 150; // the plan of collect_pairs: 8 shards
     options.seed = 23;
     options.mode = StimulusMode::StratifiedPairs;
-    options.warmup = warmup;
     options.threads = threads;
     options.checkpoint = checkpoint;
     options.stats = stats;
@@ -444,65 +475,48 @@ std::vector<CharacterizationRecord> collect_pairs_checkpointed(
     return characterizer.collect_records(module, options);
 }
 
-TEST(Checkpoint, InterruptedRunResumesBitIdenticallyAcrossExecutionKnobs)
+TEST(Checkpoint, InterruptedRunResumesBitIdenticallyAcrossThreadCounts)
 {
     const DatapathModule module = dp::make_module(ModuleType::RippleAdder, 4);
     // The ground truth: the same plan, uninterrupted and unjournaled.
-    const auto baseline = collect_pairs(module, WarmupMode::PerRecord, 1,
-                                        sim::SchedulerKind::BinaryHeap);
+    const auto baseline = collect_pairs(module, 1);
 
     const std::filesystem::path dir{::testing::TempDir()};
-    int run = 0;
-    for (const WarmupMode warmup : {WarmupMode::Batched, WarmupMode::PerRecord}) {
-        for (const unsigned threads : {1U, 4U}) {
-            for (const sim::SchedulerKind scheduler :
-                 {sim::SchedulerKind::TimingWheel, sim::SchedulerKind::BinaryHeap}) {
-                const std::string label =
-                    std::string{warmup == WarmupMode::Batched ? "batched" : "per-record"} +
-                    "/" + std::to_string(threads) + "t/" +
-                    (scheduler == sim::SchedulerKind::TimingWheel ? "wheel" : "heap");
-                const std::filesystem::path journal =
-                    dir / ("resume_matrix_" + std::to_string(run++) + ".journal");
+    for (const unsigned threads : {1U, 2U, 4U}) {
+        const std::string label = std::to_string(threads) + "t";
+        const std::filesystem::path journal =
+            dir / ("resume_matrix_" + label + ".journal");
 
-                // Interrupt under the production combination; the progress
-                // callback fires before the shard's own publish, so the
-                // journal holds the first two shards when the "kill" lands.
-                EXPECT_THROW((void)collect_pairs_checkpointed(
-                                 module, WarmupMode::Batched, 4,
-                                 sim::SchedulerKind::TimingWheel, journal, nullptr, 3),
-                             AbortRun)
-                    << label;
-                ASSERT_TRUE(std::filesystem::exists(journal)) << label;
+        // Interrupt on four threads; the progress callback fires before the
+        // shard's own publish, so the journal holds the first two shards
+        // when the "kill" lands.
+        EXPECT_THROW((void)collect_pairs_checkpointed(module, 4, journal, nullptr, 3),
+                     AbortRun)
+            << label;
+        ASSERT_TRUE(std::filesystem::exists(journal)) << label;
 
-                // Resume under every combination of execution knobs.
-                CharRunStats stats;
-                const auto records = collect_pairs_checkpointed(
-                    module, warmup, threads, scheduler, journal, &stats, 0);
-                EXPECT_EQ(stats.shards_resumed, 2U) << label;
-                EXPECT_FALSE(stats.checkpoint_discarded) << label;
-                EXPECT_GE(stats.checkpoints_published, 1U) << label;
-                EXPECT_TRUE(stats.shard_failures.empty()) << label;
-                expect_identical_records(baseline, records, label);
+        // Resume under every thread count.
+        CharRunStats stats;
+        const auto records = collect_pairs_checkpointed(module, threads, journal, &stats, 0);
+        EXPECT_EQ(stats.shards_resumed, 2U) << label;
+        EXPECT_FALSE(stats.checkpoint_discarded) << label;
+        EXPECT_GE(stats.checkpoints_published, 1U) << label;
+        EXPECT_TRUE(stats.shard_failures.empty()) << label;
+        expect_identical_records(baseline, records, label);
 
-                // A completed run retires its journal.
-                EXPECT_FALSE(std::filesystem::exists(journal)) << label;
-            }
-        }
+        // A completed run retires its journal.
+        EXPECT_FALSE(std::filesystem::exists(journal)) << label;
     }
 }
 
 TEST(Checkpoint, CorruptJournalIsQuarantinedAndItsWholePrefixSalvaged)
 {
     const DatapathModule module = dp::make_module(ModuleType::RippleAdder, 4);
-    const auto baseline = collect_pairs(module, WarmupMode::Batched, 1,
-                                        sim::SchedulerKind::TimingWheel);
+    const auto baseline = collect_pairs(module, 1);
     const std::filesystem::path journal =
         std::filesystem::path{::testing::TempDir()} / "corrupt_resume.journal";
 
-    EXPECT_THROW((void)collect_pairs_checkpointed(module, WarmupMode::Batched, 1,
-                                                  sim::SchedulerKind::TimingWheel,
-                                                  journal, nullptr, 3),
-                 AbortRun);
+    EXPECT_THROW((void)collect_pairs_checkpointed(module, 1, journal, nullptr, 3), AbortRun);
     const std::size_t published = load_checkpoint(journal)->shards.size();
     ASSERT_GE(published, 1U);
 
@@ -514,9 +528,7 @@ TEST(Checkpoint, CorruptJournalIsQuarantinedAndItsWholePrefixSalvaged)
     std::filesystem::resize_file(journal, size - 20);
 
     CharRunStats stats;
-    const auto records = collect_pairs_checkpointed(module, WarmupMode::Batched, 1,
-                                                    sim::SchedulerKind::TimingWheel,
-                                                    journal, &stats, 0);
+    const auto records = collect_pairs_checkpointed(module, 1, journal, &stats, 0);
     // The damaged file itself is never trusted again, but the whole-shard
     // prefix inside it is salvaged and resumed; only the torn tail is
     // re-simulated.
@@ -535,20 +547,14 @@ TEST(Checkpoint, JournalFromAnotherPlanIsDiscarded)
     // run — the module key and input bits are part of the journal stamp.
     const DatapathModule four = dp::make_module(ModuleType::RippleAdder, 4);
     const DatapathModule five = dp::make_module(ModuleType::RippleAdder, 5);
-    const auto baseline = collect_pairs(five, WarmupMode::Batched, 1,
-                                        sim::SchedulerKind::TimingWheel);
+    const auto baseline = collect_pairs(five, 1);
     const std::filesystem::path journal =
         std::filesystem::path{::testing::TempDir()} / "cross_plan.journal";
 
-    EXPECT_THROW((void)collect_pairs_checkpointed(four, WarmupMode::Batched, 1,
-                                                  sim::SchedulerKind::TimingWheel,
-                                                  journal, nullptr, 3),
-                 AbortRun);
+    EXPECT_THROW((void)collect_pairs_checkpointed(four, 1, journal, nullptr, 3), AbortRun);
 
     CharRunStats stats;
-    const auto records = collect_pairs_checkpointed(five, WarmupMode::Batched, 1,
-                                                    sim::SchedulerKind::TimingWheel,
-                                                    journal, &stats, 0);
+    const auto records = collect_pairs_checkpointed(five, 1, journal, &stats, 0);
     EXPECT_TRUE(stats.checkpoint_discarded);
     EXPECT_EQ(stats.shards_resumed, 0U);
     expect_identical_records(baseline, records, "cross-plan journal");

@@ -337,5 +337,51 @@ TEST(CornerSweep, FittedModelsTrackThePhysicsAcrossCorners)
                  util::PreconditionError);
 }
 
+/// The event-kernel sweep's amortization claim, counted in the pairs the
+/// event kernel simulates rather than in wall time: K = 8 nominal-load
+/// corners of the 16-bit CSA multiplier as eight independent runs simulate
+/// K x records pairs; one sweep simulates corner 0's records once plus the
+/// per-corner transfer calibration. The geometry is a fixed-size run with
+/// a transition budget of 10000 and 256 calibration pairs per corner; the
+/// sweep must do at most a fifth of the independent runs' event work.
+TEST(CornerSweep, EventSweepAmortizesEightCornersAtLeastFiveFold)
+{
+    const DatapathModule module = dp::make_module(ModuleType::CsaMultiplier, 16);
+    std::vector<gate::Corner> corners;
+    for (const double vdd : {3.3, 3.0, 2.7, 2.5}) {
+        for (const double temp : {25.0, 85.0}) {
+            corners.push_back({vdd, temp, gate::LoadClass::Nominal});
+        }
+    }
+
+    CharacterizationOptions options;
+    options.max_transitions = 10000;
+    options.min_transitions = 10000; // fixed workload: no early convergence stop
+    options.batch = 10000;
+    options.shard_size = 1000;
+    options.seed = 77;
+    options.mode = StimulusMode::StratifiedPairs;
+    options.backend = CharBackend::EventKernel;
+    options.calibration_pairs = 256;
+    options.corners = corners;
+    CharRunStats stats;
+    options.stats = &stats;
+
+    const auto records = Characterizer{}.collect_records_corners(module, options);
+    ASSERT_EQ(records.size(), corners.size());
+    for (const auto& block : records) {
+        ASSERT_EQ(block.size(), options.max_transitions);
+    }
+    ASSERT_EQ(stats.corners, corners.size());
+    ASSERT_EQ(stats.records, options.max_transitions);
+
+    const std::uint64_t independent = corners.size() * stats.records;
+    const std::uint64_t sweep = stats.records + stats.corner_calibration_pairs;
+    EXPECT_GE(independent, 5 * sweep)
+        << "event-kernel pairs: " << independent << " for 8 independent runs vs "
+        << sweep << " for one sweep (" << stats.corner_calibration_pairs
+        << " of them calibration)";
+}
+
 } // namespace
 } // namespace hdpm::core

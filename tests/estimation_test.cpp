@@ -1,7 +1,8 @@
 /// Tests of the word-parallel estimation serving path: PackedTrace packing,
-/// the packed vs scalar kernel equivalence (property-swept over widths,
-/// operand splits, stream shapes, thread counts and chunk sizes — the
-/// kernels must agree bit-for-bit), histogram-based model evaluation
+/// the kernels against the per-bit reference classifiers in tests/oracles
+/// (property-swept over widths, operand splits, stream shapes, thread
+/// counts and chunk sizes — they must agree bit-for-bit), histogram-based
+/// model evaluation
 /// against the per-cycle reference, the batched EstimationEngine's
 /// histogram cache, and the hardened stream I/O.
 
@@ -19,15 +20,16 @@
 #include "core/enhanced_model.hpp"
 #include "core/estimation_engine.hpp"
 #include "core/hd_model.hpp"
+#include "oracles/scalar_kernels.hpp"
 #include "streams/bitstats.hpp"
 #include "streams/io.hpp"
 #include "streams/kernels.hpp"
 #include "streams/packed_trace.hpp"
+#include "util/cpu.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
 using namespace hdpm;
-using streams::EstimationKernel;
 using streams::KernelOptions;
 using streams::PackedTrace;
 
@@ -218,37 +220,45 @@ TEST(PackedTrace, RejectsOverflowingSampleCounts)
     EXPECT_EQ(ok.size(), 2U);
 }
 
-// --- Packed vs scalar kernel equivalence -------------------------------
+// --- Kernels vs the per-bit reference -----------------------------------
 
 TEST(Kernels, PackedMatchesScalarAcrossWidths)
 {
-    // Full width sweep 1..64 with two stream shapes; 257 samples leaves a
-    // non-multiple-of-4 tail for the unrolled loops.
+    // Full width sweep 1..64 with two stream shapes, on every SIMD tier
+    // (clamped to the host's capability). 257 samples are 256
+    // transitions, a whole number of the unrolled loops' 8-wide blocks;
+    // 262 samples leave a ragged 5-transition tail.
+    using util::cpu::SimdLevel;
     for (int width = 1; width <= 64; ++width) {
-        for (const bool correlated : {false, true}) {
-            const auto words =
-                correlated
-                    ? correlated_words(width, 257, 1000 + static_cast<unsigned>(width))
-                    : random_words(width, 257, 2000 + static_cast<unsigned>(width));
-            const auto hd_s =
-                streams::hd_histogram_words(words, width, EstimationKernel::Scalar);
-            const auto hd_p =
-                streams::hd_histogram_words(words, width, EstimationKernel::Packed);
-            EXPECT_EQ(hd_s.counts, hd_p.counts) << "width " << width;
-            EXPECT_EQ(hd_s.pairs, hd_p.pairs);
+        for (const std::size_t samples : {std::size_t{257}, std::size_t{262}}) {
+            for (const bool correlated : {false, true}) {
+                const auto seed = static_cast<unsigned>(width);
+                const auto words = correlated
+                                       ? correlated_words(width, samples, 1000 + seed)
+                                       : random_words(width, samples, 2000 + seed);
+                const auto hd_s = oracle::scalar_hd_histogram(words, width);
+                const auto cls_s = oracle::scalar_hd_class_histogram(words, width);
+                const auto bits_s = oracle::scalar_count_bits(words, width);
+                for (const SimdLevel simd :
+                     {SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512}) {
+                    const std::string label = "width " + std::to_string(width) + ", " +
+                                              std::to_string(samples) + " samples, simd " +
+                                              util::cpu::level_name(simd);
+                    const auto hd_p = streams::hd_histogram_words(words, width, simd);
+                    EXPECT_EQ(hd_s.counts, hd_p.counts) << label;
+                    EXPECT_EQ(hd_s.pairs, hd_p.pairs) << label;
 
-            const auto cls_s = streams::hd_class_histogram_words(
-                words, width, EstimationKernel::Scalar);
-            const auto cls_p = streams::hd_class_histogram_words(
-                words, width, EstimationKernel::Packed);
-            EXPECT_EQ(cls_s.counts, cls_p.counts) << "width " << width;
+                    const auto cls_p =
+                        streams::hd_class_histogram_words(words, width, simd);
+                    EXPECT_EQ(cls_s.counts, cls_p.counts) << label;
+                    EXPECT_EQ(cls_s.pairs, cls_p.pairs) << label;
 
-            const auto bits_s =
-                streams::count_bits_words(words, width, EstimationKernel::Scalar);
-            const auto bits_p =
-                streams::count_bits_words(words, width, EstimationKernel::Packed);
-            EXPECT_EQ(bits_s.ones, bits_p.ones) << "width " << width;
-            EXPECT_EQ(bits_s.toggles, bits_p.toggles) << "width " << width;
+                    const auto bits_p = streams::count_bits_words(words, width, simd);
+                    EXPECT_EQ(bits_s.ones, bits_p.ones) << label;
+                    EXPECT_EQ(bits_s.toggles, bits_p.toggles) << label;
+                    EXPECT_EQ(bits_s.samples, bits_p.samples) << label;
+                }
+            }
         }
     }
 }
@@ -256,7 +266,7 @@ TEST(Kernels, PackedMatchesScalarAcrossWidths)
 TEST(Kernels, MultiOperandSplitMatchesScalar)
 {
     // Multi-operand traces classify over the concatenated width; the
-    // packed kernels must agree with the scalar path on the whole word.
+    // kernels must agree with the per-bit reference on the whole word.
     util::Rng rng{77};
     const std::vector<std::vector<int>> splits{{8, 8}, {3, 5, 7}, {1, 1, 1, 1},
                                                {32, 31}};
@@ -270,43 +280,35 @@ TEST(Kernels, MultiOperandSplitMatchesScalar)
             operands.push_back(std::move(values));
         }
         const PackedTrace trace = PackedTrace::from_operands(operands, widths);
-        const auto scalar = streams::hd_class_histogram(
-            trace, KernelOptions{.kernel = EstimationKernel::Scalar});
-        const auto packed = streams::hd_class_histogram(
-            trace, KernelOptions{.kernel = EstimationKernel::Packed});
-        EXPECT_EQ(scalar.counts, packed.counts);
+        EXPECT_EQ(oracle::scalar_hd_class_histogram(trace).counts,
+                  streams::hd_class_histogram(trace).counts);
     }
 }
 
 TEST(Kernels, ThreadAndChunkInvariance)
 {
-    // Same integer histogram for every (threads, chunk, kernel) combination
-    // — chunk boundaries overlap one sample and merge in chunk order.
+    // The per-bit reference's integer histogram for every (threads,
+    // chunk) combination — chunk boundaries overlap one sample and merge in
+    // chunk order.
     const int width = 16;
     const auto words = correlated_words(width, 50000, 99);
     const PackedTrace trace = trace_from_words(words, width);
-    const auto reference =
-        streams::hd_class_histogram(trace, KernelOptions{.threads = 1});
-    const auto hd_reference = streams::hd_histogram(trace, KernelOptions{.threads = 1});
-    const auto bit_reference = streams::count_bits(trace, KernelOptions{.threads = 1});
+    const auto reference = oracle::scalar_hd_class_histogram(trace);
+    const auto hd_reference = oracle::scalar_hd_histogram(trace);
+    const auto bit_reference = oracle::scalar_count_bits(trace);
 
-    for (const unsigned threads : {0U, 2U, 3U, 8U}) {
+    for (const unsigned threads : {0U, 1U, 2U, 3U, 8U}) {
         for (const std::size_t chunk : {std::size_t{64}, std::size_t{997},
                                         std::size_t{1} << 16}) {
-            for (const auto kernel :
-                 {EstimationKernel::Packed, EstimationKernel::Scalar}) {
-                const KernelOptions options{
-                    .kernel = kernel, .threads = threads, .chunk = chunk};
-                EXPECT_EQ(streams::hd_class_histogram(trace, options).counts,
-                          reference.counts)
-                    << threads << " threads, chunk " << chunk;
-                EXPECT_EQ(streams::hd_histogram(trace, options).counts,
-                          hd_reference.counts)
-                    << threads << " threads, chunk " << chunk;
-                const auto bits = streams::count_bits(trace, options);
-                EXPECT_EQ(bits.ones, bit_reference.ones);
-                EXPECT_EQ(bits.toggles, bit_reference.toggles);
-            }
+            const KernelOptions options{.threads = threads, .chunk = chunk};
+            EXPECT_EQ(streams::hd_class_histogram(trace, options).counts,
+                      reference.counts)
+                << threads << " threads, chunk " << chunk;
+            EXPECT_EQ(streams::hd_histogram(trace, options).counts, hd_reference.counts)
+                << threads << " threads, chunk " << chunk;
+            const auto bits = streams::count_bits(trace, options);
+            EXPECT_EQ(bits.ones, bit_reference.ones);
+            EXPECT_EQ(bits.toggles, bit_reference.toggles);
         }
     }
 }
@@ -507,9 +509,9 @@ TEST(PackedTrace, CountsOutOfRangePerOperand)
 TEST(EstimateTrace, ModelsServeMultiWordTraces)
 {
     // A 100-bit trace (3 operands, middle one straddling the word break):
-    // every model kind must evaluate it, and the packed kernels must agree
-    // with the scalar baseline exactly (identical integer histograms are
-    // folded in the same FP order).
+    // every model kind must evaluate it, and must agree exactly with its
+    // histogram form over the per-bit reference histograms (identical
+    // integer histograms are folded in the same FP order).
     const int m = 100;
     util::Rng rng{2029};
     const std::vector<int> widths{30, 40, 30};
@@ -525,12 +527,12 @@ TEST(EstimateTrace, ModelsServeMultiWordTraces)
     ASSERT_EQ(trace.width(), m);
     ASSERT_EQ(trace.words_per_sample(), 2U);
 
-    const KernelOptions scalar{.kernel = EstimationKernel::Scalar};
     const core::HdModel hd = make_hd_model(m, 12);
-    EXPECT_DOUBLE_EQ(hd.estimate_trace(trace), hd.estimate_trace(trace, scalar));
+    EXPECT_EQ(hd.estimate_trace(trace),
+              hd.estimate_from_histogram(oracle::scalar_hd_histogram(trace)));
     const core::EnhancedHdModel enhanced = make_enhanced_model(m, 13);
-    EXPECT_DOUBLE_EQ(enhanced.estimate_trace(trace),
-                     enhanced.estimate_trace(trace, scalar));
+    EXPECT_EQ(enhanced.estimate_trace(trace),
+              enhanced.estimate_from_histogram(oracle::scalar_hd_class_histogram(trace)));
 
     // The bitwise model's multi-word walk vs a per-bit reference.
     std::vector<double> weights(static_cast<std::size_t>(m));
@@ -668,8 +670,9 @@ TEST(EstimationEngine, SingleEntryLargerThanBudgetStillServes)
 TEST(EstimationEngine, CacheSurvivesSetOptionsChanges)
 {
     // Kernel options are not part of the cache key (all configurations
-    // produce identical integer histograms), so switching kernels between
-    // queries must keep hitting — and keep returning the exact value.
+    // produce identical integer histograms), so switching threads, chunk
+    // size or SIMD tier between queries must keep hitting — and keep
+    // returning the exact value.
     core::EstimationEngine engine{KernelOptions{.threads = 1}};
     const core::HdModel model = make_hd_model(12, 43);
     const PackedTrace trace = trace_from_words(correlated_words(12, 2000, 83), 12);
@@ -677,7 +680,8 @@ TEST(EstimationEngine, CacheSurvivesSetOptionsChanges)
     const double first = engine.estimate(model, trace);
     EXPECT_EQ(engine.stats().histograms_built, 1U);
 
-    engine.set_options(KernelOptions{.kernel = EstimationKernel::Scalar, .threads = 2});
+    engine.set_options(
+        KernelOptions{.threads = 2, .simd = util::cpu::SimdLevel::Scalar});
     const double second = engine.estimate(model, trace);
     engine.set_options(KernelOptions{.threads = 0, .chunk = std::size_t{1} << 12});
     const double third = engine.estimate(model, trace);

@@ -1,6 +1,6 @@
-// Differential tests of the event-kernel overhaul: the timing-wheel
-// scheduler against the retained binary-heap baseline, the compiled
-// truth-table evaluation against gate_eval, and the 64-lane
+// Differential tests of the event kernel: the timing-wheel scheduler
+// against the priority-queue reference simulator in tests/oracles, the
+// compiled truth-table evaluation against gate_eval, and the 64-lane
 // BatchedEvaluator against the scalar FunctionalEvaluator.
 
 #include <gtest/gtest.h>
@@ -11,11 +11,13 @@
 #include <ostream>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dpgen/module.hpp"
 #include "gatelib/gate.hpp"
 #include "gatelib/techlib.hpp"
+#include "oracles/heap_event_sim.hpp"
 #include "sim/batched.hpp"
 #include "sim/event_sim.hpp"
 #include "sim/functional.hpp"
@@ -29,6 +31,7 @@ namespace {
 
 using gate::TechLibrary;
 using netlist::NetId;
+using oracle::HeapEventSimulator;
 using util::BitVec;
 using util::Rng;
 
@@ -132,13 +135,17 @@ protected:
         context_ = std::make_unique<SimContext>(module_->netlist(), *library_);
     }
 
-    [[nodiscard]] EventSimOptions options(SchedulerKind kind) const
+    [[nodiscard]] EventSimOptions options() const
     {
         EventSimOptions o;
         o.inertial_window_ps = GetParam().window;
         o.count_input_charge = GetParam().count_input_charge;
-        o.scheduler = kind;
         return o;
+    }
+
+    [[nodiscard]] HeapEventSimulator oracle() const
+    {
+        return HeapEventSimulator{module_->netlist(), context_->electrical(), options()};
     }
 
     [[nodiscard]] int input_bits() const { return module_->total_input_bits(); }
@@ -150,7 +157,7 @@ protected:
 
 /// Per-cycle toggle tracking must report the same nets, in the same
 /// first-toggle order, with the same per-net counts.
-void expect_same_toggles(const EventSimulator& a, const EventSimulator& b, int trial)
+void expect_same_toggles(const EventSimulator& a, const HeapEventSimulator& b, int trial)
 {
     const auto nets_a = a.cycle_toggled_nets();
     const auto nets_b = b.cycle_toggled_nets();
@@ -162,16 +169,16 @@ void expect_same_toggles(const EventSimulator& a, const EventSimulator& b, int t
     }
 }
 
-/// Same random stimulus chain through both kernels over one shared
-/// context: every CycleResult, every output vector, the per-cycle toggle
+/// Same random stimulus chain through the wheel and the reference kernel:
+/// every CycleResult, every output vector, the per-cycle toggle
 /// sets, the cumulative per-net counters and the kernel counters must be
 /// bit-identical.
 TEST_P(HeapVsWheel, IdenticalCycleStreams)
 {
     const int m = input_bits();
     const bool track = GetParam().track_cycle_toggles;
-    EventSimulator wheel{*context_, options(SchedulerKind::TimingWheel)};
-    EventSimulator heap{*context_, options(SchedulerKind::BinaryHeap)};
+    EventSimulator wheel{*context_, options()};
+    HeapEventSimulator heap = oracle();
     wheel.set_cycle_toggle_tracking(track);
     heap.set_cycle_toggle_tracking(track);
 
@@ -194,14 +201,15 @@ TEST_P(HeapVsWheel, IdenticalCycleStreams)
     EXPECT_EQ(wheel.kernel_stats().max_queue_depth, heap.kernel_stats().max_queue_depth);
 }
 
-/// The characterizer's StratifiedPairs mode re-initializes before every
-/// measured pair; both kernels must agree through repeated resets too.
+/// Re-initializing before every measured pair (the shape of a
+/// StratifiedPairs record): both kernels must agree through repeated
+/// resets too.
 TEST_P(HeapVsWheel, IdenticalAcrossReinitialize)
 {
     const int m = input_bits();
     const bool track = GetParam().track_cycle_toggles;
-    EventSimulator wheel{*context_, options(SchedulerKind::TimingWheel)};
-    EventSimulator heap{*context_, options(SchedulerKind::BinaryHeap)};
+    EventSimulator wheel{*context_, options()};
+    HeapEventSimulator heap = oracle();
     wheel.set_cycle_toggle_tracking(track);
     heap.set_cycle_toggle_tracking(track);
 
@@ -235,27 +243,22 @@ TEST(EventSim, RepeatedInitializeIsStateless)
     const int m = module.total_input_bits();
     const SimContext context{module.netlist(), TechLibrary::generic350()};
 
-    for (const SchedulerKind kind :
-         {SchedulerKind::TimingWheel, SchedulerKind::BinaryHeap}) {
-        EventSimOptions options;
-        options.scheduler = kind;
-        EventSimulator fresh{context, options};
-        EventSimulator used{context, options};
+    EventSimulator fresh{context};
+    EventSimulator used{context};
 
-        Rng warmup{11};
-        used.initialize(BitVec{m, warmup.next_u64()});
-        for (int i = 0; i < 25; ++i) {
-            (void)used.apply(BitVec{m, warmup.next_u64()});
-        }
+    Rng warmup{11};
+    used.initialize(BitVec{m, warmup.next_u64()});
+    for (int i = 0; i < 25; ++i) {
+        (void)used.apply(BitVec{m, warmup.next_u64()});
+    }
 
-        Rng rng{88};
-        const BitVec u{m, rng.next_u64()};
-        fresh.initialize(u);
-        used.initialize(u);
-        for (int i = 0; i < 25; ++i) {
-            const BitVec v{m, rng.next_u64()};
-            expect_same_cycle(fresh.apply(v), used.apply(v), i);
-        }
+    Rng rng{88};
+    const BitVec u{m, rng.next_u64()};
+    fresh.initialize(u);
+    used.initialize(u);
+    for (int i = 0; i < 25; ++i) {
+        const BitVec v{m, rng.next_u64()};
+        expect_same_cycle(fresh.apply(v), used.apply(v), i);
     }
 }
 
@@ -602,21 +605,22 @@ TEST(CellRec, EvalRecMatchesGateEval)
 }
 
 /// load_state(u, fixpoint(u)) must leave the simulator in exactly the
-/// post-initialize(u) state: same subsequent cycles on both schedulers,
-/// whether the simulator is fresh or carries arbitrary history.
+/// post-initialize(u) state, whether it is fresh or carries arbitrary
+/// history. This is the batched pairs-mode warm-up's whole correctness
+/// argument, so it runs the characterizer's exact usage: every module
+/// family, full 64-lane BatchedEvaluator settles, every lane adopted and
+/// timed against an initialize(u) + apply(v) reference — same outputs,
+/// same cycle, same per-net toggle set.
 TEST(LoadState, MatchesInitialize)
 {
-    const dp::DatapathModule module =
-        dp::make_module(dp::ModuleType::CsaMultiplier, 5);
-    const int m = module.total_input_bits();
-    const SimContext context{module.netlist(), TechLibrary::generic350()};
-
-    for (const SchedulerKind kind :
-         {SchedulerKind::TimingWheel, SchedulerKind::BinaryHeap}) {
-        EventSimOptions options;
-        options.scheduler = kind;
-        EventSimulator reference{context, options};
-        EventSimulator adopted{context, options};
+    for (const dp::ModuleType type : dp::all_module_types()) {
+        const dp::DatapathModule module = dp::make_module(type, 5);
+        const int m = module.total_input_bits();
+        const SimContext context{module.netlist(), TechLibrary::generic350()};
+        EventSimulator reference{context};
+        EventSimulator adopted{context};
+        reference.set_cycle_toggle_tracking(true);
+        adopted.set_cycle_toggle_tracking(true);
 
         // Give the adopting simulator history so the test also covers the
         // characterizer's steady-state usage (load_state after many cycles).
@@ -629,18 +633,35 @@ TEST(LoadState, MatchesInitialize)
         BatchedEvaluator batched{context};
         std::vector<std::uint8_t> lane_values(module.netlist().num_nets());
         Rng rng{5012};
-        for (int trial = 0; trial < 40; ++trial) {
-            const BitVec u{m, rng.next_u64()};
-            const BitVec v{m, rng.next_u64()};
-            const BitVec batch[] = {u};
-            batched.settle(batch);
-            batched.export_lane(0, lane_values);
-
-            reference.initialize(u);
-            adopted.load_state(u, lane_values);
-            EXPECT_EQ(adopted.outputs(), reference.outputs()) << "trial " << trial;
-            expect_same_cycle(adopted.apply(v), reference.apply(v), trial);
-            EXPECT_EQ(adopted.outputs(), reference.outputs()) << "trial " << trial;
+        for (int block = 0; block < 2; ++block) {
+            std::vector<BitVec> us;
+            std::vector<BitVec> vs;
+            for (int j = 0; j < BatchedEvaluator::kLanes; ++j) {
+                us.emplace_back(m, rng.next_u64());
+                vs.emplace_back(m, rng.next_u64());
+            }
+            batched.settle(us);
+            for (int j = 0; j < BatchedEvaluator::kLanes; ++j) {
+                const std::string label = dp::module_type_id(type) + " block " +
+                                          std::to_string(block) + " lane " +
+                                          std::to_string(j);
+                const auto lane = static_cast<std::size_t>(j);
+                batched.export_lane(j, lane_values);
+                reference.initialize(us[lane]);
+                adopted.load_state(us[lane], lane_values);
+                ASSERT_EQ(adopted.outputs(), reference.outputs()) << label;
+                const CycleResult want = reference.apply(vs[lane]);
+                const CycleResult got = adopted.apply(vs[lane]);
+                ASSERT_EQ(got.charge_fc, want.charge_fc) << label;
+                ASSERT_EQ(got.transitions, want.transitions) << label;
+                ASSERT_EQ(got.settle_time_ps, want.settle_time_ps) << label;
+                ASSERT_EQ(adopted.outputs(), reference.outputs()) << label;
+                const auto nets_want = reference.cycle_toggled_nets();
+                const auto nets_got = adopted.cycle_toggled_nets();
+                ASSERT_TRUE(std::equal(nets_got.begin(), nets_got.end(),
+                                       nets_want.begin(), nets_want.end()))
+                    << label;
+            }
         }
     }
 }
@@ -704,8 +725,9 @@ TEST(KernelStats, CountersAdvance)
 // ---------------------------------------------------------------------------
 // Event-budget safety valve: exceeding max_events_per_cycle must throw a
 // structured diagnostic that names the exact (u, v) pair, the diagnostic
-// must replay, and the simulator must stay usable afterwards — on both
-// scheduler kinds.
+// must replay, and the simulator must stay usable afterwards — on the
+// timing wheel and on the reference kernel, which must also agree on the
+// event counts the budget is measured in.
 // ---------------------------------------------------------------------------
 
 TEST(EventBudget, StructuredDiagnosticReplaysOnBothSchedulers)
@@ -717,58 +739,59 @@ TEST(EventBudget, StructuredDiagnosticReplaysOnBothSchedulers)
     const BitVec heavy{m, (1ULL << m) - 1}; // full flip: the busiest cycle
     const BitVec light{m, 1};               // single-bit flip
 
-    for (const SchedulerKind kind :
-         {SchedulerKind::TimingWheel, SchedulerKind::BinaryHeap}) {
-        EventSimOptions free_options;
-        free_options.scheduler = kind;
+    // Event counts of both cycles on an unconstrained simulator; a budget
+    // between them makes the heavy pair reliably exceed it and the light
+    // pair reliably fit.
+    const auto cycle_events = [&](auto sim) {
+        sim.initialize(u);
+        const std::uint64_t before = sim.kernel_stats().events_processed;
+        (void)sim.apply(heavy);
+        const std::uint64_t heavy_events = sim.kernel_stats().events_processed - before;
+        sim.initialize(u);
+        const std::uint64_t mid = sim.kernel_stats().events_processed;
+        (void)sim.apply(light);
+        return std::pair{heavy_events, sim.kernel_stats().events_processed - mid};
+    };
+    const auto [heavy_events, light_events] = cycle_events(EventSimulator{context});
+    EXPECT_EQ(cycle_events(HeapEventSimulator{module.netlist(), context.electrical()}),
+              std::pair(heavy_events, light_events));
+    ASSERT_LT(light_events, heavy_events);
 
-        // Measure both cycles' event counts on an unconstrained simulator,
-        // then pick a budget between them so the heavy pair reliably
-        // exceeds it and the light pair reliably fits.
-        EventSimulator probe{context, free_options};
-        probe.initialize(u);
-        const std::uint64_t before = probe.kernel_stats().events_processed;
-        (void)probe.apply(heavy);
-        const std::uint64_t heavy_events =
-            probe.kernel_stats().events_processed - before;
-        probe.initialize(u);
-        const std::uint64_t mid = probe.kernel_stats().events_processed;
-        (void)probe.apply(light);
-        const std::uint64_t light_events =
-            probe.kernel_stats().events_processed - mid;
-        ASSERT_LT(light_events, heavy_events);
-
-        EventSimOptions tight = free_options;
-        tight.max_events_per_cycle = heavy_events - 1;
-        EventSimulator sim{context, tight};
+    EventSimOptions tight;
+    tight.max_events_per_cycle = heavy_events - 1;
+    const auto check = [&](const auto& make, const char* kernel) {
+        auto sim = make();
         sim.initialize(u);
         try {
             (void)sim.apply(heavy);
-            FAIL() << "budget not enforced";
+            ADD_FAILURE() << kernel << ": budget not enforced";
         } catch (const util::FaultError& fault) {
-            EXPECT_EQ(fault.kind(), util::FaultKind::SimBudgetExceeded);
+            EXPECT_EQ(fault.kind(), util::FaultKind::SimBudgetExceeded) << kernel;
             const util::FaultContext& where = fault.context();
-            EXPECT_EQ(where.component, module.netlist().name());
-            EXPECT_EQ(where.bitwidth, m);
-            ASSERT_TRUE(where.has_vectors);
-            EXPECT_EQ(where.vector_u, u.raw());
-            EXPECT_EQ(where.vector_v, heavy.raw());
+            EXPECT_EQ(where.component, module.netlist().name()) << kernel;
+            EXPECT_EQ(where.bitwidth, m) << kernel;
+            ASSERT_TRUE(where.has_vectors) << kernel;
+            EXPECT_EQ(where.vector_u, u.raw()) << kernel;
+            EXPECT_EQ(where.vector_v, heavy.raw()) << kernel;
 
             // The recorded pair replays the fault on a fresh simulator.
-            EventSimulator replay{context, tight};
+            auto replay = make();
             replay.initialize(BitVec{m, where.vector_u});
-            EXPECT_THROW((void)replay.apply(BitVec{m, where.vector_v}),
-                         util::FaultError);
+            EXPECT_THROW((void)replay.apply(BitVec{m, where.vector_v}), util::FaultError)
+                << kernel;
         }
 
         // The failed simulator recovers with a full reset: after
         // initialize() it matches a fresh instance cycle for cycle.
-        EventSimulator fresh{context, tight};
+        auto fresh = make();
         sim.initialize(u);
         fresh.initialize(u);
         expect_same_cycle(sim.apply(light), fresh.apply(light), 0);
-        EXPECT_EQ(sim.outputs(), fresh.outputs());
-    }
+        EXPECT_EQ(sim.outputs(), fresh.outputs()) << kernel;
+    };
+    check([&] { return EventSimulator{context, tight}; }, "wheel");
+    check([&] { return HeapEventSimulator{module.netlist(), context.electrical(), tight}; },
+          "reference");
 }
 
 TEST(EventBudget, ZeroHammingDistanceCycleAlwaysFits)

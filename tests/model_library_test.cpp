@@ -84,7 +84,6 @@ TEST_F(ModelLibraryTest, ExecutionOnlyKnobsDoNotInvalidateStoredModels)
     std::atomic<int> runs{0};
     CharacterizationOptions options = quick();
     options.threads = 1;
-    options.warmup = WarmupMode::PerRecord;
     options.progress = [&](const CharProgress& p) {
         if (p.shards_merged == 1) {
             runs.fetch_add(1);
@@ -94,10 +93,11 @@ TEST_F(ModelLibraryTest, ExecutionOnlyKnobsDoNotInvalidateStoredModels)
         library.get_or_characterize(dp::ModuleType::RippleAdder, w, options);
     EXPECT_EQ(runs.load(), 1);
 
-    // Threads / warm-up mode are execution knobs with bit-identical results,
-    // so they are excluded from the fingerprint: the stored model is reused.
+    // Threads and checkpointing are execution knobs with bit-identical
+    // results, so they are excluded from the fingerprint: the stored model
+    // is reused.
     options.threads = 4;
-    options.warmup = WarmupMode::Batched;
+    options.checkpoint = dir_ / "unused.journal";
     const HdModel second =
         library.get_or_characterize(dp::ModuleType::RippleAdder, w, options);
     EXPECT_EQ(runs.load(), 1) << "execution-only knobs must not recharacterize";

@@ -2,9 +2,9 @@
 /// every pipeline stage (validation, serialization, optimization, event
 /// simulation) preserves functional behaviour on arbitrary gate graphs,
 /// not just on the structured datapath generators; a classification-kernel
-/// fuzzer holds the packed kernels to their bit-identical guarantee against
-/// the scalar baseline across widths 1..256, SIMD tiers, thread counts and
-/// chunk sizes.
+/// fuzzer holds the word-parallel kernels to their bit-identical guarantee
+/// against the per-bit reference across widths 1..256, SIMD tiers, thread
+/// counts and chunk sizes.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +16,7 @@
 #include "dpgen/module.hpp"
 #include "netlist/builder.hpp"
 #include "netlist/transform.hpp"
+#include "oracles/scalar_kernels.hpp"
 #include "sim/event_sim.hpp"
 #include "sim/functional.hpp"
 #include "streams/kernels.hpp"
@@ -286,9 +287,9 @@ streams::PackedTrace random_trace(int width, std::size_t n, Rng& rng)
 
 class KernelProperties : public ::testing::TestWithParam<int> {};
 
-/// Every (kernel, SIMD tier, thread count, chunk size) configuration must
-/// produce integer counts identical to the single-threaded scalar
-/// baseline, for widths from a single bit to multiple words. This is the
+/// Every (SIMD tier, thread count, chunk size) configuration must produce
+/// integer counts identical to the per-bit reference classifiers in
+/// tests/oracles, for widths from a single bit to multiple words. This is the
 /// guarantee that lets the estimation engine cache histograms without
 /// keying on kernel options.
 TEST_P(KernelProperties, AllConfigurationsBitIdentical)
@@ -308,12 +309,9 @@ TEST_P(KernelProperties, AllConfigurationsBitIdentical)
     for (const int width : widths) {
         const streams::PackedTrace trace = random_trace(width, n, rng);
 
-        streams::KernelOptions baseline;
-        baseline.kernel = streams::EstimationKernel::Scalar;
-        baseline.threads = 1;
-        const auto hd_ref = streams::hd_histogram(trace, baseline);
-        const auto class_ref = streams::hd_class_histogram(trace, baseline);
-        const auto bits_ref = streams::count_bits(trace, baseline);
+        const auto hd_ref = oracle::scalar_hd_histogram(trace);
+        const auto class_ref = oracle::scalar_hd_class_histogram(trace);
+        const auto bits_ref = oracle::scalar_count_bits(trace);
 
         for (const SimdLevel simd :
              {SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512}) {
@@ -321,7 +319,6 @@ TEST_P(KernelProperties, AllConfigurationsBitIdentical)
                 for (const std::size_t chunk : {std::size_t{2}, std::size_t{7},
                                                 std::size_t{64}}) {
                     streams::KernelOptions options;
-                    options.kernel = streams::EstimationKernel::Packed;
                     options.simd = simd; // clamped to the host's capability
                     options.threads = threads;
                     options.chunk = chunk;

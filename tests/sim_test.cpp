@@ -5,6 +5,7 @@
 
 #include "dpgen/module.hpp"
 #include "netlist/builder.hpp"
+#include "oracles/heap_event_sim.hpp"
 #include "sim/electrical.hpp"
 #include "sim/event_sim.hpp"
 #include "sim/functional.hpp"
@@ -376,22 +377,19 @@ TEST(Vcd, CyclesAdvanceGlobalTime)
     EXPECT_NE(out.str().find("#5000"), std::string::npos);
 }
 
-/// The wheel and heap kernels emit the same value changes at the same times
-/// in the same order, so their VCD streams are byte-identical — across
-/// glitchy multi-cycle runs and a re-initialize in the middle.
+/// The wheel and the reference heap kernel (tests/oracles) emit the same
+/// value changes at the same times in the same order, so their VCD streams
+/// are byte-identical — across glitchy multi-cycle runs and a re-initialize
+/// in the middle.
 TEST(Vcd, WheelAndHeapStreamsAreByteIdentical)
 {
     const dp::DatapathModule module = dp::make_module(dp::ModuleType::CsaMultiplier, 6);
     const int m = module.total_input_bits();
     const SimContext context{module.netlist(), TechLibrary::generic350()};
 
-    auto trace = [&](SchedulerKind kind, std::int64_t window) {
+    auto trace = [&](auto sim) {
         std::ostringstream out;
         VcdWriter vcd{out, module.netlist(), 10000};
-        EventSimOptions options;
-        options.scheduler = kind;
-        options.inertial_window_ps = window;
-        EventSimulator sim{context, options};
         sim.set_tracer(&vcd);
         Rng rng{73};
         sim.initialize(BitVec{m, rng.next_u64()});
@@ -406,9 +404,13 @@ TEST(Vcd, WheelAndHeapStreamsAreByteIdentical)
     };
 
     for (const std::int64_t window : {std::int64_t{0}, std::int64_t{100}}) {
-        const std::string wheel = trace(SchedulerKind::TimingWheel, window);
+        EventSimOptions options;
+        options.inertial_window_ps = window;
+        const std::string wheel = trace(EventSimulator{context, options});
         EXPECT_GT(wheel.size(), 1000U) << "window " << window;
-        EXPECT_EQ(wheel, trace(SchedulerKind::BinaryHeap, window)) << "window " << window;
+        EXPECT_EQ(wheel, trace(oracle::HeapEventSimulator{module.netlist(),
+                                                          context.electrical(), options}))
+            << "window " << window;
     }
 }
 

@@ -93,8 +93,7 @@ namespace {
 /// @p n records. One shard and threads=1 keep the measurement deterministic;
 /// everything the shard loop touches (stimulus arenas, the batched
 /// evaluator, the event simulator's wheel and scratch) is sized once.
-std::uint64_t allocations_for(const dp::DatapathModule& module, std::size_t n,
-                              WarmupMode warmup)
+std::uint64_t allocations_for(const dp::DatapathModule& module, std::size_t n)
 {
     CharacterizationOptions options;
     options.max_transitions = n;
@@ -104,7 +103,6 @@ std::uint64_t allocations_for(const dp::DatapathModule& module, std::size_t n,
     options.threads = 1;
     options.seed = 9;
     options.mode = StimulusMode::StratifiedPairs;
-    options.warmup = warmup;
 
     const Characterizer characterizer;
     const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
@@ -115,19 +113,17 @@ std::uint64_t allocations_for(const dp::DatapathModule& module, std::size_t n,
     return after - before;
 }
 
-class SteadyAllocTest : public ::testing::TestWithParam<WarmupMode> {};
-
-TEST_P(SteadyAllocTest, PairsCollectionDoesNotAllocatePerRecord)
+TEST(SteadyAlloc, PairsCollectionDoesNotAllocatePerRecord)
 {
     const dp::DatapathModule module =
         dp::make_module(dp::ModuleType::RippleAdder, std::array<int, 1>{4});
 
     // Warm up lazy one-time state (locale, gtest bookkeeping, allocator
     // pools) so both measured runs see identical surroundings.
-    (void)allocations_for(module, 256, GetParam());
+    (void)allocations_for(module, 256);
 
-    const std::uint64_t small = allocations_for(module, 256, GetParam());
-    const std::uint64_t large = allocations_for(module, 1024, GetParam());
+    const std::uint64_t small = allocations_for(module, 256);
+    const std::uint64_t large = allocations_for(module, 1024);
 
     // Setup allocations (context, simulator, arenas, the two result
     // reserves) are identical for both sizes; per-record allocation would
@@ -138,15 +134,6 @@ TEST_P(SteadyAllocTest, PairsCollectionDoesNotAllocatePerRecord)
            "state): 256 records cost "
         << small << " allocations, 1024 cost " << large;
 }
-
-INSTANTIATE_TEST_SUITE_P(WarmupModes, SteadyAllocTest,
-                         ::testing::Values(WarmupMode::Batched,
-                                           WarmupMode::PerRecord),
-                         [](const auto& info) {
-                             return info.param == WarmupMode::Batched
-                                        ? "Batched"
-                                        : "PerRecord";
-                         });
 
 TEST(SteadyAlloc, WarmEngineEstimateDoesNotAllocate)
 {
