@@ -26,21 +26,21 @@
 
 #include <algorithm>
 #include <array>
-#include <cctype>
-#include <charconv>
 #include <cstdlib>
 #include <iostream>
-#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "core/hdpower.hpp"
 #include "util/fault.hpp"
 #include "util/parallel.hpp"
 #include "util/table.hpp"
 
 using namespace hdpm;
+using cli::parse_data_type;
+using cli::parse_number;
 
 namespace {
 
@@ -85,41 +85,6 @@ namespace {
               << "parameterizable family (characterized at small prototype widths).\n"
               << "numeric flags and widths take plain decimal integers (no sign).\n"
               << "exit codes: 0 ok, 1 runtime failure, 2 usage, 3 completed degraded\n";
-    std::exit(2);
-}
-
-/// Parse @p text as a plain decimal integer: digits only, no sign, no
-/// trailing characters, and within T's range. Anything else is a usage
-/// error naming @p what (the flag, or "width").
-template <typename T>
-T parse_number(const std::string& what, const std::string& text)
-{
-    T value{};
-    const char* const end = text.data() + text.size();
-    const auto [stop, ec] = std::from_chars(text.data(), end, value);
-    // from_chars accepts a '-' for signed T; demand a leading digit instead.
-    if (std::isdigit(static_cast<unsigned char>(text[0])) == 0 || ec != std::errc{} ||
-        stop != end) {
-        std::cerr << "invalid value '" << text << "' for " << what
-                  << " (expected a non-negative decimal integer";
-        if (ec == std::errc::result_out_of_range) {
-            std::cerr << " no larger than " << std::numeric_limits<T>::max();
-        }
-        std::cerr << ")\n";
-        std::exit(2);
-    }
-    return value;
-}
-
-streams::DataType parse_data_type(const std::string& label)
-{
-    for (const streams::DataType type : streams::all_data_types()) {
-        if (label == streams::data_type_label(type) ||
-            label == streams::data_type_name(type)) {
-            return type;
-        }
-    }
-    std::cerr << "unknown data type '" << label << "' (use I..V or a name)\n";
     std::exit(2);
 }
 
@@ -444,7 +409,7 @@ int cmd_characterize_corners(const Cli& cli)
     }
     if (stats.shards_resumed > 0) {
         std::cout << "resumed " << stats.shards_resumed
-                  << " shard(s) from checkpoint journal(s)\n";
+                  << " shard(s) from the checkpoint journal\n";
     }
 
     // A coefficient surface needs a uniform load class and at least two

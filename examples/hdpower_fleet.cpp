@@ -30,11 +30,13 @@
 #include <string>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "fleet/coordinator.hpp"
 #include "fleet/worker.hpp"
 #include "util/fault.hpp"
 
 using namespace hdpm;
+using cli::parse_number;
 
 namespace {
 
@@ -83,7 +85,7 @@ Cli parse_args(int argc, char** argv, int start)
     cli.module_type = dp::module_type_from_id(argv[start]);
     int i = start + 1;
     while (i < argc && argv[i][0] != '-') {
-        cli.widths.push_back(std::stoi(argv[i]));
+        cli.widths.push_back(parse_number<int>("width", argv[i]));
         ++i;
     }
     if (cli.widths.empty()) {
@@ -99,14 +101,17 @@ Cli parse_args(int argc, char** argv, int start)
             }
             return argv[++i];
         };
+        auto next_number = [&]<typename T>(T& value) {
+            value = parse_number<T>(flag, next());
+        };
         if (flag == "--fleet") {
             cli.fleet_dir = next();
         } else if (flag == "--models") {
             cli.models_dir = next();
         } else if (flag == "--budget") {
-            cli.budget = std::stoul(next());
+            next_number(cli.budget);
         } else if (flag == "--threads") {
-            cli.threads = static_cast<unsigned>(std::stoul(next()));
+            next_number(cli.threads);
         } else if (flag == "--backend") {
             const std::string backend = next();
             if (backend == "event") {
@@ -119,25 +124,25 @@ Cli parse_args(int argc, char** argv, int start)
                 std::exit(2);
             }
         } else if (flag == "--calibration") {
-            cli.calibration = std::stoul(next());
+            next_number(cli.calibration);
         } else if (flag == "--shard-size") {
-            cli.shard_size = std::stoul(next());
+            next_number(cli.shard_size);
         } else if (flag == "--lease-shards") {
-            cli.lease_shards = std::stoul(next());
+            next_number(cli.lease_shards);
         } else if (flag == "--ttl") {
-            cli.ttl_ms = std::stod(next());
+            next_number(cli.ttl_ms);
         } else if (flag == "--poll") {
-            cli.poll_ms = std::stod(next());
+            next_number(cli.poll_ms);
         } else if (flag == "--idle-timeout") {
-            cli.idle_timeout_ms = std::stod(next());
+            next_number(cli.idle_timeout_ms);
         } else if (flag == "--plan-wait") {
-            cli.plan_wait_ms = std::stod(next());
+            next_number(cli.plan_wait_ms);
         } else if (flag == "--worker-id") {
             cli.worker_id = next();
         } else if (flag == "--enhanced") {
             cli.enhanced = true;
             if (i + 1 < argc && argv[i + 1][0] != '-') {
-                cli.zero_clusters = std::stoi(argv[++i]);
+                cli.zero_clusters = parse_number<int>(flag, argv[++i]);
             }
         } else {
             std::cerr << "unknown flag '" << flag << "'\n";

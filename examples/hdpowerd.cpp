@@ -23,9 +23,11 @@
 #include <poll.h>
 #include <unistd.h>
 
+#include "cli_args.hpp"
 #include "serve/server.hpp"
 
 using namespace hdpm;
+using cli::parse_number;
 
 namespace {
 
@@ -78,35 +80,38 @@ int main(int argc, char** argv)
             }
             return argv[++i];
         };
+        auto next_number = [&]<typename T>(T& value) {
+            value = parse_number<T>(flag, next());
+        };
         if (flag == "--socket") {
             options.unix_path = next();
         } else if (flag == "--tcp") {
             options.tcp = true;
             if (i + 1 < argc && argv[i + 1][0] != '-') {
-                options.tcp_port = static_cast<std::uint16_t>(std::stoul(argv[++i]));
+                options.tcp_port = parse_number<std::uint16_t>(flag, argv[++i]);
             }
         } else if (flag == "--models") {
             options.models_dir = next();
         } else if (flag == "--workers") {
-            options.workers = static_cast<unsigned>(std::stoul(next()));
+            next_number(options.workers);
         } else if (flag == "--queue") {
-            options.accept_queue = std::stoul(next());
+            next_number(options.accept_queue);
         } else if (flag == "--threads") {
-            options.kernel.threads = static_cast<unsigned>(std::stoul(next()));
+            next_number(options.kernel.threads);
         } else if (flag == "--budget") {
-            options.char_options.max_transitions = std::stoul(next());
+            next_number(options.char_options.max_transitions);
             options.char_options.min_transitions =
                 options.char_options.max_transitions / 2;
         } else if (flag == "--hist-entries") {
-            options.histogram_cache_entries = std::stoul(next());
+            next_number(options.histogram_cache_entries);
         } else if (flag == "--hist-bytes") {
-            options.histogram_cache_bytes = std::stoul(next());
+            next_number(options.histogram_cache_bytes);
         } else if (flag == "--model-entries") {
-            options.model_cache_entries = std::stoul(next());
+            next_number(options.model_cache_entries);
         } else if (flag == "--drain-timeout") {
-            options.drain_timeout_ms = std::stoul(next());
+            next_number(options.drain_timeout_ms);
         } else if (flag == "--idle-timeout") {
-            options.idle_timeout_ms = std::stoul(next());
+            next_number(options.idle_timeout_ms);
         } else {
             std::cerr << "unknown flag '" << flag << "'\n";
             usage(argv[0]);

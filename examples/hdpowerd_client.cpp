@@ -34,10 +34,13 @@
 #include <thread>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "core/hdpower.hpp"
 #include "serve/client.hpp"
 
 using namespace hdpm;
+using cli::parse_data_type;
+using cli::parse_number;
 
 namespace {
 
@@ -55,18 +58,6 @@ namespace {
     std::exit(2);
 }
 
-streams::DataType parse_data_type(const std::string& label)
-{
-    for (const streams::DataType type : streams::all_data_types()) {
-        if (label == streams::data_type_label(type) ||
-            label == streams::data_type_name(type)) {
-            return type;
-        }
-    }
-    std::cerr << "unknown data type '" << label << "'\n";
-    std::exit(2);
-}
-
 } // namespace
 
 int main(int argc, char** argv)
@@ -81,11 +72,11 @@ int main(int argc, char** argv)
         if (flag == "--socket" && i + 1 < argc) {
             socket_path = argv[++i];
         } else if (flag == "--tcp" && i + 1 < argc) {
-            tcp_port = static_cast<std::uint16_t>(std::stoul(argv[++i]));
+            tcp_port = parse_number<std::uint16_t>(flag, argv[++i]);
         } else if (flag == "--retries" && i + 1 < argc) {
-            retry.max_attempts = 1 + static_cast<unsigned>(std::stoul(argv[++i]));
+            retry.max_attempts = 1 + parse_number<unsigned>(flag, argv[++i]);
         } else if (flag == "--timeout-ms" && i + 1 < argc) {
-            timeout_seconds = std::stod(argv[++i]) / 1000.0;
+            timeout_seconds = parse_number<double>(flag, argv[++i]) / 1000.0;
         } else {
             usage(argv[0]);
         }
@@ -134,7 +125,7 @@ int main(int argc, char** argv)
             double seconds = 30.0;
             for (; i < argc; ++i) {
                 if (std::string{argv[i]} == "--seconds" && i + 1 < argc) {
-                    seconds = std::stod(argv[++i]);
+                    seconds = parse_number<double>("--seconds", argv[++i]);
                 }
             }
             client.ping(); // prove the connection is being served
@@ -151,7 +142,7 @@ int main(int argc, char** argv)
         const dp::ModuleType type = dp::module_type_from_id(argv[i++]);
         std::vector<int> widths;
         while (i < argc && argv[i][0] != '-') {
-            widths.push_back(std::stoi(argv[i++]));
+            widths.push_back(parse_number<int>("width", argv[i++]));
         }
         std::size_t patterns = 2000;
         std::size_t repeat = 1;
@@ -174,15 +165,15 @@ int main(int argc, char** argv)
                 data = parse_data_type(next());
                 has_data = true;
             } else if (flag == "--patterns") {
-                patterns = std::stoul(next());
+                patterns = parse_number<std::size_t>(flag, next());
             } else if (flag == "--repeat") {
-                repeat = std::max<std::size_t>(1, std::stoul(next()));
+                repeat = std::max<std::size_t>(1, parse_number<std::size_t>(flag, next()));
             } else if (flag == "--seed") {
-                seed = std::stoull(next());
+                seed = parse_number<std::uint64_t>(flag, next());
             } else if (flag == "--enhanced") {
                 enhanced = true;
                 if (i + 1 < argc && argv[i + 1][0] != '-') {
-                    zero_clusters = std::stoi(argv[++i]);
+                    zero_clusters = parse_number<int>(flag, argv[++i]);
                 }
             } else if (flag == "--corner") {
                 corner = gate::parse_corner(next());

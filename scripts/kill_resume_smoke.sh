@@ -2,16 +2,15 @@
 # Kill-and-resume smoke test for the checkpointed characterization runtime.
 #
 # For each case, runs an uninterrupted reference characterization, then a
-# checkpointed run that is SIGKILLed as soon as its journals appear on disk,
+# checkpointed run that is SIGKILLed as soon as its journal appears on disk,
 # resumes it, and requires the resumed model files to be byte-identical to
-# the reference. Also checks that every journal is retired after the clean
-# finish. Cases:
-#   - single corner: one journal at $JOURNAL;
-#   - a two-corner sweep (--corners): one journal per corner at
-#     $JOURNAL.c<k>, published in lockstep. The kill lands once $JOURNAL.c0
-#     and its lockstep sibling $JOURNAL.c1 exist, so the resumed run has a
-#     common shard prefix to replay (a kill between the two publishes of
-#     the first round would leave none).
+# the reference. Also checks that the journal (and any .tmp of its first
+# publish) is retired after the clean finish. A kill that lands mid-append
+# tears the journal's last block; the resume then sets the torn file aside
+# as <journal>.corrupt and replays the whole blocks before the tear. Cases:
+#   - single corner;
+#   - a two-corner sweep (--corners), whose one journal holds both
+#     corners' records in every shard block.
 #
 # Usage: scripts/kill_resume_smoke.sh [BUILD_DIR]   (default: build)
 
@@ -40,24 +39,14 @@ run_characterize() {
         --models "$models_dir" "$@"
 }
 
-# kill_resume_case NAME "SUFFIX..." [EXTRA_ARGS...]
-# Kills the checkpointed run once "$JOURNAL$SUFFIX" exists for every listed
-# suffix ("" for the single-corner journal itself).
+# kill_resume_case NAME [EXTRA_ARGS...]
+# Kills the checkpointed run once its journal exists.
 kill_resume_case() {
     local name="$1"
-    local -a suffixes
-    read -r -a suffixes <<< "$2"
-    shift 2
+    shift
     local dir="$WORK/$name"
     local journal="$dir/ckpt.journal"
     mkdir -p "$dir"
-    # True once every watched journal exists.
-    journals_published() {
-        local suffix
-        for suffix in "${suffixes[@]:-}"; do
-            [[ -f "$journal$suffix" ]] || return 1
-        done
-    }
 
     echo "== [$name] reference run (uninterrupted) =="
     run_characterize "$dir/ref_models" "$@" || return 1
@@ -75,7 +64,7 @@ kill_resume_case() {
         # Wait for the first journal publish, then kill hard. If the run is
         # too fast and finishes first, the journal is retired and we retry.
         for _ in $(seq 1 2000); do
-            if journals_published || ! kill -0 "$pid" 2>/dev/null; then
+            if [[ -f "$journal" ]] || ! kill -0 "$pid" 2>/dev/null; then
                 break
             fi
             sleep 0.005
@@ -83,7 +72,7 @@ kill_resume_case() {
         if kill -0 "$pid" 2>/dev/null; then
             kill -9 "$pid"
             wait "$pid" 2>/dev/null
-            if journals_published; then
+            if [[ -f "$journal" ]]; then
                 interrupted=1
                 break
             fi
@@ -98,7 +87,7 @@ kill_resume_case() {
         echo "error: [$name] could not interrupt a run with a published journal" >&2
         return 1
     fi
-    echo "journals survive the kill: $(cat "$journal"* | wc -c) bytes"
+    echo "journal survives the kill: $(wc -c < "$journal") bytes"
 
     echo "== [$name] resumed run =="
     local resume_log="$dir/resume.log"
@@ -109,10 +98,13 @@ kill_resume_case() {
         echo "error: [$name] resumed run did not report resuming from the journal" >&2
         return 1
     fi
+    if [[ -e "$journal.corrupt" ]]; then
+        echo "(the kill tore the last block; the resume salvaged the prefix)"
+    fi
     local leftover
-    for leftover in "$journal" "$journal".c*; do
+    for leftover in "$journal" "$journal.tmp"; do
         if [[ -e "$leftover" ]]; then
-            echo "error: [$name] journal $(basename "$leftover") was not retired" \
+            echo "error: [$name] $(basename "$leftover") was left behind" \
                 "after the clean finish" >&2
             return 1
         fi
@@ -139,6 +131,6 @@ kill_resume_case() {
 }
 
 status=0
-kill_resume_case single "" || status=1
-kill_resume_case sweep ".c0 .c1" --corners 3.3:25,2.5:85 || status=1
+kill_resume_case single || status=1
+kill_resume_case sweep --corners 3.3:25,2.5:85 || status=1
 exit "$status"

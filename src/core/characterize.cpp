@@ -18,6 +18,7 @@
 #include "sim/sim_context.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
+#include "util/file_io.hpp"
 #include "util/linalg.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -849,28 +850,20 @@ SweepShard SweepPlan::run(std::size_t shard, const std::function<void()>& tick) 
                : run_event_shard(*this, shard, count, tick);
 }
 
-/// Set a malformed journal aside as <path>.corrupt (never resume from bad
-/// state, never destroy the evidence); fall back to removal if the rename
-/// itself fails.
-void quarantine_checkpoint(const std::filesystem::path& path)
-{
-    std::error_code ec;
-    std::filesystem::rename(path, path.string() + ".corrupt", ec);
-    if (ec) {
-        std::filesystem::remove(path, ec);
-    }
-}
-
 /// The resumable shard prefix of the journal at @p path. Only a journal
-/// stamped like @p expected (fingerprint, module identity, width) whose
-/// prefix fits the plan's @p num_shards is resumed; anything else is a
-/// leftover of some other run and is discarded. A corrupt journal is
-/// quarantined, and its surviving whole-shard prefix salvaged. Records the
+/// stamped like @p expected (fingerprint, module identity, width, corner
+/// count) whose prefix fits the plan's @p num_shards is resumed; anything
+/// else is a leftover of some other run and is discarded. A corrupt journal
+/// is quarantined, and its surviving whole-block prefix salvaged and
+/// republished in its place. Sets @p on_disk when @p path then holds
+/// exactly the returned prefix, so the run appends to it. Records the
 /// outcome in @p stats.
 std::vector<CheckpointShard> resume_journal(const std::filesystem::path& path,
                                             const CharCheckpoint& expected,
-                                            std::size_t num_shards, CharRunStats& stats)
+                                            std::size_t num_shards, bool& on_disk,
+                                            CharRunStats& stats)
 {
+    on_disk = false;
     {
         // A .tmp sibling is the debris of a run killed mid-publish.
         std::error_code ec;
@@ -880,11 +873,12 @@ std::vector<CheckpointShard> resume_journal(const std::filesystem::path& path,
         return loaded.fingerprint == expected.fingerprint &&
                loaded.module_key == expected.module_key &&
                loaded.input_bits == expected.input_bits &&
-               loaded.shards.size() <= num_shards;
+               loaded.corners == expected.corners && loaded.shards.size() <= num_shards;
     };
     try {
         if (auto loaded = load_checkpoint(path)) {
             if (matches_plan(*loaded)) {
+                on_disk = true;
                 return std::move(loaded->shards);
             }
             stats.checkpoint_discarded = true;
@@ -894,47 +888,35 @@ std::vector<CheckpointShard> resume_journal(const std::filesystem::path& path,
             throw;
         }
         // Tolerant second read: a torn tail (the short write of a killed
-        // run) still holds every shard block that published whole. Keep
+        // run) still holds every shard block that was appended whole. Keep
         // that prefix — it re-merges bit-identically — and set the damaged
         // file aside as evidence; the tail is re-simulated.
         CheckpointSalvage salvage = salvage_checkpoint(path);
-        quarantine_checkpoint(path);
+        util::quarantine_file(path);
         stats.checkpoint_discarded = true;
         if (salvage.checkpoint.has_value() && matches_plan(*salvage.checkpoint) &&
             !salvage.checkpoint->shards.empty()) {
             stats.checkpoint_salvaged = true;
+            save_checkpoint(path, *salvage.checkpoint);
+            on_disk = true;
             return std::move(salvage.checkpoint->shards);
         }
     }
     return {};
 }
 
-/// Journal fingerprint of corner @p k of a run. Every corner journals
-/// under its own single-corner fingerprint — for a one-corner run that is
-/// characterization_fingerprint(options) itself — so an emulation sweep
-/// journal is interchangeable with the matching single-corner run's (the
-/// record streams are bit-identical by construction). Event-kernel
-/// corners k > 0 are transfer approximations whose values depend on the
-/// whole corner list, so their fingerprints additionally fold the list —
-/// a sweep journal can never be resumed by an exact single-corner run,
-/// nor by a sweep over a different corner set.
-std::uint64_t sweep_corner_fingerprint(const CharacterizationOptions& options,
-                                       const sim::EventSimOptions& sim_options,
-                                       std::size_t k)
+/// The fingerprint a run's journal is stamped with: the options
+/// fingerprint, with a sweep's corner list folded in (the fingerprint
+/// itself ignores options.corners), so a journal never resumes a run over
+/// another corner set.
+std::uint64_t journal_fingerprint(const CharacterizationOptions& options,
+                                  const sim::EventSimOptions& sim_options)
 {
-    CharacterizationOptions corner_options = options;
-    corner_options.corner = options.corners.empty()
-                                ? options.corner
-                                : std::optional<gate::Corner>(options.corners[k]);
-    corner_options.corners.clear();
-    std::uint64_t fp = characterization_fingerprint(corner_options, sim_options);
-    if (options.backend == CharBackend::EventKernel && k > 0) {
-        for (const gate::Corner& corner : options.corners) {
-            fp = util::splitmix64(fp ^ std::bit_cast<std::uint64_t>(corner.vdd_v));
-            fp = util::splitmix64(fp ^ std::bit_cast<std::uint64_t>(corner.temp_c));
-            fp = util::splitmix64(fp ^
-                                  static_cast<std::uint64_t>(corner.load_class));
-        }
+    std::uint64_t fp = characterization_fingerprint(options, sim_options);
+    for (const gate::Corner& corner : options.corners) {
+        fp = util::splitmix64(fp ^ std::bit_cast<std::uint64_t>(corner.vdd_v));
+        fp = util::splitmix64(fp ^ std::bit_cast<std::uint64_t>(corner.temp_c));
+        fp = util::splitmix64(fp ^ static_cast<std::uint64_t>(corner.load_class));
     }
     return fp;
 }
@@ -966,13 +948,13 @@ struct ShardAbandoned {};
 /// abandoned at their next heartbeat (every 64 pairs or transitions) and
 /// discarded unmerged, so the join does not wait for them to finish.
 ///
-/// Checkpointing keeps one journal per corner: <checkpoint> for a
-/// single-corner run, <checkpoint>.c<k> for a sweep, published in lockstep
-/// at the same shard boundaries. A crash between the K publishes leaves
-/// journals of different lengths; resume replays the minimum valid prefix
-/// over all corners and re-simulates the rest, so lockstep is self-healing
-/// rather than load-bearing. A failed shard is journaled as an empty block
-/// (the journal stays a contiguous prefix) and replays as a failure.
+/// Checkpointing keeps one append-only journal per run: every merged
+/// shard becomes one framed block holding all K corners' records, and each
+/// publish appends the blocks merged since the last one (the first creates
+/// the file atomically). A kill leaves at worst a torn last block; resume
+/// replays the longest whole-block prefix. A failed shard is journaled as
+/// an empty block (the journal stays a contiguous prefix) and replays as a
+/// failure.
 std::vector<std::vector<CharacterizationRecord>> collect_sweep(
     const dp::DatapathModule& module, const CharacterizationOptions& options,
     const gate::TechLibrary& library, const sim::EventSimOptions& sim_options)
@@ -1002,23 +984,17 @@ std::vector<std::vector<CharacterizationRecord>> collect_sweep(
                            [](const auto& merger) { return merger->converged(); });
     };
 
-    const bool checkpointing = !options.checkpoint.empty();
-    std::vector<CharCheckpoint> journals(corners);
-    std::vector<std::filesystem::path> journal_paths(corners);
-    std::vector<std::vector<CheckpointShard>> resumed(corners);
-    std::size_t resume_len = checkpointing ? plan.num_shards : 0;
-    for (std::size_t k = 0; checkpointing && k < corners; ++k) {
-        journal_paths[k] = options.corners.empty()
-                               ? options.checkpoint
-                               : std::filesystem::path{options.checkpoint.string() +
-                                                       ".c" + std::to_string(k)};
-        journals[k].fingerprint = sweep_corner_fingerprint(options, sim_options, k);
-        journals[k].module_key = module_key;
-        journals[k].input_bits = plan.m;
-        resumed[k] =
-            resume_journal(journal_paths[k], journals[k], plan.num_shards, stats);
-        resume_len = std::min(resume_len, resumed[k].size());
+    std::vector<CheckpointShard> resumed;
+    std::optional<CheckpointAppender> journal;
+    if (!options.checkpoint.empty()) {
+        const CharCheckpoint identity{journal_fingerprint(options, sim_options), module_key,
+                                      plan.m, {}, corners};
+        bool on_disk = false;
+        resumed = resume_journal(options.checkpoint, identity, plan.num_shards, on_disk,
+                                 stats);
+        journal.emplace(options.checkpoint, identity, on_disk);
     }
+    const std::size_t resume_len = resumed.size();
 
     std::exception_ptr first_failure;
     const auto report_progress = [&] {
@@ -1058,31 +1034,30 @@ std::vector<std::vector<CharacterizationRecord>> collect_sweep(
         }
     };
 
-    // Replay the common journaled prefix through the merge loops (no
-    // simulation). Replayed shards pass through the identical ShardMerger
-    // path as freshly simulated ones, which is what makes a resumed run
-    // reproduce the uninterrupted record stream — the stopping point
-    // included — bit for bit. An empty block is a shard the interrupted
-    // run failed; it replays as that failure, so the resumed run reports
-    // the same degradation.
+    // Replay the journaled prefix through the merge loops (no simulation).
+    // Replayed shards pass through the identical ShardMerger path as
+    // freshly simulated ones, which is what makes a resumed run reproduce
+    // the uninterrupted record stream — the stopping point included — bit
+    // for bit. An empty block is a shard the interrupted run failed; it
+    // replays as that failure, so the resumed run reports the same
+    // degradation.
     for (std::size_t r = 0; r < resume_len && !all_converged(); ++r) {
-        const std::size_t shard = resumed[0][r].index;
-        if (resumed[0][r].records.empty()) {
+        const CheckpointShard& block = resumed[r];
+        if (block.records.empty()) {
             util::FaultContext context;
             context.detail = "shard failed in the interrupted run this journal resumes";
-            handle_shard_failure(shard, std::make_exception_ptr(util::FaultError{
-                                            util::FaultKind::ShardFailed, context}));
+            handle_shard_failure(block.index, std::make_exception_ptr(util::FaultError{
+                                                  util::FaultKind::ShardFailed, context}));
         } else {
+            const std::size_t n = block.records.size() / corners;
             for (std::size_t k = 0; k < corners; ++k) {
-                mergers[k]->merge(resumed[k][r].records);
+                mergers[k]->merge(std::span{block.records}.subspan(k * n, n));
             }
             ++stats.shards;
         }
-        for (std::size_t k = 0; k < corners; ++k) {
-            journals[k].shards.push_back(std::move(resumed[k][r]));
-        }
         report_progress();
     }
+    resumed = {};
     stats.shards_resumed = stats.shards;
     std::size_t unpublished = 0;
 
@@ -1125,13 +1100,12 @@ std::vector<std::vector<CharacterizationRecord>> collect_sweep(
             }
             ++stats.shards;
         }
-        for (std::size_t k = 0; checkpointing && k < corners; ++k) {
-            // A failed shard journals as an empty block.
-            std::vector<CharacterizationRecord> block;
+        if (journal.has_value()) {
+            std::span<const std::vector<CharacterizationRecord>> blocks;
             if (attempt.result.has_value()) {
-                block = std::move(attempt.result->blocks[k]);
+                blocks = attempt.result->blocks;
             }
-            journals[k].shards.push_back(CheckpointShard{shard, std::move(block)});
+            journal->add(shard, blocks); // a failed shard journals as an empty block
         }
         ++unpublished;
         report_progress();
@@ -1139,10 +1113,8 @@ std::vector<std::vector<CharacterizationRecord>> collect_sweep(
             converged.store(true, std::memory_order_relaxed);
             return false;
         }
-        if (checkpointing && unpublished >= options.checkpoint_every) {
-            for (std::size_t k = 0; k < corners; ++k) {
-                save_checkpoint(journal_paths[k], journals[k]);
-            }
+        if (journal.has_value() && unpublished >= options.checkpoint_every) {
+            journal->publish();
             unpublished = 0;
             ++stats.checkpoints_published;
         }
@@ -1168,10 +1140,10 @@ std::vector<std::vector<CharacterizationRecord>> collect_sweep(
         // result, it is the first failure wearing a disguise.
         std::rethrow_exception(first_failure);
     }
-    for (std::size_t k = 0; checkpointing && k < corners; ++k) {
+    if (journal.has_value()) {
         // The run is complete; the journal has served its purpose.
         std::error_code ec;
-        std::filesystem::remove(journal_paths[k], ec);
+        std::filesystem::remove(options.checkpoint, ec);
     }
 
     if (options.stats != nullptr) {

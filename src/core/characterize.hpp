@@ -173,15 +173,18 @@ struct CharacterizationOptions {
     std::size_t shard_size = 0;
 
     /// Checkpoint journal path (empty = no checkpointing). When set, the
-    /// merged record prefix is published crash-safely (sibling .tmp +
-    /// atomic rename, stamped with the run's options fingerprint and the
-    /// module identity) every checkpoint_every merged shards. A later run
-    /// with the same stimulus plan resumes from the journal and produces
-    /// bit-identical records; the journal is deleted once the run
-    /// completes. A journal from a different plan or module is discarded;
-    /// a corrupt one is quarantined with a ".corrupt" suffix. Like threads,
-    /// this knob is execution-only: it never changes the records and is
-    /// excluded from the options fingerprint.
+    /// run keeps one append-only journal there (stamped with the run's
+    /// options fingerprint, the corner list, the module identity and the
+    /// corner count): every checkpoint_every merged shards it appends their
+    /// framed, checksummed record blocks, all corners in each block. The
+    /// first publish creates the file atomically (sibling .tmp + rename).
+    /// A later run with the same stimulus plan resumes from the longest
+    /// whole-block prefix and produces bit-identical records; the journal
+    /// is deleted once the run completes. A journal from a different plan
+    /// or module is discarded; a damaged one (e.g. a torn last block) is
+    /// quarantined with a ".corrupt" suffix after its whole blocks are
+    /// salvaged. Like threads, this knob is execution-only: it never
+    /// changes the records and is excluded from the options fingerprint.
     std::filesystem::path checkpoint;
 
     /// Merged shards between checkpoint publishes (must be >= 1).
@@ -245,8 +248,7 @@ public:
 
     /// Raw measured transitions (for ablations and convergence studies).
     /// This is the one-corner sweep: the collect_records_corners pipeline
-    /// run on the list {options.corner}, journaling to options.checkpoint
-    /// itself rather than a ".c0" sibling.
+    /// run on the list {options.corner}, with a one-corner journal.
     ///
     /// The stimulus plan is split into fixed-size shards, each seeded
     /// `seed ^ splitmix64(shard)` and simulated independently (its own
@@ -277,8 +279,9 @@ public:
     /// Element k of the result aligns with options.corners[k]. Convergence
     /// is tracked per corner (a corner's record stream stops exactly where
     /// its independent run would); the sweep runs until every corner has
-    /// converged or the budget is exhausted. Checkpointing appends ".c<k>"
-    /// per corner to options.checkpoint; resume is bit-identical.
+    /// converged or the budget is exhausted. Checkpointing keeps one
+    /// journal at options.checkpoint whose shard blocks hold every
+    /// corner's records; resume is bit-identical.
     [[nodiscard]] std::vector<std::vector<CharacterizationRecord>>
     collect_records_corners(const dp::DatapathModule& module,
                             const CharacterizationOptions& options) const;

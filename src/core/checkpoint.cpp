@@ -1,10 +1,14 @@
 #include "core/checkpoint.hpp"
 
 #include <bit>
+#include <charconv>
 #include <fstream>
 #include <sstream>
+#include <string_view>
+#include <vector>
 
 #include "util/fault.hpp"
+#include "util/file_io.hpp"
 
 namespace hdpm::core {
 
@@ -15,212 +19,226 @@ using util::FaultPoint;
 
 namespace {
 
+// Journal format, version 2 (all numbers decimal unless noted):
+//
+//   hdpm_checkpoint 2
+//   fingerprint <16 hex>
+//   module <key> m <m> corners <K>
+//   then per merged shard, in plan order, one framed block:
+//   block <body bytes, 16 hex> <FNV-1a of the body, 16 hex>
+//   <body> = shard <index> <n>
+//            <hd> <stable zeros> <toggle mask, 16 hex> <charge bits, 16 hex> x K
+//            ... n transition lines
+//
+// There is no end marker: the file is appended block by block, and the
+// frame (length + checksum) is what tells a whole block from a torn one.
 constexpr std::string_view kMagic = "hdpm_checkpoint";
-constexpr int kVersion = 1;
+constexpr int kVersion = 2;
+constexpr std::string_view kBlockTag = "block ";
+constexpr std::size_t kFrameBytes = kBlockTag.size() + 16 + 1 + 16 + 1;
 
-[[noreturn]] void corrupt(const std::filesystem::path& path, std::string detail)
+std::uint64_t fnv1a64(std::string_view bytes) noexcept
 {
-    FaultContext context;
-    context.component = path.string();
-    context.detail = std::move(detail);
-    throw FaultError{FaultKind::CheckpointCorrupt, std::move(context)};
-}
-
-std::string hex64(std::uint64_t value)
-{
-    char buf[17];
-    for (int i = 15; i >= 0; --i) {
-        buf[15 - i] = "0123456789abcdef"[(value >> (4 * i)) & 0xf];
+    std::uint64_t hash = 0xcbf2'9ce4'8422'2325ULL;
+    for (const char c : bytes) {
+        hash ^= static_cast<unsigned char>(c);
+        hash *= 0x0000'0100'0000'01b3ULL;
     }
-    buf[16] = '\0';
-    return buf;
+    return hash;
 }
 
-} // namespace
-
-std::size_t CharCheckpoint::total_records() const
+std::string encode_header(const CharCheckpoint& identity)
 {
-    std::size_t total = 0;
-    for (const CheckpointShard& shard : shards) {
-        total += shard.records.size();
-    }
-    return total;
+    std::string out{kMagic};
+    out += ' ' + std::to_string(kVersion) + "\nfingerprint ";
+    util::append_hex64(out, identity.fingerprint);
+    out += "\nmodule " + identity.module_key + " m " +
+           std::to_string(identity.input_bits) + " corners " +
+           std::to_string(identity.corners) + '\n';
+    return out;
 }
 
-void save_checkpoint(const std::filesystem::path& path,
-                     const CharCheckpoint& checkpoint)
+/// Append one framed block of @p n transitions to @p out; at(k, i) is
+/// corner k's record of transition i.
+template <typename RecordAt>
+void encode_block(std::string& out, std::size_t index, std::size_t n, std::size_t corners,
+                  const RecordAt& at)
 {
-    // Serialize fully in memory first: the journal is then written with a
-    // single stream insert and published with an atomic rename, the same
-    // discipline the model library uses for .hdm files. Charges round-trip
-    // as raw IEEE-754 bit patterns — resume must be bit-identical, and
-    // decimal round trips are one rounding slip away from not being.
-    std::ostringstream os;
-    os << kMagic << ' ' << kVersion << '\n';
-    os << "fingerprint " << hex64(checkpoint.fingerprint) << '\n';
-    os << "module " << checkpoint.module_key << " m " << checkpoint.input_bits << '\n';
-    for (const CheckpointShard& shard : checkpoint.shards) {
-        os << "shard " << shard.index << ' ' << shard.records.size() << '\n';
-        for (const CharacterizationRecord& rec : shard.records) {
-            os << rec.hd << ' ' << rec.stable_zeros << ' '
-               << hex64(std::bit_cast<std::uint64_t>(rec.charge_fc)) << ' '
-               << hex64(rec.toggle_mask) << '\n';
+    const std::size_t frame = out.size();
+    out.append(kFrameBytes, ' ');
+    const std::size_t body = out.size();
+    out += "shard " + std::to_string(index) + ' ' + std::to_string(n) + '\n';
+    char digits[32]; // two ints and their separators
+    for (std::size_t i = 0; i < n; ++i) {
+        const CharacterizationRecord& rec = at(0, i);
+        char* p = std::to_chars(digits, digits + 15, rec.hd).ptr;
+        *p++ = ' ';
+        p = std::to_chars(p, digits + 31, rec.stable_zeros).ptr;
+        *p++ = ' ';
+        out.append(digits, p);
+        util::append_hex64(out, rec.toggle_mask);
+        for (std::size_t k = 0; k < corners; ++k) {
+            out += ' ';
+            util::append_hex64(out, std::bit_cast<std::uint64_t>(at(k, i).charge_fc));
         }
+        out += '\n';
     }
-    os << "end\n";
-    std::string payload = os.str();
-    HDPM_FAULT_MUTATE(FaultPoint::CheckpointShortWrite, payload);
+    std::string line{kBlockTag};
+    util::append_hex64(line, out.size() - body);
+    line += ' ';
+    util::append_hex64(line, fnv1a64(std::string_view{out}.substr(body)));
+    line += '\n';
+    out.replace(frame, kFrameBytes, line);
+}
 
-    const std::filesystem::path tmp = path.string() + ".tmp";
+/// Reads journal text line by line, splitting each line at single spaces
+/// (a doubled space shows up as an empty word, which nothing accepts).
+struct LineReader {
+    std::string_view text;
+    std::vector<std::string_view> words;
+
+    /// Split off the next complete line; false when none is left.
+    bool next()
     {
-        std::ofstream out{tmp, std::ios::binary | std::ios::trunc};
-        if (!out) {
-            FaultContext context;
-            context.component = tmp.string();
-            context.detail = "cannot open checkpoint tmp file for writing";
-            throw FaultError{FaultKind::IoError, std::move(context)};
+        const std::size_t end = text.find('\n');
+        if (end == std::string_view::npos) {
+            return false;
         }
-        out << payload;
-        out.flush();
-        if (!out) {
-            FaultContext context;
-            context.component = tmp.string();
-            context.detail = "short write publishing checkpoint";
-            throw FaultError{FaultKind::IoError, std::move(context)};
+        std::string_view line = text.substr(0, end);
+        text.remove_prefix(end + 1);
+        words.clear();
+        for (std::size_t space; (space = line.find(' ')) != std::string_view::npos;) {
+            words.push_back(line.substr(0, space));
+            line.remove_prefix(space + 1);
         }
+        words.push_back(line);
+        return true;
     }
-    std::error_code ec;
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) {
-        FaultContext context;
-        context.component = path.string();
-        context.detail = "cannot publish checkpoint: " + ec.message();
-        throw FaultError{FaultKind::IoError, std::move(context)};
+
+    /// The next line has exactly @p count words, the first of them @p tag.
+    bool next(std::string_view tag, std::size_t count)
+    {
+        return next() && words.size() == count && words[0] == tag;
     }
+};
+
+/// @p word as a plain decimal number: digits only, within T's range.
+template <typename T>
+bool decimal(std::string_view word, T& value)
+{
+    const char* const end = word.data() + word.size();
+    const auto [stop, ec] = std::from_chars(word.data(), end, value);
+    return !word.empty() && word[0] >= '0' && word[0] <= '9' && ec == std::errc{} &&
+           stop == end;
 }
 
-namespace {
+/// Parse one checksummed block body of a K-corner journal with input width
+/// @p m into @p shard. False when the body does not hold exactly the
+/// transitions its shard line declares; the declared count is bounded by
+/// the bytes the body holds before anything is allocated.
+bool parse_body(std::string_view body, int m, std::size_t corners, CheckpointShard& shard)
+{
+    LineReader lines{body, {}};
+    std::size_t n = 0;
+    // The shortest transition line: "1 0 <mask>", K " <charge>" and '\n'.
+    if (!lines.next("shard", 3) || !decimal(lines.words[1], shard.index) ||
+        !decimal(lines.words[2], n) || n > body.size() / (21 + 17 * corners)) {
+        return false;
+    }
+    shard.records.resize(n * corners);
+    for (std::size_t i = 0; i < n; ++i) {
+        const auto& words = lines.words;
+        CharacterizationRecord rec;
+        if (!lines.next() || words.size() != 3 + corners || !decimal(words[0], rec.hd) ||
+            !decimal(words[1], rec.stable_zeros) || rec.hd < 1 || rec.hd > m ||
+            rec.stable_zeros > m - rec.hd || !util::parse_hex64(words[2], rec.toggle_mask)) {
+            return false;
+        }
+        for (std::size_t k = 0; k < corners; ++k) {
+            std::uint64_t bits = 0;
+            if (!util::parse_hex64(words[3 + k], bits)) {
+                return false;
+            }
+            rec.charge_fc = std::bit_cast<double>(bits);
+            shard.records[k * n + i] = rec;
+        }
+    }
+    return lines.text.empty();
+}
 
 /// Shared parser for the strict and the tolerant loaders. Damage raises
 /// CheckpointCorrupt in strict mode; in tolerant mode it stops the parse at
-/// the last fully valid shard block (anything behind a tear is untrusted)
-/// and reports what was wrong via @p damage_detail.
+/// the last whole block (anything behind a tear is untrusted) and reports
+/// what was wrong via @p damage_detail.
 std::optional<CharCheckpoint> parse_checkpoint(const std::filesystem::path& path,
                                                std::size_t first_shard, bool strict,
-                                               bool& damaged,
                                                std::string& damage_detail)
 {
-    damaged = false;
     damage_detail.clear();
     std::ifstream in{path, std::ios::binary};
     if (!in) {
         return std::nullopt;
     }
+    std::ostringstream contents;
+    contents << in.rdbuf();
+    const std::string data = std::move(contents).str();
 
     // In tolerant mode a damage site keeps whatever parsed whole so far
     // (possibly nothing: then the header itself is unusable and the caller
     // starts fresh).
     const auto fail = [&](std::string detail) {
         if (strict) {
-            corrupt(path, std::move(detail));
+            FaultContext context;
+            context.component = path.string();
+            context.detail = std::move(detail);
+            throw FaultError{FaultKind::CheckpointCorrupt, std::move(context)};
         }
-        damaged = true;
         damage_detail = std::move(detail);
     };
 
-    const auto parse_hex64 = [&](const std::string& text, const char* what,
-                                 std::uint64_t& value) -> bool {
-        if (text.size() != 16) {
-            return false;
-        }
-        value = 0;
-        for (const char c : text) {
-            value <<= 4;
-            if (c >= '0' && c <= '9') {
-                value |= static_cast<std::uint64_t>(c - '0');
-            } else if (c >= 'a' && c <= 'f') {
-                value |= static_cast<std::uint64_t>(c - 'a' + 10);
-            } else {
-                return false;
-            }
-        }
-        (void)what;
-        return true;
-    };
-
-    std::string tag;
+    LineReader lines{data, {}};
+    const auto& words = lines.words;
     int version = 0;
-    in >> tag >> version;
-    if (!in || tag != kMagic || version != kVersion) {
+    if (!lines.next(kMagic, 2) || !decimal(words[1], version) || version != kVersion) {
         fail("bad magic/version header");
         return std::nullopt;
     }
-
     CharCheckpoint checkpoint;
-    std::string hex;
-    in >> tag >> hex;
-    if (!in || tag != "fingerprint" ||
-        !parse_hex64(hex, "fingerprint", checkpoint.fingerprint)) {
+    if (!lines.next("fingerprint", 2) || !util::parse_hex64(words[1], checkpoint.fingerprint)) {
         fail("missing or malformed fingerprint header");
         return std::nullopt;
     }
-
-    std::string mtag;
-    in >> tag >> checkpoint.module_key >> mtag >> checkpoint.input_bits;
-    if (!in || tag != "module" || mtag != "m" || checkpoint.input_bits < 1) {
+    // K is bounded by the file size, so no count arithmetic below overflows.
+    if (!lines.next("module", 6) || words[1].empty() || words[2] != "m" ||
+        !decimal(words[3], checkpoint.input_bits) || words[4] != "corners" ||
+        !decimal(words[5], checkpoint.corners) || checkpoint.input_bits < 1 ||
+        checkpoint.corners < 1 || checkpoint.corners > data.size()) {
         fail("malformed module header");
         return std::nullopt;
     }
+    checkpoint.module_key = words[1];
 
-    for (;;) {
-        in >> tag;
-        if (!in) {
-            fail("truncated journal (missing 'end')");
+    while (!lines.text.empty()) {
+        std::uint64_t bytes = 0;
+        std::uint64_t checksum = 0;
+        if (!lines.next("block", 3) || !util::parse_hex64(words[1], bytes) ||
+            !util::parse_hex64(words[2], checksum) || bytes > lines.text.size()) {
+            fail("torn or malformed block frame after shard block " +
+                 std::to_string(checkpoint.shards.size()));
             return checkpoint;
         }
-        if (tag == "end") {
-            break;
-        }
-        if (tag != "shard") {
-            fail("unexpected token '" + tag + "'");
-            return checkpoint;
-        }
+        const std::string_view body = lines.text.substr(0, bytes);
+        lines.text.remove_prefix(bytes);
         CheckpointShard shard;
-        std::size_t count = 0;
-        in >> shard.index >> count;
-        if (!in) {
-            fail("malformed shard header");
+        if (fnv1a64(body) != checksum ||
+            !parse_body(body, checkpoint.input_bits, checkpoint.corners, shard)) {
+            fail("damaged shard block " + std::to_string(checkpoint.shards.size()));
             return checkpoint;
         }
         // Shards are merged — and therefore journaled — strictly in plan
         // order, so anything else is damage, not a valid journal.
         if (shard.index != first_shard + checkpoint.shards.size()) {
             fail("shard indices are not a contiguous prefix");
-            return checkpoint;
-        }
-        shard.records.reserve(count);
-        bool shard_ok = true;
-        for (std::size_t i = 0; i < count; ++i) {
-            CharacterizationRecord rec;
-            std::string charge_hex;
-            std::string mask_hex;
-            std::uint64_t charge_bits = 0;
-            in >> rec.hd >> rec.stable_zeros >> charge_hex >> mask_hex;
-            if (!in || rec.hd < 1 || rec.hd > checkpoint.input_bits ||
-                rec.stable_zeros < 0 ||
-                rec.stable_zeros > checkpoint.input_bits - rec.hd ||
-                !parse_hex64(charge_hex, "charge", charge_bits) ||
-                !parse_hex64(mask_hex, "toggle mask", rec.toggle_mask)) {
-                fail("malformed record in shard " + std::to_string(shard.index));
-                shard_ok = false;
-                break;
-            }
-            rec.charge_fc = std::bit_cast<double>(charge_bits);
-            shard.records.push_back(rec);
-        }
-        if (!shard_ok) {
-            // A torn record invalidates its whole shard block: keep only
-            // the shards that parsed whole.
             return checkpoint;
         }
         checkpoint.shards.push_back(std::move(shard));
@@ -230,22 +248,69 @@ std::optional<CharCheckpoint> parse_checkpoint(const std::filesystem::path& path
 
 } // namespace
 
+void save_checkpoint(const std::filesystem::path& path,
+                     const CharCheckpoint& checkpoint)
+{
+    HDPM_REQUIRE(checkpoint.corners >= 1, "a journal scores at least one corner");
+    std::string payload = encode_header(checkpoint);
+    for (const CheckpointShard& shard : checkpoint.shards) {
+        HDPM_REQUIRE(shard.records.size() % checkpoint.corners == 0,
+                     "shard block is not whole corner blocks");
+        const std::size_t n = shard.records.size() / checkpoint.corners;
+        encode_block(payload, shard.index, n, checkpoint.corners,
+                     [&](std::size_t k, std::size_t i) -> const CharacterizationRecord& {
+                         return shard.records[k * n + i];
+                     });
+    }
+    HDPM_FAULT_MUTATE(FaultPoint::CheckpointShortWrite, payload);
+    util::publish_file(path, payload);
+}
+
+CheckpointAppender::CheckpointAppender(std::filesystem::path path,
+                                       const CharCheckpoint& identity, bool on_disk)
+    : path_(std::move(path)), corners_(identity.corners),
+      pending_(on_disk ? std::string{} : encode_header(identity)), on_disk_(on_disk)
+{
+    HDPM_REQUIRE(corners_ >= 1, "a journal scores at least one corner");
+}
+
+void CheckpointAppender::add(std::size_t index,
+                             std::span<const std::vector<CharacterizationRecord>> corners)
+{
+    const std::size_t n = corners.empty() ? 0 : corners[0].size();
+    HDPM_REQUIRE(n == 0 || corners.size() == corners_, "block has ", corners.size(),
+                 " corners, the journal ", corners_);
+    encode_block(pending_, index, n, corners_,
+                 [&](std::size_t k, std::size_t i) -> const CharacterizationRecord& {
+                     return corners[k][i];
+                 });
+}
+
+void CheckpointAppender::publish()
+{
+    HDPM_FAULT_MUTATE(FaultPoint::CheckpointShortWrite, pending_);
+    if (on_disk_) {
+        util::append_file(path_, pending_);
+    } else {
+        util::publish_file(path_, pending_);
+        on_disk_ = true;
+    }
+    pending_.clear();
+}
+
 std::optional<CharCheckpoint> load_checkpoint(const std::filesystem::path& path,
                                               std::size_t first_shard)
 {
-    bool damaged = false;
     std::string detail;
-    return parse_checkpoint(path, first_shard, /*strict=*/true, damaged, detail);
+    return parse_checkpoint(path, first_shard, /*strict=*/true, detail);
 }
 
 CheckpointSalvage salvage_checkpoint(const std::filesystem::path& path,
                                      std::size_t first_shard)
 {
     CheckpointSalvage salvage;
-    bool damaged = false;
-    salvage.checkpoint =
-        parse_checkpoint(path, first_shard, /*strict=*/false, damaged, salvage.detail);
-    salvage.clean = !damaged;
+    salvage.checkpoint = parse_checkpoint(path, first_shard, /*strict=*/false, salvage.detail);
+    salvage.clean = salvage.detail.empty();
     return salvage;
 }
 

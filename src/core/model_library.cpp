@@ -7,6 +7,7 @@
 
 #include "util/error.hpp"
 #include "util/fault.hpp"
+#include "util/file_io.hpp"
 
 namespace hdpm::core {
 
@@ -21,14 +22,9 @@ constexpr std::string_view kOptionsHeaderTag = "options";
 
 std::string fingerprint_header_line(std::uint64_t fingerprint)
 {
-    char hex[17];
-    for (int i = 15; i >= 0; --i) {
-        hex[15 - i] = "0123456789abcdef"[(fingerprint >> (4 * i)) & 0xf];
-    }
-    hex[16] = '\0';
     std::string line{kOptionsHeaderTag};
     line += ' ';
-    line += hex;
+    util::append_hex64(line, fingerprint);
     line += '\n';
     return line;
 }
@@ -89,10 +85,10 @@ std::uint64_t characterization_fingerprint(const CharacterizationOptions& option
     // Deliberately excluded (execution-only, results bit-identical):
     // threads, max_events_per_cycle, progress, stats,
     // checkpoint/checkpoint_every (resume is bit-identical), strict_faults.
-    // Also excluded: options.corners — a sweep journals and stores each
-    // corner under its own single-corner fingerprint (see
-    // sweep_corner_fingerprint in characterize.cpp for the event-kernel
-    // poisoning that keeps approximate sweep journals apart).
+    // Also excluded: options.corners — a sweep stores each corner's model
+    // under that corner's single-corner fingerprint, and stamps its one
+    // journal with this fingerprint plus the corner list (see
+    // journal_fingerprint in characterize.cpp).
     return hash;
 }
 
@@ -118,16 +114,6 @@ ModelLibrary::ModelLibrary(std::filesystem::path directory,
             }
         }
     }
-}
-
-void ModelLibrary::quarantine(const std::filesystem::path& path) const
-{
-    std::error_code ec;
-    std::filesystem::rename(path, path.string() + ".corrupt", ec);
-    if (ec) {
-        std::filesystem::remove(path, ec);
-    }
-    quarantined_.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::string ModelLibrary::model_key(dp::ModuleType type, std::span<const int> widths,
@@ -203,7 +189,8 @@ Model ModelLibrary::load_or_build(const std::filesystem::path& path,
                         // misses, so some caller becomes the rebuild leader
                         // and the store heals itself.
                         in.close();
-                        quarantine(path);
+                        util::quarantine_file(path);
+                        quarantined_.fetch_add(1, std::memory_order_relaxed);
                         continue;
                     }
                 }
@@ -219,34 +206,18 @@ Model ModelLibrary::load_or_build(const std::filesystem::path& path,
     }
     try {
         Model model = build();
-        // Serialize to memory, then write a sibling temp file and publish
-        // with an atomic rename, so no reader — in this process or another
-        // sharing the directory — can ever observe a partially written
-        // model. The in-memory payload is also where the fault-injection
-        // hooks corrupt (truncate / bit-flip) a model on its way to disk.
+        // Serialize to memory, then publish crash-safely (util::publish_file),
+        // so no reader — in this process or another sharing the directory —
+        // can ever observe a partially written model. The in-memory payload
+        // is also where the fault-injection hooks corrupt (truncate /
+        // bit-flip) a model on its way to disk.
         std::ostringstream serialized;
         serialized << fingerprint_header_line(fingerprint);
         model.save(serialized);
         std::string payload = serialized.str();
         HDPM_FAULT_MUTATE(util::FaultPoint::ModelShortWrite, payload);
         HDPM_FAULT_MUTATE(util::FaultPoint::ModelBitFlip, payload);
-        const std::filesystem::path tmp = path.string() + ".tmp";
-        {
-            std::ofstream out{tmp};
-            if (!out) {
-                HDPM_FAIL("cannot write model file '", tmp.string(), "'");
-            }
-            out << payload;
-            out.flush();
-            if (!out) {
-                HDPM_FAIL("failed writing model file '", tmp.string(), "'");
-            }
-        }
-        std::error_code ec;
-        std::filesystem::rename(tmp, path, ec);
-        if (ec) {
-            HDPM_FAIL("cannot publish model file '", key, "': ", ec.message());
-        }
+        util::publish_file(path, payload);
         {
             const std::lock_guard<std::mutex> lock{mutex_};
             in_flight_.erase(key);

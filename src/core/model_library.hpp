@@ -131,10 +131,6 @@ private:
     [[nodiscard]] Model load_or_build(const std::filesystem::path& path,
                                       std::uint64_t fingerprint, BuildFn&& build) const;
 
-    /// Set a corrupt model file aside as <path>.corrupt (never reuse bad
-    /// state, never destroy the evidence) and count the quarantine.
-    void quarantine(const std::filesystem::path& path) const;
-
     std::filesystem::path directory_;
     const gate::TechLibrary* library_;
     sim::EventSimOptions sim_options_;

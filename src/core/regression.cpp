@@ -2,15 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <fstream>
-#include <ios>
-#include <mutex>
-#include <optional>
-#include <sstream>
 
-#include "core/model_library.hpp"
 #include "util/error.hpp"
-#include "util/fault.hpp"
 #include "util/linalg.hpp"
 #include "util/parallel.hpp"
 
@@ -87,150 +80,17 @@ ParameterizableModel ParameterizableModel::fit(dp::ModuleType type,
     return out;
 }
 
-namespace {
-
-/// Crash-safe prototype-fit journal ("hdpm_protolib 1"): the completed
-/// subset of a prototype set's (index, width) fits, stamped with the
-/// options fingerprint and the module id. Entries are keyed by index as
-/// well as width because each prototype's seed is derived from its index —
-/// the same width at a different position is a different stimulus stream.
-void save_proto_journal(const std::filesystem::path& path, std::uint64_t fingerprint,
-                        const std::string& module_id, std::span<const int> widths,
-                        std::span<const std::optional<HdModel>> completed)
-{
-    std::ostringstream os;
-    os << "hdpm_protolib 1\n";
-    os << "fingerprint " << std::hex << fingerprint << std::dec << '\n';
-    os << "module " << module_id << '\n';
-    for (std::size_t index = 0; index < completed.size(); ++index) {
-        if (!completed[index].has_value()) {
-            continue;
-        }
-        os << "proto " << index << ' ' << widths[index] << '\n';
-        completed[index]->save(os);
-    }
-    os << "end\n";
-    std::string payload = os.str();
-    HDPM_FAULT_MUTATE(util::FaultPoint::CheckpointShortWrite, payload);
-
-    const std::filesystem::path tmp = path.string() + ".tmp";
-    {
-        std::ofstream out{tmp, std::ios::trunc};
-        if (!out) {
-            HDPM_FAIL("cannot write prototype journal '", tmp.string(), "'");
-        }
-        out << payload;
-        out.flush();
-        if (!out) {
-            HDPM_FAIL("failed writing prototype journal '", tmp.string(), "'");
-        }
-    }
-    std::error_code ec;
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) {
-        HDPM_FAIL("cannot publish prototype journal '", path.string(), "': ",
-                  ec.message());
-    }
-}
-
-/// Load the completed fits a journal holds for this exact plan into
-/// @p completed. A missing journal or one from a different plan loads
-/// nothing; a malformed one is quarantined (".corrupt") and loads nothing —
-/// resuming never trusts damaged state.
-void load_proto_journal(const std::filesystem::path& path, std::uint64_t fingerprint,
-                        const std::string& module_id, std::span<const int> widths,
-                        std::vector<std::optional<HdModel>>& completed)
-{
-    std::ifstream in{path};
-    if (!in) {
-        return;
-    }
-    try {
-        std::string tag;
-        int version = 0;
-        in >> tag >> version;
-        if (!in || tag != "hdpm_protolib" || version != 1) {
-            HDPM_FAIL("bad prototype journal header");
-        }
-        std::uint64_t stored_fingerprint = 0;
-        in >> tag >> std::hex >> stored_fingerprint >> std::dec;
-        if (!in || tag != "fingerprint") {
-            HDPM_FAIL("bad prototype journal fingerprint line");
-        }
-        std::string stored_module;
-        in >> tag >> stored_module;
-        if (!in || tag != "module") {
-            HDPM_FAIL("bad prototype journal module line");
-        }
-        if (stored_fingerprint != fingerprint || stored_module != module_id) {
-            return; // some other plan's journal: ignore, it will be replaced
-        }
-        std::vector<std::optional<HdModel>> loaded(widths.size());
-        for (;;) {
-            in >> tag;
-            if (!in) {
-                HDPM_FAIL("truncated prototype journal");
-            }
-            if (tag == "end") {
-                break;
-            }
-            if (tag != "proto") {
-                HDPM_FAIL("unexpected prototype journal token '", tag, "'");
-            }
-            std::size_t index = 0;
-            int width = 0;
-            in >> index >> width;
-            if (!in || index >= widths.size() || widths[index] != width) {
-                HDPM_FAIL("prototype journal entry does not match the width plan");
-            }
-            loaded[index] = HdModel::load(in);
-        }
-        completed = std::move(loaded);
-    } catch (const util::RuntimeError&) {
-        std::error_code ec;
-        std::filesystem::rename(path, path.string() + ".corrupt", ec);
-        if (ec) {
-            std::filesystem::remove(path, ec);
-        }
-    }
-}
-
-} // namespace
-
 std::vector<PrototypeModel> characterize_prototype_set(
     dp::ModuleType type, std::span<const int> widths,
     const Characterizer& characterizer, const CharacterizationOptions& options,
-    unsigned threads, const std::filesystem::path& journal)
+    unsigned threads)
 {
     HDPM_REQUIRE(!widths.empty(), "empty prototype width set");
 
-    const bool journaling = !journal.empty();
-    std::uint64_t fingerprint = 0;
-    std::string module_id;
-    std::vector<std::optional<HdModel>> completed(widths.size());
-    if (journaling) {
-        fingerprint = characterization_fingerprint(options, characterizer.sim_options());
-        module_id = dp::module_type_id(type);
-        {
-            std::error_code ec;
-            std::filesystem::remove(journal.string() + ".tmp", ec);
-        }
-        load_proto_journal(journal, fingerprint, module_id, widths, completed);
-    }
-    std::mutex journal_mutex; // guards `completed` and the journal file
-
     const util::ThreadPool pool{threads};
-    auto prototypes = pool.parallel_map(widths.size(), [&](std::size_t index) {
+    return pool.parallel_map(widths.size(), [&](std::size_t index) {
         PrototypeModel proto;
         proto.operand_widths = {widths[index]};
-        if (journaling) {
-            const std::lock_guard<std::mutex> lock{journal_mutex};
-            if (completed[index].has_value()) {
-                proto.model = *completed[index];
-                return proto;
-            }
-        }
-
         CharacterizationOptions proto_options = options;
         proto_options.seed =
             util::splitmix64(options.seed ^ static_cast<std::uint64_t>(index + 1));
@@ -240,21 +100,8 @@ std::vector<PrototypeModel> characterize_prototype_set(
 
         const dp::DatapathModule module = dp::make_module(type, widths[index]);
         proto.model = characterizer.characterize(module, proto_options);
-        if (journaling) {
-            // Publish every completed fit as it lands: a killed run only
-            // repeats the prototypes that had not finished.
-            const std::lock_guard<std::mutex> lock{journal_mutex};
-            completed[index] = proto.model;
-            save_proto_journal(journal, fingerprint, module_id, widths, completed);
-        }
         return proto;
     });
-
-    if (journaling) {
-        std::error_code ec;
-        std::filesystem::remove(journal, ec);
-    }
-    return prototypes;
 }
 
 std::size_t ParameterizableModel::samples_for(int hd) const

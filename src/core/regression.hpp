@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <filesystem>
 #include <span>
 #include <vector>
 
@@ -95,17 +94,9 @@ private:
 /// and options.threads, which is forced to 1 inside each characterization —
 /// the parallelism budget is spent across prototypes here, not within one.
 /// The prototype set is bit-identical for every thread count.
-///
-/// When @p journal is non-empty, every completed (module, width) prototype
-/// fit is published crash-safely to that path (stamped with the options
-/// fingerprint and module id); a later call with the same plan resumes the
-/// completed prototypes from the journal and characterizes only the
-/// missing ones, bit-identically. The journal is deleted once the full set
-/// is built; a stale or corrupt journal is discarded (corrupt ones are set
-/// aside with a ".corrupt" suffix).
 [[nodiscard]] std::vector<PrototypeModel> characterize_prototype_set(
     dp::ModuleType type, std::span<const int> widths,
     const Characterizer& characterizer, const CharacterizationOptions& options,
-    unsigned threads = 0, const std::filesystem::path& journal = {});
+    unsigned threads = 0);
 
 } // namespace hdpm::core

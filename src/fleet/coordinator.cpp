@@ -9,6 +9,7 @@
 #include "core/model_library.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
+#include "util/file_io.hpp"
 
 namespace hdpm::fleet {
 
@@ -97,10 +98,11 @@ FleetStats FleetCoordinator::run()
                     if (loaded->fingerprint != plan.fingerprint ||
                         loaded->module_key != plan.module_key ||
                         loaded->input_bits != plan.input_bits ||
+                        loaded->corners != 1 ||
                         loaded->shards.size() != range_count(plan, start)) {
                         // Foreign or short journal squatting on our name:
                         // evidence aside, range re-opened.
-                        quarantine_file(done_path);
+                        util::quarantine_file(done_path);
                         ++stats.done_corrupt;
                         continue;
                     }
@@ -111,7 +113,7 @@ FleetStats FleetCoordinator::run()
                     if (error.kind() != FaultKind::CheckpointCorrupt) {
                         throw;
                     }
-                    quarantine_file(done_path);
+                    util::quarantine_file(done_path);
                     ++stats.done_corrupt;
                 }
                 continue;
@@ -145,7 +147,7 @@ FleetStats FleetCoordinator::run()
             LeaseInfo info;
             switch (read_lease(lease_path, info)) {
             case LeaseRead::Corrupt:
-                if (quarantine_file(lease_path)) {
+                if (util::quarantine_file(lease_path)) {
                     ++stats.leases_corrupt;
                     ++stats.workers_lost;
                     activity = true;

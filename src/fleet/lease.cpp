@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include "util/fault.hpp"
+#include "util/file_io.hpp"
 
 namespace hdpm::fleet {
 
@@ -18,6 +19,8 @@ using util::FaultContext;
 using util::FaultError;
 using util::FaultKind;
 using util::FaultPoint;
+using util::hex64;
+using util::parse_hex64;
 
 namespace {
 
@@ -31,35 +34,6 @@ constexpr int kVersion = 1;
     context.component = path.string();
     context.detail = std::move(detail);
     throw FaultError{FaultKind::IoError, std::move(context)};
-}
-
-std::string hex64(std::uint64_t value)
-{
-    char buf[17];
-    for (int i = 15; i >= 0; --i) {
-        buf[15 - i] = "0123456789abcdef"[(value >> (4 * i)) & 0xf];
-    }
-    buf[16] = '\0';
-    return buf;
-}
-
-bool parse_hex64(const std::string& text, std::uint64_t& value)
-{
-    if (text.size() != 16) {
-        return false;
-    }
-    value = 0;
-    for (const char c : text) {
-        value <<= 4;
-        if (c >= '0' && c <= '9') {
-            value |= static_cast<std::uint64_t>(c - '0');
-        } else if (c >= 'a' && c <= 'f') {
-            value |= static_cast<std::uint64_t>(c - 'a' + 10);
-        } else {
-            return false;
-        }
-    }
-    return true;
 }
 
 } // namespace
@@ -117,26 +91,7 @@ void write_plan(const std::filesystem::path& dir, const FleetPlan& plan)
     os << "model " << (plan.enhanced ? "enhanced" : "basic") << ' '
        << plan.zero_clusters << '\n';
     os << "end\n";
-    const std::string payload = os.str();
-
-    const std::filesystem::path path = dir / kPlanFileName;
-    const std::filesystem::path tmp = path.string() + ".tmp";
-    {
-        std::ofstream out{tmp, std::ios::binary | std::ios::trunc};
-        if (!out) {
-            io_fail(tmp, "cannot open plan tmp file for writing");
-        }
-        out << payload;
-        out.flush();
-        if (!out) {
-            io_fail(tmp, "short write publishing fleet plan");
-        }
-    }
-    std::error_code ec;
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) {
-        io_fail(path, "cannot publish fleet plan: " + ec.message());
-    }
+    util::publish_file(dir / kPlanFileName, os.str());
 }
 
 std::optional<FleetPlan> read_plan(const std::filesystem::path& dir)
@@ -295,16 +250,6 @@ std::optional<double> file_age_ms(const std::filesystem::path& path)
     }
     const auto now = std::filesystem::file_time_type::clock::now();
     return std::chrono::duration<double, std::milli>(now - mtime).count();
-}
-
-bool quarantine_file(const std::filesystem::path& path)
-{
-    std::error_code ec;
-    std::filesystem::rename(path, path.string() + ".corrupt", ec);
-    if (!ec) {
-        return true;
-    }
-    return std::filesystem::remove(path, ec);
 }
 
 bool publish_first_wins(const std::filesystem::path& tmp,

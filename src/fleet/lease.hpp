@@ -107,11 +107,6 @@ enum class LeaseRead {
 /// nullopt when the file is gone.
 [[nodiscard]] std::optional<double> file_age_ms(const std::filesystem::path& path);
 
-/// Set a damaged coordination file aside as <path>.corrupt (keep the
-/// evidence, free the name). Falls back to removal when the rename fails;
-/// returns false when the file was already gone.
-bool quarantine_file(const std::filesystem::path& path);
-
 /// Publish @p tmp at @p final first-wins: link() the finished payload to
 /// the final name and unlink the tmp. Returns true when this call won the
 /// name, false when a sibling published first (EEXIST — the duplicate is

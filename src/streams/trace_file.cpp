@@ -2,7 +2,7 @@
 
 #include <cerrno>
 #include <cstring>
-#include <fstream>
+#include <ostream>
 #include <vector>
 
 #include <fcntl.h>
@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include "util/fault.hpp"
+#include "util/file_io.hpp"
 
 namespace hdpm::streams {
 
@@ -87,32 +88,14 @@ void write_trace_file(const std::filesystem::path& path, const PackedTrace& trac
     }
     header.resize(trace_file_words_offset(trace.operand_widths().size()), '\0');
 
-    const std::filesystem::path tmp = path.string() + ".tmp";
-    {
-        std::ofstream out{tmp, std::ios::binary | std::ios::trunc};
-        if (!out) {
-            io_fault(tmp, "cannot open for writing");
-        }
+    util::publish_file(path, [&](std::ostream& out) {
         out.write(header.data(), static_cast<std::streamsize>(header.size()));
         const auto words = trace.words();
         // The in-memory representation is already little-endian uint64 on
         // every target this tree builds for (x86-64 / aarch64-le).
         out.write(reinterpret_cast<const char*>(words.data()),
                   static_cast<std::streamsize>(words.size() * sizeof(std::uint64_t)));
-        out.flush();
-        if (!out) {
-            std::error_code ignore;
-            std::filesystem::remove(tmp, ignore);
-            io_fault(tmp, "short write");
-        }
-    }
-    std::error_code ec;
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) {
-        std::error_code ignore;
-        std::filesystem::remove(tmp, ignore);
-        io_fault(path, "rename failed: " + ec.message());
-    }
+    });
 }
 
 MappedTrace::MappedTrace(const std::filesystem::path& path)

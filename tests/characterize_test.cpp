@@ -10,6 +10,7 @@
 #include "core/checkpoint.hpp"
 #include "core/model_library.hpp"
 #include "core/workloads.hpp"
+#include "oracles/journal_v2.hpp"
 #include "sim/power.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
@@ -574,7 +575,6 @@ TEST(Checkpoint, JournalRoundTripIsBitExact)
     shard.records.push_back({1, 7, 123456.78901234567, 0x01});
     journal.shards.push_back(shard);
     journal.shards.push_back(CheckpointShard{1, {}}); // a failed shard's block
-    EXPECT_EQ(journal.total_records(), 3U);
 
     const std::filesystem::path path =
         std::filesystem::path{::testing::TempDir()} / "roundtrip.journal";
@@ -871,27 +871,35 @@ TEST(Checkpoint, MalformedJournalsThrowCheckpointCorrupt)
         std::filesystem::remove(path);
     };
 
+    const std::string header =
+        oracle::journal_header(0xaa, "adder_W4xW4", /*m=*/8, /*corners=*/1);
+    const std::string record = "3 2 0000000000000055 3fd5555555555555\n";
     expect_corrupt("bad_magic.journal", "hdpm_model 1\n");
-    expect_corrupt("truncated.journal",
-                   "hdpm_checkpoint 1\n"
-                   "fingerprint 00000000000000aa\n"
-                   "module adder_W4xW4 m 8\n"
-                   "shard 0 2\n"
-                   "3 2 3fd5555555555555 0000000000000055\n");
+    // A torn last block: its frame declares more bytes than remain.
+    const std::string whole = oracle::journal_block("shard 0 2\n" + record + record);
+    expect_corrupt("truncated.journal", header + whole.substr(0, whole.size() - 1));
     // Shard indices must form a contiguous prefix of the plan.
-    expect_corrupt("gap.journal",
-                   "hdpm_checkpoint 1\n"
-                   "fingerprint 00000000000000aa\n"
-                   "module adder_W4xW4 m 8\n"
-                   "shard 1 0\n"
-                   "end\n");
+    expect_corrupt("gap.journal", header + oracle::journal_block("shard 1 0\n"));
     // Out-of-range records are damage even when the syntax parses.
     expect_corrupt("bad_record.journal",
+                   header + oracle::journal_block(
+                                "shard 0 1\n9 0 0000000000000055 3fd5555555555555\n"));
+    // A block whose bytes do not match its checksum.
+    std::string flipped = oracle::journal_block("shard 0 1\n" + record);
+    flipped.back() = ' ';
+    expect_corrupt("bad_checksum.journal", header + flipped);
+    // A declared count far beyond what the block holds is rejected before
+    // anything is allocated for it.
+    expect_corrupt("huge_count.journal",
+                   header + oracle::journal_block("shard 0 100000000000000\n" + record));
+    // A version-1 journal (whole-file rewrites, "end" marker) is not
+    // resumed by this format.
+    expect_corrupt("version1.journal",
                    "hdpm_checkpoint 1\n"
                    "fingerprint 00000000000000aa\n"
                    "module adder_W4xW4 m 8\n"
                    "shard 0 1\n"
-                   "9 0 3fd5555555555555 0000000000000055\n"
+                   "3 2 3fd5555555555555 0000000000000055\n"
                    "end\n");
 }
 

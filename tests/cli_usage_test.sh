@@ -1,31 +1,41 @@
 #!/usr/bin/env bash
-# Usage-error contract of hdpower_cli: malformed numeric flags and widths,
-# and flags that no longer exist, exit 2 with a message naming the flag; a
-# zero budget passes the parser but the library rejects it (exit 1)
-# without storing a model.
+# Usage-error contract of the command-line binaries: malformed numeric
+# flags and widths, and flags that no longer exist, exit 2 with a message
+# naming the flag; a zero budget passes hdpower_cli's parser but the
+# library rejects it (exit 1) without storing a model.
 #
-# Usage: tests/cli_usage_test.sh path/to/hdpower_cli
+# Usage: tests/cli_usage_test.sh path/to/hdpower_cli path/to/hdpowerd \
+#            path/to/hdpowerd_client path/to/hdpower_fleet
 set -uo pipefail
 
 cli=$1
+daemon=$2
+client=$3
+fleet=$4
 models=$(mktemp -d)
-trap 'rm -rf "$models"' EXIT
+scratch=$(mktemp -d)
+trap 'rm -rf "$models" "$scratch"' EXIT
 failures=0
 
-# expect <exit code> <stderr pattern> <args...>
-expect() {
-  local want=$1 pattern=$2
-  shift 2
+# check <exit code> <stderr pattern> <binary> <args...>
+check() {
+  local want=$1 pattern=$2 bin=$3
+  shift 3
   local err
-  err=$("$cli" "$@" --models "$models" 2>&1 >/dev/null)
+  err=$("$bin" "$@" 2>&1 >/dev/null)
   local got=$?
   if [ "$got" -ne "$want" ] || ! grep -qF -- "$pattern" <<<"$err"; then
-    echo "FAIL: hdpower_cli $* -> exit $got (want $want), stderr:"
+    echo "FAIL: $(basename "$bin") $* -> exit $got (want $want), stderr:"
     echo "$err" | head -3
     failures=$((failures + 1))
   else
-    echo "ok: hdpower_cli $* -> exit $got"
+    echo "ok: $(basename "$bin") $* -> exit $got"
   fi
+}
+
+# expect <exit code> <stderr pattern> <hdpower_cli args...>
+expect() {
+  check "$1" "$2" "$cli" "${@:3}" --models "$models"
 }
 
 expect 2 "invalid value '-1' for --threads" characterize ripple_adder 4 --threads -1
@@ -40,6 +50,15 @@ expect 2 "invalid value '2.5' for --enhanced" characterize ripple_adder 4 --enha
 expect 2 "unknown flag '--kernel'" estimate ripple_adder 4 --data I --kernel scalar
 expect 2 "unknown flag '--warmup'" characterize ripple_adder 4 --warmup per-record
 expect 1 "max_transitions must be positive" characterize ripple_adder 4 --budget 0
+
+# The daemon, its client and hdpower_fleet parse numbers the same way,
+# before they bind, connect or touch the fleet directory.
+check 2 "invalid value '-1' for --workers" "$daemon" --socket "$scratch/d.sock" --workers -1
+check 2 "invalid value '12x' for --queue" "$daemon" --socket "$scratch/d.sock" --queue 12x
+check 2 "invalid value '-1' for --retries" "$client" --socket "$scratch/none.sock" --retries -1 ping
+check 2 "invalid value 'abc' for --timeout-ms" "$client" --socket "$scratch/none.sock" --timeout-ms abc ping
+check 2 "invalid value '-5' for --poll" "$fleet" work ripple_adder 4 --fleet "$scratch/fleet" --poll -5
+check 2 "invalid value '3x' for --lease-shards" "$fleet" coordinate ripple_adder 4 --fleet "$scratch/fleet" --models "$models" --lease-shards 3x
 
 if [ -n "$(ls -A "$models")" ]; then
   echo "FAIL: rejected runs left files in the model library:"

@@ -14,13 +14,17 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "core/characterize.hpp"
+#include "core/checkpoint.hpp"
 #include "core/corner_model.hpp"
 #include "core/enhanced_model.hpp"
 #include "gatelib/techlib.hpp"
+#include "util/fault.hpp"
 
 namespace hdpm::core {
 namespace {
@@ -253,8 +257,9 @@ TEST(CornerSweep, InterruptedSweepResumesBitIdenticallyPerCorner)
         const std::filesystem::path journal =
             std::filesystem::path{::testing::TempDir()} /
             ("corner_resume_" + label + ".journal");
-        // Kill the run after 3 merged shards: each corner's ".c<k>" journal
-        // holds the shards published before the abort.
+        // Kill the run after 3 merged shards: the run's one journal holds
+        // the shards published before the abort, every corner's records in
+        // each block.
         CharacterizationOptions interrupted = sweep_options(backend, 4);
         interrupted.corners = kCorners;
         interrupted.checkpoint = journal;
@@ -266,11 +271,7 @@ TEST(CornerSweep, InterruptedSweepResumesBitIdenticallyPerCorner)
         EXPECT_THROW(
             (void)characterizer.collect_records_corners(module, interrupted),
             AbortRun);
-        for (std::size_t k = 0; k < kCorners.size(); ++k) {
-            EXPECT_TRUE(std::filesystem::exists(
-                journal.string() + ".c" + std::to_string(k)))
-                << label << " corner " << k;
-        }
+        EXPECT_TRUE(std::filesystem::exists(journal)) << label;
 
         CharacterizationOptions resume = sweep_options(backend, 1);
         resume.corners = kCorners;
@@ -285,13 +286,153 @@ TEST(CornerSweep, InterruptedSweepResumesBitIdenticallyPerCorner)
                                      label + " resume corner " +
                                          std::to_string(k));
         }
-        // A completed sweep retires every per-corner journal.
+        // A completed sweep retires its journal.
+        EXPECT_FALSE(std::filesystem::exists(journal)) << label;
+    }
+}
+
+/// The whole content of @p path, or "" when it does not exist.
+std::string read_bytes(const std::filesystem::path& path)
+{
+    std::ifstream in{path, std::ios::binary};
+    return std::string{std::istreambuf_iterator<char>{in}, {}};
+}
+
+void write_bytes(const std::filesystem::path& path, const std::string& bytes)
+{
+    std::ofstream{path, std::ios::binary | std::ios::trunc} << bytes;
+}
+
+TEST(CornerSweep, JournalGrowsByAppendsInOneFile)
+{
+    // Publishing after every shard, each snapshot of the journal taken at a
+    // progress callback must be a byte prefix of the next one (earlier
+    // blocks are never rewritten), and the journal must be the only file
+    // the run ever keeps next to it.
+    const DatapathModule module = dp::make_module(ModuleType::RippleAdder, 4);
+    const Characterizer characterizer;
+    for (const CharBackend backend :
+         {CharBackend::EventKernel, CharBackend::PowerEmulation}) {
+        const std::string label =
+            backend == CharBackend::EventKernel ? "event" : "emulation";
+        const std::filesystem::path dir =
+            std::filesystem::path{::testing::TempDir()} / ("journal_appends_" + label);
+        std::filesystem::remove_all(dir);
+        std::filesystem::create_directories(dir);
+        const std::filesystem::path journal = dir / "sweep.journal";
+
+        CharacterizationOptions options = sweep_options(backend, 4);
+        options.corners = kCorners;
+        options.checkpoint = journal;
+        options.checkpoint_every = 1;
+        std::vector<std::string> snapshots;
+        std::size_t stray_files = 0;
+        options.progress = [&](const CharProgress&) {
+            snapshots.push_back(read_bytes(journal));
+            for (const auto& entry : std::filesystem::directory_iterator{dir}) {
+                stray_files += entry.path() != journal ? 1 : 0;
+            }
+        };
+        const auto records = characterizer.collect_records_corners(module, options);
+        ASSERT_EQ(records.size(), kCorners.size()) << label;
+        EXPECT_EQ(stray_files, 0U) << label;
+        EXPECT_FALSE(std::filesystem::exists(journal)) << label;
+
+        ASSERT_EQ(snapshots.size(), 8U) << label;
+        EXPECT_TRUE(snapshots.front().empty()) << label; // nothing published yet
+        for (std::size_t i = 1; i < snapshots.size(); ++i) {
+            EXPECT_GT(snapshots[i].size(), snapshots[i - 1].size()) << label << ' ' << i;
+            EXPECT_TRUE(snapshots[i].starts_with(snapshots[i - 1])) << label << ' ' << i;
+        }
+        // The last snapshot holds the 7 shards published before the final
+        // merge, each with all three corners' records.
+        write_bytes(journal, snapshots.back());
+        const auto loaded = load_checkpoint(journal);
+        ASSERT_TRUE(loaded.has_value()) << label;
+        EXPECT_EQ(loaded->corners, kCorners.size()) << label;
+        ASSERT_EQ(loaded->shards.size(), 7U) << label;
         for (std::size_t k = 0; k < kCorners.size(); ++k) {
-            EXPECT_FALSE(std::filesystem::exists(
-                journal.string() + ".c" + std::to_string(k)))
-                << label << " corner " << k;
+            const auto& block = loaded->shards[6].records;
+            const std::vector<CharacterizationRecord> corner_k(
+                block.begin() + static_cast<std::ptrdiff_t>(k * 150),
+                block.begin() + static_cast<std::ptrdiff_t>((k + 1) * 150));
+            const std::vector<CharacterizationRecord> expected(
+                records[k].begin() + 6 * 150, records[k].begin() + 7 * 150);
+            expect_identical_records(expected, corner_k, label + " journaled corner " +
+                                                             std::to_string(k));
+        }
+        std::filesystem::remove_all(dir);
+    }
+}
+
+TEST(CornerSweep, TornOrFlippedJournalBlocksAreDetected)
+{
+    // A small K = 3 journal of two 16-transition blocks, left behind by a
+    // sweep interrupted after its second publish.
+    const DatapathModule module = dp::make_module(ModuleType::RippleAdder, 4);
+    const Characterizer characterizer;
+    const std::filesystem::path dir{::testing::TempDir()};
+    const std::filesystem::path journal = dir / "torn_sweep.journal";
+    const std::filesystem::path damaged = dir / "torn_sweep_damaged.journal";
+    std::filesystem::remove(journal);
+    CharacterizationOptions options = sweep_options(CharBackend::EventKernel, 1);
+    options.max_transitions = options.min_transitions = options.batch = 64;
+    options.shard_size = 16;
+    options.corners = kCorners;
+    options.checkpoint = journal;
+    options.progress = [](const CharProgress& p) {
+        if (p.shards_merged >= 3) {
+            throw AbortRun{};
+        }
+    };
+    EXPECT_THROW((void)characterizer.collect_records_corners(module, options), AbortRun);
+    const std::string bytes = read_bytes(journal);
+    const auto whole = load_checkpoint(journal);
+    ASSERT_TRUE(whole.has_value());
+    ASSERT_EQ(whole->shards.size(), 2U);
+    ASSERT_EQ(whole->shards[1].records.size(), 16U * kCorners.size());
+
+    // The encoder is deterministic: the journal of the first block alone is
+    // exactly the prefix before the last block.
+    CharCheckpoint first = *whole;
+    first.shards.pop_back();
+    save_checkpoint(damaged, first);
+    const std::string prefix = read_bytes(damaged);
+    ASSERT_TRUE(bytes.starts_with(prefix));
+    CharCheckpoint header_only = first;
+    header_only.shards.clear();
+    save_checkpoint(damaged, header_only);
+    const std::size_t first_block = read_bytes(damaged).size();
+
+    // Truncated anywhere inside the last block, salvage keeps exactly the
+    // first block; the strict load refuses the file.
+    for (std::size_t size = prefix.size() + 1; size < bytes.size(); ++size) {
+        write_bytes(damaged, bytes.substr(0, size));
+        const CheckpointSalvage salvage = salvage_checkpoint(damaged);
+        ASSERT_FALSE(salvage.clean) << "size " << size;
+        ASSERT_TRUE(salvage.checkpoint.has_value()) << "size " << size;
+        ASSERT_EQ(salvage.checkpoint->shards.size(), 1U) << "size " << size;
+        ASSERT_EQ(salvage.checkpoint->shards[0].index, 0U);
+        expect_identical_records(whole->shards[0].records,
+                                 salvage.checkpoint->shards[0].records,
+                                 "salvaged at size " + std::to_string(size));
+        ASSERT_THROW((void)load_checkpoint(damaged), util::FaultError) << "size " << size;
+    }
+
+    // Any flipped byte inside a block is damage to the strict load.
+    for (std::size_t pos = first_block; pos < bytes.size(); ++pos) {
+        std::string flipped = bytes;
+        flipped[pos] = static_cast<char>(flipped[pos] ^ 0x01);
+        write_bytes(damaged, flipped);
+        try {
+            (void)load_checkpoint(damaged);
+            FAIL() << "flip at byte " << pos << " accepted";
+        } catch (const util::FaultError& fault) {
+            ASSERT_EQ(fault.kind(), util::FaultKind::CheckpointCorrupt) << pos;
         }
     }
+    std::filesystem::remove(journal);
+    std::filesystem::remove(damaged);
 }
 
 TEST(CornerSweep, FittedModelsTrackThePhysicsAcrossCorners)

@@ -538,6 +538,51 @@ TEST(FaultInjection, CorruptedCheckpointPublishIsQuarantinedOnResume)
     std::filesystem::remove(journal.string() + ".corrupt");
 }
 
+TEST(FaultInjection, ShortWriteOfAnyJournalPublishResumesItsWholePrefix)
+{
+    SKIP_WITHOUT_HOOKS();
+    const DatapathModule module = dp::make_module(ModuleType::RippleAdder, 2);
+    const Characterizer characterizer;
+    const std::filesystem::path journal =
+        std::filesystem::path{::testing::TempDir()} / "injected_any_publish.journal";
+    const auto baseline = characterizer.collect_records(module, small_plan());
+
+    // The run publishes three times before the "kill": the create write,
+    // then two appends. Whichever one is torn, the blocks published before
+    // it survive the resume and everything from it on is re-simulated.
+    struct AbortRun {};
+    for (std::uint64_t publish = 1; publish <= 3; ++publish) {
+        std::filesystem::remove(journal);
+        {
+            FaultInjector injector{41};
+            ScopedFaultInjector scope{injector};
+            injector.arm(FaultPoint::CheckpointShortWrite, publish);
+            CharacterizationOptions options = small_plan();
+            options.checkpoint = journal;
+            options.progress = [](const CharProgress& p) {
+                if (p.shards_merged >= 4) {
+                    throw AbortRun{};
+                }
+            };
+            EXPECT_THROW((void)characterizer.collect_records(module, options), AbortRun);
+            EXPECT_EQ(injector.fired_count(FaultPoint::CheckpointShortWrite), 1U);
+        }
+        CharacterizationOptions options = small_plan();
+        options.checkpoint = journal;
+        CharRunStats stats;
+        options.stats = &stats;
+        const auto records = characterizer.collect_records(module, options);
+        EXPECT_TRUE(stats.checkpoint_discarded) << "publish " << publish;
+        EXPECT_EQ(stats.shards_resumed, publish - 1) << "publish " << publish;
+        ASSERT_EQ(records.size(), baseline.size());
+        for (std::size_t i = 0; i < records.size(); ++i) {
+            ASSERT_EQ(records[i].charge_fc, baseline[i].charge_fc) << "record " << i;
+        }
+        EXPECT_TRUE(std::filesystem::exists(journal.string() + ".corrupt"));
+        std::filesystem::remove(journal.string() + ".corrupt");
+    }
+}
+
 // No injection hooks needed: the torn tail is made by hand, so this runs
 // (and stays deterministic) in every build type.
 TEST(FaultInjection, TornCheckpointTailIsSalvagedToWholeShardPrefix)

@@ -26,6 +26,7 @@
 #include "fleet/coordinator.hpp"
 #include "fleet/lease.hpp"
 #include "fleet/worker.hpp"
+#include "oracles/journal_v2.hpp"
 #include "util/fault.hpp"
 
 namespace hdpm::fleet {
@@ -456,6 +457,35 @@ TEST(FleetTest, CorruptDoneJournalIsQuarantinedAndRangeRedone)
     std::ofstream{fleet_dir / done_name(0)} << "hdpm_checkpoint 1\ngarbage\n";
 
     const auto models = fresh_dir("corrupt_done_models");
+    const auto stats =
+        run_fleet(make_fleet_options(fleet_dir, models, options), options, 1);
+
+    EXPECT_GE(stats.done_corrupt, 1U);
+    EXPECT_TRUE(std::filesystem::exists(fleet_dir / (done_name(0) + ".corrupt")));
+    EXPECT_EQ(stats.ranges_done, 3U);
+    EXPECT_EQ(read_file(models / name), ref_bytes);
+}
+
+TEST(FleetTest, DoneJournalDeclaringAHugeCountIsQuarantinedAndRangeRedone)
+{
+    const auto options = small_plan();
+    const auto fleet_dir = fresh_dir("huge_count_fleet");
+    const auto [ref_bytes, name] =
+        reference_model_bytes(fresh_dir("huge_count_ref"), options);
+
+    // A done file of the right plan whose checksummed block declares far
+    // more records than it holds. The parser must refuse it as corrupt
+    // (never try to allocate the count), so the coordinator quarantines it
+    // and the range re-opens instead of the coordinator dying.
+    const dp::DatapathModule module = dp::make_module(kModule, kWidths);
+    const core::ShardRunner runner{module, resolve_plan_options(options, false)};
+    std::ofstream{fleet_dir / done_name(0), std::ios::binary}
+        << oracle::journal_header(runner.fingerprint(), runner.module_key(),
+                                  runner.input_bits(), 1)
+        << oracle::journal_block("shard 0 100000000000000\n"
+                                 "1 0 0000000000000001 3ff0000000000000\n");
+
+    const auto models = fresh_dir("huge_count_models");
     const auto stats =
         run_fleet(make_fleet_options(fleet_dir, models, options), options, 1);
 

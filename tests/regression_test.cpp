@@ -2,11 +2,7 @@
 
 #include <array>
 #include <cmath>
-#include <filesystem>
-#include <fstream>
-#include <ios>
 
-#include "core/model_library.hpp"
 #include "core/regression.hpp"
 #include "util/error.hpp"
 
@@ -208,7 +204,7 @@ TEST(Regression, RegressionVectorAccessible)
 }
 
 // ---------------------------------------------------------------------------
-// Prototype-set journaling: crash-safe resume of the per-width fits.
+// Prototype sets: one independent characterization per width.
 // ---------------------------------------------------------------------------
 
 CharacterizationOptions proto_plan()
@@ -234,106 +230,15 @@ void expect_same_prototypes(const std::vector<PrototypeModel>& a,
     }
 }
 
-TEST(PrototypeJournal, JournaledRunMatchesUnjournaledAndRetiresJournal)
+TEST(PrototypeSet, IsBitIdenticalAcrossThreadCounts)
 {
-    const std::array<int, 2> widths = {2, 3};
+    const std::array<int, 3> widths = {2, 3, 4};
     const Characterizer characterizer;
-    const std::filesystem::path journal =
-        std::filesystem::path{::testing::TempDir()} / "proto_equal.journal";
-    std::filesystem::remove(journal);
-
-    const auto plain = characterize_prototype_set(ModuleType::RippleAdder, widths,
-                                                  characterizer, proto_plan(), 1);
-    const auto journaled = characterize_prototype_set(
-        ModuleType::RippleAdder, widths, characterizer, proto_plan(), 1, journal);
-    expect_same_prototypes(plain, journaled);
-    // The completed run deletes its journal (and leaves no .tmp debris).
-    EXPECT_FALSE(std::filesystem::exists(journal));
-    EXPECT_FALSE(std::filesystem::exists(journal.string() + ".tmp"));
-}
-
-TEST(PrototypeJournal, CompletedFitsAreResumedNotRecharacterized)
-{
-    const std::array<int, 2> widths = {2, 3};
-    const Characterizer characterizer;
-    const CharacterizationOptions options = proto_plan();
-    const std::filesystem::path journal =
-        std::filesystem::path{::testing::TempDir()} / "proto_resume.journal";
-
-    // Hand-write a journal holding a sentinel fit for prototype 0 — coeffs
-    // no real characterization would produce. If the run resumes from the
-    // journal (as it must), the sentinel shows up verbatim in the result.
-    const std::array<int, 1> first = {widths[0]};
-    const int m = total_input_bits(ModuleType::RippleAdder, first);
-    std::vector<double> sentinel(static_cast<std::size_t>(m));
-    for (int i = 0; i < m; ++i) {
-        sentinel[static_cast<std::size_t>(i)] = 1000.0 + i;
-    }
-    const HdModel sentinel_model{m, sentinel};
-    {
-        std::ofstream out{journal, std::ios::trunc};
-        out << "hdpm_protolib 1\n";
-        out << "fingerprint " << std::hex
-            << characterization_fingerprint(options, characterizer.sim_options())
-            << std::dec << '\n';
-        out << "module " << dp::module_type_id(ModuleType::RippleAdder) << '\n';
-        out << "proto 0 " << widths[0] << '\n';
-        sentinel_model.save(out);
-        out << "end\n";
-    }
-
-    const auto prototypes = characterize_prototype_set(
-        ModuleType::RippleAdder, widths, characterizer, options, 1, journal);
-    ASSERT_EQ(prototypes.size(), 2U);
-    for (int hd = 1; hd <= m; ++hd) {
-        EXPECT_EQ(prototypes[0].model.coefficient(hd), sentinel_model.coefficient(hd))
-            << "hd " << hd;
-    }
-    // The missing prototype was characterized for real.
-    const auto plain = characterize_prototype_set(ModuleType::RippleAdder, widths,
-                                                  characterizer, options, 1);
-    ASSERT_EQ(prototypes[1].model.input_bits(), plain[1].model.input_bits());
-    for (int hd = 1; hd <= plain[1].model.input_bits(); ++hd) {
-        EXPECT_EQ(prototypes[1].model.coefficient(hd), plain[1].model.coefficient(hd))
-            << "hd " << hd;
-    }
-    EXPECT_FALSE(std::filesystem::exists(journal));
-}
-
-TEST(PrototypeJournal, CorruptJournalIsQuarantinedAndIgnored)
-{
-    const std::array<int, 1> widths = {2};
-    const Characterizer characterizer;
-    const std::filesystem::path journal =
-        std::filesystem::path{::testing::TempDir()} / "proto_corrupt.journal";
-    std::ofstream{journal} << "hdpm_protolib 1\nfingerprint zz\ngarbage\n";
-
-    const auto plain = characterize_prototype_set(ModuleType::RippleAdder, widths,
-                                                  characterizer, proto_plan(), 1);
-    const auto resumed = characterize_prototype_set(
-        ModuleType::RippleAdder, widths, characterizer, proto_plan(), 1, journal);
-    expect_same_prototypes(plain, resumed);
-    EXPECT_TRUE(std::filesystem::exists(journal.string() + ".corrupt"));
-    std::filesystem::remove(journal.string() + ".corrupt");
-}
-
-TEST(PrototypeJournal, OtherPlansJournalIsLeftAloneUntilReplaced)
-{
-    // A journal stamped with a different fingerprint loads nothing — the
-    // run characterizes from scratch rather than trusting foreign fits.
-    const std::array<int, 1> widths = {2};
-    const Characterizer characterizer;
-    const std::filesystem::path journal =
-        std::filesystem::path{::testing::TempDir()} / "proto_foreign.journal";
-    std::ofstream{journal} << "hdpm_protolib 1\nfingerprint abc123\n"
-                           << "module ripple_adder\nend\n";
-
-    const auto plain = characterize_prototype_set(ModuleType::RippleAdder, widths,
-                                                  characterizer, proto_plan(), 1);
-    const auto resumed = characterize_prototype_set(
-        ModuleType::RippleAdder, widths, characterizer, proto_plan(), 1, journal);
-    expect_same_prototypes(plain, resumed);
-    EXPECT_FALSE(std::filesystem::exists(journal)); // replaced, then retired
+    const auto serial = characterize_prototype_set(ModuleType::RippleAdder, widths,
+                                                   characterizer, proto_plan(), 1);
+    const auto parallel = characterize_prototype_set(ModuleType::RippleAdder, widths,
+                                                     characterizer, proto_plan(), 3);
+    expect_same_prototypes(serial, parallel);
 }
 
 } // namespace
