@@ -1,23 +1,28 @@
 /// hdpower_fleet — crash-tolerant multi-process characterization driver.
 ///
 ///   hdpower_fleet coordinate <module> <width...> --fleet DIR [--models DIR]
-///                 [--budget N] [--enhanced [K]] [--threads N]
+///                 [--budget N] [--enhanced [K]]
 ///                 [--backend event|emulation] [--calibration N]
-///                 [--lease-shards N] [--ttl MS] [--poll MS]
+///                 [--shard-size N] [--lease-shards N] [--ttl MS] [--poll MS]
 ///                 [--idle-timeout MS]
 ///   hdpower_fleet work <module> <width...> --fleet DIR
-///                 [--budget N] [--enhanced [K]] [--threads N]
+///                 [--budget N] [--enhanced [K]]
 ///                 [--backend event|emulation] [--calibration N]
-///                 [--worker-id NAME] [--poll MS] [--plan-wait MS]
+///                 [--shard-size N] [--worker-id NAME] [--poll MS]
+///                 [--plan-wait MS]
 ///
 /// One `coordinate` process publishes the stimulus plan into the shared
 /// --fleet directory, supervises worker leases (expiring stragglers and
-/// re-leasing their ranges), merges the completed ranges in plan order and
-/// stores the fitted model into --models. Any number of `work` processes —
-/// started before, after, or instead of each other; killed and replaced at
-/// will — claim shard ranges and publish results. The stored model file is
+/// re-leasing their work), merges the completed ranges in plan order and
+/// stores the fitted model into --models; it never simulates. Any number
+/// of `work` processes — started before, after, or instead of each other;
+/// killed and replaced at will — first share the plan's glitch calibration
+/// (emulation backend) by leasing its pieces, then claim shard ranges and
+/// publish results, each on one thread. The stored model file is
 /// byte-identical to a single-process `hdpower_cli characterize` of the
 /// same module and options.
+///
+/// A --worker-id is 1 to 64 characters of [A-Za-z0-9._-].
 ///
 /// The characterization flags (--budget/--enhanced/--backend/--calibration)
 /// must match between coordinator and workers: they are fingerprinted into
@@ -32,6 +37,7 @@
 
 #include "cli_args.hpp"
 #include "fleet/coordinator.hpp"
+#include "fleet/lease.hpp"
 #include "fleet/worker.hpp"
 #include "util/fault.hpp"
 
@@ -44,14 +50,15 @@ namespace {
 {
     std::cerr
         << "usage: " << argv0 << " <coordinate|work> <module> <width...> --fleet DIR\n"
-        << "coordinate: [--models DIR] [--budget N] [--enhanced [K]] [--threads N]\n"
+        << "coordinate: [--models DIR] [--budget N] [--enhanced [K]]\n"
         << "            [--backend event|emulation] [--calibration N] [--shard-size N]\n"
         << "            [--lease-shards N] [--ttl MS] [--poll MS] [--idle-timeout MS]\n"
-        << "work:       [--budget N] [--enhanced [K]] [--threads N]\n"
+        << "work:       [--budget N] [--enhanced [K]]\n"
         << "            [--backend event|emulation] [--calibration N] [--shard-size N]\n"
         << "            [--worker-id NAME] [--poll MS] [--plan-wait MS]\n"
         << "characterization flags must match between coordinator and workers\n"
-        << "(they are fingerprinted into the published plan).\n"
+        << "(they are fingerprinted into the published plan); a worker id is\n"
+        << "1 to 64 characters of [A-Za-z0-9._-].\n"
         << "exit codes: 0 ok, 1 runtime failure, 2 usage\n";
     std::exit(2);
 }
@@ -64,7 +71,6 @@ struct Cli {
     std::size_t budget = 12000;
     bool enhanced = false;
     int zero_clusters = 0;
-    unsigned threads = 0;
     core::CharBackend backend = core::CharBackend::EventKernel;
     std::size_t calibration = 512;
     std::size_t shard_size = 0;
@@ -110,8 +116,6 @@ Cli parse_args(int argc, char** argv, int start)
             cli.models_dir = next();
         } else if (flag == "--budget") {
             next_number(cli.budget);
-        } else if (flag == "--threads") {
-            next_number(cli.threads);
         } else if (flag == "--backend") {
             const std::string backend = next();
             if (backend == "event") {
@@ -139,6 +143,12 @@ Cli parse_args(int argc, char** argv, int start)
             next_number(cli.plan_wait_ms);
         } else if (flag == "--worker-id") {
             cli.worker_id = next();
+            if (!fleet::valid_worker_id(cli.worker_id)) {
+                std::cerr << "invalid value '" << cli.worker_id
+                          << "' for --worker-id (use 1 to 64 characters of "
+                             "[A-Za-z0-9._-])\n";
+                std::exit(2);
+            }
         } else if (flag == "--enhanced") {
             cli.enhanced = true;
             if (i + 1 < argc && argv[i + 1][0] != '-') {
@@ -161,7 +171,6 @@ core::CharacterizationOptions char_options(const Cli& cli)
     core::CharacterizationOptions options;
     options.max_transitions = cli.budget;
     options.min_transitions = cli.budget / 2;
-    options.threads = cli.threads;
     options.backend = cli.backend;
     options.calibration_pairs = cli.calibration;
     options.shard_size = cli.shard_size;
@@ -188,7 +197,8 @@ int cmd_coordinate(const Cli& cli)
     std::cout << "fleet complete: " << stats.ranges_done << '/' << stats.num_ranges
               << " ranges (" << stats.shards_merged << '/' << stats.num_shards
               << " shards merged, " << stats.records << " records"
-              << (stats.converged_early ? ", converged early" : "") << ")\n"
+              << (stats.converged_early ? ", converged early" : "") << ", "
+              << stats.calibration_pieces << " calibration pieces)\n"
               << "  leases expired:    " << stats.leases_expired << '\n'
               << "  leases quarantined:" << stats.leases_corrupt << '\n'
               << "  done quarantined:  " << stats.done_corrupt << '\n'
@@ -211,10 +221,11 @@ int cmd_work(const Cli& cli)
 
     fleet::FleetWorker worker{std::move(options)};
     const fleet::WorkerStats stats = worker.run();
-    std::cout << "worker done: " << stats.ranges_completed << " ranges published, "
-              << stats.shards_run << " shards run, " << stats.ranges_abandoned
-              << " abandoned, " << stats.duplicate_publishes << " duplicate, "
-              << stats.ranges_failed << " failed\n";
+    std::cout << "worker done: " << stats.calibration_pieces_run
+              << " calibration pieces run, " << stats.ranges_completed
+              << " ranges published, " << stats.shards_run << " shards run, "
+              << stats.ranges_abandoned << " abandoned, " << stats.duplicate_publishes
+              << " duplicate, " << stats.ranges_failed << " failed\n";
     return 0;
 }
 

@@ -251,15 +251,21 @@ struct SweepShard {
     sim::KernelStats kernel;            ///< scheduler counters of the shard's simulator
 };
 
+struct CalibrationTotals;
+
 /// Everything one characterization run needs, built once and shared
 /// read-only by every shard. Every run is a sweep over a corner list —
 /// options.corners, or the one-corner list {options.corner} of a
 /// single-corner run — so collect_records, collect_records_corners and
 /// ShardRunner all run on this one plan.
 struct SweepPlan {
+    /// The plan with its uncalibrated base weights; a plan with calibration
+    /// pieces is complete once fit() has folded their totals in.
     SweepPlan(const dp::DatapathModule& module, const CharacterizationOptions& options,
-              const gate::TechLibrary& library, const sim::EventSimOptions& sim_options,
-              const util::ThreadPool& pool);
+              const gate::TechLibrary& library, const sim::EventSimOptions& sim_options);
+
+    /// Fit the weights from the calibration totals of every piece.
+    void fit(const CalibrationTotals& cal);
 
     /// Simulate shard @p shard and return its blocks; the shard's failure
     /// propagates. @p tick is the mid-shard heartbeat (ShardRunner::TickFn).
@@ -267,6 +273,10 @@ struct SweepPlan {
                                  const std::function<void()>& tick = {}) const;
 
     [[nodiscard]] std::size_t corners() const noexcept { return contexts.size(); }
+    [[nodiscard]] bool zero_delay() const noexcept
+    {
+        return options.backend == CharBackend::PowerEmulation;
+    }
 
     const CharacterizationOptions& options;
     sim::EventSimOptions sim_options;
@@ -280,6 +290,8 @@ struct SweepPlan {
     /// corner, index-aligned with the corner list and shared read-only by
     /// every shard's simulators; shards simulate on contexts[0].
     std::vector<std::unique_ptr<sim::SimContext>> contexts;
+    /// The calibration's pieces (calibration_pieces(options)).
+    std::vector<CalibrationPiece> pieces;
     /// Scoring weights. Power emulation: corner k's calibrated per-net
     /// weights. Event kernel: the transfer weights of corners 1..K-1 —
     /// none for a one-corner run, whose only corner is simulated exactly.
@@ -679,91 +691,133 @@ void run_calibration_piece(const sim::SimContext& context,
     }
 }
 
-/// The calibration subsample's event-kernel totals at every corner of a
-/// plan, per calibration shard.
+/// The calibration's per-shard totals at every corner of a plan: the event
+/// kernel's per-net toggles and per-transition charges, and — for power
+/// emulation — the zero-delay toggles (corner-invariant, so once).
 struct CalibrationTotals {
     std::vector<std::vector<std::vector<std::uint64_t>>> event_toggles; ///< [k][shard][net]
-    std::vector<std::vector<double>> charge;                ///< [k][shard], summed
-    std::vector<std::vector<std::uint64_t>> zero_toggles;   ///< [shard][net]
+    std::vector<std::vector<std::vector<double>>> charges; ///< [k][shard][transition]
+    std::vector<std::vector<std::uint64_t>> zero_toggles;  ///< [shard][net]
 };
 
-/// Run the calibration subsample of @p plan — shards of plan.shard_size
-/// with ids offset by kCalibrationShardBase — through the event kernel at
-/// every corner and, for the power-emulation backend, through the
-/// zero-delay settles once (zero-delay toggles are corner-invariant).
-/// Every (corner, shard, piece) is one task of a single pool map, so even
-/// a one-shard calibration spreads over the whole pool.
+/// All-zero totals shaped for the pieces of @p plan (which has some).
+CalibrationTotals zeroed_totals(const SweepPlan& plan)
+{
+    const std::size_t nets = plan.contexts[0]->netlist().num_nets();
+    const std::size_t shards = plan.pieces.back().shard + 1;
+    CalibrationTotals out;
+    out.event_toggles.assign(plan.corners(),
+                             std::vector<std::vector<std::uint64_t>>(
+                                 shards, std::vector<std::uint64_t>(nets, 0)));
+    out.charges.assign(plan.corners(), std::vector<std::vector<double>>(shards));
+    for (const CalibrationPiece& piece : plan.pieces) {
+        out.charges[piece.corner][piece.shard].resize(piece.first + piece.count);
+    }
+    if (plan.zero_delay()) {
+        out.zero_toggles.assign(shards, std::vector<std::uint64_t>(nets, 0));
+    }
+    return out;
+}
+
+/// Run the calibration of @p plan on @p pool: every piece — each (corner,
+/// shard, piece) of the subsample, shards of plan.shard_size with ids
+/// offset by kCalibrationShardBase — is one task of a single pool map, so
+/// even a one-shard calibration spreads over the whole pool, and each task
+/// accumulates into the totals in place.
 ///
 /// The reductions are exact for any thread count and completion order:
-/// per-net toggles are integer sums, and each shard's charge is summed
-/// from 0.0 over its per-transition charges in stimulus order — the
-/// serial loop's arithmetic. Every fit over the totals is therefore a pure
-/// function of the stimulus plan, recomputed identically on a checkpoint
-/// resume and in every fleet process.
+/// per-net toggles are integer sums, and each transition's charge lands in
+/// its own slot, summed per shard in stimulus order by the fit. The fit is
+/// therefore a pure function of the stimulus plan, recomputed identically
+/// on a checkpoint resume and from pieces run in other processes.
 CalibrationTotals run_calibration(const SweepPlan& plan, const util::ThreadPool& pool)
 {
-    const bool zero_delay = plan.options.backend == CharBackend::PowerEmulation;
-    const std::size_t corners = plan.corners();
-    const std::size_t total = plan.options.calibration_pairs;
-    const std::size_t num_shards = (total + plan.shard_size - 1) / plan.shard_size;
-    const auto shard_pairs = [&](std::size_t s) {
-        return std::min(plan.shard_size, total - s * plan.shard_size);
-    };
-    const auto stimuli = pool.parallel_map(num_shards, [&](std::size_t s) {
-        return draw_calibration_stimulus(plan, kCalibrationShardBase + s, shard_pairs(s));
+    CalibrationTotals out = zeroed_totals(plan);
+    const std::vector<std::vector<double>>& shards = out.charges[0];
+    const auto stimuli = pool.parallel_map(shards.size(), [&](std::size_t s) {
+        return draw_calibration_stimulus(plan, kCalibrationShardBase + s, shards[s].size());
     });
-    const std::size_t piece = plan.mode == StimulusMode::StratifiedPairs ? kLanes : kLanes - 1;
-
-    struct Task {
-        std::size_t corner, shard, first, count;
-    };
-    std::vector<Task> tasks;
-    std::vector<std::vector<std::vector<double>>> charges(corners); // [k][shard][i]
-    for (std::size_t k = 0; k < corners; ++k) {
-        for (std::size_t s = 0; s < num_shards; ++s) {
-            charges[k].emplace_back(shard_pairs(s));
-            for (std::size_t first = 0; first < shard_pairs(s); first += piece) {
-                tasks.push_back({k, s, first, std::min(piece, shard_pairs(s) - first)});
-            }
-        }
-    }
-
-    const std::size_t nets = plan.contexts[0]->netlist().num_nets();
-    CalibrationTotals out;
-    out.event_toggles.assign(
-        corners, std::vector<std::vector<std::uint64_t>>(
-                     num_shards, std::vector<std::uint64_t>(nets, 0)));
-    if (zero_delay) {
-        out.zero_toggles.assign(num_shards, std::vector<std::uint64_t>(nets, 0));
-    }
     std::mutex sums_mutex;
-    pool.parallel_for(tasks.size(), [&](std::size_t t) {
-        const Task& task = tasks[t];
+    pool.parallel_for(plan.pieces.size(), [&](std::size_t t) {
+        const CalibrationPiece& piece = plan.pieces[t];
         run_calibration_piece(
-            *plan.contexts[task.corner], plan.sim_options, stimuli[task.shard], task.first,
-            std::span{charges[task.corner][task.shard]}.subspan(task.first, task.count),
-            out.event_toggles[task.corner][task.shard],
-            zero_delay && task.corner == 0 ? &out.zero_toggles[task.shard] : nullptr,
+            *plan.contexts[piece.corner], plan.sim_options, stimuli[piece.shard], piece.first,
+            std::span{out.charges[piece.corner][piece.shard]}.subspan(piece.first, piece.count),
+            out.event_toggles[piece.corner][piece.shard],
+            plan.zero_delay() && piece.corner == 0 ? &out.zero_toggles[piece.shard] : nullptr,
             sums_mutex);
     });
+    return out;
+}
 
-    out.charge.assign(corners, std::vector<double>(num_shards, 0.0));
-    for (std::size_t k = 0; k < corners; ++k) {
-        for (std::size_t s = 0; s < num_shards; ++s) {
-            out.charge[k][s] = std::accumulate(charges[k][s].begin(), charges[k][s].end(), 0.0);
+/// Run one piece of @p plan's calibration on the calling thread, through
+/// the same piece function run_calibration schedules. Only the stimulus
+/// prefix the piece ends in is drawn: the shard's stream is sequential.
+CalibrationPieceResult run_piece(const SweepPlan& plan, const CalibrationPiece& piece)
+{
+    const CalibrationStimulus stimulus = draw_calibration_stimulus(
+        plan, kCalibrationShardBase + piece.shard, piece.first + piece.count);
+    const std::size_t nets = plan.contexts[0]->netlist().num_nets();
+    const bool zero_delay = plan.zero_delay() && piece.corner == 0;
+    CalibrationPieceResult out;
+    out.charges.resize(piece.count);
+    out.event_toggles.assign(nets, 0);
+    if (zero_delay) {
+        out.zero_toggles.assign(nets, 0);
+    }
+    std::mutex unshared;
+    run_calibration_piece(*plan.contexts[piece.corner], plan.sim_options, stimulus,
+                          piece.first, out.charges, out.event_toggles,
+                          zero_delay ? &out.zero_toggles : nullptr, unshared);
+    return out;
+}
+
+/// Reduce piece @p results, index-aligned with @p plan's pieces, into the
+/// totals run_calibration computes in place.
+CalibrationTotals reduce_pieces(const SweepPlan& plan,
+                                std::span<const CalibrationPieceResult> results)
+{
+    HDPM_REQUIRE(results.size() == plan.pieces.size(), "got ", results.size(),
+                 " calibration piece results for ", plan.pieces.size(), " pieces");
+    CalibrationTotals out = zeroed_totals(plan);
+    const std::size_t nets = plan.contexts[0]->netlist().num_nets();
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        const CalibrationPiece& piece = plan.pieces[i];
+        const CalibrationPieceResult& result = results[i];
+        const bool zero_delay = plan.zero_delay() && piece.corner == 0;
+        HDPM_REQUIRE(result.charges.size() == piece.count &&
+                         result.event_toggles.size() == nets &&
+                         result.zero_toggles.size() == (zero_delay ? nets : 0),
+                     "calibration piece ", i, " result does not have the piece's shape");
+        std::copy(result.charges.begin(), result.charges.end(),
+                  out.charges[piece.corner][piece.shard].begin() +
+                      static_cast<std::ptrdiff_t>(piece.first));
+        std::vector<std::uint64_t>& event = out.event_toggles[piece.corner][piece.shard];
+        for (std::size_t net = 0; net < nets; ++net) {
+            event[net] += result.event_toggles[net];
+        }
+        if (zero_delay) {
+            std::vector<std::uint64_t>& zero = out.zero_toggles[piece.shard];
+            for (std::size_t net = 0; net < nets; ++net) {
+                zero[net] += result.zero_toggles[net];
+            }
         }
     }
     return out;
 }
 
+std::size_t plan_shard_size(const CharacterizationOptions& options) noexcept
+{
+    return options.shard_size != 0 ? options.shard_size : options.batch;
+}
+
 SweepPlan::SweepPlan(const dp::DatapathModule& module,
                      const CharacterizationOptions& opts,
                      const gate::TechLibrary& library,
-                     const sim::EventSimOptions& sim_opts, const util::ThreadPool& pool)
+                     const sim::EventSimOptions& sim_opts)
     : options(opts), sim_options(sim_opts), m(module.total_input_bits()),
       mode(options.mode.value_or(StimulusMode::StratifiedChain)),
-      shard_size(options.shard_size != 0 ? options.shard_size : options.batch),
-      num_shards(0)
+      shard_size(plan_shard_size(options)), num_shards(0)
 {
     HDPM_REQUIRE(m >= 1 && m <= BitVec::kMaxWidth, "module input width out of range");
     HDPM_REQUIRE(options.batch >= 1, "batch must be positive");
@@ -790,54 +844,53 @@ SweepPlan::SweepPlan(const dp::DatapathModule& module,
         add_context(corner);
     }
 
-    // Calibration is a pure function of the stimulus plan and corner list
-    // (its shard ids reuse the sharded seed scheme, offset into their own
-    // half of the id space), so every process running shards of this plan
-    // — and every resumed run — recomputes identical weights; nothing
-    // about it needs journaling. Emulation: each corner keeps its own
-    // glitch correction, fit_toggle_correction'd from the zero-delay
-    // toggles (scored) to the event kernel's at that corner (reference) —
-    // exactly what a one-corner run at that corner computes. Event kernel:
-    // corner k > 0 gets transfer weights, fit from corner 0's event toggles
-    // (scored — uniform delay scaling preserves event order up to
-    // integer-ps rounding and the fixed inertial window, so the ratios sit
-    // near 1) to corner k's own (reference).
-    const std::size_t total = options.calibration_pairs;
-    const auto fit_rows = [&](const CalibrationTotals& cal, std::size_t k,
-                              const std::vector<std::vector<std::uint64_t>>& scored) {
-        std::vector<CorrectionRow> rows;
+    // Emulation scores every corner; the event kernel simulates corner 0
+    // exactly and scores the others.
+    for (std::size_t k = zero_delay() ? 0 : 1; k < corners(); ++k) {
+        weights.push_back(base_charge_weights(*contexts[k], sim_options));
+    }
+    pieces = calibration_pieces(options);
+}
+
+// Calibration is a pure function of the stimulus plan and corner list (its
+// shard ids reuse the sharded seed scheme, offset into their own half of
+// the id space), so every process running shards of this plan — and every
+// resumed run — fits identical weights; nothing about it needs journaling.
+// Emulation: each corner keeps its own glitch correction,
+// fit_toggle_correction'd from the zero-delay toggles (scored) to the event
+// kernel's at that corner (reference) — exactly what a one-corner run at
+// that corner computes. Event kernel: corner k > 0 gets transfer weights,
+// fit from corner 0's event toggles (scored — uniform delay scaling
+// preserves event order up to integer-ps rounding and the fixed inertial
+// window, so the ratios sit near 1) to corner k's own (reference).
+void SweepPlan::fit(const CalibrationTotals& cal)
+{
+    const auto rows = [&](std::size_t k,
+                          const std::vector<std::vector<std::uint64_t>>& scored) {
+        std::vector<CorrectionRow> out;
         for (std::size_t s = 0; s < scored.size(); ++s) {
-            rows.push_back({scored[s], cal.event_toggles[k][s], cal.charge[k][s]});
+            const std::vector<double>& charges = cal.charges[k][s];
+            out.push_back({scored[s], cal.event_toggles[k][s],
+                           std::accumulate(charges.begin(), charges.end(), 0.0)});
         }
-        return rows;
+        return out;
     };
-    if (options.backend == CharBackend::PowerEmulation) {
+    const std::uint64_t pairs = options.calibration_pairs * corners();
+    if (zero_delay()) {
         for (std::size_t k = 0; k < corners(); ++k) {
-            weights.push_back(base_charge_weights(*contexts[k], sim_options));
-        }
-        if (total > 0) {
-            const CalibrationTotals cal = run_calibration(*this, pool);
-            for (std::size_t k = 0; k < corners(); ++k) {
-                const double scale = fit_toggle_correction(
-                    *contexts[k], weights[k], fit_rows(cal, k, cal.zero_toggles));
-                if (k == 0) {
-                    calibration_scale = scale;
-                }
+            const double scale =
+                fit_toggle_correction(*contexts[k], weights[k], rows(k, cal.zero_toggles));
+            if (k == 0) {
+                calibration_scale = scale;
             }
-            calibration_pairs = total * corners();
         }
+        calibration_pairs = pairs;
     } else {
         for (std::size_t k = 1; k < corners(); ++k) {
-            weights.push_back(base_charge_weights(*contexts[k], sim_options));
+            (void)fit_toggle_correction(*contexts[0], weights[k - 1],
+                                        rows(k, cal.event_toggles[0]));
         }
-        if (total > 0 && corners() > 1) {
-            const CalibrationTotals cal = run_calibration(*this, pool);
-            for (std::size_t k = 1; k < corners(); ++k) {
-                (void)fit_toggle_correction(*contexts[0], weights[k - 1],
-                                            fit_rows(cal, k, cal.event_toggles[0]));
-            }
-            corner_calibration_pairs = total * corners();
-        }
+        corner_calibration_pairs = pairs;
     }
 }
 
@@ -962,7 +1015,10 @@ std::vector<std::vector<CharacterizationRecord>> collect_sweep(
     HDPM_REQUIRE(options.checkpoint_every >= 1, "checkpoint_every must be positive");
     const auto start = std::chrono::steady_clock::now();
     const util::ThreadPool pool{options.threads};
-    const SweepPlan plan{module, options, library, sim_options, pool};
+    SweepPlan plan{module, options, library, sim_options};
+    if (!plan.pieces.empty()) {
+        plan.fit(run_calibration(plan, pool));
+    }
     const std::size_t corners = plan.corners();
     const bool emulation = options.backend == CharBackend::PowerEmulation;
     const std::string module_key = module_journal_key(module);
@@ -1175,6 +1231,31 @@ std::string module_journal_key(const dp::DatapathModule& module)
     return key;
 }
 
+std::vector<CalibrationPiece> calibration_pieces(const CharacterizationOptions& options)
+{
+    const std::size_t corners = std::max<std::size_t>(options.corners.size(), 1);
+    const std::size_t total = options.calibration_pairs;
+    if (total == 0 || (options.backend == CharBackend::EventKernel && corners == 1)) {
+        return {};
+    }
+    const std::size_t shard_size = plan_shard_size(options);
+    HDPM_REQUIRE(shard_size >= 1, "shard size must be positive");
+    const std::size_t piece =
+        options.mode.value_or(StimulusMode::StratifiedChain) == StimulusMode::StratifiedPairs
+            ? kLanes
+            : kLanes - 1;
+    std::vector<CalibrationPiece> pieces;
+    for (std::size_t k = 0; k < corners; ++k) {
+        for (std::size_t s = 0; s * shard_size < total; ++s) {
+            const std::size_t pairs = std::min(shard_size, total - s * shard_size);
+            for (std::size_t first = 0; first < pairs; first += piece) {
+                pieces.push_back({k, s, first, std::min(piece, pairs - first)});
+            }
+        }
+    }
+    return pieces;
+}
+
 // ---------------------------------------------------------------------------
 // ShardRunner / ShardMerger — the distribution-facing faces of the sharded
 // plan. ShardRunner is built on the same SweepPlan (and so the same shard
@@ -1187,10 +1268,9 @@ std::string module_journal_key(const dp::DatapathModule& module)
 struct ShardRunner::Impl {
     Impl(const dp::DatapathModule& module, CharacterizationOptions opts,
          const gate::TechLibrary& library, sim::EventSimOptions sim_options)
-        : options(std::move(opts)),
-          plan(module, options, library, sim_options, util::ThreadPool{options.threads}),
+        : options(std::move(opts)), plan(module, options, library, sim_options),
           fingerprint(characterization_fingerprint(options, sim_options)),
-          module_key(module_journal_key(module))
+          module_key(module_journal_key(module)), calibrated(plan.pieces.empty())
     {
     }
 
@@ -1198,17 +1278,23 @@ struct ShardRunner::Impl {
     SweepPlan plan;
     std::uint64_t fingerprint;
     std::string module_key;
+    bool calibrated; ///< the weights are final: shards may run
 };
 
 ShardRunner::ShardRunner(const dp::DatapathModule& module,
                          CharacterizationOptions options,
                          const gate::TechLibrary& library,
-                         sim::EventSimOptions sim_options)
+                         sim::EventSimOptions sim_options, Calibration calibration)
 {
     HDPM_REQUIRE(options.corners.empty(),
                  "ShardRunner plans are single-corner; sweeps use "
                  "collect_records_corners");
     impl_ = std::make_unique<Impl>(module, std::move(options), library, sim_options);
+    if (calibration == Calibration::InProcess && !impl_->calibrated) {
+        impl_->plan.fit(
+            run_calibration(impl_->plan, util::ThreadPool{impl_->options.threads}));
+        impl_->calibrated = true;
+    }
 }
 
 ShardRunner::~ShardRunner() = default;
@@ -1238,12 +1324,32 @@ const std::string& ShardRunner::module_key() const noexcept
     return impl_->module_key;
 }
 
+const std::vector<CalibrationPiece>& ShardRunner::calibration_pieces() const noexcept
+{
+    return impl_->plan.pieces;
+}
+
+CalibrationPieceResult ShardRunner::run_calibration_piece(std::size_t index) const
+{
+    HDPM_REQUIRE(index < impl_->plan.pieces.size(), "calibration piece outside the plan");
+    return run_piece(impl_->plan, impl_->plan.pieces[index]);
+}
+
+void ShardRunner::fit_calibration(std::span<const CalibrationPieceResult> results)
+{
+    HDPM_REQUIRE(!impl_->calibrated, "the runner is already calibrated");
+    impl_->plan.fit(reduce_pieces(impl_->plan, results));
+    impl_->calibrated = true;
+}
+
 std::vector<CharacterizationRecord> ShardRunner::run(std::size_t shard,
                                                      const TickFn& tick) const
 {
+    HDPM_REQUIRE(impl_->calibrated, "fit the calibration pieces before running shards");
     HDPM_REQUIRE(shard < impl_->plan.num_shards, "shard index outside the plan");
     return std::move(impl_->plan.run(shard, tick).blocks[0]);
 }
+
 struct ShardMerger::Impl {
     Impl(int input_bits, const CharacterizationOptions& options)
         : monitor(static_cast<std::size_t>(input_bits)), batch(options.batch),

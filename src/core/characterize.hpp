@@ -308,23 +308,62 @@ private:
     sim::EventSimOptions sim_options_;
 };
 
+/// One piece of a plan's glitch calibration, the unit calibration is
+/// scheduled in (on the in-process pool and as leased fleet work):
+/// transitions [first, first + count) of calibration shard `shard`,
+/// simulated through the event kernel at corner `corner`. A piece spans
+/// one 64-lane settle: up to 64 pairs, or up to 63 chain transitions.
+struct CalibrationPiece {
+    std::size_t corner = 0;
+    std::size_t shard = 0;
+    std::size_t first = 0;
+    std::size_t count = 0;
+};
+
+/// What one calibration piece measured. Pieces reduce into the fit by
+/// integer sums (toggles) and by summing each shard's charges in stimulus
+/// order, so the fit is the same wherever and in whatever order they ran.
+struct CalibrationPieceResult {
+    std::vector<double> charges;              ///< event charge per transition
+    std::vector<std::uint64_t> event_toggles; ///< per-net event-kernel toggles
+    /// Per-net zero-delay toggles: power emulation at corner 0, else empty.
+    std::vector<std::uint64_t> zero_toggles;
+};
+
+/// The calibration pieces of the plan @p options describe, in reduction
+/// order (corner, then shard, then first transition). Empty when the plan
+/// calibrates nothing: calibration_pairs = 0, or the event backend with a
+/// single corner.
+[[nodiscard]] std::vector<CalibrationPiece> calibration_pieces(
+    const CharacterizationOptions& options);
+
 /// Runs single stimulus shards of a characterization plan — the unit of
 /// distribution. A ShardRunner owns everything a shard simulation needs
 /// (the compiled SimContext, the options, and — for the power-emulation
-/// backend — the calibrated weight vector, computed once at construction)
-/// so shard @p i of the plan can be simulated in any process, on any host,
-/// and produce the identical record block: the stream is seeded
-/// `seed ^ splitmix64(i)` and nothing about it depends on which shards ran
-/// before or elsewhere. This is exactly the per-shard work
-/// Characterizer::collect_records schedules onto its thread pool, exposed
-/// so a fleet worker can run a leased shard range out-of-process.
+/// backend — the calibrated weight vector) so shard @p i of the plan can be
+/// simulated in any process, on any host, and produce the identical record
+/// block: the stream is seeded `seed ^ splitmix64(i)` and nothing about it
+/// depends on which shards ran before or elsewhere. This is exactly the
+/// per-shard work Characterizer::collect_records schedules onto its thread
+/// pool, exposed so a fleet worker can run a leased shard range
+/// out-of-process.
 class ShardRunner {
 public:
+    /// Where the weights' calibration runs.
+    enum class Calibration {
+        /// At construction, every piece on a pool of options.threads.
+        InProcess,
+        /// Wherever the caller runs the pieces (run_calibration_piece); the
+        /// results are handed to fit_calibration before the first shard.
+        FromPieces,
+    };
+
     /// @p module (its netlist) and @p library must outlive the runner, as
     /// for every simulator built on SimContext.
     ShardRunner(const dp::DatapathModule& module, CharacterizationOptions options,
                 const gate::TechLibrary& library = gate::TechLibrary::generic350(),
-                sim::EventSimOptions sim_options = {});
+                sim::EventSimOptions sim_options = {},
+                Calibration calibration = Calibration::InProcess);
     ~ShardRunner();
     ShardRunner(const ShardRunner&) = delete;
     ShardRunner& operator=(const ShardRunner&) = delete;
@@ -339,6 +378,20 @@ public:
     [[nodiscard]] std::uint64_t fingerprint() const noexcept;
     [[nodiscard]] const std::string& module_key() const noexcept;
 
+    /// The plan's calibration pieces (calibration_pieces of its options).
+    [[nodiscard]] const std::vector<CalibrationPiece>& calibration_pieces() const noexcept;
+
+    /// Run calibration piece @p index on the calling thread: the piece
+    /// function the in-process calibration schedules on its pool.
+    [[nodiscard]] CalibrationPieceResult run_calibration_piece(std::size_t index) const;
+
+    /// FromPieces runners: fit the weights from the results of every piece,
+    /// index-aligned with calibration_pieces() and reduced in piece order,
+    /// so shard blocks are bit-identical to an InProcess runner's. Throws
+    /// PreconditionError when a result does not have its piece's shape, or
+    /// when the runner is already calibrated.
+    void fit_calibration(std::span<const CalibrationPieceResult> results);
+
     /// Mid-shard progress callback: invoked between stimulus batches
     /// *inside* a shard (roughly every 64 simulated transitions), so a
     /// fleet worker can heartbeat its lease while a large shard is still
@@ -348,8 +401,10 @@ public:
 
     /// Simulate shard @p shard of the plan and return its record block.
     /// Throws the shard's failure (FaultError etc.) — the caller owns the
-    /// degrade/abort decision. @p tick, when set, is invoked between
-    /// batches inside the shard (see TickFn); it must not throw.
+    /// degrade/abort decision — and PreconditionError on a FromPieces
+    /// runner whose pieces are not fitted yet. @p tick, when set, is
+    /// invoked between batches inside the shard (see TickFn); it must not
+    /// throw.
     [[nodiscard]] std::vector<CharacterizationRecord> run(
         std::size_t shard, const TickFn& tick = {}) const;
 

@@ -37,16 +37,6 @@ constexpr int kVersion = 2;
 constexpr std::string_view kBlockTag = "block ";
 constexpr std::size_t kFrameBytes = kBlockTag.size() + 16 + 1 + 16 + 1;
 
-std::uint64_t fnv1a64(std::string_view bytes) noexcept
-{
-    std::uint64_t hash = 0xcbf2'9ce4'8422'2325ULL;
-    for (const char c : bytes) {
-        hash ^= static_cast<unsigned char>(c);
-        hash *= 0x0000'0100'0000'01b3ULL;
-    }
-    return hash;
-}
-
 std::string encode_header(const CharCheckpoint& identity)
 {
     std::string out{kMagic};
@@ -86,7 +76,7 @@ void encode_block(std::string& out, std::size_t index, std::size_t n, std::size_
     std::string line{kBlockTag};
     util::append_hex64(line, out.size() - body);
     line += ' ';
-    util::append_hex64(line, fnv1a64(std::string_view{out}.substr(body)));
+    util::append_hex64(line, util::fnv1a64(std::string_view{out}.substr(body)));
     line += '\n';
     out.replace(frame, kFrameBytes, line);
 }
@@ -230,7 +220,7 @@ std::optional<CharCheckpoint> parse_checkpoint(const std::filesystem::path& path
         const std::string_view body = lines.text.substr(0, bytes);
         lines.text.remove_prefix(bytes);
         CheckpointShard shard;
-        if (fnv1a64(body) != checksum ||
+        if (util::fnv1a64(body) != checksum ||
             !parse_body(body, checkpoint.input_bits, checkpoint.corners, shard)) {
             fail("damaged shard block " + std::to_string(checkpoint.shards.size()));
             return checkpoint;

@@ -26,6 +26,54 @@ double elapsed_ms(const Clock::time_point since)
     return std::chrono::duration<double, std::milli>(Clock::now() - since).count();
 }
 
+/// Police the lease at @p lease_path of a range or piece without a result
+/// yet: a live one is activity, a stale one (its holder SIGKILLed or
+/// wedged) is removed — or quarantined when unreadable — so another worker
+/// can claim the work. Returns true on activity.
+bool police_lease(const std::filesystem::path& lease_path, const double ttl_ms,
+                  FleetStats& stats)
+{
+    const std::optional<double> age = file_age_ms(lease_path);
+    if (!age) {
+        return false; // open — waiting for a worker to claim it
+    }
+    double effective_age = *age;
+    if (effective_age < 0) {
+        // Future-dated heartbeat: a worker whose clock jumped. Small skew
+        // is clamped to "fresh"; skew beyond the TTL is not a fresh worker
+        // but a broken clock, so the lease is expired rather than trusted
+        // forever.
+        ++stats.skewed_heartbeats;
+        effective_age = (-effective_age > ttl_ms) ? ttl_ms + 1.0 : 0.0;
+    }
+    if (effective_age <= ttl_ms) {
+        return true; // a live worker is heartbeating this lease
+    }
+    // Stale: read the carcass for diagnostics, then free the name.
+    LeaseInfo info;
+    switch (read_lease(lease_path, info)) {
+    case LeaseRead::Corrupt:
+        if (util::quarantine_file(lease_path)) {
+            ++stats.leases_corrupt;
+            ++stats.workers_lost;
+            return true;
+        }
+        break;
+    case LeaseRead::Ok: {
+        std::error_code remove_ec;
+        if (std::filesystem::remove(lease_path, remove_ec)) {
+            ++stats.leases_expired;
+            ++stats.workers_lost;
+            return true;
+        }
+        break;
+    }
+    case LeaseRead::Missing:
+        break; // holder released or a sibling sweep won the race
+    }
+    return false;
+}
+
 } // namespace
 
 FleetCoordinator::FleetCoordinator(FleetOptions options,
@@ -68,17 +116,29 @@ FleetStats FleetCoordinator::run()
     plan.lease_shards = options_.lease_shards;
     plan.enhanced = options_.enhanced;
     plan.zero_clusters = options_.zero_clusters;
+    plan.calibration_pieces = core::calibration_pieces(effective).size();
     write_plan(options_.fleet_dir, plan);
 
     FleetStats stats;
     stats.num_shards = plan.num_shards;
     stats.num_ranges = num_ranges(plan);
+    stats.calibration_pieces = plan.calibration_pieces;
 
-    // --- Supervise: validate done journals as they land, police leases. ---
+    // --- Supervise: police the calibration piece leases (the workers
+    // validate the pieces themselves), validate done journals as they
+    // land, police range leases. ---
     std::map<std::size_t, core::CharCheckpoint> done;
     auto last_activity = Clock::now();
     while (done.size() < stats.num_ranges) {
         bool activity = false;
+        for (std::size_t i = 0; i < plan.calibration_pieces; ++i) {
+            std::error_code exists_ec;
+            if (!std::filesystem::exists(options_.fleet_dir / calib_done_name(i), exists_ec) &&
+                police_lease(options_.fleet_dir / calib_lease_name(i), options_.lease_ttl_ms,
+                             stats)) {
+                activity = true;
+            }
+        }
         for (std::size_t start = 0; start < plan.num_shards;
              start += plan.lease_shards) {
             if (done.count(start) != 0) {
@@ -120,50 +180,9 @@ FleetStats FleetCoordinator::run()
             }
 
             // No result yet: police the range's lease.
-            const std::filesystem::path lease_path =
-                options_.fleet_dir / lease_name(start);
-            const std::optional<double> age = file_age_ms(lease_path);
-            if (!age) {
-                continue; // open range — waiting for a worker to claim it
-            }
-            double effective_age = *age;
-            if (effective_age < 0) {
-                // Future-dated heartbeat: a worker whose clock jumped.
-                // Small skew is clamped to "fresh"; skew beyond the TTL is
-                // not a fresh worker but a broken clock, so the lease is
-                // expired rather than trusted forever.
-                ++stats.skewed_heartbeats;
-                effective_age = (-effective_age > options_.lease_ttl_ms)
-                                    ? options_.lease_ttl_ms + 1.0
-                                    : 0.0;
-            }
-            if (effective_age <= options_.lease_ttl_ms) {
-                activity = true; // a live worker is heartbeating this range
-                continue;
-            }
-            // Stale: the holder is dead (SIGKILL) or wedged. Read the
-            // carcass for diagnostics, then free the name so another
-            // worker can re-claim the range.
-            LeaseInfo info;
-            switch (read_lease(lease_path, info)) {
-            case LeaseRead::Corrupt:
-                if (util::quarantine_file(lease_path)) {
-                    ++stats.leases_corrupt;
-                    ++stats.workers_lost;
-                    activity = true;
-                }
-                break;
-            case LeaseRead::Ok: {
-                std::error_code remove_ec;
-                if (std::filesystem::remove(lease_path, remove_ec)) {
-                    ++stats.leases_expired;
-                    ++stats.workers_lost;
-                    activity = true;
-                }
-                break;
-            }
-            case LeaseRead::Missing:
-                break; // holder released or a sibling sweep won the race
+            if (police_lease(options_.fleet_dir / lease_name(start),
+                             options_.lease_ttl_ms, stats)) {
+                activity = true;
             }
         }
 

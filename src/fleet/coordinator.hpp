@@ -34,8 +34,9 @@ struct FleetOptions {
     bool enhanced = false;  ///< fit the enhanced (Hd, zeros) model
     int zero_clusters = 0;  ///< enhanced-model cluster count
 
-    /// The measurement plan. threads only affects in-process calibration /
-    /// execution; records are bit-identical regardless.
+    /// The measurement plan. threads is unused: the coordinator never
+    /// simulates, and workers run their leased pieces and shards on their
+    /// own thread.
     core::CharacterizationOptions char_options;
 
     /// Shards per leased range — the granularity of work handed to one
@@ -60,8 +61,9 @@ struct FleetOptions {
 struct FleetStats {
     std::size_t num_shards = 0;    ///< shards in the plan
     std::size_t num_ranges = 0;    ///< leased ranges in the plan
+    std::size_t calibration_pieces = 0; ///< leased calibration pieces in the plan
     std::size_t ranges_done = 0;   ///< ranges with a validated done file
-    std::size_t leases_expired = 0; ///< stale leases removed (range re-opened)
+    std::size_t leases_expired = 0; ///< stale leases removed (range or piece re-opened)
     std::size_t leases_corrupt = 0; ///< corrupt stale leases quarantined
     std::size_t done_corrupt = 0;  ///< corrupt/foreign done files quarantined
     std::size_t skewed_heartbeats = 0; ///< future-dated lease mtimes observed
@@ -72,8 +74,9 @@ struct FleetStats {
     double wall_ms = 0.0;          ///< end-to-end coordinator wall time
 };
 
-/// The fleet's single coordinator: publishes the plan, supervises leases
-/// (expiring stragglers, quarantining corrupt coordination files), collects
+/// The fleet's single coordinator: publishes the plan, supervises the
+/// calibration piece and range leases (expiring stragglers, quarantining
+/// corrupt coordination files), collects
 /// and validates each range's done journal, then merges all ranges in plan
 /// order through ShardMerger and fits + stores the model. Because shards
 /// are independently seeded and the merge replays the single-process

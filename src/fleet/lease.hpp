@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "core/characterize.hpp"
 
@@ -13,21 +14,30 @@ namespace hdpm::fleet {
 /// a fleet run lives in one shared directory (local or network filesystem):
 ///
 ///   plan.fleet            the coordinator's published stimulus plan
+///   calib_<i>.lease       a worker's claim on calibration piece i
+///   calib_<i>.done        the piece's measured totals (core::CalibrationPieceResult)
 ///   range_<S>.lease       a worker's claim on shards [S, S+count)
 ///   range_<S>.done        the range's completed record blocks (journal)
 ///
 /// Claims are `open(O_CREAT|O_EXCL)` — the filesystem's atomic test-and-set
 /// — heartbeats refresh the lease file's mtime, and results are published
-/// first-wins with `link()` (a second publisher of the same range gets
-/// EEXIST, which is safe to discard because shards are deterministic: both
-/// payloads are byte-identical). The plan and every journal publish go
-/// through a sibling tmp + atomic rename, so no reader ever observes a
-/// half-written file.
+/// first-wins with `link()` (a second publisher of the same range or piece
+/// gets EEXIST, which is safe to discard because shards and pieces are
+/// deterministic: both payloads are byte-identical). The plan and every
+/// result publish go through a sibling tmp + atomic rename, so no reader
+/// ever observes a half-written file.
 
 /// Coordination file names inside the fleet directory.
 inline constexpr const char* kPlanFileName = "plan.fleet";
 [[nodiscard]] std::string lease_name(std::size_t range_start);
 [[nodiscard]] std::string done_name(std::size_t range_start);
+[[nodiscard]] std::string calib_lease_name(std::size_t piece);
+[[nodiscard]] std::string calib_done_name(std::size_t piece);
+
+/// True when @p id is a usable worker id: 1 to 64 characters of
+/// [A-Za-z0-9._-]. The id is one token of a lease file and part of a
+/// publish's tmp file name, so nothing else is accepted.
+[[nodiscard]] bool valid_worker_id(std::string_view id) noexcept;
 
 /// Payload of a lease file: who holds the range, and a claim token so a
 /// worker can tell its own lease from a successor's after an expiry.
@@ -51,6 +61,9 @@ struct FleetPlan {
     std::size_t lease_shards = 0;  ///< shards per leased range
     bool enhanced = false;         ///< fit the enhanced (Hd, zeros) model
     int zero_clusters = 0;         ///< enhanced-model cluster count
+    /// Calibration pieces the workers lease before any range
+    /// (core::calibration_pieces of the plan's options; 0 = none).
+    std::size_t calibration_pieces = 0;
 };
 
 /// The effective characterization options a fleet plan runs under. The
@@ -76,8 +89,44 @@ void write_plan(const std::filesystem::path& dir, const FleetPlan& plan);
 
 /// Load a published plan. Returns nullopt when none is published yet;
 /// throws FaultError{ProtocolError} when the file exists but is malformed
-/// (the publish is atomic, so damage means corruption, not a race).
+/// or of another format version (the publish is atomic, so damage means
+/// corruption, not a race).
 [[nodiscard]] std::optional<FleetPlan> read_plan(const std::filesystem::path& dir);
+
+/// Everything a calibration piece file is stamped with and checked
+/// against: the plan identity, the piece's index and geometry, and the
+/// shape of its result (net count; zero-delay toggles or not).
+struct PieceStamp {
+    std::uint64_t fingerprint = 0;
+    std::string module_key;
+    std::size_t index = 0;
+    core::CalibrationPiece piece;
+    std::size_t nets = 0;
+    bool zero_delay = false;
+};
+
+/// Atomically write @p result as the piece file @p path (tmp + rename),
+/// stamped with @p stamp: a header line per identity field, then one
+/// framed body (byte length + FNV-1a checksum) holding the per-transition
+/// charges as raw IEEE-754 bits and the per-net toggle counts. The
+/// CheckpointShortWrite fault-injection point may tear the payload.
+void write_calibration_piece(const std::filesystem::path& path, const PieceStamp& stamp,
+                             const core::CalibrationPieceResult& result);
+
+/// Outcome of reading a calibration piece file.
+enum class PieceRead {
+    Missing,  ///< no piece file
+    Rejected, ///< damaged, or stamped for another plan, piece or shape
+    Ok,       ///< parsed and checked
+};
+
+/// Read the piece file @p path into @p out, accepting it only when its
+/// stamp equals @p expected and its body is whole. Reads at most the bytes
+/// a piece of the expected shape can take, so a foreign file never drives
+/// an allocation.
+[[nodiscard]] PieceRead read_calibration_piece(const std::filesystem::path& path,
+                                               const PieceStamp& expected,
+                                               core::CalibrationPieceResult& out);
 
 /// Claim @p path with O_CREAT|O_EXCL and write @p info. Returns false when
 /// the lease is already held (EEXIST); throws FaultError{IoError} on any

@@ -14,6 +14,7 @@
 #include "fleet/lease.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
+#include "util/file_io.hpp"
 
 namespace hdpm::fleet {
 
@@ -67,6 +68,85 @@ void release_lease(const std::filesystem::path& path, const std::uint64_t token)
     }
 }
 
+/// The calibration phase: claim and run open pieces under the lease
+/// protocol ranges use, read every published piece back (this worker's own
+/// included) and fit @p runner's weights once all of them check out. A
+/// piece file that is damaged or stamped for another plan, piece or shape
+/// is quarantined and the piece run again; its bytes are never trusted.
+/// A piece is published even when its lease expired while it ran: pieces
+/// are deterministic, so a first-wins duplicate is byte-identical.
+void calibrate(const WorkerOptions& options, const FleetPlan& plan,
+               const dp::DatapathModule& module, core::ShardRunner& runner,
+               WorkerStats& stats)
+{
+    const std::vector<core::CalibrationPiece>& pieces = runner.calibration_pieces();
+    if (pieces.empty()) {
+        return; // nothing to calibrate: the runner is complete
+    }
+    const bool emulation =
+        options.char_options.backend == core::CharBackend::PowerEmulation;
+    std::vector<core::CalibrationPieceResult> results(pieces.size());
+    std::vector<bool> loaded(pieces.size(), false);
+    std::size_t remaining = pieces.size();
+    while (remaining > 0) {
+        bool ran = false;
+        for (std::size_t i = 0; i < pieces.size(); ++i) {
+            if (loaded[i]) {
+                continue;
+            }
+            const PieceStamp stamp{plan.fingerprint, plan.module_key, i, pieces[i],
+                                   module.netlist().num_nets(),
+                                   emulation && pieces[i].corner == 0};
+            const std::filesystem::path done_path = options.fleet_dir / calib_done_name(i);
+            const PieceRead read = read_calibration_piece(done_path, stamp, results[i]);
+            if (read == PieceRead::Ok) {
+                loaded[i] = true;
+                --remaining;
+                continue;
+            }
+            if (read == PieceRead::Rejected && util::quarantine_file(done_path)) {
+                ++stats.calibration_pieces_quarantined;
+            }
+
+            const std::filesystem::path lease_path = options.fleet_dir / calib_lease_name(i);
+            std::error_code ec;
+            if (std::filesystem::exists(lease_path, ec)) {
+                continue; // held, or a carcass the coordinator will reap
+            }
+            const LeaseInfo mine{options.worker_id, random_token(), i, 1};
+            if (!claim_lease(lease_path, mine)) {
+                continue; // lost the O_EXCL race
+            }
+            if (std::filesystem::exists(done_path, ec)) {
+                // Published between our read and our claim: the holder
+                // publishes before it releases, so nothing is left to run.
+                release_lease(lease_path, mine.token);
+                continue;
+            }
+            core::CalibrationPieceResult result;
+            try {
+                result = runner.run_calibration_piece(i);
+            } catch (...) {
+                release_lease(lease_path, mine.token);
+                throw;
+            }
+            ++stats.calibration_pieces_run;
+            const std::filesystem::path tmp =
+                options.fleet_dir / (calib_done_name(i) + "." + options.worker_id + ".pub");
+            write_calibration_piece(tmp, stamp, result);
+            if (!publish_first_wins(tmp, done_path)) {
+                ++stats.duplicate_publishes;
+            }
+            release_lease(lease_path, mine.token);
+            ran = true;
+        }
+        if (remaining > 0 && !ran) {
+            sleep_ms(options.poll_ms);
+        }
+    }
+    runner.fit_calibration(results);
+}
+
 } // namespace
 
 FleetWorker::FleetWorker(WorkerOptions options, const gate::TechLibrary& library,
@@ -75,6 +155,13 @@ FleetWorker::FleetWorker(WorkerOptions options, const gate::TechLibrary& library
 {
     if (options_.worker_id.empty()) {
         options_.worker_id = "worker-" + std::to_string(::getpid());
+    }
+    if (!valid_worker_id(options_.worker_id)) {
+        FaultContext context;
+        context.component = options_.fleet_dir.string();
+        context.detail = "invalid worker id '" + options_.worker_id +
+                         "': use 1 to 64 characters of [A-Za-z0-9._-]";
+        throw FaultError{FaultKind::ProtocolError, std::move(context)};
     }
 }
 
@@ -96,17 +183,20 @@ WorkerStats FleetWorker::run()
         sleep_ms(options_.poll_ms);
     }
 
-    // --- Build the shard runner and prove we share the plan. ---
+    // --- Build the shard runner and prove we share the plan. Its weights
+    // are fitted from the fleet's calibration pieces, not recomputed here. ---
     const core::CharacterizationOptions effective =
         resolve_plan_options(options_.char_options, plan->enhanced);
     const dp::DatapathModule module =
         dp::make_module(options_.module_type, options_.widths);
-    const core::ShardRunner runner{module, effective, *library_, sim_options_};
+    core::ShardRunner runner{module, effective, *library_, sim_options_,
+                             core::ShardRunner::Calibration::FromPieces};
     if (runner.fingerprint() != plan->fingerprint ||
         runner.module_key() != plan->module_key ||
         runner.input_bits() != plan->input_bits ||
         runner.num_shards() != plan->num_shards ||
-        runner.shard_size() != plan->shard_size) {
+        runner.shard_size() != plan->shard_size ||
+        runner.calibration_pieces().size() != plan->calibration_pieces) {
         FaultContext context;
         context.component = options_.fleet_dir.string();
         context.bitwidth = runner.input_bits();
@@ -117,6 +207,8 @@ WorkerStats FleetWorker::run()
     }
 
     WorkerStats stats;
+    calibrate(options_, *plan, module, runner, stats);
+
     std::set<std::size_t> poisoned; // ranges this worker failed a shard of
     std::exception_ptr first_failure;
 
@@ -156,6 +248,10 @@ WorkerStats FleetWorker::run()
             mine.count = range_count(*plan, start);
             if (!claim_lease(lease_path, mine)) {
                 others_active = true; // lost the O_EXCL race
+                continue;
+            }
+            if (std::filesystem::exists(done_path, ec)) {
+                release_lease(lease_path, mine.token); // published meanwhile
                 continue;
             }
 

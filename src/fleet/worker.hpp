@@ -16,7 +16,10 @@ namespace hdpm::fleet {
 /// module + characterization options as the coordinator; it validates its
 /// own plan fingerprint against the published plan.fleet and refuses loudly
 /// on any mismatch, so a misconfigured worker can never contribute records
-/// from a different stimulus plan.
+/// from a different stimulus plan. A worker runs every calibration piece
+/// and shard it leases on its own thread (char_options.threads is unused);
+/// WorkerStats::calibration_pieces_run reports its share of the fleet's one
+/// calibration.
 struct WorkerOptions {
     std::filesystem::path fleet_dir; ///< shared coordination directory
 
@@ -28,7 +31,8 @@ struct WorkerOptions {
     core::CharacterizationOptions char_options;
 
     /// Diagnostic identity written into lease files (defaults to
-    /// "worker-<pid>" when empty).
+    /// "worker-<pid>" when empty): 1 to 64 characters of [A-Za-z0-9._-],
+    /// else the FleetWorker constructor throws FaultError{ProtocolError}.
     std::string worker_id;
 
     double poll_ms = 50.0;        ///< claim-scan cadence
@@ -50,11 +54,18 @@ struct WorkerStats {
     std::size_t shards_run = 0;         ///< shards simulated (incl. abandoned)
     std::size_t heartbeats = 0;         ///< successful between-shard heartbeats
     std::size_t mid_shard_heartbeats = 0; ///< successful heartbeats inside a shard
+    std::size_t calibration_pieces_run = 0; ///< calibration pieces simulated
+    /// Damaged or foreign calibration piece files set aside (and rerun).
+    std::size_t calibration_pieces_quarantined = 0;
 };
 
-/// A fleet worker: claims open ranges with O_EXCL leases, simulates the
-/// leased shards, heartbeats between shards, and publishes each range's
-/// record blocks as a first-wins done journal. A worker that loses its
+/// A fleet worker: first calibrates with the fleet — claims open
+/// calibration pieces with O_EXCL leases, runs and publishes them, then
+/// fits its weights from every published piece, so the fleet runs each
+/// piece once instead of every worker running all of them — then claims
+/// open ranges the same way, simulates the leased shards, heartbeats
+/// between shards, and publishes each range's record blocks as a
+/// first-wins done journal. A worker that loses its
 /// lease (SIGKILLed sibling's range was re-leased past the TTL, or its own
 /// heartbeat finds the lease gone / held by a successor token) abandons the
 /// range without publishing — the successor's publish is authoritative, and

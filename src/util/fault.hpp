@@ -123,7 +123,7 @@ enum class FaultPoint : std::uint8_t {
     ShardException,       ///< throw on entry of a stimulus shard
     EventBudget,          ///< force the event budget to zero for one apply
     RegressionRank,       ///< degrade normal equations to rank one
-    CheckpointShortWrite, ///< truncate a checkpoint journal before publish
+    CheckpointShortWrite, ///< truncate a checkpoint journal or calibration piece before publish
     LeaseCorrupt,         ///< corrupt a fleet lease payload before publish
     HeartbeatSkew,        ///< backdate a heartbeat as if the clock jumped
 };

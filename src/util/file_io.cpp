@@ -114,4 +114,14 @@ bool parse_hex64(std::string_view text, std::uint64_t& value) noexcept
     return true;
 }
 
+std::uint64_t fnv1a64(std::string_view bytes) noexcept
+{
+    std::uint64_t hash = 0xcbf2'9ce4'8422'2325ULL;
+    for (const char c : bytes) {
+        hash ^= static_cast<unsigned char>(c);
+        hash *= 0x0000'0100'0000'01b3ULL;
+    }
+    return hash;
+}
+
 } // namespace hdpm::util

@@ -41,4 +41,7 @@ void append_hex64(std::string& out, std::uint64_t value);
 /// Returns false, leaving @p value unspecified, for anything else.
 [[nodiscard]] bool parse_hex64(std::string_view text, std::uint64_t& value) noexcept;
 
+/// The 64-bit FNV-1a hash of @p bytes: the checksum of framed file bodies.
+[[nodiscard]] std::uint64_t fnv1a64(std::string_view bytes) noexcept;
+
 } // namespace hdpm::util

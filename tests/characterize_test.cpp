@@ -718,6 +718,88 @@ TEST(Emulation, ThreadCountMatrixIsBitIdentical)
     }
 }
 
+TEST(Emulation, RunnerFittedFromPiecesMatchesInProcessCalibration)
+{
+    // The fleet's calibration path: pieces run one at a time, in any
+    // order, and handed to fit_calibration must fit the weights an
+    // in-process calibration fits, so every shard block is bit-identical.
+    // Shards of 100 are a multiple of neither piece size, and 230 pairs
+    // leave a last calibration shard of 30, shorter than one piece.
+    const DatapathModule module = dp::make_module(ModuleType::CsaMultiplier, 4);
+    for (const StimulusMode mode : {StimulusMode::StratifiedPairs, StimulusMode::StratifiedChain}) {
+        const std::string label = "mode " + std::to_string(static_cast<int>(mode));
+        CharacterizationOptions options;
+        options.max_transitions = 450;
+        options.min_transitions = 450;
+        options.batch = 450;
+        options.shard_size = 100;
+        options.calibration_pairs = 230;
+        options.seed = 31;
+        options.mode = mode;
+        options.threads = 3;
+        options.backend = CharBackend::PowerEmulation;
+
+        const ShardRunner in_process{module, options};
+        ShardRunner from_pieces{module, options, gate::TechLibrary::generic350(), {},
+                                ShardRunner::Calibration::FromPieces};
+        const std::vector<CalibrationPiece>& pieces = from_pieces.calibration_pieces();
+        ASSERT_EQ(pieces.size(), 5U) << label; // 2 + 2 + 1
+        EXPECT_EQ(pieces.back().shard, 2U) << label;
+        EXPECT_EQ(pieces.back().count, 30U) << label;
+        EXPECT_EQ(in_process.calibration_pieces().size(), pieces.size()) << label;
+        EXPECT_THROW((void)from_pieces.run(0), util::PreconditionError) << label;
+
+        std::vector<CalibrationPieceResult> results(pieces.size());
+        for (std::size_t i = pieces.size(); i-- > 0;) {
+            results[i] = from_pieces.run_calibration_piece(i);
+            EXPECT_EQ(results[i].charges.size(), pieces[i].count) << label;
+            EXPECT_EQ(results[i].zero_toggles.size(), results[i].event_toggles.size()) << label;
+        }
+        // A result of the wrong shape is refused before anything is fitted.
+        std::vector<CalibrationPieceResult> short_results = results;
+        short_results[1].charges.pop_back();
+        EXPECT_THROW(from_pieces.fit_calibration(short_results), util::PreconditionError)
+            << label;
+
+        from_pieces.fit_calibration(results);
+        EXPECT_THROW(from_pieces.fit_calibration(results), util::PreconditionError) << label;
+        for (std::size_t shard = 0; shard < in_process.num_shards(); ++shard) {
+            expect_identical_records(in_process.run(shard), from_pieces.run(shard),
+                                     label + " shard " + std::to_string(shard));
+        }
+    }
+}
+
+TEST(Emulation, CalibrationPiecesFollowThePlan)
+{
+    CharacterizationOptions options;
+    options.shard_size = 150;
+    options.calibration_pairs = 256;
+    // One exactly simulated corner calibrates nothing.
+    EXPECT_TRUE(calibration_pieces(options).empty());
+
+    options.backend = CharBackend::PowerEmulation;
+    // Chain pieces of 63: shard 0 holds 150 = 63 + 63 + 24, shard 1 106 = 63 + 43.
+    const std::vector<CalibrationPiece> chain = calibration_pieces(options);
+    ASSERT_EQ(chain.size(), 5U);
+    EXPECT_EQ(chain[2].first, 126U);
+    EXPECT_EQ(chain[2].count, 24U);
+    EXPECT_EQ(chain[4].shard, 1U);
+    EXPECT_EQ(chain[4].count, 43U);
+
+    // Pairs pieces of 64, once per corner of a sweep.
+    options.mode = StimulusMode::StratifiedPairs;
+    options.corners = {{3.3, 25.0, gate::LoadClass::Nominal},
+                       {2.5, 85.0, gate::LoadClass::Nominal}};
+    const std::vector<CalibrationPiece> pairs = calibration_pieces(options);
+    ASSERT_EQ(pairs.size(), 10U); // (64 + 64 + 22) + (64 + 42), twice
+    EXPECT_EQ(pairs[5].corner, 1U);
+    EXPECT_EQ(pairs[5].first, 0U);
+
+    options.calibration_pairs = 0;
+    EXPECT_TRUE(calibration_pieces(options).empty());
+}
+
 TEST(Emulation, ResumeFromCheckpointIsBitIdentical)
 {
     const DatapathModule module = dp::make_module(ModuleType::RippleAdder, 4);

@@ -59,6 +59,12 @@ check 2 "invalid value '-1' for --retries" "$client" --socket "$scratch/none.soc
 check 2 "invalid value 'abc' for --timeout-ms" "$client" --socket "$scratch/none.sock" --timeout-ms abc ping
 check 2 "invalid value '-5' for --poll" "$fleet" work ripple_adder 4 --fleet "$scratch/fleet" --poll -5
 check 2 "invalid value '3x' for --lease-shards" "$fleet" coordinate ripple_adder 4 --fleet "$scratch/fleet" --models "$models" --lease-shards 3x
+# A worker id is one lease-file token and part of a publish path: a space
+# or a slash is refused before the worker touches the fleet directory.
+check 2 "invalid value 'a b' for --worker-id" "$fleet" work ripple_adder 8 --fleet "$scratch/fleet" --budget 2000 --worker-id "a b"
+check 2 "invalid value 'a/b' for --worker-id" "$fleet" work ripple_adder 8 --fleet "$scratch/fleet" --budget 2000 --worker-id "a/b"
+# Workers run on one thread each and the coordinator never simulates.
+check 2 "unknown flag '--threads'" "$fleet" work ripple_adder 4 --fleet "$scratch/fleet" --threads 2
 
 if [ -n "$(ls -A "$models")" ]; then
   echo "FAIL: rejected runs left files in the model library:"

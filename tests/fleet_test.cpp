@@ -3,7 +3,8 @@
 // coordinator's supervision duties (straggler expiry, corrupt-file
 // quarantine, clock-skew clamping), worker plan validation, and — the
 // property everything else exists to protect — that a fleet of any number
-// of workers stores a model file byte-identical to a single-process run.
+// of workers stores a model file byte-identical to a single-process run,
+// with the plan's calibration run once, as leased pieces, across the fleet.
 //
 // Fault-injection-hook tests are single-worker by design: the injector is
 // process-global and not thread-safe, and in these scenarios only the one
@@ -15,6 +16,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -117,12 +119,15 @@ WorkerOptions make_worker_options(const std::filesystem::path& fleet_dir,
 
 /// Run a coordinator plus @p num_workers worker threads to completion.
 /// Workers loop until the coordinator finishes, so a range the coordinator
-/// re-opens late (e.g. a quarantined done file) is always re-claimed.
+/// re-opens late (e.g. a quarantined done file) is always re-claimed. The
+/// counters of every completed worker run land in @p worker_runs when set.
 FleetStats run_fleet(const FleetOptions& fleet_options,
                      const CharacterizationOptions& worker_char_options,
-                     const int num_workers)
+                     const int num_workers,
+                     std::vector<WorkerStats>* worker_runs = nullptr)
 {
     std::atomic<bool> coordinator_done{false};
+    std::mutex runs_mutex;
     std::vector<std::thread> workers;
     workers.reserve(static_cast<std::size_t>(num_workers));
     for (int w = 0; w < num_workers; ++w) {
@@ -132,7 +137,11 @@ FleetStats run_fleet(const FleetOptions& fleet_options,
                     FleetWorker worker{make_worker_options(
                         fleet_options.fleet_dir, worker_char_options,
                         "w" + std::to_string(w))};
-                    (void)worker.run();
+                    const WorkerStats stats = worker.run();
+                    if (worker_runs != nullptr) {
+                        const std::lock_guard<std::mutex> lock{runs_mutex};
+                        worker_runs->push_back(stats);
+                    }
                 } catch (...) {
                     // Surfaced via the coordinator (idle timeout) if fatal.
                 }
@@ -157,6 +166,57 @@ FleetStats run_fleet(const FleetOptions& fleet_options,
     }
     return stats;
 }
+
+/// small_plan() on the power-emulation backend with the default 512-pair
+/// calibration: 11 chain pieces (ten calibration shards of 50, one of 12).
+CharacterizationOptions emulation_plan()
+{
+    CharacterizationOptions options = small_plan();
+    options.backend = core::CharBackend::PowerEmulation;
+    return options;
+}
+
+constexpr std::size_t kEmulationPieces = 11;
+
+std::size_t pieces_run(const std::vector<WorkerStats>& runs)
+{
+    std::size_t total = 0;
+    for (const WorkerStats& run : runs) {
+        total += run.calibration_pieces_run;
+    }
+    return total;
+}
+
+std::size_t pieces_quarantined(const std::vector<WorkerStats>& runs)
+{
+    std::size_t total = 0;
+    for (const WorkerStats& run : runs) {
+        total += run.calibration_pieces_quarantined;
+    }
+    return total;
+}
+
+/// A runner of @p options' plan that runs calibration pieces, plus the
+/// stamp a fleet of that plan writes on piece @p index.
+struct PieceSource {
+    explicit PieceSource(const CharacterizationOptions& options)
+        : module(dp::make_module(kModule, kWidths)),
+          runner(module, resolve_plan_options(options, false),
+                 gate::TechLibrary::generic350(), {},
+                 core::ShardRunner::Calibration::FromPieces)
+    {
+    }
+
+    [[nodiscard]] PieceStamp stamp(std::size_t index) const
+    {
+        return PieceStamp{runner.fingerprint(), runner.module_key(), index,
+                          runner.calibration_pieces()[index], module.netlist().num_nets(),
+                          runner.calibration_pieces()[index].corner == 0};
+    }
+
+    dp::DatapathModule module;
+    core::ShardRunner runner;
+};
 
 /// The single-process reference file for @p options (basic model), read as
 /// raw bytes, plus its file name.
@@ -245,6 +305,7 @@ TEST(LeaseProtocol, PlanRoundTripsAndRejectsDamage)
     plan.lease_shards = 3;
     plan.enhanced = true;
     plan.zero_clusters = 2;
+    plan.calibration_pieces = 11;
     write_plan(dir, plan);
 
     const auto seen = read_plan(dir);
@@ -257,6 +318,7 @@ TEST(LeaseProtocol, PlanRoundTripsAndRejectsDamage)
     EXPECT_EQ(seen->lease_shards, plan.lease_shards);
     EXPECT_TRUE(seen->enhanced);
     EXPECT_EQ(seen->zero_clusters, 2);
+    EXPECT_EQ(seen->calibration_pieces, 11U);
 
     EXPECT_EQ(num_ranges(*seen), 3U);
     EXPECT_EQ(range_count(*seen, 0), 3U);
@@ -272,6 +334,46 @@ TEST(LeaseProtocol, PlanRoundTripsAndRejectsDamage)
     } catch (const FaultError& error) {
         EXPECT_EQ(error.kind(), FaultKind::ProtocolError);
     }
+}
+
+TEST(LeaseProtocol, CalibrationPieceRoundTripsAndRejectsDamage)
+{
+    const auto dir = fresh_dir("piece_roundtrip");
+    const PieceSource source{emulation_plan()};
+    const PieceStamp stamp = source.stamp(3);
+    const core::CalibrationPieceResult result = source.runner.run_calibration_piece(3);
+    const auto path = dir / calib_done_name(3);
+
+    core::CalibrationPieceResult seen;
+    EXPECT_EQ(read_calibration_piece(path, stamp, seen), PieceRead::Missing);
+    write_calibration_piece(path, stamp, result);
+    ASSERT_EQ(read_calibration_piece(path, stamp, seen), PieceRead::Ok);
+    EXPECT_EQ(seen.charges, result.charges); // raw IEEE-754 bits: exact
+    EXPECT_EQ(seen.event_toggles, result.event_toggles);
+    EXPECT_EQ(seen.zero_toggles, result.zero_toggles);
+
+    // Stamped for another piece, plan or shape: refused.
+    PieceStamp other = stamp;
+    other.index = 4;
+    EXPECT_EQ(read_calibration_piece(path, other, seen), PieceRead::Rejected);
+    other = stamp;
+    other.fingerprint ^= 1;
+    EXPECT_EQ(read_calibration_piece(path, other, seen), PieceRead::Rejected);
+    other = stamp;
+    other.nets += 1;
+    EXPECT_EQ(read_calibration_piece(path, other, seen), PieceRead::Rejected);
+
+    // Every truncation, and trailing bytes, are damage.
+    const std::string bytes = read_file(path);
+    for (std::size_t keep = 0; keep < bytes.size(); keep += 7) {
+        std::ofstream{path, std::ios::binary | std::ios::trunc} << bytes.substr(0, keep);
+        EXPECT_EQ(read_calibration_piece(path, stamp, seen), PieceRead::Rejected) << keep;
+    }
+    std::ofstream{path, std::ios::binary | std::ios::trunc} << bytes << "0";
+    EXPECT_EQ(read_calibration_piece(path, stamp, seen), PieceRead::Rejected);
+    // A file far larger than any piece is refused without being read whole.
+    std::ofstream{path, std::ios::binary | std::ios::trunc} << bytes << std::string(1 << 20, '7');
+    EXPECT_EQ(read_calibration_piece(path, stamp, seen), PieceRead::Rejected);
 }
 
 TEST(LeaseProtocol, PublishIsFirstWins)
@@ -619,6 +721,142 @@ TEST(FleetTest, WorkerRefusesAMismatchedPlan)
     }
 }
 
+TEST(FleetTest, VersionOnePlanIsRefused)
+{
+    // A plan published before calibration became leased work has no piece
+    // count. A worker must refuse it rather than guess.
+    const auto options = small_plan();
+    const auto fleet_dir = fresh_dir("v1_plan_fleet");
+    const dp::DatapathModule module = dp::make_module(kModule, kWidths);
+    const core::ShardRunner runner{module, resolve_plan_options(options, false)};
+    std::ofstream{fleet_dir / kPlanFileName}
+        << "hdpm_fleet 1\nfingerprint " << oracle::journal_hex(runner.fingerprint())
+        << "\nmodule " << runner.module_key() << " m " << runner.input_bits()
+        << "\nshards " << runner.num_shards() << ' ' << runner.shard_size()
+        << "\nlease 3\nmodel basic 0\nend\n";
+
+    FleetWorker worker{make_worker_options(fleet_dir, options, "w-v1")};
+    try {
+        (void)worker.run();
+        FAIL() << "worker accepted a version-1 plan";
+    } catch (const FaultError& error) {
+        EXPECT_EQ(error.kind(), FaultKind::ProtocolError);
+    }
+}
+
+TEST(FleetTest, WorkerIdsOutsideTheTokenAlphabetAreRefused)
+{
+    // An id with whitespace would parse back as a corrupt lease, so its
+    // worker would abandon its own claims forever; a '/' would break the
+    // publish path. Only one-token, path-safe ids are accepted.
+    EXPECT_TRUE(valid_worker_id("w-1.a_B"));
+    EXPECT_TRUE(valid_worker_id(std::string(64, 'x')));
+    const auto fleet_dir = fresh_dir("bad_id_fleet");
+    for (const std::string& id :
+         {std::string{"a b"}, std::string{"a/b"}, std::string(65, 'x'), std::string{"tab\t"}}) {
+        EXPECT_FALSE(valid_worker_id(id)) << id;
+        try {
+            FleetWorker worker{make_worker_options(fleet_dir, small_plan(), id)};
+            FAIL() << "worker accepted id '" << id << "'";
+        } catch (const FaultError& error) {
+            EXPECT_EQ(error.kind(), FaultKind::ProtocolError) << id;
+        }
+    }
+    // An empty id defaults to worker-<pid>, which is valid.
+    EXPECT_NO_THROW(FleetWorker{make_worker_options(fleet_dir, small_plan(), "")});
+}
+
+// -------------------------------------------------- leased calibration
+
+TEST(FleetCalibration, EmulationFleetsCalibrateOnceAndMatchSingleProcess)
+{
+    const auto options = emulation_plan();
+    ASSERT_EQ(core::calibration_pieces(resolve_plan_options(options, false)).size(),
+              kEmulationPieces);
+    const auto [ref_bytes, name] = reference_model_bytes(fresh_dir("calib_ref"), options);
+
+    for (const int workers : {1, 3}) {
+        const std::string tag = "calib_" + std::to_string(workers);
+        const auto models = fresh_dir(tag + "_models");
+        std::vector<WorkerStats> runs;
+        const auto stats = run_fleet(
+            make_fleet_options(fresh_dir(tag + "_fleet"), models, options), options,
+            workers, &runs);
+
+        EXPECT_EQ(stats.calibration_pieces, kEmulationPieces) << tag;
+        EXPECT_EQ(stats.ranges_done, 3U) << tag;
+        // No kills: the fleet computes every piece exactly once.
+        EXPECT_EQ(pieces_run(runs), kEmulationPieces) << tag;
+        EXPECT_EQ(pieces_quarantined(runs), 0U) << tag;
+        EXPECT_EQ(read_file(models / name), ref_bytes) << tag;
+    }
+}
+
+TEST(FleetCalibration, StaleCalibrationLeaseIsExpiredAndReLeased)
+{
+    const auto options = emulation_plan();
+    const auto fleet_dir = fresh_dir("calib_stale_fleet");
+    const auto [ref_bytes, name] =
+        reference_model_bytes(fresh_dir("calib_stale_ref"), options);
+
+    // A worker SIGKILLed while running piece 4: its lease stopped
+    // heartbeating long ago. No worker can fit its weights until the
+    // coordinator reaps the lease and the piece is run again.
+    ASSERT_TRUE(claim_lease(fleet_dir / calib_lease_name(4),
+                            LeaseInfo{"dead-worker", 0xdeadULL, 4, 1}));
+    std::filesystem::last_write_time(
+        fleet_dir / calib_lease_name(4),
+        std::filesystem::file_time_type::clock::now() - std::chrono::minutes{10});
+
+    const auto models = fresh_dir("calib_stale_models");
+    std::vector<WorkerStats> runs;
+    const auto stats =
+        run_fleet(make_fleet_options(fleet_dir, models, options), options, 1, &runs);
+
+    EXPECT_GE(stats.leases_expired, 1U);
+    EXPECT_GE(stats.workers_lost, 1U);
+    EXPECT_TRUE(std::filesystem::exists(fleet_dir / calib_done_name(4)));
+    EXPECT_EQ(pieces_run(runs), kEmulationPieces);
+    EXPECT_EQ(read_file(models / name), ref_bytes);
+}
+
+TEST(FleetCalibration, DamagedAndForeignPiecesAreQuarantinedAndRerun)
+{
+    const auto options = emulation_plan();
+    const auto fleet_dir = fresh_dir("calib_bad_fleet");
+    const auto [ref_bytes, name] =
+        reference_model_bytes(fresh_dir("calib_bad_ref"), options);
+    const PieceSource source{options};
+
+    // Piece 0: its own stamp, one body digit flipped to another digit, so
+    // only the checksum can tell.
+    const auto flipped = fleet_dir / calib_done_name(0);
+    write_calibration_piece(flipped, source.stamp(0), source.runner.run_calibration_piece(0));
+    std::string bytes = read_file(flipped);
+    const std::size_t digit = bytes.find_last_of("0123456789");
+    ASSERT_NE(digit, std::string::npos);
+    bytes[digit] = static_cast<char>(bytes[digit] ^ 1);
+    std::ofstream{flipped, std::ios::binary | std::ios::trunc} << bytes;
+
+    // Piece 1: whole and checksummed, but from another plan.
+    PieceStamp foreign = source.stamp(1);
+    foreign.fingerprint ^= 1;
+    write_calibration_piece(fleet_dir / calib_done_name(1), foreign,
+                            source.runner.run_calibration_piece(1));
+
+    const auto models = fresh_dir("calib_bad_models");
+    std::vector<WorkerStats> runs;
+    const auto stats =
+        run_fleet(make_fleet_options(fleet_dir, models, options), options, 1, &runs);
+
+    EXPECT_EQ(stats.ranges_done, 3U);
+    EXPECT_TRUE(std::filesystem::exists(fleet_dir / (calib_done_name(0) + ".corrupt")));
+    EXPECT_TRUE(std::filesystem::exists(fleet_dir / (calib_done_name(1) + ".corrupt")));
+    EXPECT_EQ(pieces_quarantined(runs), 2U);
+    EXPECT_EQ(pieces_run(runs), kEmulationPieces);
+    EXPECT_EQ(read_file(models / name), ref_bytes);
+}
+
 TEST(FleetTest, CoordinatorGivesUpWhenTheFleetIsGone)
 {
     // No workers at all: after idle_timeout_ms of zero progress the
@@ -659,6 +897,35 @@ TEST(FleetInjection, CorruptLeaseClaimIsAbandonedQuarantinedAndRetried)
 
     EXPECT_EQ(injector.fired_count(FaultPoint::LeaseCorrupt), 1U);
     EXPECT_GE(stats.leases_corrupt, 1U);
+    EXPECT_EQ(stats.ranges_done, 3U);
+    EXPECT_EQ(read_file(models / name), ref_bytes);
+}
+
+TEST(FleetInjection, TornCalibrationPiecePublishIsQuarantinedAndRerun)
+{
+    SKIP_WITHOUT_HOOKS();
+    const auto options = emulation_plan();
+    const auto [ref_bytes, name] =
+        reference_model_bytes(fresh_dir("inj_piece_ref"), options);
+
+    // The first publish of the fleet — calibration piece 0, since pieces
+    // publish before any range — is torn on its way to disk. The worker
+    // reads its own piece back, quarantines it, runs it again, and the
+    // fleet completes bit-identically.
+    FaultInjector injector{7};
+    injector.arm(FaultPoint::CheckpointShortWrite);
+    ScopedFaultInjector scoped{injector};
+
+    const auto fleet_dir = fresh_dir("inj_piece_fleet");
+    const auto models = fresh_dir("inj_piece_models");
+    std::vector<WorkerStats> runs;
+    const auto stats =
+        run_fleet(make_fleet_options(fleet_dir, models, options), options, 1, &runs);
+
+    EXPECT_EQ(injector.fired_count(FaultPoint::CheckpointShortWrite), 1U);
+    EXPECT_TRUE(std::filesystem::exists(fleet_dir / (calib_done_name(0) + ".corrupt")));
+    EXPECT_EQ(pieces_quarantined(runs), 1U);
+    EXPECT_EQ(pieces_run(runs), kEmulationPieces + 1);
     EXPECT_EQ(stats.ranges_done, 3U);
     EXPECT_EQ(read_file(models / name), ref_bytes);
 }
