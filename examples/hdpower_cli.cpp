@@ -2,7 +2,7 @@
 /// a downstream user would script against:
 ///
 ///   hdpower_cli list
-///   hdpower_cli info <module> <width...>
+///   hdpower_cli info <module> <width...> [--corner VDD:TEMP[:LOAD]]
 ///   hdpower_cli characterize <module> <width...> [--models DIR] [--budget N]
 ///                                                [--enhanced [K]]
 ///   hdpower_cli estimate <module> <width...> --data <I|II|III|IV|V>
@@ -49,7 +49,7 @@ namespace {
     std::cerr << "usage: " << argv0 << " <command> [args]\n"
               << "commands:\n"
               << "  list\n"
-              << "  info <module> <width...>\n"
+              << "  info <module> <width...> [--corner VDD:TEMP[:LOAD]]\n"
               << "  characterize <module> <width...> [--models DIR] [--budget N] "
                  "[--enhanced [K]] [--threads N]\n"
                  "                                   [--checkpoint FILE] [--strict] "
@@ -304,7 +304,12 @@ int cmd_info(const Cli& cli)
 {
     const dp::DatapathModule module = dp::make_module(cli.module_type, cli.widths);
     const auto stats = module.netlist().stats();
-    const sim::ElectricalView view{module.netlist(), gate::TechLibrary::generic350()};
+    // At a --corner the critical path is reported in that corner's time
+    // (the class-nominal path dilated by its delay factor).
+    const gate::TechLibrary library =
+        cli.corner.has_value() ? gate::TechLibrary::generic350().at(*cli.corner)
+                               : gate::TechLibrary::generic350();
+    const sim::ElectricalView view{module.netlist(), library};
 
     std::cout << module.display_name() << '\n';
     std::cout << "  input bits (m):    " << module.total_input_bits() << '\n';
@@ -339,13 +344,19 @@ int cmd_characterize_corners(const Cli& cli)
     const dp::DatapathModule module = dp::make_module(cli.module_type, cli.widths);
     const core::Characterizer characterizer;
 
-    // Store policy: the emulation backend's per-corner sweep blocks are
-    // bit-identical to independent single-corner runs, so every corner may
-    // be published under its exact single-corner fingerprint. The event
-    // backend simulates only corner 0 exactly — corners k > 0 are scored
-    // through calibrated transfer weights (an approximation) and must NOT
-    // alias the exact fingerprint a later single-corner run would use.
-    const bool store_all = options.backend == core::CharBackend::PowerEmulation;
+    // Store policy: a corner whose sweep block is bit-identical to an
+    // independent single-corner run is published under its exact
+    // single-corner fingerprint — every corner of an emulation sweep, and
+    // the corners of corner 0's load class in an event sweep. The event
+    // sweep's other corners are scored through calibrated transfer weights
+    // (an approximation) and must NOT alias the exact fingerprint a later
+    // single-corner run would use.
+    std::vector<bool> exact(cli.corners.size(),
+                            options.backend == core::CharBackend::PowerEmulation);
+    const std::vector<std::vector<std::size_t>> classes = core::corner_classes(options);
+    for (const std::size_t k : classes[0]) {
+        exact[k] = true;
+    }
 
     std::vector<core::HdModel> basic;
     std::vector<core::EnhancedHdModel> enhanced;
@@ -366,7 +377,7 @@ int cmd_characterize_corners(const Cli& cli)
     table.set_alignment({util::Align::Left, util::Align::Left});
     for (std::size_t k = 0; k < cli.corners.size(); ++k) {
         const gate::Corner& corner = cli.corners[k];
-        const bool store = store_all || k == 0;
+        const bool store = exact[k];
         core::CharacterizationOptions store_options = char_options(cli);
         store_options.corner = corner;
         const double deviation = cli.enhanced ? enhanced[k].average_deviation()

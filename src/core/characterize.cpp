@@ -288,15 +288,20 @@ struct SweepPlan {
     std::size_t num_shards;
     /// One immutable context (electrical view, fanout CSR, topo order) per
     /// corner, index-aligned with the corner list and shared read-only by
-    /// every shard's simulators; shards simulate on contexts[0].
+    /// every shard's simulators; shards simulate on contexts[0], the other
+    /// contexts of its class lend their edge charges.
     std::vector<std::unique_ptr<sim::SimContext>> contexts;
+    /// The corner list's timing classes (corner_classes(options)).
+    std::vector<std::vector<std::size_t>> classes;
     /// The calibration's pieces (calibration_pieces(options)).
     std::vector<CalibrationPiece> pieces;
-    /// Scoring weights. Power emulation: corner k's calibrated per-net
-    /// weights. Event kernel: the transfer weights of corners 1..K-1 —
-    /// none for a one-corner run, whose only corner is simulated exactly.
+    /// Scoring weights, index-aligned with the corner list. Power
+    /// emulation: corner k's calibrated per-net weights. Event kernel:
+    /// corner k's transfer weights when k lies outside corner 0's class;
+    /// empty for the corners of class 0, which the shard simulation scores
+    /// exactly.
     std::vector<std::vector<double>> weights;
-    std::uint64_t calibration_pairs = 0; ///< emulation calibration, all corners
+    std::uint64_t calibration_pairs = 0; ///< emulation calibration, all classes
     double calibration_scale = 1.0;      ///< corner 0's fitted residual scale
     std::uint64_t corner_calibration_pairs = 0; ///< event transfer calibration
 };
@@ -319,36 +324,49 @@ void inject_shard_fault(std::size_t shard)
 /// nothing here depends on which thread runs it or how many run
 /// concurrently: that is the whole determinism argument.
 ///
-/// Corner 0 is the simulated stream itself. Corners k > 0 of a sweep are
-/// scored from per-cycle toggle tracking as dot products against the
-/// plan's transfer weights (element k-1 scores corner k), iterating the
-/// cycle's toggled nets in first-toggle order — a deterministic function
-/// of the simulation. A one-corner plan has no transfer weights and leaves
-/// the tracking off.
+/// The shard simulation is corner 0's. The other corners of its timing
+/// class share its event stream exactly, so the simulator carries their
+/// edge charges (set_corner_charges) and each gets the charge an
+/// independent run at that corner computes, bit for bit. Corners of other
+/// classes are scored from per-cycle toggle tracking as dot products
+/// against the plan's transfer weights, iterating the cycle's toggled nets
+/// in first-toggle order — a deterministic function of the simulation. A
+/// one-class plan has no transfer weights and leaves the tracking off.
 SweepShard run_event_shard(const SweepPlan& plan, std::size_t shard, std::size_t count,
                            const std::function<void()>& tick)
 {
     inject_shard_fault(shard);
-    const std::vector<std::vector<double>>& transfer = plan.weights;
     SweepShard out;
-    out.blocks.resize(transfer.size() + 1);
+    out.blocks.resize(plan.corners());
     for (auto& block : out.blocks) {
         block.reserve(count);
     }
-    std::vector<CharacterizationRecord>& exact = out.blocks[0];
+    const std::vector<CharacterizationRecord>& scored = out.blocks[0];
 
     StimulusStream stimulus{plan.m, plan.mode, plan.options.seed, shard};
     const sim::SimContext& context = *plan.contexts[0];
     sim::EventSimulator simulator{context, plan.sim_options};
-    if (!transfer.empty()) {
-        simulator.set_cycle_toggle_tracking(true);
+    const std::vector<std::size_t>& exact = plan.classes[0];
+    std::vector<std::span<const double>> exact_charges;
+    for (std::size_t c = 1; c < exact.size(); ++c) {
+        exact_charges.push_back(plan.contexts[exact[c]]->edge_charges_fc());
     }
+    simulator.set_corner_charges(std::move(exact_charges));
+    simulator.set_cycle_toggle_tracking(plan.classes.size() > 1);
 
     const auto push = [&](CharacterizationRecord rec, const sim::CycleResult& cycle) {
         rec.charge_fc = cycle.charge_fc;
-        exact.push_back(rec);
+        out.blocks[0].push_back(rec);
+        const std::span<const double> corner_charges = simulator.corner_cycle_charges();
+        for (std::size_t c = 1; c < exact.size(); ++c) {
+            rec.charge_fc = corner_charges[c - 1];
+            out.blocks[exact[c]].push_back(rec);
+        }
         for (std::size_t k = 1; k < out.blocks.size(); ++k) {
-            const std::vector<double>& weights = transfer[k - 1];
+            const std::vector<double>& weights = plan.weights[k];
+            if (weights.empty()) {
+                continue; // scored exactly above
+            }
             double charge = 0.0;
             for (const netlist::NetId net : simulator.cycle_toggled_nets()) {
                 charge += weights[net] *
@@ -377,11 +395,11 @@ SweepShard run_event_shard(const SweepPlan& plan, std::size_t shard, std::size_t
         std::array<BitVec, kLanes> v_block;
         std::array<std::pair<int, int>, kLanes> cls_block; // (hd, zeros)
 
-        while (exact.size() < count) {
+        while (scored.size() < count) {
             if (tick) {
                 tick(); // mid-shard heartbeat hook, once per 64-pair batch
             }
-            const std::size_t block = std::min(kLanes, count - exact.size());
+            const std::size_t block = std::min(kLanes, count - scored.size());
             for (std::size_t j = 0; j < block; ++j) {
                 cls_block[j] = stimulus.next_pair(u_block[j], v_block[j]);
             }
@@ -398,8 +416,8 @@ SweepShard run_event_shard(const SweepPlan& plan, std::size_t shard, std::size_t
         }
     } else {
         simulator.initialize(stimulus.current());
-        while (exact.size() < count) {
-            if (tick && exact.size() % 64 == 0) {
+        while (scored.size() < count) {
+            if (tick && scored.size() % 64 == 0) {
                 tick(); // mid-shard heartbeat hook, every 64 chain transitions
             }
             const BitVec previous = stimulus.current();
@@ -619,14 +637,15 @@ CalibrationStimulus draw_calibration_stimulus(const SweepPlan& plan,
     return out;
 }
 
-/// Run transitions [first, first + charges.size()) of @p stimulus — one
-/// piece, the span of one 64-lane settle: up to 64 pairs, or up to 63
+/// Run transitions [first, first + count) of @p stimulus — one piece of
+/// @p plan, the span of one 64-lane settle: up to 64 pairs, or up to 63
 /// chain transitions (one 64-vector window of count_toggles' boundary
-/// contract) — through a fresh event simulator at @p context and, when
-/// @p zero_toggles is given, through one zero-delay settle. Each
-/// transition's event charge lands in @p charges; the piece's per-net
-/// event toggles, and its zero-delay toggles, are added into the shard's
-/// sums under @p sums_mutex.
+/// contract) — through a fresh event simulator at the first corner of the
+/// piece's timing class, carrying the edge charges of the class's other
+/// corners, and, when @p zero_toggles is given, through one zero-delay
+/// settle. Each transition's event charge at the class's c-th corner lands
+/// in @p charges[c]; the piece's per-net event toggles, and its zero-delay
+/// toggles, are added into the shard's sums under @p sums_mutex.
 ///
 /// A chain piece starts with initialize(its first vector). That is exact:
 /// after a completed cycle the event kernel rests at the unique zero-delay
@@ -635,28 +654,42 @@ CalibrationStimulus draw_calibration_stimulus(const SweepPlan& plan,
 /// cutting a chain into pieces changes no cycle's result
 /// (tests/event_kernel_test.cpp pins this). initialize() settles silently,
 /// so the simulator's cumulative toggles cover exactly the timed applies.
-void run_calibration_piece(const sim::SimContext& context,
-                           const sim::EventSimOptions& sim_options,
-                           const CalibrationStimulus& stimulus, std::size_t first,
-                           std::span<double> charges,
+void run_calibration_piece(const SweepPlan& plan, const CalibrationPiece& piece,
+                           const CalibrationStimulus& stimulus,
+                           std::span<const std::span<double>> charges,
                            std::vector<std::uint64_t>& event_toggles,
                            std::vector<std::uint64_t>* zero_toggles,
                            std::mutex& sums_mutex)
 {
-    const std::size_t count = charges.size();
+    const std::vector<std::size_t>& corners = plan.classes[piece.timing_class];
+    const sim::SimContext& context = *plan.contexts[corners[0]];
+    const std::size_t first = piece.first;
+    const std::size_t count = piece.count;
     const std::size_t nets = context.netlist().num_nets();
     const bool pairs = stimulus.chain.empty();
     {
-        sim::EventSimulator simulator{context, sim_options};
+        sim::EventSimulator simulator{context, plan.sim_options};
+        std::vector<std::span<const double>> corner_sets;
+        for (std::size_t c = 1; c < corners.size(); ++c) {
+            corner_sets.push_back(plan.contexts[corners[c]]->edge_charges_fc());
+        }
+        simulator.set_corner_charges(std::move(corner_sets));
+        const auto record = [&](std::size_t j, const sim::CycleResult& cycle) {
+            charges[0][j] = cycle.charge_fc;
+            const std::span<const double> corner_charges = simulator.corner_cycle_charges();
+            for (std::size_t c = 1; c < charges.size(); ++c) {
+                charges[c][j] = corner_charges[c - 1];
+            }
+        };
         if (pairs) {
             for (std::size_t j = 0; j < count; ++j) {
                 simulator.initialize(stimulus.us[first + j]);
-                charges[j] = simulator.apply(stimulus.vs[first + j]).charge_fc;
+                record(j, simulator.apply(stimulus.vs[first + j]));
             }
         } else {
             simulator.initialize(stimulus.chain[first]);
             for (std::size_t j = 0; j < count; ++j) {
-                charges[j] = simulator.apply(stimulus.chain[first + j + 1]).charge_fc;
+                record(j, simulator.apply(stimulus.chain[first + j + 1]));
             }
         }
         const std::vector<std::uint64_t>& toggles = simulator.cumulative_transitions();
@@ -691,13 +724,25 @@ void run_calibration_piece(const sim::SimContext& context,
     }
 }
 
-/// The calibration's per-shard totals at every corner of a plan: the event
-/// kernel's per-net toggles and per-transition charges, and — for power
-/// emulation — the zero-delay toggles (corner-invariant, so once).
+/// The calibration's per-shard totals of a plan: the event kernel's
+/// per-net toggles per timing class (shared by the class's corners), its
+/// per-transition charges per corner, and — for power emulation — the
+/// zero-delay toggles (corner-invariant, so once).
 struct CalibrationTotals {
-    std::vector<std::vector<std::vector<std::uint64_t>>> event_toggles; ///< [k][shard][net]
+    std::vector<std::vector<std::vector<std::uint64_t>>> event_toggles; ///< [class][shard][net]
     std::vector<std::vector<std::vector<double>>> charges; ///< [k][shard][transition]
     std::vector<std::vector<std::uint64_t>> zero_toggles;  ///< [shard][net]
+
+    /// The charge rows piece @p piece of @p plan writes, one per corner of
+    /// its class.
+    std::vector<std::span<double>> rows(const SweepPlan& plan, const CalibrationPiece& piece)
+    {
+        std::vector<std::span<double>> out;
+        for (const std::size_t k : plan.classes[piece.timing_class]) {
+            out.push_back(std::span{charges[k][piece.shard]}.subspan(piece.first, piece.count));
+        }
+        return out;
+    }
 };
 
 /// All-zero totals shaped for the pieces of @p plan (which has some).
@@ -706,12 +751,14 @@ CalibrationTotals zeroed_totals(const SweepPlan& plan)
     const std::size_t nets = plan.contexts[0]->netlist().num_nets();
     const std::size_t shards = plan.pieces.back().shard + 1;
     CalibrationTotals out;
-    out.event_toggles.assign(plan.corners(),
+    out.event_toggles.assign(plan.classes.size(),
                              std::vector<std::vector<std::uint64_t>>(
                                  shards, std::vector<std::uint64_t>(nets, 0)));
     out.charges.assign(plan.corners(), std::vector<std::vector<double>>(shards));
     for (const CalibrationPiece& piece : plan.pieces) {
-        out.charges[piece.corner][piece.shard].resize(piece.first + piece.count);
+        for (const std::size_t k : plan.classes[piece.timing_class]) {
+            out.charges[k][piece.shard].resize(piece.first + piece.count);
+        }
     }
     if (plan.zero_delay()) {
         out.zero_toggles.assign(shards, std::vector<std::uint64_t>(nets, 0));
@@ -719,7 +766,7 @@ CalibrationTotals zeroed_totals(const SweepPlan& plan)
     return out;
 }
 
-/// Run the calibration of @p plan on @p pool: every piece — each (corner,
+/// Run the calibration of @p plan on @p pool: every piece — each (class,
 /// shard, piece) of the subsample, shards of plan.shard_size with ids
 /// offset by kCalibrationShardBase — is one task of a single pool map, so
 /// even a one-shard calibration spreads over the whole pool, and each task
@@ -741,10 +788,10 @@ CalibrationTotals run_calibration(const SweepPlan& plan, const util::ThreadPool&
     pool.parallel_for(plan.pieces.size(), [&](std::size_t t) {
         const CalibrationPiece& piece = plan.pieces[t];
         run_calibration_piece(
-            *plan.contexts[piece.corner], plan.sim_options, stimuli[piece.shard], piece.first,
-            std::span{out.charges[piece.corner][piece.shard]}.subspan(piece.first, piece.count),
-            out.event_toggles[piece.corner][piece.shard],
-            plan.zero_delay() && piece.corner == 0 ? &out.zero_toggles[piece.shard] : nullptr,
+            plan, piece, stimuli[piece.shard], out.rows(plan, piece),
+            out.event_toggles[piece.timing_class][piece.shard],
+            plan.zero_delay() && piece.timing_class == 0 ? &out.zero_toggles[piece.shard]
+                                                         : nullptr,
             sums_mutex);
     });
     return out;
@@ -758,16 +805,17 @@ CalibrationPieceResult run_piece(const SweepPlan& plan, const CalibrationPiece& 
     const CalibrationStimulus stimulus = draw_calibration_stimulus(
         plan, kCalibrationShardBase + piece.shard, piece.first + piece.count);
     const std::size_t nets = plan.contexts[0]->netlist().num_nets();
-    const bool zero_delay = plan.zero_delay() && piece.corner == 0;
+    const bool zero_delay = plan.zero_delay() && piece.timing_class == 0;
     CalibrationPieceResult out;
-    out.charges.resize(piece.count);
+    out.charges.assign(plan.classes[piece.timing_class].size(),
+                       std::vector<double>(piece.count));
     out.event_toggles.assign(nets, 0);
     if (zero_delay) {
         out.zero_toggles.assign(nets, 0);
     }
+    const std::vector<std::span<double>> rows(out.charges.begin(), out.charges.end());
     std::mutex unshared;
-    run_calibration_piece(*plan.contexts[piece.corner], plan.sim_options, stimulus,
-                          piece.first, out.charges, out.event_toggles,
+    run_calibration_piece(plan, piece, stimulus, rows, out.event_toggles,
                           zero_delay ? &out.zero_toggles : nullptr, unshared);
     return out;
 }
@@ -784,15 +832,21 @@ CalibrationTotals reduce_pieces(const SweepPlan& plan,
     for (std::size_t i = 0; i < results.size(); ++i) {
         const CalibrationPiece& piece = plan.pieces[i];
         const CalibrationPieceResult& result = results[i];
-        const bool zero_delay = plan.zero_delay() && piece.corner == 0;
-        HDPM_REQUIRE(result.charges.size() == piece.count &&
+        const bool zero_delay = plan.zero_delay() && piece.timing_class == 0;
+        const std::vector<std::span<double>> rows = out.rows(plan, piece);
+        HDPM_REQUIRE(result.charges.size() == rows.size() &&
+                         std::all_of(result.charges.begin(), result.charges.end(),
+                                     [&](const std::vector<double>& row) {
+                                         return row.size() == piece.count;
+                                     }) &&
                          result.event_toggles.size() == nets &&
                          result.zero_toggles.size() == (zero_delay ? nets : 0),
                      "calibration piece ", i, " result does not have the piece's shape");
-        std::copy(result.charges.begin(), result.charges.end(),
-                  out.charges[piece.corner][piece.shard].begin() +
-                      static_cast<std::ptrdiff_t>(piece.first));
-        std::vector<std::uint64_t>& event = out.event_toggles[piece.corner][piece.shard];
+        for (std::size_t c = 0; c < rows.size(); ++c) {
+            std::copy(result.charges[c].begin(), result.charges[c].end(), rows[c].begin());
+        }
+        std::vector<std::uint64_t>& event =
+            out.event_toggles[piece.timing_class][piece.shard];
         for (std::size_t net = 0; net < nets; ++net) {
             event[net] += result.event_toggles[net];
         }
@@ -844,10 +898,14 @@ SweepPlan::SweepPlan(const dp::DatapathModule& module,
         add_context(corner);
     }
 
-    // Emulation scores every corner; the event kernel simulates corner 0
-    // exactly and scores the others.
-    for (std::size_t k = zero_delay() ? 0 : 1; k < corners(); ++k) {
-        weights.push_back(base_charge_weights(*contexts[k], sim_options));
+    // Emulation scores every corner; the event kernel simulates the
+    // corners of corner 0's class exactly and scores the others.
+    classes = corner_classes(options);
+    weights.resize(corners());
+    for (std::size_t k = 0; k < corners(); ++k) {
+        if (zero_delay() || std::ranges::find(classes[0], k) == classes[0].end()) {
+            weights[k] = base_charge_weights(*contexts[k], sim_options);
+        }
     }
     pieces = calibration_pieces(options);
 }
@@ -856,26 +914,32 @@ SweepPlan::SweepPlan(const dp::DatapathModule& module,
 // shard ids reuse the sharded seed scheme, offset into their own half of
 // the id space), so every process running shards of this plan — and every
 // resumed run — fits identical weights; nothing about it needs journaling.
-// Emulation: each corner keeps its own glitch correction,
-// fit_toggle_correction'd from the zero-delay toggles (scored) to the event
-// kernel's at that corner (reference) — exactly what a one-corner run at
-// that corner computes. Event kernel: corner k > 0 gets transfer weights,
-// fit from corner 0's event toggles (scored — uniform delay scaling
-// preserves event order up to integer-ps rounding and the fixed inertial
-// window, so the ratios sit near 1) to corner k's own (reference).
+// It simulates once per timing class: the class's corners share its event
+// toggles, and each has its own charges. Emulation: each corner keeps its
+// own glitch correction, fit_toggle_correction'd from the zero-delay
+// toggles (scored) to its class's event toggles (reference) against its
+// own charges — exactly what a one-corner run at that corner computes.
+// Event kernel: a corner outside class 0 gets transfer weights, fit from
+// class 0's event toggles (scored) to its own class's (reference).
 void SweepPlan::fit(const CalibrationTotals& cal)
 {
+    std::vector<std::size_t> class_of(corners());
+    for (std::size_t c = 0; c < classes.size(); ++c) {
+        for (const std::size_t k : classes[c]) {
+            class_of[k] = c;
+        }
+    }
     const auto rows = [&](std::size_t k,
                           const std::vector<std::vector<std::uint64_t>>& scored) {
         std::vector<CorrectionRow> out;
         for (std::size_t s = 0; s < scored.size(); ++s) {
             const std::vector<double>& charges = cal.charges[k][s];
-            out.push_back({scored[s], cal.event_toggles[k][s],
+            out.push_back({scored[s], cal.event_toggles[class_of[k]][s],
                            std::accumulate(charges.begin(), charges.end(), 0.0)});
         }
         return out;
     };
-    const std::uint64_t pairs = options.calibration_pairs * corners();
+    const std::uint64_t pairs = options.calibration_pairs * classes.size();
     if (zero_delay()) {
         for (std::size_t k = 0; k < corners(); ++k) {
             const double scale =
@@ -886,9 +950,11 @@ void SweepPlan::fit(const CalibrationTotals& cal)
         }
         calibration_pairs = pairs;
     } else {
-        for (std::size_t k = 1; k < corners(); ++k) {
-            (void)fit_toggle_correction(*contexts[0], weights[k - 1],
-                                        rows(k, cal.event_toggles[0]));
+        for (std::size_t k = 0; k < corners(); ++k) {
+            if (!weights[k].empty()) {
+                (void)fit_toggle_correction(*contexts[0], weights[k],
+                                            rows(k, cal.event_toggles[0]));
+            }
         }
         corner_calibration_pairs = pairs;
     }
@@ -959,9 +1025,9 @@ std::vector<CheckpointShard> resume_journal(const std::filesystem::path& path,
 }
 
 /// The fingerprint a run's journal is stamped with: the options
-/// fingerprint, with a sweep's corner list folded in (the fingerprint
-/// itself ignores options.corners), so a journal never resumes a run over
-/// another corner set.
+/// fingerprint, with a sweep's corner list and the corner-timing stamp
+/// folded in (the fingerprint itself ignores options.corners), so a journal
+/// never resumes a run over another corner set or corner physics.
 std::uint64_t journal_fingerprint(const CharacterizationOptions& options,
                                   const sim::EventSimOptions& sim_options)
 {
@@ -970,6 +1036,9 @@ std::uint64_t journal_fingerprint(const CharacterizationOptions& options,
         fp = util::splitmix64(fp ^ std::bit_cast<std::uint64_t>(corner.vdd_v));
         fp = util::splitmix64(fp ^ std::bit_cast<std::uint64_t>(corner.temp_c));
         fp = util::splitmix64(fp ^ static_cast<std::uint64_t>(corner.load_class));
+    }
+    if (!options.corners.empty()) {
+        fp = util::splitmix64(fp ^ kCornerTimingStamp);
     }
     return fp;
 }
@@ -1231,11 +1300,31 @@ std::string module_journal_key(const dp::DatapathModule& module)
     return key;
 }
 
+std::vector<std::vector<std::size_t>> corner_classes(const CharacterizationOptions& options)
+{
+    std::vector<std::vector<std::size_t>> classes;
+    std::vector<gate::LoadClass> loads;
+    for (std::size_t k = 0; k < options.corners.size(); ++k) {
+        const gate::LoadClass load = options.corners[k].load_class;
+        const auto found = std::ranges::find(loads, load);
+        if (found == loads.end()) {
+            loads.push_back(load);
+            classes.push_back({k});
+        } else {
+            classes[static_cast<std::size_t>(found - loads.begin())].push_back(k);
+        }
+    }
+    if (classes.empty()) {
+        classes.push_back({0}); // a single-corner plan
+    }
+    return classes;
+}
+
 std::vector<CalibrationPiece> calibration_pieces(const CharacterizationOptions& options)
 {
-    const std::size_t corners = std::max<std::size_t>(options.corners.size(), 1);
+    const std::size_t classes = corner_classes(options).size();
     const std::size_t total = options.calibration_pairs;
-    if (total == 0 || (options.backend == CharBackend::EventKernel && corners == 1)) {
+    if (total == 0 || (options.backend == CharBackend::EventKernel && classes == 1)) {
         return {};
     }
     const std::size_t shard_size = plan_shard_size(options);
@@ -1245,11 +1334,11 @@ std::vector<CalibrationPiece> calibration_pieces(const CharacterizationOptions& 
             ? kLanes
             : kLanes - 1;
     std::vector<CalibrationPiece> pieces;
-    for (std::size_t k = 0; k < corners; ++k) {
+    for (std::size_t c = 0; c < classes; ++c) {
         for (std::size_t s = 0; s * shard_size < total; ++s) {
             const std::size_t pairs = std::min(shard_size, total - s * shard_size);
             for (std::size_t first = 0; first < pairs; first += piece) {
-                pieces.push_back({k, s, first, std::min(piece, pairs - first)});
+                pieces.push_back({c, s, first, std::min(piece, pairs - first)});
             }
         }
     }
@@ -1327,6 +1416,12 @@ const std::string& ShardRunner::module_key() const noexcept
 const std::vector<CalibrationPiece>& ShardRunner::calibration_pieces() const noexcept
 {
     return impl_->plan.pieces;
+}
+
+std::size_t ShardRunner::calibration_piece_corners(std::size_t index) const
+{
+    HDPM_REQUIRE(index < impl_->plan.pieces.size(), "calibration piece outside the plan");
+    return impl_->plan.classes[impl_->plan.pieces[index].timing_class].size();
 }
 
 CalibrationPieceResult ShardRunner::run_calibration_piece(std::size_t index) const

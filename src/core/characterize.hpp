@@ -99,9 +99,11 @@ struct CharRunStats {
     double calibration_scale = 1.0; ///< fitted residual glitch scale (1 = none)
 
     /// Corners scored by a multi-corner sweep (0 = single-corner run), and
-    /// the event-kernel transitions spent on the per-corner transfer
-    /// calibration (event backend sweeps only; the emulation backend's
-    /// per-corner glitch calibrations report through calibration_pairs).
+    /// the event-kernel transitions spent calibrating the transfer weights
+    /// of corners outside corner 0's load class — once per load class of
+    /// the sweep (event backend only; the emulation backend's glitch
+    /// calibration, also once per load class, reports through
+    /// calibration_pairs).
     std::size_t corners = 0;
     std::uint64_t corner_calibration_pairs = 0;
 
@@ -261,20 +263,25 @@ public:
 
     /// Multi-corner single-sweep record collection — the amortization path
     /// (docs/corners.md). Runs the stimulus sweep *once* and scores every
-    /// corner in options.corners from shared per-net toggle activity:
+    /// corner in options.corners from shared per-net toggle activity.
+    /// Corner timing is a dilation (gate::TechLibrary::at), so the corners
+    /// of one load class share one event stream exactly; an event
+    /// simulation carries each such corner's edge charges through it
+    /// (sim::EventSimulator::set_corner_charges):
     ///
     ///  - PowerEmulation: zero-delay toggles are exactly corner-invariant,
     ///    so each shard settles once and K weighted dot products score the
-    ///    K corners. Each corner keeps its own event-kernel glitch
-    ///    calibration (run at that corner's derived library), so every
-    ///    corner's records are bit-identical to an independent
-    ///    single-corner run at that corner.
-    ///  - EventKernel: corners[0] is simulated exactly (bit-identical to a
-    ///    single-corner run at corners[0]); the remaining corners are
-    ///    scored from its per-cycle toggle vectors through per-corner
+    ///    K corners. The event-kernel glitch calibration runs once per load
+    ///    class and returns every corner's charges; each corner fits its
+    ///    own correction from them, so every corner's records are
+    ///    bit-identical to an independent single-corner run at that corner.
+    ///  - EventKernel: the corners of corners[0]'s load class are simulated
+    ///    exactly in the one shard simulation (each bit-identical to a
+    ///    single-corner run at that corner); corners of other load classes
+    ///    are scored from its per-cycle toggle vectors through per-corner
     ///    transfer weights calibrated on a deterministic event-kernel
-    ///    subsample at each corner (approximate, within the calibrated
-    ///    tolerance).
+    ///    subsample, once per load class (approximate, within the
+    ///    calibrated tolerance).
     ///
     /// Element k of the result aligns with options.corners[k]. Convergence
     /// is tracked per corner (a corner's record stream stops exactly where
@@ -308,13 +315,22 @@ private:
     sim::EventSimOptions sim_options_;
 };
 
+/// The timing classes of a plan's corner list (options.corners, or the
+/// one-corner list of a single-corner plan): corner indices grouped by load
+/// class, classes in order of first appearance and corners in list order,
+/// so class 0 starts with corner 0. The corners of one class simulate the
+/// identical event stream (timing is a dilation, gate::TechLibrary::at).
+[[nodiscard]] std::vector<std::vector<std::size_t>> corner_classes(
+    const CharacterizationOptions& options);
+
 /// One piece of a plan's glitch calibration, the unit calibration is
 /// scheduled in (on the in-process pool and as leased fleet work):
 /// transitions [first, first + count) of calibration shard `shard`,
-/// simulated through the event kernel at corner `corner`. A piece spans
-/// one 64-lane settle: up to 64 pairs, or up to 63 chain transitions.
+/// simulated once through the event kernel for every corner of timing
+/// class `timing_class` (an index into corner_classes). A piece spans one
+/// 64-lane settle: up to 64 pairs, or up to 63 chain transitions.
 struct CalibrationPiece {
-    std::size_t corner = 0;
+    std::size_t timing_class = 0;
     std::size_t shard = 0;
     std::size_t first = 0;
     std::size_t count = 0;
@@ -324,16 +340,18 @@ struct CalibrationPiece {
 /// integer sums (toggles) and by summing each shard's charges in stimulus
 /// order, so the fit is the same wherever and in whatever order they ran.
 struct CalibrationPieceResult {
-    std::vector<double> charges;              ///< event charge per transition
+    /// Event charge per transition, one row per corner of the piece's class
+    /// (in class order), each bit-identical to a simulation at that corner.
+    std::vector<std::vector<double>> charges;
     std::vector<std::uint64_t> event_toggles; ///< per-net event-kernel toggles
-    /// Per-net zero-delay toggles: power emulation at corner 0, else empty.
+    /// Per-net zero-delay toggles: power emulation in class 0, else empty.
     std::vector<std::uint64_t> zero_toggles;
 };
 
 /// The calibration pieces of the plan @p options describe, in reduction
-/// order (corner, then shard, then first transition). Empty when the plan
+/// order (class, then shard, then first transition). Empty when the plan
 /// calibrates nothing: calibration_pairs = 0, or the event backend with a
-/// single corner.
+/// single timing class (every corner simulated exactly).
 [[nodiscard]] std::vector<CalibrationPiece> calibration_pieces(
     const CharacterizationOptions& options);
 
@@ -380,6 +398,10 @@ public:
 
     /// The plan's calibration pieces (calibration_pieces of its options).
     [[nodiscard]] const std::vector<CalibrationPiece>& calibration_pieces() const noexcept;
+
+    /// Corners of calibration piece @p index's timing class: the rows of
+    /// its CalibrationPieceResult::charges.
+    [[nodiscard]] std::size_t calibration_piece_corners(std::size_t index) const;
 
     /// Run calibration piece @p index on the calling thread: the piece
     /// function the in-process calibration schedules on its pool.

@@ -81,6 +81,7 @@ std::uint64_t characterization_fingerprint(const CharacterizationOptions& option
         mix(std::bit_cast<std::uint64_t>(options.corner->vdd_v));
         mix(std::bit_cast<std::uint64_t>(options.corner->temp_c));
         mix(static_cast<std::uint64_t>(options.corner->load_class));
+        mix(kCornerTimingStamp);
     }
     // Deliberately excluded (execution-only, results bit-identical):
     // threads, max_events_per_cycle, progress, stats,

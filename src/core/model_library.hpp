@@ -21,6 +21,14 @@ namespace hdpm::core {
 [[nodiscard]] std::uint64_t characterization_fingerprint(
     const CharacterizationOptions& options, const sim::EventSimOptions& sim_options);
 
+/// Stamp of the corner-timing physics, folded into every corner-qualified
+/// fingerprint (stored models and sweep journals) and into no native-corner
+/// one: change it when what a corner does to simulated time changes, so
+/// every stored slow-corner model is recharacterized while native models
+/// stay valid. 1: timing is a dilation of the load class's nominal delays
+/// (gate::TechLibrary::at).
+inline constexpr std::uint64_t kCornerTimingStamp = 1;
+
 /// A directory-backed store of characterized macro-models.
 ///
 /// Characterization is the expensive step of the flow (it runs reference

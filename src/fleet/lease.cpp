@@ -312,9 +312,10 @@ namespace {
 //   hdpm_calib 1
 //   fingerprint <16 hex>
 //   module <key> piece <index>
-//   geometry <corner> <shard> <first> <count> nets <n> zero <0|1>
+//   geometry <class> <shard> <first> <count> nets <n> zero <0|1>
 //   block <body bytes, 16 hex> <FNV-1a of the body, 16 hex>
-//   <body> = charges <charge bits, 16 hex> x count
+//   <body> = charges <charge bits, 16 hex> x count   (one line per corner
+//                                                      of the class)
 //            events <toggles> x n
 //            zeros <toggles> x n        (zero 1 only)
 constexpr std::string_view kFrameTag = "block ";
@@ -327,7 +328,7 @@ std::string piece_header(const PieceStamp& stamp)
     os << kPieceMagic << ' ' << kPieceVersion << '\n';
     os << "fingerprint " << hex64(stamp.fingerprint) << '\n';
     os << "module " << stamp.module_key << " piece " << stamp.index << '\n';
-    os << "geometry " << piece.corner << ' ' << piece.shard << ' ' << piece.first << ' '
+    os << "geometry " << piece.timing_class << ' ' << piece.shard << ' ' << piece.first << ' '
        << piece.count << " nets " << stamp.nets << " zero " << (stamp.zero_delay ? 1 : 0)
        << '\n';
     return os.str();
@@ -392,16 +393,23 @@ bool take_counts(std::string_view& body, std::string_view tag, std::size_t n,
 void write_calibration_piece(const std::filesystem::path& path, const PieceStamp& stamp,
                              const core::CalibrationPieceResult& result)
 {
-    HDPM_REQUIRE(result.charges.size() == stamp.piece.count &&
+    HDPM_REQUIRE(result.charges.size() == stamp.corners &&
+                     std::all_of(result.charges.begin(), result.charges.end(),
+                                 [&](const std::vector<double>& row) {
+                                     return row.size() == stamp.piece.count;
+                                 }) &&
                      result.event_toggles.size() == stamp.nets &&
                      result.zero_toggles.size() == (stamp.zero_delay ? stamp.nets : 0),
                  "calibration piece result does not match its stamp");
-    std::string body = "charges";
-    for (const double charge : result.charges) {
-        body += ' ';
-        util::append_hex64(body, std::bit_cast<std::uint64_t>(charge));
+    std::string body;
+    for (const std::vector<double>& row : result.charges) {
+        body += "charges";
+        for (const double charge : row) {
+            body += ' ';
+            util::append_hex64(body, std::bit_cast<std::uint64_t>(charge));
+        }
+        body += '\n';
     }
-    body += '\n';
     append_counts(body, "events", result.event_toggles);
     if (stamp.zero_delay) {
         append_counts(body, "zeros", result.zero_toggles);
@@ -429,8 +437,9 @@ PieceRead read_calibration_piece(const std::filesystem::path& path,
     // The largest file a piece of the expected shape can be: 17 bytes per
     // charge, at most 21 per toggle count, plus the line tags.
     const std::string header = piece_header(expected);
-    const std::size_t limit =
-        header.size() + kFrameBytes + 3 * 16 + 17 * expected.piece.count + 2 * 21 * expected.nets;
+    const std::size_t limit = header.size() + kFrameBytes + (expected.corners + 2) * 16 +
+                              17 * expected.piece.count * expected.corners +
+                              2 * 21 * expected.nets;
     std::string data(limit + 1, '\0');
     in.read(data.data(), static_cast<std::streamsize>(data.size()));
     data.resize(static_cast<std::size_t>(in.gcount()));
@@ -454,16 +463,20 @@ PieceRead read_calibration_piece(const std::filesystem::path& path,
     }
 
     core::CalibrationPieceResult result;
-    result.charges.resize(expected.piece.count);
-    const bool charges_ok =
-        take_line(text, "charges", expected.piece.count, [&](std::size_t i, std::string_view word) {
-            std::uint64_t charge_bits = 0;
-            if (!parse_hex64(word, charge_bits)) {
-                return false;
-            }
-            result.charges[i] = std::bit_cast<double>(charge_bits);
-            return true;
-        });
+    result.charges.assign(expected.corners, std::vector<double>(expected.piece.count));
+    bool charges_ok = true;
+    for (std::vector<double>& row : result.charges) {
+        charges_ok = charges_ok &&
+                     take_line(text, "charges", row.size(),
+                               [&](std::size_t i, std::string_view word) {
+                                   std::uint64_t charge_bits = 0;
+                                   if (!parse_hex64(word, charge_bits)) {
+                                       return false;
+                                   }
+                                   row[i] = std::bit_cast<double>(charge_bits);
+                                   return true;
+                               });
+    }
     if (!charges_ok || !take_counts(text, "events", expected.nets, result.event_toggles) ||
         (expected.zero_delay &&
          !take_counts(text, "zeros", expected.nets, result.zero_toggles)) ||

@@ -95,7 +95,8 @@ void write_plan(const std::filesystem::path& dir, const FleetPlan& plan);
 
 /// Everything a calibration piece file is stamped with and checked
 /// against: the plan identity, the piece's index and geometry, and the
-/// shape of its result (net count; zero-delay toggles or not).
+/// shape of its result (net count; zero-delay toggles or not; corners of
+/// the piece's timing class, one charge row each).
 struct PieceStamp {
     std::uint64_t fingerprint = 0;
     std::string module_key;
@@ -103,12 +104,14 @@ struct PieceStamp {
     core::CalibrationPiece piece;
     std::size_t nets = 0;
     bool zero_delay = false;
+    std::size_t corners = 1;
 };
 
 /// Atomically write @p result as the piece file @p path (tmp + rename),
 /// stamped with @p stamp: a header line per identity field, then one
 /// framed body (byte length + FNV-1a checksum) holding the per-transition
-/// charges as raw IEEE-754 bits and the per-net toggle counts. The
+/// charges as raw IEEE-754 bits, one line per corner of the piece's
+/// timing class, and the per-net toggle counts. The
 /// CheckpointShortWrite fault-injection point may tear the payload.
 void write_calibration_piece(const std::filesystem::path& path, const PieceStamp& stamp,
                              const core::CalibrationPieceResult& result);

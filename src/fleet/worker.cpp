@@ -94,9 +94,13 @@ void calibrate(const WorkerOptions& options, const FleetPlan& plan,
             if (loaded[i]) {
                 continue;
             }
-            const PieceStamp stamp{plan.fingerprint, plan.module_key, i, pieces[i],
+            const PieceStamp stamp{plan.fingerprint,
+                                   plan.module_key,
+                                   i,
+                                   pieces[i],
                                    module.netlist().num_nets(),
-                                   emulation && pieces[i].corner == 0};
+                                   emulation && pieces[i].timing_class == 0,
+                                   runner.calibration_piece_corners(i)};
             const std::filesystem::path done_path = options.fleet_dir / calib_done_name(i);
             const PieceRead read = read_calibration_piece(done_path, stamp, results[i]);
             if (read == PieceRead::Ok) {

@@ -141,8 +141,10 @@ TechLibrary TechLibrary::derived(std::string name, double vdd_v,
         e.intrinsic_delay_ps *= scaling.delay_scale;
         e.delay_per_ff_ps *= scaling.slope_scale;
     }
-    return TechLibrary{std::move(name), vdd_v, wire_cap_base_ff,
-                       wire_cap_per_fanout_ff, cells};
+    TechLibrary out{std::move(name), vdd_v, wire_cap_base_ff, wire_cap_per_fanout_ff,
+                    cells};
+    out.time_scale_ = time_scale_;
+    return out;
 }
 
 double TechLibrary::corner_energy_scale(const Corner& corner) const
@@ -170,13 +172,16 @@ TechLibrary TechLibrary::at(const Corner& corner) const
                  "corner temperature out of range: ", corner.temp_c, " C");
     CellScaling scaling;
     scaling.energy_scale = corner_energy_scale(corner);
-    scaling.delay_scale = corner_delay_scale(corner);
-    scaling.slope_scale = scaling.delay_scale;
-    HDPM_REQUIRE(scaling.energy_scale > 0.0 && scaling.delay_scale > 0.0,
+    const double delay_scale = corner_delay_scale(corner);
+    HDPM_REQUIRE(scaling.energy_scale > 0.0 && delay_scale > 0.0,
                  "corner scaling degenerate at ", corner.key());
+    // Delays keep the load class's nominal values; the corner's delay
+    // factor is a dilation of reported time, not of the simulated delays.
     const double wire = load_class_wire_scale(corner.load_class);
-    return derived(name_ + "@" + corner.key(), v, wire_cap_base_ff_ * wire,
-                   wire_cap_per_fanout_ff_ * wire, scaling);
+    TechLibrary out = derived(name_ + "@" + corner.key(), v, wire_cap_base_ff_ * wire,
+                              wire_cap_per_fanout_ff_ * wire, scaling);
+    out.time_scale_ *= delay_scale;
+    return out;
 }
 
 namespace {

@@ -114,7 +114,8 @@ public:
 
     /// A derived library: every cell field multiplied by the matching
     /// CellScaling factor (exactly one multiplication per field), with the
-    /// given supply and wire capacitances adopted verbatim. This is the
+    /// given supply and wire capacitances adopted verbatim and this
+    /// library's time_scale() kept. This is the
     /// single mechanism behind both hand-named process variants
     /// (generic180) and operating-corner derivation (at()).
     [[nodiscard]] TechLibrary derived(std::string name, double vdd_v,
@@ -123,19 +124,32 @@ public:
                                       const CellScaling& scaling) const;
 
     /// The library scaled to an operating corner: internal energies scale
-    /// as (V/V₀)² with a linear temperature derating, delays follow the
-    /// alpha-power law V/(V−Vth)^α relative to the native supply with their
-    /// own linear temperature derating, wire capacitances scale with the
-    /// load class, and the derived library's vdd() is the corner supply (so
-    /// the ½·C·Vdd edge-charge term scales without further bookkeeping).
+    /// as (V/V₀)² with a linear temperature derating, wire capacitances
+    /// scale with the load class, and the derived library's vdd() is the
+    /// corner supply (so the ½·C·Vdd edge-charge term scales without
+    /// further bookkeeping).
+    ///
+    /// Timing is a dilation: the corner's delay factor (the alpha-power law
+    /// V/(V−Vth)^α relative to the native supply, with its own linear
+    /// temperature derating — corner_delay_scale) stretches every delay of
+    /// the load class uniformly, so the cell delay fields keep the class's
+    /// nominal values and time_scale() carries the factor. Simulators run
+    /// in class-nominal time — identical event order, toggles and glitch
+    /// filtering at every corner of a load class — and scale the times
+    /// they report by time_scale() (docs/corners.md §1).
     /// The identity corner derives a bit-identical library (see Corner).
     /// The derived name is "<name>@<corner.key()>".
     [[nodiscard]] TechLibrary at(const Corner& corner) const;
 
+    /// Factor from class-nominal simulation time to reported time: 1 for a
+    /// base library, corner_delay_scale for a corner-derived one.
+    [[nodiscard]] double time_scale() const noexcept { return time_scale_; }
+
     /// The internal-energy multiplier at() applies for @p corner.
     [[nodiscard]] double corner_energy_scale(const Corner& corner) const;
 
-    /// The delay multiplier at() applies for @p corner.
+    /// The delay multiplier of @p corner: the time dilation at() records as
+    /// time_scale().
     [[nodiscard]] double corner_delay_scale(const Corner& corner) const;
 
     /// The default generic 350 nm-class library (Vdd = 3.3 V).
@@ -152,6 +166,7 @@ private:
     double wire_cap_base_ff_;
     double wire_cap_per_fanout_ff_;
     std::array<GateElectrical, kNumGateKinds> cells_;
+    double time_scale_ = 1.0;
 };
 
 } // namespace hdpm::gate

@@ -15,6 +15,7 @@ using netlist::NetId;
 ElectricalView::ElectricalView(const netlist::Netlist& netlist,
                                const gate::TechLibrary& library)
     : vdd_(library.vdd()),
+      time_scale_(library.time_scale()),
       net_cap_ff_(netlist.num_nets(), 0.0),
       edge_charge_fc_(netlist.num_nets(), 0.0),
       cell_delay_ps_(netlist.num_cells(), 1)
@@ -63,6 +64,7 @@ ElectricalView::ElectricalView(const netlist::Netlist& netlist,
 
     // Static timing: longest arrival over the topological order.
     std::vector<std::int64_t> arrival(netlist.num_nets(), 0);
+    std::int64_t nominal_path = 0;
     for (const CellId id : netlist.topological_order()) {
         const Cell& cell = netlist.cell(id);
         std::int64_t in_arrival = 0;
@@ -70,8 +72,9 @@ ElectricalView::ElectricalView(const netlist::Netlist& netlist,
             in_arrival = std::max(in_arrival, arrival[in]);
         }
         arrival[cell.output] = in_arrival + cell_delay_ps_[id];
-        critical_path_ps_ = std::max(critical_path_ps_, arrival[cell.output]);
+        nominal_path = std::max(nominal_path, arrival[cell.output]);
     }
+    critical_path_ps_ = dilate_ps(nominal_path);
 }
 
 } // namespace hdpm::sim

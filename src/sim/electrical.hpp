@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -31,10 +32,25 @@ public:
         return edge_charge_fc_.at(net);
     }
 
-    /// Propagation delay of a cell under its load [ps] (≥ 1).
+    /// Propagation delay of a cell under its load [ps] (≥ 1), in
+    /// class-nominal time: every corner of a load class simulates with the
+    /// same integer delays (gate::TechLibrary::at).
     [[nodiscard]] std::int64_t cell_delay_ps(netlist::CellId cell) const
     {
         return cell_delay_ps_.at(cell);
+    }
+
+    /// Factor from class-nominal simulation time to reported time — the
+    /// library's time_scale(), exactly 1 at the native corner.
+    [[nodiscard]] double time_scale() const noexcept { return time_scale_; }
+
+    /// A class-nominal time [ps] as reported time: scaled by time_scale()
+    /// and rounded to whole picoseconds (the identity at scale 1).
+    [[nodiscard]] std::int64_t dilate_ps(std::int64_t nominal_ps) const noexcept
+    {
+        return time_scale_ == 1.0
+                   ? nominal_ps
+                   : std::llround(static_cast<double>(nominal_ps) * time_scale_);
     }
 
     /// Supply voltage [V].
@@ -44,11 +60,13 @@ public:
     [[nodiscard]] double total_cap_ff() const noexcept { return total_cap_ff_; }
 
     /// Worst-case topological path delay [ps] (static timing, no false-path
-    /// analysis). Useful for choosing cycle times in reports.
+    /// analysis), in reported time (dilate_ps of the class-nominal path).
+    /// Useful for choosing cycle times in reports.
     [[nodiscard]] std::int64_t critical_path_ps() const noexcept { return critical_path_ps_; }
 
 private:
     double vdd_;
+    double time_scale_;
     double total_cap_ff_ = 0.0;
     std::int64_t critical_path_ps_ = 0;
     std::vector<double> net_cap_ff_;

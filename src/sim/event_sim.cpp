@@ -140,6 +140,16 @@ void EventSimulator::set_cycle_toggle_tracking(bool enabled)
     }
 }
 
+void EventSimulator::set_corner_charges(std::vector<std::span<const double>> sets)
+{
+    for (const std::span<const double> set : sets) {
+        HDPM_REQUIRE(set.size() == values_.size(), "corner charge set has ", set.size(),
+                     " nets, netlist '", netlist_->name(), "' has ", values_.size());
+    }
+    corner_sets_ = std::move(sets);
+    corner_charge_.assign(corner_sets_.size(), 0.0);
+}
+
 void EventSimulator::clear_cycle_toggles()
 {
     for (const NetId net : cycle_dirty_) {
@@ -168,7 +178,22 @@ CycleResult EventSimulator::apply(const BitVec& inputs)
     const std::uint64_t budget = HDPM_FAULT_FIRE(util::FaultPoint::EventBudget)
                                      ? 0
                                      : options_.max_events_per_cycle;
-    return apply_wheel(inputs, budget);
+    CycleResult cycle;
+    if (corner_sets_.empty()) {
+        cycle = apply_wheel<false>(inputs, budget);
+    } else {
+        std::fill(corner_charge_.begin(), corner_charge_.end(), 0.0);
+        cycle = apply_wheel<true>(inputs, budget);
+    }
+    cycle.settle_time_ps = context_->electrical().dilate_ps(cycle.settle_time_ps);
+    return cycle;
+}
+
+[[gnu::noinline]] void EventSimulator::trace_toggle(std::int64_t time, NetId net,
+                                                   std::uint8_t value) const
+{
+    tracer_->change(cycle_start_time_ + context_->electrical().dilate_ps(time), net,
+                    value != 0);
 }
 
 void EventSimulator::fail_event_budget(const std::uint64_t budget) const
@@ -185,6 +210,7 @@ void EventSimulator::fail_event_budget(const std::uint64_t budget) const
     throw util::FaultError{util::FaultKind::SimBudgetExceeded, std::move(context)};
 }
 
+template <bool kCorners>
 CycleResult EventSimulator::apply_wheel(const BitVec& inputs, const std::uint64_t budget)
 {
     // One tight loop over raw arrays. A store to a net value byte may alias
@@ -207,9 +233,11 @@ CycleResult EventSimulator::apply_wheel(const BitVec& inputs, const std::uint64_
     const std::size_t mask = wheel_.mask;
     const std::int64_t horizon = wheel_.horizon;
     const std::int64_t window = options_.inertial_window_ps;
-    VcdWriter* const tracer = tracer_;
+    const bool traced = tracer_ != nullptr;
     const bool track = track_cycle_toggles_;
-    const std::int64_t cycle_start = cycle_start_time_;
+    const std::span<const double>* const corner_sets = corner_sets_.data();
+    double* const corner_charge = corner_charge_.data();
+    const std::size_t num_corner_sets = corner_sets_.size();
 
     // Results accumulate in locals in toggle order, so the floating-point
     // charge is a deterministic function of the event order.
@@ -228,9 +256,14 @@ CycleResult EventSimulator::apply_wheel(const BitVec& inputs, const std::uint64_
             const double q = edge_charge[net];
             charge += q;
             charge_per_net[net] += q;
+            if constexpr (kCorners) {
+                for (std::size_t k = 0; k < num_corner_sets; ++k) {
+                    corner_charge[k] += corner_sets[k][net];
+                }
+            }
         }
-        if (tracer != nullptr) {
-            tracer->change(cycle_start + time, net, v != 0);
+        if (traced) {
+            trace_toggle(time, net, v);
         }
     };
     // Fanout consumers are appended without per-cell deduplication: a cell
@@ -341,8 +374,8 @@ CycleResult EventSimulator::apply_wheel(const BitVec& inputs, const std::uint64_
 
     stats_.max_queue_depth = max_depth;
     stats_.events_processed += processed;
-    if (tracer != nullptr) {
-        cycle_start_time_ += tracer->cycle_period_ps();
+    if (traced) {
+        cycle_start_time_ += tracer_->cycle_period_ps();
     }
     return CycleResult{charge, transitions, settle};
 }

@@ -26,7 +26,10 @@ struct EventSimOptions {
     /// that filters narrow glitches, as transistor-level simulation (the
     /// paper's PowerMill reference) inherently does. The default of 100 ps
     /// is on the order of one gate delay in the generic350 library; the
-    /// glitch-model ablation sweeps this knob.
+    /// glitch-model ablation sweeps this knob. The window is in
+    /// class-nominal time, like the cell delays it is compared with, so it
+    /// dilates with the corner and filters the same pulses at every corner
+    /// of a load class.
     std::int64_t inertial_window_ps = 100;
 
     /// Safety valve against runaway simulations. Exceeding it throws a
@@ -41,7 +44,9 @@ struct EventSimOptions {
 struct CycleResult {
     double charge_fc = 0.0;          ///< supply charge drawn this cycle [fC]
     std::uint64_t transitions = 0;   ///< actual net toggles (including glitches)
-    std::int64_t settle_time_ps = 0; ///< time of the last toggle
+    /// Time of the last toggle, in reported time (ElectricalView::dilate_ps
+    /// of the class-nominal simulation time).
+    std::int64_t settle_time_ps = 0;
 };
 
 /// Cumulative scheduler counters since construction (throughput
@@ -148,6 +153,25 @@ public:
         return cycle_toggle_count_[net];
     }
 
+    /// Score further corners of this context's load class in the same
+    /// pass. Each set is another corner's per-net edge-charge array
+    /// (SimContext::edge_charges_fc of a context over the same netlist and
+    /// load class); apply() adds set k's charge for every counted toggle,
+    /// in toggle order — the additions an independent simulator at that
+    /// corner performs on the identical toggle stream — so
+    /// corner_cycle_charges()[k] is bit-identical to that simulator's
+    /// CycleResult::charge_fc. The arrays must outlive the simulator. With
+    /// no sets (the default) apply() runs the one-corner kernel, which
+    /// carries none of this bookkeeping.
+    void set_corner_charges(std::vector<std::span<const double>> sets);
+
+    /// Per-set cycle charge of the last apply() [fC], index-aligned with
+    /// set_corner_charges.
+    [[nodiscard]] std::span<const double> corner_cycle_charges() const noexcept
+    {
+        return corner_charge_;
+    }
+
     /// Total charge drawn per net since construction [fC] (power hot-spot
     /// reports; see sim/report.hpp).
     [[nodiscard]] const std::vector<double>& cumulative_charge_per_net() const noexcept
@@ -223,7 +247,14 @@ private:
         std::int64_t horizon = 1;            // max schedulable delay
     };
 
+    /// The kernel; kCorners instantiates the extra-corner charge sums, so
+    /// the one-corner loop carries no trace of them.
+    template <bool kCorners>
     CycleResult apply_wheel(const util::BitVec& inputs, std::uint64_t budget);
+    /// Record a toggle at class-nominal @p time in the attached tracer, on
+    /// the dilated time axis (out of line: the kernel only tests for a
+    /// tracer). Settle times are dilated once per cycle, by apply().
+    void trace_toggle(std::int64_t time, netlist::NetId net, std::uint8_t value) const;
     /// Throw the structured SimBudgetExceeded diagnostic for this cycle.
     [[noreturn]] void fail_event_budget(std::uint64_t budget) const;
     /// The per-cycle scheduler reset shared by initialize and load_state.
@@ -276,6 +307,8 @@ private:
     KernelStats stats_;
     std::vector<std::uint64_t> transition_count_;
     std::vector<double> charge_per_net_;
+    std::vector<std::span<const double>> corner_sets_; ///< extra edge-charge sets
+    std::vector<double> corner_charge_;                ///< per set, last apply only
 
     /// Per-cycle toggle tracking (see set_cycle_toggle_tracking).
     void clear_cycle_toggles();

@@ -679,8 +679,10 @@ TEST(Emulation, ThreadCountMatrixIsBitIdentical)
                 };
                 CharRunStats baseline_stats;
                 const auto baseline = run(1, baseline_stats);
-                EXPECT_EQ(baseline_stats.calibration_pairs,
-                          geometry.calibration * baseline.size());
+                // Calibration runs once per timing class: the sweep's two
+                // nominal-load corners share theirs.
+                const std::size_t classes = corners.empty() ? 1 : 2;
+                EXPECT_EQ(baseline_stats.calibration_pairs, geometry.calibration * classes);
                 for (const unsigned threads : {2U, 4U, 8U}) {
                     const std::string label =
                         std::to_string(static_cast<int>(mode)) + "/" +
@@ -752,12 +754,13 @@ TEST(Emulation, RunnerFittedFromPiecesMatchesInProcessCalibration)
         std::vector<CalibrationPieceResult> results(pieces.size());
         for (std::size_t i = pieces.size(); i-- > 0;) {
             results[i] = from_pieces.run_calibration_piece(i);
-            EXPECT_EQ(results[i].charges.size(), pieces[i].count) << label;
+            ASSERT_EQ(results[i].charges.size(), 1U) << label; // one corner
+            EXPECT_EQ(results[i].charges[0].size(), pieces[i].count) << label;
             EXPECT_EQ(results[i].zero_toggles.size(), results[i].event_toggles.size()) << label;
         }
         // A result of the wrong shape is refused before anything is fitted.
         std::vector<CalibrationPieceResult> short_results = results;
-        short_results[1].charges.pop_back();
+        short_results[1].charges[0].pop_back();
         EXPECT_THROW(from_pieces.fit_calibration(short_results), util::PreconditionError)
             << label;
 
@@ -787,13 +790,17 @@ TEST(Emulation, CalibrationPiecesFollowThePlan)
     EXPECT_EQ(chain[4].shard, 1U);
     EXPECT_EQ(chain[4].count, 43U);
 
-    // Pairs pieces of 64, once per corner of a sweep.
+    // Pairs pieces of 64, once per timing class of a sweep: corners of one
+    // load class share their pieces.
     options.mode = StimulusMode::StratifiedPairs;
     options.corners = {{3.3, 25.0, gate::LoadClass::Nominal},
                        {2.5, 85.0, gate::LoadClass::Nominal}};
+    EXPECT_EQ(calibration_pieces(options).size(), 5U); // (64 + 64 + 22) + (64 + 42)
+    options.corners.push_back({3.0, 50.0, gate::LoadClass::Heavy});
     const std::vector<CalibrationPiece> pairs = calibration_pieces(options);
-    ASSERT_EQ(pairs.size(), 10U); // (64 + 64 + 22) + (64 + 42), twice
-    EXPECT_EQ(pairs[5].corner, 1U);
+    ASSERT_EQ(pairs.size(), 10U); // the same, twice
+    EXPECT_EQ(pairs[4].timing_class, 0U);
+    EXPECT_EQ(pairs[5].timing_class, 1U);
     EXPECT_EQ(pairs[5].first, 0U);
 
     options.calibration_pairs = 0;

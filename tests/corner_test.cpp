@@ -1,18 +1,23 @@
 // Multi-corner characterization sweeps: one stimulus pass scoring every
-// requested operating corner. The contract under test, per backend:
+// requested operating corner. Corner timing is a dilation, so the corners
+// of one load class share one event stream exactly. The contract under
+// test, per backend:
 //
 //  - power-emulation: each corner's record block is BIT-IDENTICAL to the
 //    independent single-corner run (the sweep reuses the settled toggle
 //    streams, which are corner-invariant, and accumulates each corner's own
-//    calibrated weights — the same arithmetic in the same order);
-//  - event-kernel: corner 0 is simulated exactly (bit-identical to its
-//    independent run); corners k > 0 are scored through calibrated transfer
-//    weights — an approximation that must stay within a documented
-//    tolerance at the aggregate level while remaining fully deterministic
-//    (bit-identical across thread counts and checkpoint resume).
+//    calibrated weights — the same arithmetic in the same order), with one
+//    glitch calibration per load class;
+//  - event-kernel: every corner of corner 0's load class is simulated
+//    exactly (bit-identical to its independent run); corners of other load
+//    classes are scored through calibrated transfer weights — an
+//    approximation that must stay within a documented tolerance at the
+//    aggregate level while remaining fully deterministic (bit-identical
+//    across thread counts and checkpoint resume).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -140,45 +145,62 @@ TEST(CornerSweep, EmulationSweepIsBitIdenticalToIndependentRunsAcrossThreads)
     }
 }
 
-TEST(CornerSweep, EventSweepCornerZeroIsExactAndTransfersAreClose)
+TEST(CornerSweep, EventSweepIsExactInCornerZerosLoadClassAndTransfersAreClose)
 {
     const DatapathModule module = dp::make_module(ModuleType::RippleAdder, 4);
     const Characterizer characterizer;
-    // The full list, plus one-corner lists {c}: a one-corner sweep is the
-    // single-corner run at c.
-    std::vector<std::vector<gate::Corner>> lists = {kCorners};
+    // The full list, the list led by its heavy-load corner, and one-corner
+    // lists {c}: a one-corner sweep is the single-corner run at c.
+    std::vector<std::vector<gate::Corner>> lists = {
+        kCorners, {kCorners[2], kCorners[0], kCorners[1]}};
     for (const gate::Corner& corner : kCorners) {
         lists.push_back({corner});
     }
     for (const StimulusMode mode : kModes) {
+        std::vector<std::vector<CharacterizationRecord>> independent;
+        for (const gate::Corner& corner : kCorners) {
+            independent.push_back(
+                collect_single(module, CharBackend::EventKernel, corner, mode));
+        }
+        const auto independent_at = [&](const gate::Corner& corner) {
+            const auto k = static_cast<std::size_t>(
+                std::find(kCorners.begin(), kCorners.end(), corner) - kCorners.begin());
+            return independent[k];
+        };
         for (const std::vector<gate::Corner>& corners : lists) {
-            const std::string label = "event " + mode_label(mode) + " " +
-                                      std::to_string(corners.size()) + "-corner sweep";
-            CharacterizationOptions options =
-                sweep_options(CharBackend::EventKernel, 1, mode);
-            options.corners = corners;
-            CharRunStats stats;
-            options.stats = &stats;
-            const auto sweep = characterizer.collect_records_corners(module, options);
-            ASSERT_EQ(sweep.size(), corners.size()) << label;
-            EXPECT_EQ(stats.corner_calibration_pairs > 0, corners.size() > 1) << label;
+            for (const unsigned threads : {1U, 4U}) {
+                const std::string label = "event " + mode_label(mode) + " " +
+                                          std::to_string(corners.size()) +
+                                          "-corner sweep led by " + corners[0].key() +
+                                          " @" + std::to_string(threads) + "t";
+                CharacterizationOptions options =
+                    sweep_options(CharBackend::EventKernel, threads, mode);
+                options.corners = corners;
+                CharRunStats stats;
+                options.stats = &stats;
+                const auto sweep = characterizer.collect_records_corners(module, options);
+                ASSERT_EQ(sweep.size(), corners.size()) << label;
+                EXPECT_EQ(stats.corner_calibration_pairs > 0,
+                          corner_classes(options).size() > 1)
+                    << label;
 
-            // Corner 0 is the exactly simulated reference stream.
-            expect_identical_records(
-                collect_single(module, CharBackend::EventKernel, corners[0], mode),
-                sweep[0], label + " corner 0");
-
-            // Corners k > 0 ride calibrated transfer weights: per-record
-            // values are approximate, but the aggregate charge must land
-            // close to what the exact per-corner simulation measures (same
-            // stimulus, same plan).
-            for (std::size_t k = 1; k < corners.size(); ++k) {
-                const auto exact =
-                    collect_single(module, CharBackend::EventKernel, corners[k], mode);
-                ASSERT_EQ(exact.size(), sweep[k].size()) << label;
-                const double reference = mean_charge(exact);
-                EXPECT_NEAR(mean_charge(sweep[k]), reference, 0.10 * reference)
-                    << label << " corner " << k;
+                for (std::size_t k = 0; k < corners.size(); ++k) {
+                    const auto exact = independent_at(corners[k]);
+                    const std::string corner_label = label + " corner " + std::to_string(k);
+                    if (corners[k].load_class == corners[0].load_class) {
+                        // Corner 0's load class shares its simulation.
+                        expect_identical_records(exact, sweep[k], corner_label);
+                        continue;
+                    }
+                    // Other load classes ride calibrated transfer weights:
+                    // per-record values are approximate, but the aggregate
+                    // charge must land close to what the exact per-corner
+                    // simulation measures (same stimulus, same plan).
+                    ASSERT_EQ(exact.size(), sweep[k].size()) << corner_label;
+                    const double reference = mean_charge(exact);
+                    EXPECT_NEAR(mean_charge(sweep[k]), reference, 0.10 * reference)
+                        << corner_label;
+                }
             }
         }
     }
@@ -214,8 +236,9 @@ TEST(CornerSweep, EventSweepIsBitIdenticalAcrossThreadCounts)
             };
             CharRunStats baseline_stats;
             const auto baseline = run(1, baseline_stats);
-            EXPECT_EQ(baseline_stats.corner_calibration_pairs,
-                      geometry.calibration * kCorners.size());
+            // Transfer calibration runs once per timing class: kCorners has
+            // two (nominal and heavy load).
+            EXPECT_EQ(baseline_stats.corner_calibration_pairs, geometry.calibration * 2);
             for (const unsigned threads : {2U, 4U}) {
                 const std::string label =
                     std::to_string(static_cast<int>(mode)) + "/" +
@@ -478,22 +501,28 @@ TEST(CornerSweep, FittedModelsTrackThePhysicsAcrossCorners)
                  util::PreconditionError);
 }
 
-/// The event-kernel sweep's amortization claim, counted in the pairs the
-/// event kernel simulates rather than in wall time: K = 8 nominal-load
-/// corners of the 16-bit CSA multiplier as eight independent runs simulate
-/// K x records pairs; one sweep simulates corner 0's records once plus the
-/// per-corner transfer calibration. The geometry is a fixed-size run with
-/// a transition budget of 10000 and 256 calibration pairs per corner; the
-/// sweep must do at most a fifth of the independent runs' event work.
-TEST(CornerSweep, EventSweepAmortizesEightCornersAtLeastFiveFold)
+/// The 8 corners {3.3, 3.0, 2.7, 2.5 V} x {25, 85 °C} at nominal load.
+std::vector<gate::Corner> eight_nominal_corners()
 {
-    const DatapathModule module = dp::make_module(ModuleType::CsaMultiplier, 16);
     std::vector<gate::Corner> corners;
     for (const double vdd : {3.3, 3.0, 2.7, 2.5}) {
         for (const double temp : {25.0, 85.0}) {
             corners.push_back({vdd, temp, gate::LoadClass::Nominal});
         }
     }
+    return corners;
+}
+
+/// The event-kernel sweep's amortization claim, counted in the pairs the
+/// event kernel simulates rather than in wall time: K = 8 nominal-load
+/// corners of the 16-bit CSA multiplier as eight independent runs simulate
+/// K x records pairs. The corners share one load class, so one sweep
+/// simulates corner 0's records once — exactly the event work of one
+/// independent run — and calibrates nothing: 8-fold.
+TEST(CornerSweep, EventSweepAmortizesEightNominalCornersEightFold)
+{
+    const DatapathModule module = dp::make_module(ModuleType::CsaMultiplier, 16);
+    const std::vector<gate::Corner> corners = eight_nominal_corners();
 
     CharacterizationOptions options;
     options.max_transitions = 10000;
@@ -518,10 +547,45 @@ TEST(CornerSweep, EventSweepAmortizesEightCornersAtLeastFiveFold)
 
     const std::uint64_t independent = corners.size() * stats.records;
     const std::uint64_t sweep = stats.records + stats.corner_calibration_pairs;
-    EXPECT_GE(independent, 5 * sweep)
+    EXPECT_EQ(stats.corner_calibration_pairs, 0U);
+    EXPECT_EQ(sweep, stats.records);
+    EXPECT_EQ(independent, 8 * sweep)
         << "event-kernel pairs: " << independent << " for 8 independent runs vs "
         << sweep << " for one sweep (" << stats.corner_calibration_pairs
         << " of them calibration)";
+
+    // The sweep's event work is one independent run's, event for event.
+    CharacterizationOptions single = options;
+    single.corners.clear();
+    single.corner = corners[0];
+    CharRunStats single_stats;
+    single.stats = &single_stats;
+    (void)Characterizer{}.collect_records(module, single);
+    EXPECT_EQ(stats.sim_events, single_stats.sim_events);
+    EXPECT_EQ(stats.sim_transitions, single_stats.sim_transitions);
+}
+
+/// The emulation sweep's calibration claim: 8 nominal-load corners share
+/// one load class, so the sweep runs calibration_pairs event-kernel pairs
+/// once, not once per corner — and every corner's records stay
+/// bit-identical to its independent run.
+TEST(CornerSweep, EmulationSweepCalibratesEightNominalCornersOnce)
+{
+    const DatapathModule module = dp::make_module(ModuleType::RippleAdder, 4);
+    const std::vector<gate::Corner> corners = eight_nominal_corners();
+    CharacterizationOptions options = sweep_options(CharBackend::PowerEmulation, 4);
+    options.corners = corners;
+    CharRunStats stats;
+    options.stats = &stats;
+    const auto sweep = Characterizer{}.collect_records_corners(module, options);
+    ASSERT_EQ(sweep.size(), corners.size());
+    EXPECT_EQ(stats.calibration_pairs, options.calibration_pairs);
+    EXPECT_EQ(stats.corner_calibration_pairs, 0U);
+    for (std::size_t k = 0; k < corners.size(); ++k) {
+        expect_identical_records(
+            collect_single(module, CharBackend::PowerEmulation, corners[k]), sweep[k],
+            "emulation corner " + corners[k].key());
+    }
 }
 
 } // namespace

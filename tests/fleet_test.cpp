@@ -209,9 +209,13 @@ struct PieceSource {
 
     [[nodiscard]] PieceStamp stamp(std::size_t index) const
     {
-        return PieceStamp{runner.fingerprint(), runner.module_key(), index,
-                          runner.calibration_pieces()[index], module.netlist().num_nets(),
-                          runner.calibration_pieces()[index].corner == 0};
+        return PieceStamp{runner.fingerprint(),
+                          runner.module_key(),
+                          index,
+                          runner.calibration_pieces()[index],
+                          module.netlist().num_nets(),
+                          runner.calibration_pieces()[index].timing_class == 0,
+                          runner.calibration_piece_corners(index)};
     }
 
     dp::DatapathModule module;

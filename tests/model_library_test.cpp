@@ -10,6 +10,7 @@
 
 #include "core/model_library.hpp"
 #include "util/error.hpp"
+#include "util/file_io.hpp"
 
 namespace hdpm::core {
 namespace {
@@ -172,6 +173,60 @@ TEST_F(ModelLibraryTest, LegacyFileWithoutFingerprintRecharacterizes)
     std::string header;
     ASSERT_TRUE(std::getline(in, header));
     EXPECT_EQ(header.rfind("options ", 0), 0U) << "rebuild must restore the header";
+}
+
+TEST_F(ModelLibraryTest, CornerTimingStampRetiresOnlyCornerQualifiedModels)
+{
+    // Timing became a dilation of the load class's nominal delays, which
+    // changed every model characterized away from the native corner. The
+    // pinned values are quick()'s fingerprints and native model file from
+    // before that change: native-corner files keep their fingerprint and
+    // bytes and are reused; a corner-qualified file under the old
+    // fingerprint is recharacterized.
+    const ModelLibrary library{dir_};
+    const std::array<int, 1> w = {4};
+    std::atomic<int> runs{0};
+    CharacterizationOptions options = quick();
+    options.progress = [&](const CharProgress& p) {
+        if (p.shards_merged == 1) {
+            runs.fetch_add(1);
+        }
+    };
+    const auto read = [](const fs::path& path) {
+        std::ifstream in{path, std::ios::binary};
+        return std::string{std::istreambuf_iterator<char>{in}, {}};
+    };
+
+    EXPECT_EQ(characterization_fingerprint(options, {}), 0x5380a983a635510dULL);
+    (void)library.get_or_characterize(dp::ModuleType::RippleAdder, w, options);
+    const fs::path native = dir_ / (library.model_key(dp::ModuleType::RippleAdder, w) + ".hdm");
+    const std::string native_bytes = read(native);
+    EXPECT_EQ(util::fnv1a64(native_bytes), 0xdd1a7dc56b9a44f3ULL);
+    EXPECT_EQ(native_bytes.size(), 399U);
+    (void)library.get_or_characterize(dp::ModuleType::RippleAdder, w, options);
+    EXPECT_EQ(runs.load(), 1) << "a native-corner model must not recharacterize";
+    EXPECT_EQ(read(native), native_bytes);
+
+    const gate::Corner corner{2.5, 85.0, gate::LoadClass::Nominal};
+    options.corner = corner;
+    const std::uint64_t current = characterization_fingerprint(options, {});
+    EXPECT_NE(current, 0xcef0e3c2531dfe24ULL);
+    (void)library.get_or_characterize(dp::ModuleType::RippleAdder, w, options);
+    EXPECT_EQ(runs.load(), 2);
+    const fs::path at_corner =
+        dir_ / (library.model_key(dp::ModuleType::RippleAdder, w, corner) + ".hdm");
+    std::string bytes = read(at_corner);
+    const std::size_t header_end = bytes.find('\n');
+    ASSERT_NE(header_end, std::string::npos);
+    {
+        std::ofstream out{at_corner, std::ios::binary | std::ios::trunc};
+        out << "options cef0e3c2531dfe24" << bytes.substr(header_end);
+    }
+    (void)library.get_or_characterize(dp::ModuleType::RippleAdder, w, options);
+    EXPECT_EQ(runs.load(), 3) << "a corner model under the old stamp must recharacterize";
+    EXPECT_EQ(read(at_corner), bytes);
+    (void)library.get_or_characterize(dp::ModuleType::RippleAdder, w, options);
+    EXPECT_EQ(runs.load(), 3);
 }
 
 TEST_F(ModelLibraryTest, EnhancedModelsStoredSeparately)

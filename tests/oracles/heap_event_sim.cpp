@@ -112,7 +112,7 @@ void HeapEventSimulator::toggle(NetId net, std::uint8_t value, std::int64_t time
         charge_per_net_[net] += q;
     }
     if (tracer_ != nullptr) {
-        tracer_->change(cycle_start_time_ + time, net, value != 0);
+        tracer_->change(cycle_start_time_ + electrical_->dilate_ps(time), net, value != 0);
     }
 }
 
@@ -209,6 +209,7 @@ sim::CycleResult HeapEventSimulator::apply(const BitVec& inputs)
     if (tracer_ != nullptr) {
         cycle_start_time_ += tracer_->cycle_period_ps();
     }
+    result.settle_time_ps = electrical_->dilate_ps(result.settle_time_ps);
     return result;
 }
 

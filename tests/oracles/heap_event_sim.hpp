@@ -8,8 +8,9 @@
 // with the production timing wheel — only the public Netlist,
 // ElectricalView, EventSimOptions and VcdWriter surface — and implements
 // the same contract: transport delays filtered by the inertial window,
-// optional input-pin charge, and the per-cycle event budget with its
-// structured SimBudgetExceeded diagnostic.
+// optional input-pin charge, settle and trace times reported dilated by the
+// corner's time scale, and the per-cycle event budget with its structured
+// SimBudgetExceeded diagnostic.
 
 #include <cstdint>
 #include <queue>

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 #include <string>
 
@@ -412,6 +413,56 @@ TEST(Vcd, WheelAndHeapStreamsAreByteIdentical)
                                                           context.electrical(), options}))
             << "window " << window;
     }
+}
+
+/// At a corner the trace is the class-nominal trace on a dilated time
+/// axis: every timestamp within a cycle is the nominal one scaled by the
+/// corner's delay factor (cycles still start at multiples of the period),
+/// with the same value changes in the same order — from the wheel and the
+/// heap kernel alike.
+TEST(Vcd, CornerTimestampsAreDilatedNominalTimes)
+{
+    const dp::DatapathModule module = dp::make_module(dp::ModuleType::CsaMultiplier, 6);
+    const int m = module.total_input_bits();
+    constexpr std::int64_t kPeriod = 100000;
+    const TechLibrary& base = TechLibrary::generic350();
+    const gate::Corner corner{2.5, 85.0, gate::LoadClass::Nominal};
+    const TechLibrary slow = base.at(corner);
+    const double scale = base.corner_delay_scale(corner);
+    ASSERT_GT(scale, 1.0);
+    const SimContext nominal{module.netlist(), base};
+    const SimContext dilated{module.netlist(), slow};
+
+    auto trace = [&](auto sim) {
+        std::ostringstream out;
+        VcdWriter vcd{out, module.netlist(), kPeriod};
+        sim.set_tracer(&vcd);
+        Rng rng{29};
+        sim.initialize(BitVec{m, rng.next_u64()});
+        for (int i = 0; i < 20; ++i) {
+            (void)sim.apply(BitVec{m, rng.next_u64()});
+        }
+        sim.set_tracer(nullptr);
+        return out.str();
+    };
+
+    // Rewrite the nominal trace's timestamps onto the corner's time axis.
+    std::istringstream in{trace(EventSimulator{nominal})};
+    std::string expected;
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.size() > 1 && line[0] == '#') {
+            const std::int64_t t = std::stoll(line.substr(1));
+            const std::int64_t start = t / kPeriod * kPeriod;
+            line = '#' + std::to_string(
+                             start + std::llround(static_cast<double>(t - start) * scale));
+        }
+        expected += line + '\n';
+    }
+    const std::string wheel = trace(EventSimulator{dilated});
+    EXPECT_NE(wheel, trace(EventSimulator{nominal}));
+    EXPECT_EQ(wheel, expected);
+    EXPECT_EQ(wheel, trace(oracle::HeapEventSimulator{module.netlist(), dilated.electrical()}));
 }
 
 TEST(Vcd, RejectsBadPeriod)
