@@ -123,7 +123,16 @@ std::vector<gate::Corner> parse_corner_list(const std::string& spec)
         const std::string item = spec.substr(
             begin, comma == std::string::npos ? std::string::npos : comma - begin);
         if (!item.empty()) {
-            corners.push_back(gate::parse_corner(item));
+            const gate::Corner corner = gate::parse_corner(item);
+            // Corners with one key are one corner (Corner::key): a repeat
+            // would characterize and store it twice.
+            if (std::ranges::any_of(corners, [&](const gate::Corner& seen) {
+                    return seen.key() == corner.key();
+                })) {
+                std::cerr << "--corners lists corner " << corner.key() << " twice\n";
+                std::exit(2);
+            }
+            corners.push_back(corner);
         }
         if (comma == std::string::npos) {
             break;
@@ -227,6 +236,11 @@ Cli parse_module_args(int argc, char** argv, int start)
             usage(argv[0]);
         }
     }
+    if (cli.corner.has_value() && !cli.corners.empty()) {
+        std::cerr << "--corner and --corners are mutually exclusive (a sweep takes "
+                     "its corners from --corners)\n";
+        std::exit(2);
+    }
     return cli;
 }
 
@@ -329,8 +343,7 @@ int cmd_info(const Cli& cli)
 }
 
 /// Multi-corner characterize: one amortized stimulus sweep fitting a model
-/// per corner, then a (Vdd, temp) coefficient surface when the corner set
-/// supports one.
+/// per corner.
 int cmd_characterize_corners(const Cli& cli)
 {
     const core::ModelLibrary library{cli.models_dir};
@@ -421,25 +434,6 @@ int cmd_characterize_corners(const Cli& cli)
     if (stats.shards_resumed > 0) {
         std::cout << "resumed " << stats.shards_resumed
                   << " shard(s) from the checkpoint journal\n";
-    }
-
-    // A coefficient surface needs a uniform load class and at least two
-    // corners to regress against; skip silently otherwise (the per-corner
-    // models above are the primary product).
-    if (!cli.enhanced && cli.corners.size() >= 2) {
-        const bool uniform_load = std::all_of(
-            cli.corners.begin(), cli.corners.end(), [&](const gate::Corner& c) {
-                return c.load_class == cli.corners.front().load_class;
-            });
-        if (uniform_load) {
-            const core::CornerSurfaceModel surface =
-                core::CornerSurfaceModel::fit(cli.corners, basic);
-            std::cout << "corner surface: " << surface.basis_terms()
-                      << " basis term(s) over " << surface.corners_fitted()
-                      << " corner(s), max fit residual "
-                      << util::TextTable::fmt(100.0 * surface.max_fit_residual(), 2)
-                      << "%\n";
-        }
     }
     return degraded ? 3 : 0;
 }

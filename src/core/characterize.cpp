@@ -253,11 +253,23 @@ struct SweepShard {
 
 struct CalibrationTotals;
 
+/// Per-net scoring weights of one timing class at its class-nominal
+/// corner, with the internal-energy part of each (gate::ChargeLaw's q and
+/// q_int). A corner of the class scores with law.apply(charge, internal).
+struct ClassWeights {
+    std::vector<double> charge;
+    std::vector<double> internal;
+};
+
 /// Everything one characterization run needs, built once and shared
 /// read-only by every shard. Every run is a sweep over a corner list —
 /// options.corners, or the one-corner list {options.corner} of a
 /// single-corner run — so collect_records, collect_records_corners and
 /// ShardRunner all run on this one plan.
+///
+/// Only a load class changes delays, so the plan simulates and calibrates
+/// once per timing class, at the class-nominal corner, and derives every
+/// (Vdd, T) corner of the class from those charges by its charge law.
 struct SweepPlan {
     /// The plan with its uncalibrated base weights; a plan with calibration
     /// pieces is complete once fit() has folded their totals in.
@@ -272,10 +284,14 @@ struct SweepPlan {
     [[nodiscard]] SweepShard run(std::size_t shard,
                                  const std::function<void()>& tick = {}) const;
 
-    [[nodiscard]] std::size_t corners() const noexcept { return contexts.size(); }
+    [[nodiscard]] std::size_t corners() const noexcept { return laws.size(); }
     [[nodiscard]] bool zero_delay() const noexcept
     {
         return options.backend == CharBackend::PowerEmulation;
+    }
+    [[nodiscard]] std::size_t nets() const noexcept
+    {
+        return contexts[0]->netlist().num_nets();
     }
 
     const CharacterizationOptions& options;
@@ -286,24 +302,38 @@ struct SweepPlan {
     /// shard_size, max_transitions) only — never on the thread count.
     std::size_t shard_size;
     std::size_t num_shards;
-    /// One immutable context (electrical view, fanout CSR, topo order) per
-    /// corner, index-aligned with the corner list and shared read-only by
-    /// every shard's simulators; shards simulate on contexts[0], the other
-    /// contexts of its class lend their edge charges.
-    std::vector<std::unique_ptr<sim::SimContext>> contexts;
     /// The corner list's timing classes (corner_classes(options)).
     std::vector<std::vector<std::size_t>> classes;
+    /// One immutable context (electrical view, fanout CSR, topo order) per
+    /// timing class, shared read-only by every shard's simulators: the
+    /// class-nominal library (the load class at native supply and 25 °C),
+    /// or the base library itself for a native single-corner run. Shards
+    /// simulate on contexts[0].
+    std::vector<std::unique_ptr<sim::SimContext>> contexts;
+    /// Per corner: its charge law relative to its class's context (the
+    /// identity for a native single-corner run).
+    std::vector<gate::ChargeLaw> laws;
+    /// Event kernel: some corner of class 0 needs the cycles' internal
+    /// charge (its law has a temperature term).
+    bool sum_internal = false;
     /// The calibration's pieces (calibration_pieces(options)).
     std::vector<CalibrationPiece> pieces;
-    /// Scoring weights, index-aligned with the corner list. Power
-    /// emulation: corner k's calibrated per-net weights. Event kernel:
-    /// corner k's transfer weights when k lies outside corner 0's class;
-    /// empty for the corners of class 0, which the shard simulation scores
-    /// exactly.
+    /// Per timing class: its class-nominal weights. Power emulation: every
+    /// class, glitch-corrected by fit(). Event kernel: the transfer weights
+    /// of every class but class 0, which the shard simulation scores
+    /// exactly; empty for class 0.
+    std::vector<ClassWeights> class_weights;
+    /// Scoring weights, index-aligned with the corner list: the corner's
+    /// class weights folded through its law (fold_weights). Empty for the
+    /// corners of an event plan's class 0.
     std::vector<std::vector<double>> weights;
     std::uint64_t calibration_pairs = 0; ///< emulation calibration, all classes
-    double calibration_scale = 1.0;      ///< corner 0's fitted residual scale
+    double calibration_scale = 1.0;      ///< class 0's fitted residual scale
     std::uint64_t corner_calibration_pairs = 0; ///< event transfer calibration
+
+private:
+    /// weights[k] = laws[k].apply(class weights of corner k's class), per net.
+    void fold_weights();
 };
 
 /// The fault-injection hook every shard runner passes before simulating.
@@ -324,13 +354,13 @@ void inject_shard_fault(std::size_t shard)
 /// nothing here depends on which thread runs it or how many run
 /// concurrently: that is the whole determinism argument.
 ///
-/// The shard simulation is corner 0's. The other corners of its timing
-/// class share its event stream exactly, so the simulator carries their
-/// edge charges (set_corner_charges) and each gets the charge an
-/// independent run at that corner computes, bit for bit. Corners of other
-/// classes are scored from per-cycle toggle tracking as dot products
-/// against the plan's transfer weights, iterating the cycle's toggled nets
-/// in first-toggle order — a deterministic function of the simulation. A
+/// The shard simulation runs at class 0's nominal corner. Every corner of
+/// class 0 shares its event stream exactly, so each record is the corner's
+/// law applied to the cycle charge and its internal part — the arithmetic
+/// an independent run at that corner performs. Corners of other classes
+/// are scored from per-cycle toggle tracking as dot products against the
+/// plan's transfer weights, iterating the cycle's toggled nets in
+/// first-toggle order — a deterministic function of the simulation. A
 /// one-class plan has no transfer weights and leaves the tracking off.
 SweepShard run_event_shard(const SweepPlan& plan, std::size_t shard, std::size_t count,
                            const std::function<void()>& tick)
@@ -346,21 +376,14 @@ SweepShard run_event_shard(const SweepPlan& plan, std::size_t shard, std::size_t
     StimulusStream stimulus{plan.m, plan.mode, plan.options.seed, shard};
     const sim::SimContext& context = *plan.contexts[0];
     sim::EventSimulator simulator{context, plan.sim_options};
-    const std::vector<std::size_t>& exact = plan.classes[0];
-    std::vector<std::span<const double>> exact_charges;
-    for (std::size_t c = 1; c < exact.size(); ++c) {
-        exact_charges.push_back(plan.contexts[exact[c]]->edge_charges_fc());
-    }
-    simulator.set_corner_charges(std::move(exact_charges));
+    simulator.set_internal_charge_sum(plan.sum_internal);
     simulator.set_cycle_toggle_tracking(plan.classes.size() > 1);
 
     const auto push = [&](CharacterizationRecord rec, const sim::CycleResult& cycle) {
-        rec.charge_fc = cycle.charge_fc;
-        out.blocks[0].push_back(rec);
-        const std::span<const double> corner_charges = simulator.corner_cycle_charges();
-        for (std::size_t c = 1; c < exact.size(); ++c) {
-            rec.charge_fc = corner_charges[c - 1];
-            out.blocks[exact[c]].push_back(rec);
+        for (const std::size_t k : plan.classes[0]) {
+            rec.charge_fc =
+                plan.laws[k].apply(cycle.charge_fc, simulator.cycle_internal_charge_fc());
+            out.blocks[k].push_back(rec);
         }
         for (std::size_t k = 1; k < out.blocks.size(); ++k) {
             const std::vector<double>& weights = plan.weights[k];
@@ -435,9 +458,9 @@ SweepShard run_event_shard(const SweepPlan& plan, std::size_t shard, std::size_t
 /// backend's whole speed argument. Zero-delay toggles are exactly
 /// corner-invariant, so one settle scores every corner: corner k's charges
 /// are toggle-weighted sums of the plan's weights[k] (per-net per-toggle
-/// charge with its calibrated glitch correction folded in), 64 pairs per
-/// settle_pairs call in pairs mode, 63 transitions per settle pass in
-/// chain modes. Each corner accumulates in ascending net order, so its
+/// charge with its class's calibrated glitch correction and its own law
+/// folded in), 64 pairs per settle_pairs call in pairs mode, 63
+/// transitions per settle pass in chain modes. Each corner accumulates in ascending net order, so its
 /// block is bit-identical to a one-corner run at that corner.
 SweepShard run_emulation_shard(const SweepPlan& plan, std::size_t shard,
                                std::size_t count, const std::function<void()>& tick)
@@ -520,22 +543,24 @@ SweepShard run_emulation_shard(const SweepPlan& plan, std::size_t shard,
     return out;
 }
 
-/// Per-net base charge per toggle under the event kernel's accounting:
-/// cell outputs always draw their edge charge, primary inputs only when
-/// the physics counts input charge, and nets nothing drives never toggle.
-std::vector<double> base_charge_weights(const sim::SimContext& context,
-                                        const sim::EventSimOptions& sim_options)
+/// Per-net base charge per toggle under the event kernel's accounting, and
+/// its internal part: cell outputs always draw their edge charge, primary
+/// inputs only when the physics counts input charge (with no internal
+/// part), and nets nothing drives never toggle.
+ClassWeights base_charge_weights(const sim::SimContext& context,
+                                 const sim::EventSimOptions& sim_options)
 {
     const std::size_t nets = context.netlist().num_nets();
-    std::vector<double> weights(nets, 0.0);
+    ClassWeights weights{std::vector<double>(nets, 0.0), std::vector<double>(nets, 0.0)};
     for (netlist::NetId net = 0; net < nets; ++net) {
         if (context.is_cell_output(net)) {
-            weights[net] = context.edge_charge_fc(net);
+            weights.charge[net] = context.edge_charge_fc(net);
+            weights.internal[net] = context.internal_charges_fc()[net];
         }
     }
     if (sim_options.count_input_charge) {
         for (const netlist::NetId pi : context.netlist().primary_inputs()) {
-            weights[pi] = context.edge_charge_fc(pi);
+            weights.charge[pi] = context.edge_charge_fc(pi);
         }
     }
     return weights;
@@ -557,11 +582,15 @@ struct CorrectionRow {
 /// per-toggle charge) into @p weights; then fit one residual scale with
 /// util::least_squares through the origin over the per-row (corrected
 /// scored charge, reference charge) pairs, which absorbs charge on nets the
-/// scored toggles never reach, and fold it in too. Rows and nets are summed
-/// in order, so the fit is deterministic. Returns the scale.
-double fit_toggle_correction(const sim::SimContext& context, std::vector<double>& weights,
+/// scored toggles never reach, and fold it in too. Ratios and scale apply
+/// to the internal parts alike, so the corrected weights keep the charge
+/// law. Rows and nets are summed in order, so the fit is deterministic.
+/// Returns the scale.
+double fit_toggle_correction(const sim::SimContext& context, ClassWeights& class_weights,
                              std::span<const CorrectionRow> rows)
 {
+    std::vector<double>& weights = class_weights.charge;
+    std::vector<double>& internal = class_weights.internal;
     const std::size_t nets = weights.size();
     std::vector<std::uint64_t> scored(nets, 0);
     std::vector<std::uint64_t> reference(nets, 0);
@@ -577,8 +606,10 @@ double fit_toggle_correction(const sim::SimContext& context, std::vector<double>
     // absorbs its charge.
     for (netlist::NetId net = 0; net < nets; ++net) {
         if (context.is_cell_output(net) && scored[net] > 0) {
-            weights[net] *=
+            const double ratio =
                 static_cast<double>(reference[net]) / static_cast<double>(scored[net]);
+            weights[net] *= ratio;
+            internal[net] *= ratio;
         }
     }
 
@@ -601,50 +632,20 @@ double fit_toggle_correction(const sim::SimContext& context, std::vector<double>
             scale = fit[0];
         }
     }
-    for (double& w : weights) {
-        w *= scale;
+    for (std::size_t net = 0; net < nets; ++net) {
+        weights[net] *= scale;
+        internal[net] *= scale;
     }
     return scale;
-}
-
-/// One calibration shard's stimulus, drawn once and shared by every
-/// corner (the stimulus is corner-invariant): the shard's (u, v) pairs in
-/// pairs mode, its chain otherwise — transition i is chain[i] → chain[i+1].
-struct CalibrationStimulus {
-    std::vector<BitVec> us;    ///< pairs mode
-    std::vector<BitVec> vs;    ///< pairs mode
-    std::vector<BitVec> chain; ///< chain modes: transitions + 1 vectors
-};
-
-CalibrationStimulus draw_calibration_stimulus(const SweepPlan& plan,
-                                              std::uint64_t shard_id, std::size_t count)
-{
-    CalibrationStimulus out;
-    StimulusStream stimulus{plan.m, plan.mode, plan.options.seed, shard_id};
-    if (plan.mode == StimulusMode::StratifiedPairs) {
-        out.us.resize(count);
-        out.vs.resize(count);
-        for (std::size_t i = 0; i < count; ++i) {
-            (void)stimulus.next_pair(out.us[i], out.vs[i]);
-        }
-    } else {
-        out.chain.reserve(count + 1);
-        out.chain.push_back(stimulus.current());
-        while (out.chain.size() < count + 1) {
-            out.chain.push_back(stimulus.chain_next());
-        }
-    }
-    return out;
 }
 
 /// Run transitions [first, first + count) of @p stimulus — one piece of
 /// @p plan, the span of one 64-lane settle: up to 64 pairs, or up to 63
 /// chain transitions (one 64-vector window of count_toggles' boundary
-/// contract) — through a fresh event simulator at the first corner of the
-/// piece's timing class, carrying the edge charges of the class's other
-/// corners, and, when @p zero_toggles is given, through one zero-delay
-/// settle. Each transition's event charge at the class's c-th corner lands
-/// in @p charges[c]; the piece's per-net event toggles, and its zero-delay
+/// contract) — through a fresh event simulator at the class-nominal corner
+/// of the piece's timing class, and, when @p zero_toggles is given, through
+/// one zero-delay settle. Each transition's event charge lands in
+/// @p charges; the piece's per-net event toggles, and its zero-delay
 /// toggles, are added into the shard's sums under @p sums_mutex.
 ///
 /// A chain piece starts with initialize(its first vector). That is exact:
@@ -655,41 +656,27 @@ CalibrationStimulus draw_calibration_stimulus(const SweepPlan& plan,
 /// (tests/event_kernel_test.cpp pins this). initialize() settles silently,
 /// so the simulator's cumulative toggles cover exactly the timed applies.
 void run_calibration_piece(const SweepPlan& plan, const CalibrationPiece& piece,
-                           const CalibrationStimulus& stimulus,
-                           std::span<const std::span<double>> charges,
+                           const ShardStimulus& stimulus, std::span<double> charges,
                            std::vector<std::uint64_t>& event_toggles,
                            std::vector<std::uint64_t>* zero_toggles,
                            std::mutex& sums_mutex)
 {
-    const std::vector<std::size_t>& corners = plan.classes[piece.timing_class];
-    const sim::SimContext& context = *plan.contexts[corners[0]];
+    const sim::SimContext& context = *plan.contexts[piece.timing_class];
     const std::size_t first = piece.first;
     const std::size_t count = piece.count;
-    const std::size_t nets = context.netlist().num_nets();
+    const std::size_t nets = plan.nets();
     const bool pairs = stimulus.chain.empty();
     {
         sim::EventSimulator simulator{context, plan.sim_options};
-        std::vector<std::span<const double>> corner_sets;
-        for (std::size_t c = 1; c < corners.size(); ++c) {
-            corner_sets.push_back(plan.contexts[corners[c]]->edge_charges_fc());
-        }
-        simulator.set_corner_charges(std::move(corner_sets));
-        const auto record = [&](std::size_t j, const sim::CycleResult& cycle) {
-            charges[0][j] = cycle.charge_fc;
-            const std::span<const double> corner_charges = simulator.corner_cycle_charges();
-            for (std::size_t c = 1; c < charges.size(); ++c) {
-                charges[c][j] = corner_charges[c - 1];
-            }
-        };
         if (pairs) {
             for (std::size_t j = 0; j < count; ++j) {
                 simulator.initialize(stimulus.us[first + j]);
-                record(j, simulator.apply(stimulus.vs[first + j]));
+                charges[j] = simulator.apply(stimulus.vs[first + j]).charge_fc;
             }
         } else {
             simulator.initialize(stimulus.chain[first]);
             for (std::size_t j = 0; j < count; ++j) {
-                record(j, simulator.apply(stimulus.chain[first + j + 1]));
+                charges[j] = simulator.apply(stimulus.chain[first + j + 1]).charge_fc;
             }
         }
         const std::vector<std::uint64_t>& toggles = simulator.cumulative_transitions();
@@ -725,40 +712,34 @@ void run_calibration_piece(const SweepPlan& plan, const CalibrationPiece& piece,
 }
 
 /// The calibration's per-shard totals of a plan: the event kernel's
-/// per-net toggles per timing class (shared by the class's corners), its
-/// per-transition charges per corner, and — for power emulation — the
-/// zero-delay toggles (corner-invariant, so once).
+/// per-net toggles and per-transition charges per timing class, at the
+/// class-nominal corner, and — for power emulation — the zero-delay toggles
+/// (corner-invariant, so once).
 struct CalibrationTotals {
     std::vector<std::vector<std::vector<std::uint64_t>>> event_toggles; ///< [class][shard][net]
-    std::vector<std::vector<std::vector<double>>> charges; ///< [k][shard][transition]
+    std::vector<std::vector<std::vector<double>>> charges; ///< [class][shard][transition]
     std::vector<std::vector<std::uint64_t>> zero_toggles;  ///< [shard][net]
 
-    /// The charge rows piece @p piece of @p plan writes, one per corner of
-    /// its class.
-    std::vector<std::span<double>> rows(const SweepPlan& plan, const CalibrationPiece& piece)
+    /// The charges piece @p piece writes.
+    std::span<double> row(const CalibrationPiece& piece)
     {
-        std::vector<std::span<double>> out;
-        for (const std::size_t k : plan.classes[piece.timing_class]) {
-            out.push_back(std::span{charges[k][piece.shard]}.subspan(piece.first, piece.count));
-        }
-        return out;
+        return std::span{charges[piece.timing_class][piece.shard]}.subspan(piece.first,
+                                                                           piece.count);
     }
 };
 
 /// All-zero totals shaped for the pieces of @p plan (which has some).
 CalibrationTotals zeroed_totals(const SweepPlan& plan)
 {
-    const std::size_t nets = plan.contexts[0]->netlist().num_nets();
+    const std::size_t nets = plan.nets();
     const std::size_t shards = plan.pieces.back().shard + 1;
     CalibrationTotals out;
     out.event_toggles.assign(plan.classes.size(),
                              std::vector<std::vector<std::uint64_t>>(
                                  shards, std::vector<std::uint64_t>(nets, 0)));
-    out.charges.assign(plan.corners(), std::vector<std::vector<double>>(shards));
+    out.charges.assign(plan.classes.size(), std::vector<std::vector<double>>(shards));
     for (const CalibrationPiece& piece : plan.pieces) {
-        for (const std::size_t k : plan.classes[piece.timing_class]) {
-            out.charges[k][piece.shard].resize(piece.first + piece.count);
-        }
+        out.charges[piece.timing_class][piece.shard].resize(piece.first + piece.count);
     }
     if (plan.zero_delay()) {
         out.zero_toggles.assign(shards, std::vector<std::uint64_t>(nets, 0));
@@ -782,13 +763,14 @@ CalibrationTotals run_calibration(const SweepPlan& plan, const util::ThreadPool&
     CalibrationTotals out = zeroed_totals(plan);
     const std::vector<std::vector<double>>& shards = out.charges[0];
     const auto stimuli = pool.parallel_map(shards.size(), [&](std::size_t s) {
-        return draw_calibration_stimulus(plan, kCalibrationShardBase + s, shards[s].size());
+        return draw_shard_stimulus(plan.m, plan.mode, plan.options.seed,
+                                   kCalibrationShardBase + s, shards[s].size());
     });
     std::mutex sums_mutex;
     pool.parallel_for(plan.pieces.size(), [&](std::size_t t) {
         const CalibrationPiece& piece = plan.pieces[t];
         run_calibration_piece(
-            plan, piece, stimuli[piece.shard], out.rows(plan, piece),
+            plan, piece, stimuli[piece.shard], out.row(piece),
             out.event_toggles[piece.timing_class][piece.shard],
             plan.zero_delay() && piece.timing_class == 0 ? &out.zero_toggles[piece.shard]
                                                          : nullptr,
@@ -802,20 +784,19 @@ CalibrationTotals run_calibration(const SweepPlan& plan, const util::ThreadPool&
 /// prefix the piece ends in is drawn: the shard's stream is sequential.
 CalibrationPieceResult run_piece(const SweepPlan& plan, const CalibrationPiece& piece)
 {
-    const CalibrationStimulus stimulus = draw_calibration_stimulus(
-        plan, kCalibrationShardBase + piece.shard, piece.first + piece.count);
-    const std::size_t nets = plan.contexts[0]->netlist().num_nets();
+    const ShardStimulus stimulus =
+        draw_shard_stimulus(plan.m, plan.mode, plan.options.seed,
+                            kCalibrationShardBase + piece.shard, piece.first + piece.count);
+    const std::size_t nets = plan.nets();
     const bool zero_delay = plan.zero_delay() && piece.timing_class == 0;
     CalibrationPieceResult out;
-    out.charges.assign(plan.classes[piece.timing_class].size(),
-                       std::vector<double>(piece.count));
+    out.charges.assign(piece.count, 0.0);
     out.event_toggles.assign(nets, 0);
     if (zero_delay) {
         out.zero_toggles.assign(nets, 0);
     }
-    const std::vector<std::span<double>> rows(out.charges.begin(), out.charges.end());
     std::mutex unshared;
-    run_calibration_piece(plan, piece, stimulus, rows, out.event_toggles,
+    run_calibration_piece(plan, piece, stimulus, out.charges, out.event_toggles,
                           zero_delay ? &out.zero_toggles : nullptr, unshared);
     return out;
 }
@@ -828,23 +809,16 @@ CalibrationTotals reduce_pieces(const SweepPlan& plan,
     HDPM_REQUIRE(results.size() == plan.pieces.size(), "got ", results.size(),
                  " calibration piece results for ", plan.pieces.size(), " pieces");
     CalibrationTotals out = zeroed_totals(plan);
-    const std::size_t nets = plan.contexts[0]->netlist().num_nets();
+    const std::size_t nets = plan.nets();
     for (std::size_t i = 0; i < results.size(); ++i) {
         const CalibrationPiece& piece = plan.pieces[i];
         const CalibrationPieceResult& result = results[i];
         const bool zero_delay = plan.zero_delay() && piece.timing_class == 0;
-        const std::vector<std::span<double>> rows = out.rows(plan, piece);
-        HDPM_REQUIRE(result.charges.size() == rows.size() &&
-                         std::all_of(result.charges.begin(), result.charges.end(),
-                                     [&](const std::vector<double>& row) {
-                                         return row.size() == piece.count;
-                                     }) &&
+        HDPM_REQUIRE(result.charges.size() == piece.count &&
                          result.event_toggles.size() == nets &&
                          result.zero_toggles.size() == (zero_delay ? nets : 0),
                      "calibration piece ", i, " result does not have the piece's shape");
-        for (std::size_t c = 0; c < rows.size(); ++c) {
-            std::copy(result.charges[c].begin(), result.charges[c].end(), rows[c].begin());
-        }
+        std::ranges::copy(result.charges, out.row(piece).begin());
         std::vector<std::uint64_t>& event =
             out.event_toggles[piece.timing_class][piece.shard];
         for (std::size_t net = 0; net < nets; ++net) {
@@ -882,82 +856,88 @@ SweepPlan::SweepPlan(const dp::DatapathModule& module,
     HDPM_REQUIRE(num_shards > 0, "max_transitions ", options.max_transitions,
                  " overflows the shard count at shard size ", shard_size);
 
-    // A corner-qualified context derives the scaled library first;
-    // SimContext consumes the library during construction, so the derived
-    // temporary may die right after.
-    const auto add_context = [&](const std::optional<gate::Corner>& corner) {
-        contexts.push_back(
-            corner.has_value()
-                ? std::make_unique<sim::SimContext>(module.netlist(), library.at(*corner))
-                : std::make_unique<sim::SimContext>(module.netlist(), library));
-    };
-    if (options.corners.empty()) {
-        add_context(options.corner);
+    // The plan's corners: the sweep list, or the one corner of a
+    // single-corner run (unset: the native library itself).
+    std::vector<std::optional<gate::Corner>> list(options.corners.begin(),
+                                                  options.corners.end());
+    if (list.empty()) {
+        list.push_back(options.corner);
     }
-    for (const gate::Corner& corner : options.corners) {
-        add_context(corner);
+    for (const std::optional<gate::Corner>& corner : list) {
+        laws.push_back(corner.has_value() ? library.corner_charge_law(*corner)
+                                          : gate::ChargeLaw{});
+    }
+    // A load class simulates at its nominal corner (native supply, 25 °C);
+    // SimContext consumes the derived library during construction, so the
+    // temporary may die right after.
+    classes = corner_classes(options);
+    for (const std::vector<std::size_t>& members : classes) {
+        const std::optional<gate::Corner>& lead = list[members[0]];
+        contexts.push_back(
+            lead.has_value()
+                ? std::make_unique<sim::SimContext>(module.netlist(),
+                                                    library.at({0.0, 25.0, lead->load_class}))
+                : std::make_unique<sim::SimContext>(module.netlist(), library));
     }
 
-    // Emulation scores every corner; the event kernel simulates the
-    // corners of corner 0's class exactly and scores the others.
-    classes = corner_classes(options);
-    weights.resize(corners());
-    for (std::size_t k = 0; k < corners(); ++k) {
-        if (zero_delay() || std::ranges::find(classes[0], k) == classes[0].end()) {
-            weights[k] = base_charge_weights(*contexts[k], sim_options);
+    // Emulation scores every class; the event kernel simulates class 0 and
+    // scores the others.
+    class_weights.resize(classes.size());
+    for (std::size_t c = zero_delay() ? 0 : 1; c < classes.size(); ++c) {
+        class_weights[c] = base_charge_weights(*contexts[c], sim_options);
+    }
+    sum_internal = !zero_delay() && std::ranges::any_of(classes[0], [&](std::size_t k) {
+        return laws[k].internal_excess != 0.0;
+    });
+    fold_weights();
+    pieces = calibration_pieces(options);
+}
+
+void SweepPlan::fold_weights()
+{
+    weights.assign(corners(), {});
+    for (std::size_t c = 0; c < classes.size(); ++c) {
+        const ClassWeights& base = class_weights[c];
+        for (const std::size_t k : classes[c]) {
+            weights[k].resize(base.charge.size());
+            for (std::size_t net = 0; net < base.charge.size(); ++net) {
+                weights[k][net] = laws[k].apply(base.charge[net], base.internal[net]);
+            }
         }
     }
-    pieces = calibration_pieces(options);
 }
 
 // Calibration is a pure function of the stimulus plan and corner list (its
 // shard ids reuse the sharded seed scheme, offset into their own half of
 // the id space), so every process running shards of this plan — and every
 // resumed run — fits identical weights; nothing about it needs journaling.
-// It simulates once per timing class: the class's corners share its event
-// toggles, and each has its own charges. Emulation: each corner keeps its
-// own glitch correction, fit_toggle_correction'd from the zero-delay
-// toggles (scored) to its class's event toggles (reference) against its
-// own charges — exactly what a one-corner run at that corner computes.
-// Event kernel: a corner outside class 0 gets transfer weights, fit from
-// class 0's event toggles (scored) to its own class's (reference).
+// It simulates and fits once per timing class, at the class-nominal corner;
+// the class's corners take the fitted weights through their laws.
+// Emulation: each class's glitch correction is fit_toggle_correction'd
+// from the zero-delay toggles (scored) to its event toggles (reference)
+// against its charges. Event kernel: a class other than class 0 gets
+// transfer weights, fit from class 0's event toggles (scored) to its own
+// (reference).
 void SweepPlan::fit(const CalibrationTotals& cal)
 {
-    std::vector<std::size_t> class_of(corners());
-    for (std::size_t c = 0; c < classes.size(); ++c) {
-        for (const std::size_t k : classes[c]) {
-            class_of[k] = c;
-        }
-    }
-    const auto rows = [&](std::size_t k,
-                          const std::vector<std::vector<std::uint64_t>>& scored) {
-        std::vector<CorrectionRow> out;
+    const bool emulation = zero_delay();
+    const std::vector<std::vector<std::uint64_t>>& scored =
+        emulation ? cal.zero_toggles : cal.event_toggles[0];
+    for (std::size_t c = emulation ? 0 : 1; c < classes.size(); ++c) {
+        std::vector<CorrectionRow> rows;
         for (std::size_t s = 0; s < scored.size(); ++s) {
-            const std::vector<double>& charges = cal.charges[k][s];
-            out.push_back({scored[s], cal.event_toggles[class_of[k]][s],
-                           std::accumulate(charges.begin(), charges.end(), 0.0)});
+            const std::vector<double>& charges = cal.charges[c][s];
+            rows.push_back({scored[s], cal.event_toggles[c][s],
+                            std::accumulate(charges.begin(), charges.end(), 0.0)});
         }
-        return out;
-    };
-    const std::uint64_t pairs = options.calibration_pairs * classes.size();
-    if (zero_delay()) {
-        for (std::size_t k = 0; k < corners(); ++k) {
-            const double scale =
-                fit_toggle_correction(*contexts[k], weights[k], rows(k, cal.zero_toggles));
-            if (k == 0) {
-                calibration_scale = scale;
-            }
+        const double scale = fit_toggle_correction(*contexts[c], class_weights[c], rows);
+        if (c == 0) {
+            calibration_scale = scale;
         }
-        calibration_pairs = pairs;
-    } else {
-        for (std::size_t k = 0; k < corners(); ++k) {
-            if (!weights[k].empty()) {
-                (void)fit_toggle_correction(*contexts[0], weights[k],
-                                            rows(k, cal.event_toggles[0]));
-            }
-        }
-        corner_calibration_pairs = pairs;
     }
+    fold_weights();
+    const std::uint64_t pairs = options.calibration_pairs * classes.size();
+    (emulation ? calibration_pairs : corner_calibration_pairs) = pairs;
 }
 
 SweepShard SweepPlan::run(std::size_t shard, const std::function<void()>& tick) const
@@ -1300,6 +1280,27 @@ std::string module_journal_key(const dp::DatapathModule& module)
     return key;
 }
 
+ShardStimulus draw_shard_stimulus(int m, StimulusMode mode, std::uint64_t seed,
+                                  std::uint64_t shard, std::size_t count)
+{
+    ShardStimulus out;
+    StimulusStream stimulus{m, mode, seed, shard};
+    if (mode == StimulusMode::StratifiedPairs) {
+        out.us.resize(count);
+        out.vs.resize(count);
+        for (std::size_t i = 0; i < count; ++i) {
+            (void)stimulus.next_pair(out.us[i], out.vs[i]);
+        }
+    } else {
+        out.chain.reserve(count + 1);
+        out.chain.push_back(stimulus.current());
+        while (out.chain.size() < count + 1) {
+            out.chain.push_back(stimulus.chain_next());
+        }
+    }
+    return out;
+}
+
 std::vector<std::vector<std::size_t>> corner_classes(const CharacterizationOptions& options)
 {
     std::vector<std::vector<std::size_t>> classes;
@@ -1416,12 +1417,6 @@ const std::string& ShardRunner::module_key() const noexcept
 const std::vector<CalibrationPiece>& ShardRunner::calibration_pieces() const noexcept
 {
     return impl_->plan.pieces;
-}
-
-std::size_t ShardRunner::calibration_piece_corners(std::size_t index) const
-{
-    HDPM_REQUIRE(index < impl_->plan.pieces.size(), "calibration piece outside the plan");
-    return impl_->plan.classes[impl_->plan.pieces[index].timing_class].size();
 }
 
 CalibrationPieceResult ShardRunner::run_calibration_piece(std::size_t index) const

@@ -14,6 +14,7 @@
 #include "dpgen/module.hpp"
 #include "gatelib/techlib.hpp"
 #include "sim/event_sim.hpp"
+#include "util/bitvec.hpp"
 #include "util/fault.hpp"
 
 namespace hdpm::core {
@@ -265,23 +266,28 @@ public:
     /// (docs/corners.md). Runs the stimulus sweep *once* and scores every
     /// corner in options.corners from shared per-net toggle activity.
     /// Corner timing is a dilation (gate::TechLibrary::at), so the corners
-    /// of one load class share one event stream exactly; an event
-    /// simulation carries each such corner's edge charges through it
-    /// (sim::EventSimulator::set_corner_charges):
+    /// of one load class share one event stream exactly, and only their
+    /// charge per toggle differs by the exact law gate::ChargeLaw. The
+    /// sweep therefore builds one context and fits one calibration per load
+    /// class, at the class-nominal corner (native supply, 25 °C), and
+    /// derives every (Vdd, T) corner of the class by its law:
     ///
     ///  - PowerEmulation: zero-delay toggles are exactly corner-invariant,
     ///    so each shard settles once and K weighted dot products score the
-    ///    K corners. The event-kernel glitch calibration runs once per load
-    ///    class and returns every corner's charges; each corner fits its
-    ///    own correction from them, so every corner's records are
-    ///    bit-identical to an independent single-corner run at that corner.
-    ///  - EventKernel: the corners of corners[0]'s load class are simulated
-    ///    exactly in the one shard simulation (each bit-identical to a
-    ///    single-corner run at that corner); corners of other load classes
-    ///    are scored from its per-cycle toggle vectors through per-corner
-    ///    transfer weights calibrated on a deterministic event-kernel
-    ///    subsample, once per load class (approximate, within the
-    ///    calibrated tolerance).
+    ///    K corners. The event-kernel glitch calibration runs and fits once
+    ///    per load class; each corner scores with the class's fitted
+    ///    weights folded through its law, as an independent single-corner
+    ///    run at that corner does, so every corner's records are
+    ///    bit-identical to that run.
+    ///  - EventKernel: the corners of corners[0]'s load class are derived
+    ///    exactly from the one shard simulation (its cycle charge and the
+    ///    cycle's internal part,
+    ///    sim::EventSimulator::cycle_internal_charge_fc), each
+    ///    bit-identical to a single-corner run at that corner; corners
+    ///    of other load classes are scored from its per-cycle toggle
+    ///    vectors through transfer weights calibrated on a deterministic
+    ///    event-kernel subsample, once per load class (approximate, within
+    ///    the calibrated tolerance).
     ///
     /// Element k of the result aligns with options.corners[k]. Convergence
     /// is tracked per corner (a corner's record stream stops exactly where
@@ -315,6 +321,23 @@ private:
     sim::EventSimOptions sim_options_;
 };
 
+/// The first transitions of one stimulus shard: `count` (u, v) pairs in
+/// pairs mode, else a chain of count + 1 vectors (transition i is
+/// chain[i] → chain[i+1]).
+struct ShardStimulus {
+    std::vector<util::BitVec> us;    ///< pairs mode
+    std::vector<util::BitVec> vs;    ///< pairs mode
+    std::vector<util::BitVec> chain; ///< chain modes
+};
+
+/// Draw the first @p count transitions of stimulus shard @p shard of a plan
+/// over @p m input bits: the stream, seeded `seed ^ splitmix64(shard)`, that
+/// every backend scores and that calibration shards (ids offset into their
+/// own half of the id space) simulate.
+[[nodiscard]] ShardStimulus draw_shard_stimulus(int m, StimulusMode mode,
+                                                std::uint64_t seed, std::uint64_t shard,
+                                                std::size_t count);
+
 /// The timing classes of a plan's corner list (options.corners, or the
 /// one-corner list of a single-corner plan): corner indices grouped by load
 /// class, classes in order of first appearance and corners in list order,
@@ -326,9 +349,10 @@ private:
 /// One piece of a plan's glitch calibration, the unit calibration is
 /// scheduled in (on the in-process pool and as leased fleet work):
 /// transitions [first, first + count) of calibration shard `shard`,
-/// simulated once through the event kernel for every corner of timing
-/// class `timing_class` (an index into corner_classes). A piece spans one
-/// 64-lane settle: up to 64 pairs, or up to 63 chain transitions.
+/// simulated once through the event kernel at the class-nominal corner of
+/// timing class `timing_class` (an index into corner_classes), for every
+/// corner of the class. A piece spans one 64-lane settle: up to 64 pairs,
+/// or up to 63 chain transitions.
 struct CalibrationPiece {
     std::size_t timing_class = 0;
     std::size_t shard = 0;
@@ -340,9 +364,9 @@ struct CalibrationPiece {
 /// integer sums (toggles) and by summing each shard's charges in stimulus
 /// order, so the fit is the same wherever and in whatever order they ran.
 struct CalibrationPieceResult {
-    /// Event charge per transition, one row per corner of the piece's class
-    /// (in class order), each bit-identical to a simulation at that corner.
-    std::vector<std::vector<double>> charges;
+    /// Event charge per transition at the class-nominal corner of the
+    /// piece's timing class.
+    std::vector<double> charges;
     std::vector<std::uint64_t> event_toggles; ///< per-net event-kernel toggles
     /// Per-net zero-delay toggles: power emulation in class 0, else empty.
     std::vector<std::uint64_t> zero_toggles;
@@ -351,7 +375,7 @@ struct CalibrationPieceResult {
 /// The calibration pieces of the plan @p options describe, in reduction
 /// order (class, then shard, then first transition). Empty when the plan
 /// calibrates nothing: calibration_pairs = 0, or the event backend with a
-/// single timing class (every corner simulated exactly).
+/// single timing class (every corner derived exactly from one simulation).
 [[nodiscard]] std::vector<CalibrationPiece> calibration_pieces(
     const CharacterizationOptions& options);
 
@@ -398,10 +422,6 @@ public:
 
     /// The plan's calibration pieces (calibration_pieces of its options).
     [[nodiscard]] const std::vector<CalibrationPiece>& calibration_pieces() const noexcept;
-
-    /// Corners of calibration piece @p index's timing class: the rows of
-    /// its CalibrationPieceResult::charges.
-    [[nodiscard]] std::size_t calibration_piece_corners(std::size_t index) const;
 
     /// Run calibration piece @p index on the calling thread: the piece
     /// function the in-process calibration schedules on its pool.

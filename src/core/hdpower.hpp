@@ -16,7 +16,6 @@
 #include "core/bus_model.hpp"
 #include "core/char_report.hpp"
 #include "core/characterize.hpp"
-#include "core/corner_model.hpp"
 #include "core/enhanced_model.hpp"
 #include "core/error_metrics.hpp"
 #include "core/estimation_engine.hpp"

@@ -26,8 +26,10 @@ namespace hdpm::core {
 /// one: change it when what a corner does to simulated time changes, so
 /// every stored slow-corner model is recharacterized while native models
 /// stay valid. 1: timing is a dilation of the load class's nominal delays
-/// (gate::TechLibrary::at).
-inline constexpr std::uint64_t kCornerTimingStamp = 1;
+/// (gate::TechLibrary::at). 2: every (Vdd, T) corner is derived from its
+/// load class's nominal charges by gate::ChargeLaw, with one calibration
+/// fit per load class.
+inline constexpr std::uint64_t kCornerTimingStamp = 2;
 
 /// A directory-backed store of characterized macro-models.
 ///

@@ -99,8 +99,7 @@ void calibrate(const WorkerOptions& options, const FleetPlan& plan,
                                    i,
                                    pieces[i],
                                    module.netlist().num_nets(),
-                                   emulation && pieces[i].timing_class == 0,
-                                   runner.calibration_piece_corners(i)};
+                                   emulation && pieces[i].timing_class == 0};
             const std::filesystem::path done_path = options.fleet_dir / calib_done_name(i);
             const PieceRead read = read_calibration_piece(done_path, stamp, results[i]);
             if (read == PieceRead::Ok) {

@@ -147,11 +147,20 @@ TechLibrary TechLibrary::derived(std::string name, double vdd_v,
     return out;
 }
 
-double TechLibrary::corner_energy_scale(const Corner& corner) const
+ChargeLaw TechLibrary::corner_charge_law(const Corner& corner) const
 {
     const double v = corner.vdd_v > 0.0 ? corner.vdd_v : vdd_v_;
-    const double ratio = v / vdd_v_;
-    return ratio * ratio * (1.0 + kEnergyTempPerC * (corner.temp_c - kNominalTempC));
+    HDPM_REQUIRE(v > 0.0 && v < 20.0, "corner supply out of range: ", v, " V");
+    HDPM_REQUIRE(corner.temp_c >= -100.0 && corner.temp_c <= 300.0,
+                 "corner temperature out of range: ", corner.temp_c, " C");
+    (void)corner_delay_scale(corner); // refuses a supply at or below threshold
+    return {v / vdd_v_, kEnergyTempPerC * (corner.temp_c - kNominalTempC)};
+}
+
+double TechLibrary::corner_energy_scale(const Corner& corner) const
+{
+    const ChargeLaw law = corner_charge_law(corner);
+    return law.supply_ratio * law.supply_ratio * (1.0 + law.internal_excess);
 }
 
 double TechLibrary::corner_delay_scale(const Corner& corner) const
@@ -167,11 +176,8 @@ double TechLibrary::corner_delay_scale(const Corner& corner) const
 TechLibrary TechLibrary::at(const Corner& corner) const
 {
     const double v = corner.vdd_v > 0.0 ? corner.vdd_v : vdd_v_;
-    HDPM_REQUIRE(v > 0.0 && v < 20.0, "corner supply out of range: ", v, " V");
-    HDPM_REQUIRE(corner.temp_c >= -100.0 && corner.temp_c <= 300.0,
-                 "corner temperature out of range: ", corner.temp_c, " C");
     CellScaling scaling;
-    scaling.energy_scale = corner_energy_scale(corner);
+    scaling.energy_scale = corner_energy_scale(corner); // validates the corner
     const double delay_scale = corner_delay_scale(corner);
     HDPM_REQUIRE(scaling.energy_scale > 0.0 && delay_scale > 0.0,
                  "corner scaling degenerate at ", corner.key());

@@ -63,6 +63,29 @@ struct CellScaling {
     double slope_scale = 1.0;  ///< delay-vs-load slope
 };
 
+/// The exact supply and temperature axis of a load class. A net's edge
+/// charge is ½·C·V + E_int/V, and at() scales E_int by (V/V₀)²·τ with
+/// τ = 1 + k·(T − 25 °C), so at any (V, T) corner of a load class
+///
+///     q(corner) = a · (q + b · q_int),   a = V/V₀,  b = τ − 1,
+///
+/// where q is the net's edge charge at the class-nominal corner and q_int
+/// its internal-energy part E_int/V₀. The law is linear, so it holds for
+/// any sum of edge charges over one toggle stream — a cycle charge, or a
+/// per-net weight — and the corners of a class share their toggles
+/// (timing is a dilation). At the class-nominal corner a is exactly 1 and
+/// b exactly 0, so apply() returns q bit for bit.
+struct ChargeLaw {
+    double supply_ratio = 1.0;    ///< a = V/V₀
+    double internal_excess = 0.0; ///< b = τ − 1 = k·(T − 25 °C)
+
+    /// a · (q + b · q_int).
+    [[nodiscard]] double apply(double q, double q_int) const noexcept
+    {
+        return supply_ratio * (q + internal_excess * q_int);
+    }
+};
+
 /// Electrical characterization data of one cell kind.
 ///
 /// These are the per-cell numbers the reference power simulator consumes:
@@ -145,8 +168,16 @@ public:
     /// base library, corner_delay_scale for a corner-derived one.
     [[nodiscard]] double time_scale() const noexcept { return time_scale_; }
 
-    /// The internal-energy multiplier at() applies for @p corner.
+    /// The internal-energy multiplier at() applies for @p corner:
+    /// a²·(1 + b) in the terms of corner_charge_law.
     [[nodiscard]] double corner_energy_scale(const Corner& corner) const;
+
+    /// The charge law of @p corner relative to its load class's nominal
+    /// corner (native supply, 25 °C), which has the same capacitances and
+    /// delays: see ChargeLaw. Throws PreconditionError for a corner at()
+    /// cannot derive (supply or temperature out of range, supply at or
+    /// below the threshold).
+    [[nodiscard]] ChargeLaw corner_charge_law(const Corner& corner) const;
 
     /// The delay multiplier of @p corner: the time dilation at() records as
     /// time_scale().

@@ -18,6 +18,7 @@ ElectricalView::ElectricalView(const netlist::Netlist& netlist,
       time_scale_(library.time_scale()),
       net_cap_ff_(netlist.num_nets(), 0.0),
       edge_charge_fc_(netlist.num_nets(), 0.0),
+      internal_charge_fc_(netlist.num_nets(), 0.0),
       cell_delay_ps_(netlist.num_cells(), 1)
 {
     // Net capacitance: driver drain cap + sink pin caps + wire model.
@@ -49,7 +50,9 @@ ElectricalView::ElectricalView(const netlist::Netlist& netlist,
         double q = 0.5 * net_cap_ff_[net] * vdd_;
         const CellId drv = netlist.driver(net);
         if (drv != kInvalidId) {
-            q += library.spec(netlist.cell(drv).kind).internal_energy_fj / vdd_;
+            internal_charge_fc_[net] =
+                library.spec(netlist.cell(drv).kind).internal_energy_fj / vdd_;
+            q += internal_charge_fc_[net];
         }
         edge_charge_fc_[net] = q;
     }

@@ -15,6 +15,7 @@ namespace hdpm::sim {
 ///
 /// Charge accounting (the "PowerMill substitute" cost model):
 ///   per logic edge on net n:  q(n) = ½·C(n)·Vdd  +  E_int(driver)/Vdd
+/// (the second term is the net's internal part, internal_charge_fc)
 /// with C(n) = driver output cap + Σ sink input caps + wire cap
 /// (base + per-fanout). Charge is reported in fC; dividing the per-cycle
 /// charge by the cycle time and multiplying by Vdd gives power, so — as in
@@ -30,6 +31,13 @@ public:
     [[nodiscard]] double edge_charge_fc(netlist::NetId net) const
     {
         return edge_charge_fc_.at(net);
+    }
+
+    /// Internal-energy part of a net's edge charge [fC]: E_int(driver)/Vdd
+    /// for a cell output, 0 for a primary input (gate::ChargeLaw's q_int).
+    [[nodiscard]] double internal_charge_fc(netlist::NetId net) const
+    {
+        return internal_charge_fc_.at(net);
     }
 
     /// Propagation delay of a cell under its load [ps] (≥ 1), in
@@ -71,6 +79,7 @@ private:
     std::int64_t critical_path_ps_ = 0;
     std::vector<double> net_cap_ff_;
     std::vector<double> edge_charge_fc_;
+    std::vector<double> internal_charge_fc_;
     std::vector<std::int64_t> cell_delay_ps_;
 };
 

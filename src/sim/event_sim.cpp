@@ -140,16 +140,6 @@ void EventSimulator::set_cycle_toggle_tracking(bool enabled)
     }
 }
 
-void EventSimulator::set_corner_charges(std::vector<std::span<const double>> sets)
-{
-    for (const std::span<const double> set : sets) {
-        HDPM_REQUIRE(set.size() == values_.size(), "corner charge set has ", set.size(),
-                     " nets, netlist '", netlist_->name(), "' has ", values_.size());
-    }
-    corner_sets_ = std::move(sets);
-    corner_charge_.assign(corner_sets_.size(), 0.0);
-}
-
 void EventSimulator::clear_cycle_toggles()
 {
     for (const NetId net : cycle_dirty_) {
@@ -179,10 +169,9 @@ CycleResult EventSimulator::apply(const BitVec& inputs)
                                      ? 0
                                      : options_.max_events_per_cycle;
     CycleResult cycle;
-    if (corner_sets_.empty()) {
+    if (!sum_internal_) {
         cycle = apply_wheel<false>(inputs, budget);
     } else {
-        std::fill(corner_charge_.begin(), corner_charge_.end(), 0.0);
         cycle = apply_wheel<true>(inputs, budget);
     }
     cycle.settle_time_ps = context_->electrical().dilate_ps(cycle.settle_time_ps);
@@ -210,7 +199,7 @@ void EventSimulator::fail_event_budget(const std::uint64_t budget) const
     throw util::FaultError{util::FaultKind::SimBudgetExceeded, std::move(context)};
 }
 
-template <bool kCorners>
+template <bool kInternal>
 CycleResult EventSimulator::apply_wheel(const BitVec& inputs, const std::uint64_t budget)
 {
     // One tight loop over raw arrays. A store to a net value byte may alias
@@ -235,13 +224,12 @@ CycleResult EventSimulator::apply_wheel(const BitVec& inputs, const std::uint64_
     const std::int64_t window = options_.inertial_window_ps;
     const bool traced = tracer_ != nullptr;
     const bool track = track_cycle_toggles_;
-    const std::span<const double>* const corner_sets = corner_sets_.data();
-    double* const corner_charge = corner_charge_.data();
-    const std::size_t num_corner_sets = corner_sets_.size();
+    const double* const internal_charge = context_->internal_charges_fc().data();
 
     // Results accumulate in locals in toggle order, so the floating-point
     // charge is a deterministic function of the event order.
     double charge = 0.0;
+    double internal = 0.0;
     std::uint64_t transitions = 0;
     std::int64_t settle = 0;
     auto toggle = [&](NetId net, std::uint8_t v, std::int64_t time, bool count_charge) {
@@ -256,10 +244,8 @@ CycleResult EventSimulator::apply_wheel(const BitVec& inputs, const std::uint64_
             const double q = edge_charge[net];
             charge += q;
             charge_per_net[net] += q;
-            if constexpr (kCorners) {
-                for (std::size_t k = 0; k < num_corner_sets; ++k) {
-                    corner_charge[k] += corner_sets[k][net];
-                }
+            if constexpr (kInternal) {
+                internal += internal_charge[net];
             }
         }
         if (traced) {
@@ -376,6 +362,9 @@ CycleResult EventSimulator::apply_wheel(const BitVec& inputs, const std::uint64_
     stats_.events_processed += processed;
     if (traced) {
         cycle_start_time_ += tracer_->cycle_period_ps();
+    }
+    if constexpr (kInternal) {
+        cycle_internal_charge_ = internal;
     }
     return CycleResult{charge, transitions, settle};
 }

@@ -153,23 +153,23 @@ public:
         return cycle_toggle_count_[net];
     }
 
-    /// Score further corners of this context's load class in the same
-    /// pass. Each set is another corner's per-net edge-charge array
-    /// (SimContext::edge_charges_fc of a context over the same netlist and
-    /// load class); apply() adds set k's charge for every counted toggle,
-    /// in toggle order — the additions an independent simulator at that
-    /// corner performs on the identical toggle stream — so
-    /// corner_cycle_charges()[k] is bit-identical to that simulator's
-    /// CycleResult::charge_fc. The arrays must outlive the simulator. With
-    /// no sets (the default) apply() runs the one-corner kernel, which
-    /// carries none of this bookkeeping.
-    void set_corner_charges(std::vector<std::span<const double>> sets);
-
-    /// Per-set cycle charge of the last apply() [fC], index-aligned with
-    /// set_corner_charges.
-    [[nodiscard]] std::span<const double> corner_cycle_charges() const noexcept
+    /// Also sum each cycle's internal charge (cycle_internal_charge_fc) —
+    /// the q_int of gate::ChargeLaw, so the caller derives the cycle charge
+    /// at every (Vdd, T) corner of the context's load class from one
+    /// simulation. Off by default: apply() then runs the plain kernel,
+    /// which carries none of this.
+    void set_internal_charge_sum(bool enabled) noexcept
     {
-        return corner_charge_;
+        sum_internal_ = enabled;
+        cycle_internal_charge_ = 0.0;
+    }
+
+    /// Internal-energy part of the last apply()'s CycleResult::charge_fc
+    /// [fC]: the same counted toggles summed over
+    /// SimContext::internal_charges_fc. 0 while the sum is disabled.
+    [[nodiscard]] double cycle_internal_charge_fc() const noexcept
+    {
+        return cycle_internal_charge_;
     }
 
     /// Total charge drawn per net since construction [fC] (power hot-spot
@@ -247,9 +247,9 @@ private:
         std::int64_t horizon = 1;            // max schedulable delay
     };
 
-    /// The kernel; kCorners instantiates the extra-corner charge sums, so
-    /// the one-corner loop carries no trace of them.
-    template <bool kCorners>
+    /// The kernel; kInternal instantiates the internal charge sum, so the
+    /// plain loop carries no trace of it.
+    template <bool kInternal>
     CycleResult apply_wheel(const util::BitVec& inputs, std::uint64_t budget);
     /// Record a toggle at class-nominal @p time in the attached tracer, on
     /// the dilated time axis (out of line: the kernel only tests for a
@@ -307,8 +307,8 @@ private:
     KernelStats stats_;
     std::vector<std::uint64_t> transition_count_;
     std::vector<double> charge_per_net_;
-    std::vector<std::span<const double>> corner_sets_; ///< extra edge-charge sets
-    std::vector<double> corner_charge_;                ///< per set, last apply only
+    bool sum_internal_ = false;         ///< see set_internal_charge_sum
+    double cycle_internal_charge_ = 0.0; ///< last apply only
 
     /// Per-cycle toggle tracking (see set_cycle_toggle_tracking).
     void clear_cycle_toggles();

@@ -47,8 +47,10 @@ SimContext::SimContext(const netlist::Netlist& netlist,
         cell_rec_.push_back(rec);
     }
     edge_charge_fc_.reserve(netlist.num_nets());
+    internal_charge_fc_.reserve(netlist.num_nets());
     for (NetId net = 0; net < netlist.num_nets(); ++net) {
         edge_charge_fc_.push_back(electrical_.edge_charge_fc(net));
+        internal_charge_fc_.push_back(electrical_.internal_charge_fc(net));
     }
 }
 

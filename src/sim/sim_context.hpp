@@ -102,11 +102,19 @@ public:
         return edge_charge_fc_[net];
     }
 
-    /// The whole flat per-net edge-charge array [fC] — the power-emulation
-    /// backend builds its per-toggle weight vector from this.
+    /// The whole flat per-net edge-charge array [fC], which the event
+    /// kernel sums per counted toggle.
     [[nodiscard]] std::span<const double> edge_charges_fc() const noexcept
     {
         return edge_charge_fc_;
+    }
+
+    /// The flat per-net internal parts of the edge charges [fC]
+    /// (ElectricalView::internal_charge_fc): what the event kernel sums
+    /// per counted toggle into EventSimulator::cycle_internal_charge_fc.
+    [[nodiscard]] std::span<const double> internal_charges_fc() const noexcept
+    {
+        return internal_charge_fc_;
     }
 
     /// True when some cell drives @p net (see CompiledNetlist).
@@ -129,6 +137,7 @@ private:
     std::vector<std::int32_t> delay_ps_;    // per cell
     std::vector<CellRec> cell_rec_;         // per cell
     std::vector<double> edge_charge_fc_;    // per net
+    std::vector<double> internal_charge_fc_; // per net
     std::int64_t max_cell_delay_ps_ = 1;
 };
 

@@ -9,7 +9,11 @@
 //    charge per cycle falls strictly with the supply at fixed temperature
 //    and load, under both characterization backends;
 //  - reported times (critical path, settle time) are the nominal ones
-//    scaled by the corner's delay factor.
+//    scaled by the corner's delay factor;
+//  - a corner's charge is its class-nominal charge under the exact law
+//    gate::ChargeLaw, so sweeps that derive every (Vdd, T) corner from one
+//    class-nominal simulation match a simulation on the corner's own
+//    library (oracle::HeapEventSimulator on TechLibrary::at).
 
 #include <gtest/gtest.h>
 
@@ -20,6 +24,8 @@
 #include "core/characterize.hpp"
 #include "dpgen/module.hpp"
 #include "gatelib/techlib.hpp"
+#include "oracles/heap_event_sim.hpp"
+#include "sim/electrical.hpp"
 #include "sim/event_sim.hpp"
 #include "sim/sim_context.hpp"
 #include "util/rng.hpp"
@@ -158,6 +164,105 @@ TEST(Claims, ReportedTimesScaleWithTheCornerDelayFactor)
             EXPECT_EQ(got.settle_time_ps,
                       std::llround(static_cast<double>(want.settle_time_ps) * scale))
                 << corner.key() << " cycle " << i;
+        }
+    }
+}
+
+/// Corners of one load class on both sides of the native 3.3 V supply and
+/// of 25 °C.
+std::vector<Corner> law_corners(LoadClass load)
+{
+    return {{3.6, 0.0, load}, {2.7, 85.0, load}, {3.0, -20.0, load}, {3.5, 125.0, load}};
+}
+
+TEST(Claims, EveryCornerIsItsLoadClassNominalChargeUnderTheExactLaw)
+{
+    constexpr std::size_t kTransitions = 512;
+    constexpr std::uint64_t kSeed = 41;
+    const TechLibrary& base = TechLibrary::generic350();
+    for (const dp::ModuleType type : dp::all_module_types()) {
+        const dp::DatapathModule module = dp::make_module(type, 4);
+        const int m = module.total_input_bits();
+        for (const core::StimulusMode mode :
+             {core::StimulusMode::StratifiedPairs, core::StimulusMode::StratifiedChain}) {
+            const std::string family = dp::module_type_id(type) +
+                                       (mode == core::StimulusMode::StratifiedPairs
+                                            ? " pairs"
+                                            : " chain");
+            // One shard, so every record is a transition of shard 0.
+            core::CharacterizationOptions options;
+            options.max_transitions = kTransitions;
+            options.min_transitions = kTransitions;
+            options.batch = kTransitions;
+            options.shard_size = kTransitions;
+            options.seed = kSeed;
+            options.mode = mode;
+            options.threads = 2;
+            const core::ShardStimulus stimulus =
+                core::draw_shard_stimulus(m, mode, kSeed, 0, kTransitions);
+
+            // The reference kernel at each corner's own library, over the
+            // sweep's stimulus.
+            std::vector<Corner> corners = law_corners(LoadClass::Nominal);
+            for (const Corner& corner : law_corners(LoadClass::Heavy)) {
+                corners.push_back(corner);
+            }
+            std::vector<std::vector<double>> reference;
+            for (const Corner& corner : corners) {
+                const TechLibrary library = base.at(corner);
+                const sim::ElectricalView electrical{module.netlist(), library};
+                oracle::HeapEventSimulator oracle{module.netlist(), electrical};
+                std::vector<double>& charges = reference.emplace_back();
+                if (stimulus.chain.empty()) {
+                    for (std::size_t i = 0; i < kTransitions; ++i) {
+                        oracle.initialize(stimulus.us[i]);
+                        charges.push_back(oracle.apply(stimulus.vs[i]).charge_fc);
+                    }
+                } else {
+                    oracle.initialize(stimulus.chain[0]);
+                    for (std::size_t i = 0; i < kTransitions; ++i) {
+                        charges.push_back(oracle.apply(stimulus.chain[i + 1]).charge_fc);
+                    }
+                }
+            }
+
+            // Event kernel: every corner of the leading load class is
+            // derived from the class-nominal simulation, record by record.
+            // One sweep per load class, so each leads once.
+            options.backend = core::CharBackend::EventKernel;
+            for (const std::size_t lead : {std::size_t{0}, std::size_t{4}}) {
+                options.corners.assign(corners.begin() + lead, corners.begin() + lead + 4);
+                const auto sweep = core::Characterizer{}.collect_records_corners(module, options);
+                for (std::size_t k = 0; k < 4; ++k) {
+                    const std::vector<double>& want = reference[lead + k];
+                    const std::string label = family + ' ' + corners[lead + k].key();
+                    ASSERT_EQ(sweep[k].size(), want.size()) << label;
+                    for (std::size_t i = 0; i < want.size(); ++i) {
+                        ASSERT_GT(want[i], 0.0) << label;
+                        ASSERT_NEAR(sweep[k][i].charge_fc, want[i], 1e-12 * want[i])
+                            << label << " record " << i;
+                    }
+                }
+            }
+
+            // Power emulation: one sweep over both load classes; each
+            // corner's mean charge lands within the emulation tolerance of
+            // the reference at that corner (characterize_test pins 10%).
+            options.backend = core::CharBackend::PowerEmulation;
+            options.calibration_pairs = 512;
+            options.corners = corners;
+            const auto emulated = core::Characterizer{}.collect_records_corners(module, options);
+            for (std::size_t k = 0; k < corners.size(); ++k) {
+                double want = 0.0;
+                for (const double q : reference[k]) {
+                    want += q;
+                }
+                double got = 0.0;
+                for (const core::CharacterizationRecord& rec : emulated[k]) {
+                    got += rec.charge_fc;
+                }
+                EXPECT_NEAR(got, want, 0.10 * want) << family << ' ' << corners[k].key();
+            }
         }
     }
 }

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Usage-error contract of the command-line binaries: malformed numeric
 # flags and widths, and flags that no longer exist, exit 2 with a message
-# naming the flag; a zero budget passes hdpower_cli's parser but the
-# library rejects it (exit 1) without storing a model.
+# naming the flag, and so do a --corner beside --corners and a corner
+# listed twice in --corners; a zero budget passes hdpower_cli's parser but
+# the library rejects it (exit 1) without storing a model.
 #
 # Usage: tests/cli_usage_test.sh path/to/hdpower_cli path/to/hdpowerd \
 #            path/to/hdpowerd_client path/to/hdpower_fleet
@@ -50,6 +51,9 @@ expect 2 "invalid value '2.5' for --enhanced" characterize ripple_adder 4 --enha
 expect 2 "unknown flag '--kernel'" estimate ripple_adder 4 --data I --kernel scalar
 expect 2 "unknown flag '--warmup'" characterize ripple_adder 4 --warmup per-record
 expect 1 "max_transitions must be positive" characterize ripple_adder 4 --budget 0
+# A sweep takes its corners from --corners alone, each once.
+expect 2 "--corner and --corners are mutually exclusive" characterize ripple_adder 4 --corner 2.5:85 --corners 3.3:25,2.7:85
+expect 2 "--corners lists corner v3300t250n twice" characterize ripple_adder 4 --corners 3.3:25,3.3:25
 
 # The daemon, its client and hdpower_fleet parse numbers the same way,
 # before they bind, connect or touch the fleet directory.

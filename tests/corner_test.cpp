@@ -26,7 +26,6 @@
 
 #include "core/characterize.hpp"
 #include "core/checkpoint.hpp"
-#include "core/corner_model.hpp"
 #include "core/enhanced_model.hpp"
 #include "gatelib/techlib.hpp"
 #include "util/fault.hpp"
@@ -462,8 +461,7 @@ TEST(CornerSweep, FittedModelsTrackThePhysicsAcrossCorners)
 {
     // Energy scales ~(V/V0)²: the 2.5 V / 85 °C corner's coefficients must
     // come out well below the 3.3 V ones, and a heavy wire load above
-    // nominal at equal supply. The surface model must reproduce its own
-    // training corners and interpolate between them.
+    // nominal at equal supply.
     const DatapathModule module = dp::make_module(ModuleType::RippleAdder, 4);
     const Characterizer characterizer;
     CharacterizationOptions options = sweep_options(CharBackend::PowerEmulation, 1);
@@ -477,28 +475,6 @@ TEST(CornerSweep, FittedModelsTrackThePhysicsAcrossCorners)
         EXPECT_LT(models[1].coefficient(hd), models[0].coefficient(hd))
             << "2.5 V not below 3.3 V at Hd " << hd;
     }
-
-    // Surface fit over the two nominal-load corners (uniform load class).
-    const std::vector<gate::Corner> nominal{kCorners[0], kCorners[1]};
-    const std::vector<HdModel> nominal_models{models[0], models[1]};
-    const CornerSurfaceModel surface =
-        CornerSurfaceModel::fit(nominal, nominal_models);
-    EXPECT_EQ(surface.corners_fitted(), 2U);
-    const HdModel at_training = surface.model_at(2.5, 85.0);
-    for (int hd = 1; hd <= m; ++hd) {
-        EXPECT_NEAR(at_training.coefficient(hd), models[1].coefficient(hd),
-                    0.05 * models[1].coefficient(hd) + 1e-9)
-            << "surface off its own training corner at Hd " << hd;
-    }
-    const HdModel mid = surface.model_at(2.9, 55.0);
-    for (int hd = 1; hd <= m; ++hd) {
-        EXPECT_GT(mid.coefficient(hd), 0.9 * models[1].coefficient(hd)) << hd;
-        EXPECT_LT(mid.coefficient(hd), 1.1 * models[0].coefficient(hd)) << hd;
-    }
-
-    // Mixed load classes are not an interpolatable axis.
-    EXPECT_THROW((void)CornerSurfaceModel::fit(kCorners, models),
-                 util::PreconditionError);
 }
 
 /// The 8 corners {3.3, 3.0, 2.7, 2.5 V} x {25, 85 °C} at nominal load.

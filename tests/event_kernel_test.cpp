@@ -327,6 +327,51 @@ TEST(EventSim, ChainCutAndReinitializedIsExact)
     }
 }
 
+/// The internal charge sum the charge law rests on: per cycle it equals
+/// the charge minus that of a run on a library whose internal energies are
+/// all zero — the same delays, so the same toggles. Enabling it leaves
+/// every other cycle field bit-identical.
+TEST(EventSim, InternalChargeSumIsTheInternalEnergyPart)
+{
+    for (const dp::ModuleType type : dp::all_module_types()) {
+        const dp::DatapathModule module = dp::make_module(type, 6);
+        const int m = module.total_input_bits();
+        for (const gate::LoadClass load : {gate::LoadClass::Nominal, gate::LoadClass::Heavy}) {
+            const std::string label = dp::module_type_id(type) + " " +
+                                      gate::load_class_name(load);
+            const TechLibrary library = TechLibrary::generic350().at({0.0, 25.0, load});
+            const TechLibrary no_internal =
+                library.derived("no_internal", library.vdd(), library.wire_cap_base_ff(),
+                                library.wire_cap_per_fanout_ff(),
+                                gate::CellScaling{1.0, 0.0, 1.0, 1.0});
+            const SimContext context{module.netlist(), library};
+            const SimContext switched_only{module.netlist(), no_internal};
+            EventSimulator summed{context};
+            EventSimulator plain{context};
+            EventSimulator reference{switched_only};
+            summed.set_internal_charge_sum(true);
+
+            Rng rng{515};
+            const BitVec start{m, rng.next_u64()};
+            summed.initialize(start);
+            plain.initialize(start);
+            reference.initialize(start);
+            for (int i = 0; i < 120; ++i) {
+                const BitVec next{m, rng.next_u64()};
+                const CycleResult got = summed.apply(next);
+                const CycleResult want = plain.apply(next);
+                const CycleResult switched = reference.apply(next);
+                expect_same_cycle(got, want, i);
+                EXPECT_EQ(plain.cycle_internal_charge_fc(), 0.0) << label << " cycle " << i;
+                ASSERT_EQ(got.transitions, switched.transitions) << label << " cycle " << i;
+                const double internal = got.charge_fc - switched.charge_fc;
+                EXPECT_NEAR(summed.cycle_internal_charge_fc(), internal, 1e-12 * internal)
+                    << label << " cycle " << i;
+            }
+        }
+    }
+}
+
 TEST(EventSim, WheelHandlesSingleCellNetlist)
 {
     // Degenerate wheel geometry: one cell, minimal horizon.

@@ -214,8 +214,7 @@ struct PieceSource {
                           index,
                           runner.calibration_pieces()[index],
                           module.netlist().num_nets(),
-                          runner.calibration_pieces()[index].timing_class == 0,
-                          runner.calibration_piece_corners(index)};
+                          runner.calibration_pieces()[index].timing_class == 0};
     }
 
     dp::DatapathModule module;

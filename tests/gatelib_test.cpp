@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "gatelib/gate.hpp"
 #include "gatelib/techlib.hpp"
+#include "netlist/netlist.hpp"
+#include "sim/electrical.hpp"
 #include "util/error.hpp"
 
 namespace hdpm::gate {
@@ -232,6 +236,48 @@ TEST(Corner, ScalingLawsAreMonotoneInTheRightDirections)
     // A supply at/below the modeled threshold must refuse, not emit NaN.
     EXPECT_THROW((void)lib.corner_delay_scale({0.5, 25.0, LoadClass::Nominal}),
                  util::PreconditionError);
+}
+
+TEST(Corner, EdgeChargesFollowTheChargeLawOfTheLoadClass)
+{
+    // One cell of every kind, each driving its own net from primary inputs
+    // (which have no internal part) and loaded by one buffer.
+    netlist::Netlist nl{"every_kind"};
+    std::vector<netlist::NetId> pins;
+    for (int i = 0; i < 3; ++i) {
+        pins.push_back(nl.add_net());
+        nl.mark_input(pins.back());
+    }
+    for (int k = 0; k < kNumGateKinds; ++k) {
+        const auto kind = static_cast<GateKind>(k);
+        const netlist::NetId out = nl.add_net();
+        nl.add_cell(kind, std::span{pins}.first(gate_num_inputs(kind)), out);
+        const netlist::NetId load = nl.add_net();
+        const std::array<netlist::NetId, 1> in = {out};
+        nl.add_cell(GateKind::Buf, in, load);
+        nl.mark_output(load);
+    }
+    const TechLibrary& base = TechLibrary::generic350();
+    for (const LoadClass load : {LoadClass::Light, LoadClass::Nominal, LoadClass::Heavy}) {
+        const sim::ElectricalView nominal{nl, base.at({0.0, 25.0, load})};
+        for (const Corner corner : {Corner{2.5, 85.0, load}, Corner{3.6, 0.0, load},
+                                    Corner{3.0, -40.0, load}, Corner{3.5, 125.0, load},
+                                    Corner{3.3, 25.0, load}}) {
+            const ChargeLaw law = base.corner_charge_law(corner);
+            const sim::ElectricalView at{nl, base.at(corner)};
+            for (netlist::NetId net = 0; net < nl.num_nets(); ++net) {
+                const double want = at.edge_charge_fc(net);
+                const double got =
+                    law.apply(nominal.edge_charge_fc(net), nominal.internal_charge_fc(net));
+                EXPECT_NEAR(got, want, 1e-15 * want) << corner.key() << " net " << net;
+            }
+        }
+    }
+    // The class-nominal corner's law is exactly the identity.
+    const ChargeLaw identity = base.corner_charge_law({3.3, 25.0, LoadClass::Heavy});
+    EXPECT_EQ(identity.supply_ratio, 1.0);
+    EXPECT_EQ(identity.internal_excess, 0.0);
+    EXPECT_EQ(identity.apply(0.1, 0.7), 0.1);
 }
 
 TEST(Corner, KeyAndParseRoundTrip)

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
@@ -177,12 +178,14 @@ TEST_F(ModelLibraryTest, LegacyFileWithoutFingerprintRecharacterizes)
 
 TEST_F(ModelLibraryTest, CornerTimingStampRetiresOnlyCornerQualifiedModels)
 {
-    // Timing became a dilation of the load class's nominal delays, which
-    // changed every model characterized away from the native corner. The
-    // pinned values are quick()'s fingerprints and native model file from
-    // before that change: native-corner files keep their fingerprint and
-    // bytes and are reused; a corner-qualified file under the old
-    // fingerprint is recharacterized.
+    // Timing became a dilation of the load class's nominal delays (stamp 1),
+    // and then every (Vdd, T) corner became its load class's nominal charges
+    // under the exact charge law (stamp 2); each changed every model
+    // characterized away from the native corner. The pinned values are
+    // quick()'s fingerprints and native model file from before those
+    // changes: native-corner files keep their fingerprint and bytes and are
+    // reused; a corner-qualified file under an old fingerprint is
+    // recharacterized.
     const ModelLibrary library{dir_};
     const std::array<int, 1> w = {4};
     std::atomic<int> runs{0};
@@ -209,24 +212,33 @@ TEST_F(ModelLibraryTest, CornerTimingStampRetiresOnlyCornerQualifiedModels)
 
     const gate::Corner corner{2.5, 85.0, gate::LoadClass::Nominal};
     options.corner = corner;
+    // The corner fingerprints before the dilation, and under stamp 1.
+    const std::array<std::string, 2> stale = {"cef0e3c2531dfe24", "4b4cff4e18df74c5"};
     const std::uint64_t current = characterization_fingerprint(options, {});
-    EXPECT_NE(current, 0xcef0e3c2531dfe24ULL);
+    for (const std::string& old : stale) {
+        EXPECT_NE(current, std::stoull(old, nullptr, 16));
+    }
     (void)library.get_or_characterize(dp::ModuleType::RippleAdder, w, options);
     EXPECT_EQ(runs.load(), 2);
     const fs::path at_corner =
         dir_ / (library.model_key(dp::ModuleType::RippleAdder, w, corner) + ".hdm");
-    std::string bytes = read(at_corner);
+    const std::string bytes = read(at_corner);
     const std::size_t header_end = bytes.find('\n');
     ASSERT_NE(header_end, std::string::npos);
-    {
-        std::ofstream out{at_corner, std::ios::binary | std::ios::trunc};
-        out << "options cef0e3c2531dfe24" << bytes.substr(header_end);
+    int expected_runs = 2;
+    for (const std::string& old : stale) {
+        {
+            std::ofstream out{at_corner, std::ios::binary | std::ios::trunc};
+            out << "options " << old << bytes.substr(header_end);
+        }
+        (void)library.get_or_characterize(dp::ModuleType::RippleAdder, w, options);
+        EXPECT_EQ(runs.load(), ++expected_runs)
+            << "a corner model under the old fingerprint " << old << " must recharacterize";
+        EXPECT_EQ(read(at_corner), bytes);
     }
     (void)library.get_or_characterize(dp::ModuleType::RippleAdder, w, options);
-    EXPECT_EQ(runs.load(), 3) << "a corner model under the old stamp must recharacterize";
-    EXPECT_EQ(read(at_corner), bytes);
-    (void)library.get_or_characterize(dp::ModuleType::RippleAdder, w, options);
-    EXPECT_EQ(runs.load(), 3);
+    EXPECT_EQ(runs.load(), expected_runs);
+    EXPECT_EQ(read(native), native_bytes) << "the native file must stay byte-identical";
 }
 
 TEST_F(ModelLibraryTest, EnhancedModelsStoredSeparately)
