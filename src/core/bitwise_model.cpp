@@ -1,11 +1,13 @@
 #include "core/bitwise_model.hpp"
 
 #include <bit>
+#include <cmath>
 #include <istream>
 #include <ostream>
 
 #include "util/error.hpp"
 #include "util/linalg.hpp"
+#include "util/record_codec.hpp"
 
 namespace hdpm::core {
 
@@ -155,31 +157,29 @@ void BitwiseLinearModel::save(std::ostream& os) const
 
 BitwiseLinearModel BitwiseLinearModel::load(std::istream& is)
 {
-    std::string tag;
+    const std::string text = util::read_bounded(is);
+    util::RecordReader lines{text};
     int version = 0;
-    is >> tag >> version;
-    if (!is || tag != "bitwise_linear_model" || version != 1) {
+    if (!lines.take("bitwise_linear_model", version) || version != 1) {
         HDPM_FAIL("not a version-1 bitwise_linear_model file");
     }
     int m = 0;
     double intercept = 0.0;
-    std::string btag;
-    is >> tag >> m >> btag >> intercept;
-    if (!is || tag != "m" || btag != "b0" || m < 1) {
+    if (!lines.take("m", m, util::Literal{"b0"}, intercept) || !std::isfinite(intercept) ||
+        m < 1) {
         HDPM_FAIL("malformed bitwise_linear_model header");
     }
-    std::vector<double> weights(static_cast<std::size_t>(m), 0.0);
+    // The weights grow as they are read, so a declared width the bytes do
+    // not hold allocates nothing.
+    std::vector<double> weights;
     for (int bit = 0; bit < m; ++bit) {
-        int idx = 0;
         double w = 0.0;
-        is >> idx >> w;
-        if (!is || idx != bit) {
+        if (!lines.take(std::to_string(bit), w) || !std::isfinite(w)) {
             HDPM_FAIL("malformed bitwise_linear_model row ", bit);
         }
-        weights[static_cast<std::size_t>(bit)] = w;
+        weights.push_back(w);
     }
-    is >> tag;
-    if (!is || tag != "end") {
+    if (!lines.take("end") || !lines.done()) {
         HDPM_FAIL("bitwise_linear_model file missing 'end'");
     }
     return BitwiseLinearModel{intercept, std::move(weights)};

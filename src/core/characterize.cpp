@@ -255,7 +255,8 @@ struct CalibrationTotals;
 
 /// Per-net scoring weights of one timing class at its class-nominal
 /// corner, with the internal-energy part of each (gate::ChargeLaw's q and
-/// q_int). A corner of the class scores with law.apply(charge, internal).
+/// q_int). A corner of the class scores with law.apply(charge, internal);
+/// internal is empty when no corner of the class has a temperature term.
 struct ClassWeights {
     std::vector<double> charge;
     std::vector<double> internal;
@@ -324,9 +325,10 @@ struct SweepPlan {
     /// exactly; empty for class 0.
     std::vector<ClassWeights> class_weights;
     /// Scoring weights, index-aligned with the corner list: the corner's
-    /// class weights folded through its law (fold_weights). Empty for the
-    /// corners of an event plan's class 0.
-    std::vector<std::vector<double>> weights;
+    /// class weights folded through its law (fold_weights), or the class
+    /// weights themselves under an identity law. Empty for the corners of
+    /// an event plan's class 0.
+    std::vector<std::span<const double>> weights;
     std::uint64_t calibration_pairs = 0; ///< emulation calibration, all classes
     double calibration_scale = 1.0;      ///< class 0's fitted residual scale
     std::uint64_t corner_calibration_pairs = 0; ///< event transfer calibration
@@ -334,6 +336,9 @@ struct SweepPlan {
 private:
     /// weights[k] = laws[k].apply(class weights of corner k's class), per net.
     void fold_weights();
+
+    /// The folded weights of the corners whose law is not the identity.
+    std::vector<std::vector<double>> folded_;
 };
 
 /// The fault-injection hook every shard runner passes before simulating.
@@ -386,7 +391,7 @@ SweepShard run_event_shard(const SweepPlan& plan, std::size_t shard, std::size_t
             out.blocks[k].push_back(rec);
         }
         for (std::size_t k = 1; k < out.blocks.size(); ++k) {
-            const std::vector<double>& weights = plan.weights[k];
+            const std::span<const double> weights = plan.weights[k];
             if (weights.empty()) {
                 continue; // scored exactly above
             }
@@ -526,11 +531,9 @@ SweepShard run_emulation_shard(const SweepPlan& plan, std::size_t shard,
         tick();
     }
 
-    std::vector<std::span<const double>> weight_sets(plan.weights.begin(),
-                                                     plan.weights.end());
     std::vector<std::vector<double>> charges(corners);
     std::vector<std::uint64_t> toggles;
-    evaluator.count_weighted_toggles(chain, weight_sets, charges, toggles);
+    evaluator.count_weighted_toggles(chain, plan.weights, charges, toggles);
     out.emulation_passes += (chain.size() - 2) / (kLanes - 1) + 1;
     for (std::size_t i = 0; i < count; ++i) {
         CharacterizationRecord rec = chain_record(chain[i], chain[i + 1]);
@@ -548,14 +551,17 @@ SweepShard run_emulation_shard(const SweepPlan& plan, std::size_t shard,
 /// inputs only when the physics counts input charge (with no internal
 /// part), and nets nothing drives never toggle.
 ClassWeights base_charge_weights(const sim::SimContext& context,
-                                 const sim::EventSimOptions& sim_options)
+                                 const sim::EventSimOptions& sim_options, bool with_internal)
 {
     const std::size_t nets = context.netlist().num_nets();
-    ClassWeights weights{std::vector<double>(nets, 0.0), std::vector<double>(nets, 0.0)};
+    ClassWeights weights{std::vector<double>(nets, 0.0),
+                         std::vector<double>(with_internal ? nets : 0, 0.0)};
     for (netlist::NetId net = 0; net < nets; ++net) {
         if (context.is_cell_output(net)) {
             weights.charge[net] = context.edge_charge_fc(net);
-            weights.internal[net] = context.internal_charges_fc()[net];
+            if (with_internal) {
+                weights.internal[net] = context.internal_charges_fc()[net];
+            }
         }
     }
     if (sim_options.count_input_charge) {
@@ -609,7 +615,9 @@ double fit_toggle_correction(const sim::SimContext& context, ClassWeights& class
             const double ratio =
                 static_cast<double>(reference[net]) / static_cast<double>(scored[net]);
             weights[net] *= ratio;
-            internal[net] *= ratio;
+            if (!internal.empty()) {
+                internal[net] *= ratio;
+            }
         }
     }
 
@@ -632,9 +640,11 @@ double fit_toggle_correction(const sim::SimContext& context, ClassWeights& class
             scale = fit[0];
         }
     }
-    for (std::size_t net = 0; net < nets; ++net) {
-        weights[net] *= scale;
-        internal[net] *= scale;
+    for (double& weight : weights) {
+        weight *= scale;
+    }
+    for (double& weight : internal) {
+        weight *= scale;
     }
     return scale;
 }
@@ -882,13 +892,16 @@ SweepPlan::SweepPlan(const dp::DatapathModule& module,
 
     // Emulation scores every class; the event kernel simulates class 0 and
     // scores the others.
+    const auto has_internal = [&](std::size_t c) {
+        return std::ranges::any_of(classes[c], [&](std::size_t k) {
+            return laws[k].internal_excess != 0.0;
+        });
+    };
     class_weights.resize(classes.size());
     for (std::size_t c = zero_delay() ? 0 : 1; c < classes.size(); ++c) {
-        class_weights[c] = base_charge_weights(*contexts[c], sim_options);
+        class_weights[c] = base_charge_weights(*contexts[c], sim_options, has_internal(c));
     }
-    sum_internal = !zero_delay() && std::ranges::any_of(classes[0], [&](std::size_t k) {
-        return laws[k].internal_excess != 0.0;
-    });
+    sum_internal = !zero_delay() && has_internal(0);
     fold_weights();
     pieces = calibration_pieces(options);
 }
@@ -896,13 +909,23 @@ SweepPlan::SweepPlan(const dp::DatapathModule& module,
 void SweepPlan::fold_weights()
 {
     weights.assign(corners(), {});
+    folded_.clear();
+    folded_.reserve(corners()); // the spans below point into these rows
     for (std::size_t c = 0; c < classes.size(); ++c) {
         const ClassWeights& base = class_weights[c];
         for (const std::size_t k : classes[c]) {
-            weights[k].resize(base.charge.size());
-            for (std::size_t net = 0; net < base.charge.size(); ++net) {
-                weights[k][net] = laws[k].apply(base.charge[net], base.internal[net]);
+            // An identity law scores with the class weights themselves:
+            // 1 · (q + 0 · q_int) is q bit for bit.
+            if (laws[k].supply_ratio == 1.0 && laws[k].internal_excess == 0.0) {
+                weights[k] = base.charge;
+                continue;
             }
+            std::vector<double>& folded = folded_.emplace_back(base.charge.size());
+            for (std::size_t net = 0; net < base.charge.size(); ++net) {
+                folded[net] = laws[k].apply(base.charge[net],
+                                            base.internal.empty() ? 0.0 : base.internal[net]);
+            }
+            weights[k] = folded;
         }
     }
 }

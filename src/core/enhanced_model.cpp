@@ -1,7 +1,6 @@
 #include "core/enhanced_model.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <istream>
 #include <ostream>
@@ -9,6 +8,7 @@
 
 #include "util/error.hpp"
 #include "util/fault.hpp"
+#include "util/record_codec.hpp"
 
 namespace hdpm::core {
 
@@ -223,81 +223,60 @@ void EnhancedHdModel::save(std::ostream& os) const
 
 EnhancedHdModel EnhancedHdModel::load(std::istream& is)
 {
-    std::string tag;
+    const std::string text = util::read_bounded(is);
+    util::RecordReader lines{text};
     int version = 0;
-    is >> tag >> version;
-    if (!is || tag != "enhanced_hdmodel" || version != 1) {
+    if (!lines.take("enhanced_hdmodel", version) || version != 1) {
         HDPM_FAIL("not a version-1 enhanced_hdmodel file");
     }
     int m = 0;
     int clusters = 0;
-    std::string ctag;
-    is >> tag >> m >> ctag >> clusters;
-    if (!is || tag != "m" || ctag != "clusters" || m < 1 || clusters < 0) {
+    if (!lines.take("m", m, util::Literal{"clusters"}, clusters) || m < 1) {
         HDPM_FAIL("malformed enhanced_hdmodel header");
     }
 
-    // Row sizes are implied by (m, clusters); rebuild the empty table and
-    // fill it from the rows until the 'fallback' marker.
-    std::vector<std::vector<double>> coeffs(static_cast<std::size_t>(m));
-    std::vector<std::vector<double>> devs(static_cast<std::size_t>(m));
-    std::vector<std::vector<std::size_t>> counts(static_cast<std::size_t>(m));
+    // Row sizes are implied by (m, clusters), and the rows come in (hd,
+    // cluster) order. The table grows as they are read, so a declared width
+    // the bytes do not hold allocates nothing.
+    std::vector<std::vector<double>> coeffs;
+    std::vector<std::vector<double>> devs;
+    std::vector<std::vector<std::size_t>> counts;
     for (int hd = 1; hd <= m; ++hd) {
         const int levels = m - hd + 1;
-        const int row_clusters =
-            clusters == 0 ? levels : std::min(clusters, levels);
-        coeffs[static_cast<std::size_t>(hd - 1)].assign(
-            static_cast<std::size_t>(row_clusters), 0.0);
-        devs[static_cast<std::size_t>(hd - 1)].assign(
-            static_cast<std::size_t>(row_clusters), 0.0);
-        counts[static_cast<std::size_t>(hd - 1)].assign(
-            static_cast<std::size_t>(row_clusters), 0);
+        const int row_clusters = clusters == 0 ? levels : std::min(clusters, levels);
+        coeffs.emplace_back();
+        devs.emplace_back();
+        counts.emplace_back();
+        for (int c = 0; c < row_clusters; ++c) {
+            double p = 0.0;
+            double eps = 0.0;
+            std::size_t n = 0;
+            if (!lines.take(std::to_string(hd), util::Literal{std::to_string(c)}, p, eps, n)) {
+                HDPM_FAIL("malformed enhanced_hdmodel row (hd=", hd, ", cluster=", c, ")");
+            }
+            if (!std::isfinite(p) || !std::isfinite(eps)) {
+                util::FaultContext context;
+                context.component = "enhanced_hdmodel";
+                context.bitwidth = m;
+                context.detail = "non-finite coefficient in row (hd=" + std::to_string(hd) +
+                                 ", cluster=" + std::to_string(c) + ")";
+                throw util::FaultError{util::FaultKind::ModelFileCorrupt,
+                                       std::move(context)};
+            }
+            coeffs.back().push_back(p);
+            devs.back().push_back(eps);
+            counts.back().push_back(n);
+        }
     }
 
-    for (;;) {
-        is >> tag;
-        if (!is) {
-            HDPM_FAIL("unexpected end of enhanced_hdmodel file");
-        }
-        if (tag == "fallback") {
-            break;
-        }
-        // Parse the row's hd tag with from_chars, not stoi: a corrupted
-        // token must surface as the structured failure below, not as a
-        // std::invalid_argument that bypasses the quarantine handling.
-        int hd = 0;
-        const auto [ptr, err] =
-            std::from_chars(tag.data(), tag.data() + tag.size(), hd);
-        if (err != std::errc{} || ptr != tag.data() + tag.size()) {
-            HDPM_FAIL("malformed enhanced_hdmodel row tag '", tag, "'");
-        }
-        std::size_t c = 0;
-        double p = 0.0;
-        double eps = 0.0;
-        std::size_t n = 0;
-        is >> c >> p >> eps >> n;
-        if (!is || hd < 1 || hd > m ||
-            c >= coeffs[static_cast<std::size_t>(hd - 1)].size()) {
-            HDPM_FAIL("malformed enhanced_hdmodel row");
-        }
-        if (!std::isfinite(p) || !std::isfinite(eps)) {
-            util::FaultContext context;
-            context.component = "enhanced_hdmodel";
-            context.bitwidth = m;
-            context.detail = "non-finite coefficient in row (hd=" +
-                             std::to_string(hd) + ", cluster=" + std::to_string(c) +
-                             ")";
-            throw util::FaultError{util::FaultKind::ModelFileCorrupt,
-                                   std::move(context)};
-        }
-        coeffs[static_cast<std::size_t>(hd - 1)][c] = p;
-        devs[static_cast<std::size_t>(hd - 1)][c] = eps;
-        counts[static_cast<std::size_t>(hd - 1)][c] = n;
+    if (!lines.take("fallback")) {
+        HDPM_FAIL("enhanced_hdmodel file missing 'fallback'");
     }
-
-    HdModel fallback = HdModel::load(is);
-    is >> tag;
-    if (!is || tag != "end") {
+    HdModel fallback = HdModel::parse(lines);
+    if (fallback.input_bits() != m) {
+        HDPM_FAIL("enhanced_hdmodel fallback has width ", fallback.input_bits(), ", not ", m);
+    }
+    if (!lines.take("end") || !lines.done()) {
         HDPM_FAIL("enhanced_hdmodel file missing 'end'");
     }
     return EnhancedHdModel{m,           clusters, std::move(coeffs), std::move(devs),

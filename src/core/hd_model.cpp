@@ -8,6 +8,7 @@
 #include "util/error.hpp"
 #include "util/fault.hpp"
 #include "util/interp.hpp"
+#include "util/record_codec.hpp"
 
 namespace hdpm::core {
 
@@ -170,27 +171,35 @@ void HdModel::save(std::ostream& os) const
 
 HdModel HdModel::load(std::istream& is)
 {
-    std::string tag;
+    const std::string text = util::read_bounded(is);
+    util::RecordReader lines{text};
+    HdModel model = parse(lines);
+    if (!lines.done()) {
+        HDPM_FAIL("trailing bytes after the hdmodel 'end' line");
+    }
+    return model;
+}
+
+HdModel HdModel::parse(util::RecordReader& lines)
+{
     int version = 0;
-    is >> tag >> version;
-    if (!is || tag != "hdmodel" || version != 1) {
+    if (!lines.take("hdmodel", version) || version != 1) {
         HDPM_FAIL("not a version-1 hdmodel file");
     }
     int m = 0;
-    is >> tag >> m;
-    if (!is || tag != "m" || m < 1) {
+    if (!lines.take("m", m) || m < 1) {
         HDPM_FAIL("malformed hdmodel header");
     }
-    std::vector<double> coeffs(static_cast<std::size_t>(m), 0.0);
-    std::vector<double> devs(static_cast<std::size_t>(m), 0.0);
-    std::vector<std::size_t> counts(static_cast<std::size_t>(m), 0);
+    // The rows grow as they are read, so a declared width the bytes do not
+    // hold allocates nothing.
+    std::vector<double> coeffs;
+    std::vector<double> devs;
+    std::vector<std::size_t> counts;
     for (int i = 1; i <= m; ++i) {
-        int idx = 0;
         double p = 0.0;
         double eps = 0.0;
         std::size_t n = 0;
-        is >> idx >> p >> eps >> n;
-        if (!is || idx != i) {
+        if (!lines.take(std::to_string(i), p, eps, n)) {
             HDPM_FAIL("malformed hdmodel row ", i);
         }
         if (!std::isfinite(p) || !std::isfinite(eps)) {
@@ -203,12 +212,11 @@ HdModel HdModel::load(std::istream& is)
             throw util::FaultError{util::FaultKind::ModelFileCorrupt,
                                    std::move(context)};
         }
-        coeffs[static_cast<std::size_t>(i - 1)] = p;
-        devs[static_cast<std::size_t>(i - 1)] = eps;
-        counts[static_cast<std::size_t>(i - 1)] = n;
+        coeffs.push_back(p);
+        devs.push_back(eps);
+        counts.push_back(n);
     }
-    is >> tag;
-    if (!is || tag != "end") {
+    if (!lines.take("end")) {
         HDPM_FAIL("hdmodel file missing 'end'");
     }
     return HdModel{m, std::move(coeffs), std::move(devs), std::move(counts)};

@@ -7,6 +7,10 @@
 #include "streams/kernels.hpp"
 #include "util/bitvec.hpp"
 
+namespace hdpm::util {
+class RecordReader;
+} // namespace hdpm::util
+
 namespace hdpm::core {
 
 /// The basic Hamming-distance power macro-model (paper section 3).
@@ -91,8 +95,14 @@ public:
     /// Write the model in the library's text format.
     void save(std::ostream& os) const;
 
-    /// Read a model written by save(). Throws RuntimeError on bad input.
+    /// Read a model written by save(), which must fill the rest of @p is.
+    /// Throws RuntimeError on bad input.
     [[nodiscard]] static HdModel load(std::istream& is);
+
+    /// Take a model written by save() off @p lines, through its 'end' line
+    /// (an enhanced model file embeds its fallback this way). Throws
+    /// RuntimeError on bad input.
+    [[nodiscard]] static HdModel parse(util::RecordReader& lines);
 
 private:
     int input_bits_ = 0;

@@ -6,7 +6,6 @@
 #include <charconv>
 #include <chrono>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 
 #include <fcntl.h>
@@ -16,6 +15,7 @@
 #include "util/error.hpp"
 #include "util/fault.hpp"
 #include "util/file_io.hpp"
+#include "util/record_codec.hpp"
 
 namespace hdpm::fleet {
 
@@ -23,8 +23,12 @@ using util::FaultContext;
 using util::FaultError;
 using util::FaultKind;
 using util::FaultPoint;
+using util::Hex64;
 using util::hex64;
+using util::Literal;
+using util::parse_decimal;
 using util::parse_hex64;
+using util::RecordReader;
 
 namespace {
 
@@ -128,8 +132,8 @@ void write_plan(const std::filesystem::path& dir, const FleetPlan& plan)
 std::optional<FleetPlan> read_plan(const std::filesystem::path& dir)
 {
     const std::filesystem::path path = dir / kPlanFileName;
-    std::ifstream in{path, std::ios::binary};
-    if (!in) {
+    const std::optional<std::string> data = util::read_file(path);
+    if (!data) {
         return std::nullopt;
     }
     const auto malformed = [&](const char* what) -> void {
@@ -139,46 +143,36 @@ std::optional<FleetPlan> read_plan(const std::filesystem::path& dir)
         throw FaultError{FaultKind::ProtocolError, std::move(context)};
     };
 
-    std::string tag;
+    RecordReader lines{*data};
     int version = 0;
-    in >> tag >> version;
-    if (!in || tag != kPlanMagic || version != kPlanVersion) {
+    if (!lines.take(kPlanMagic, version) || version != kPlanVersion) {
         malformed("bad magic/version header");
     }
-
     FleetPlan plan;
-    std::string hex;
-    in >> tag >> hex;
-    if (!in || tag != "fingerprint" || !parse_hex64(hex, plan.fingerprint)) {
+    if (!lines.take("fingerprint", Hex64{plan.fingerprint})) {
         malformed("fingerprint line");
     }
-    std::string mtag;
-    in >> tag >> plan.module_key >> mtag >> plan.input_bits;
-    if (!in || tag != "module" || mtag != "m" || plan.input_bits < 1) {
+    if (!lines.take("module", plan.module_key, Literal{"m"}, plan.input_bits) ||
+        plan.input_bits < 1) {
         malformed("module line");
     }
-    in >> tag >> plan.num_shards >> plan.shard_size;
-    if (!in || tag != "shards" || plan.num_shards == 0 || plan.shard_size == 0) {
+    if (!lines.take("shards", plan.num_shards, plan.shard_size) || plan.num_shards == 0 ||
+        plan.shard_size == 0) {
         malformed("shards line");
     }
-    in >> tag >> plan.lease_shards;
-    if (!in || tag != "lease" || plan.lease_shards == 0) {
+    if (!lines.take("lease", plan.lease_shards) || plan.lease_shards == 0) {
         malformed("lease line");
     }
     std::string model_kind;
-    in >> tag >> model_kind >> plan.zero_clusters;
-    if (!in || tag != "model" ||
-        (model_kind != "basic" && model_kind != "enhanced") ||
-        plan.zero_clusters < 0) {
+    if (!lines.take("model", model_kind, plan.zero_clusters) ||
+        (model_kind != "basic" && model_kind != "enhanced")) {
         malformed("model line");
     }
     plan.enhanced = model_kind == "enhanced";
-    in >> tag >> plan.calibration_pieces;
-    if (!in || tag != "calibration") {
+    if (!lines.take("calibration", plan.calibration_pieces)) {
         malformed("calibration line");
     }
-    in >> tag;
-    if (!in || tag != "end") {
+    if (!lines.take("end") || !lines.done()) {
         malformed("missing end marker");
     }
     return plan;
@@ -226,31 +220,16 @@ bool claim_lease(const std::filesystem::path& path, const LeaseInfo& info)
 
 LeaseRead read_lease(const std::filesystem::path& path, LeaseInfo& out)
 {
-    std::ifstream in{path, std::ios::binary};
-    if (!in) {
+    const std::optional<std::string> data = util::read_file(path);
+    if (!data) {
         return LeaseRead::Missing;
     }
-    std::string tag;
+    RecordReader lines{*data};
     int version = 0;
-    in >> tag >> version;
-    if (!in || tag != kLeaseMagic || version != kLeaseVersion) {
-        return LeaseRead::Corrupt;
-    }
-    std::string hex;
-    in >> tag >> out.worker;
-    if (!in || tag != "worker") {
-        return LeaseRead::Corrupt;
-    }
-    in >> tag >> hex;
-    if (!in || tag != "token" || !parse_hex64(hex, out.token)) {
-        return LeaseRead::Corrupt;
-    }
-    in >> tag >> out.start >> out.count;
-    if (!in || tag != "range" || out.count == 0) {
-        return LeaseRead::Corrupt;
-    }
-    in >> tag;
-    if (!in || tag != "end") {
+    if (!lines.take(kLeaseMagic, version) || version != kLeaseVersion ||
+        !lines.take("worker", out.worker) || !valid_worker_id(out.worker) ||
+        !lines.take("token", Hex64{out.token}) || !lines.take("range", out.start, out.count) ||
+        out.count == 0 || !lines.take("end") || !lines.done()) {
         return LeaseRead::Corrupt;
     }
     return LeaseRead::Ok;
@@ -307,18 +286,17 @@ bool publish_first_wins(const std::filesystem::path& tmp,
 
 namespace {
 
-// Calibration piece file, version 1 (numbers decimal unless noted):
+// Calibration piece file, version 1, in the record grammar of
+// util/record_codec.hpp (numbers decimal unless noted):
 //
 //   hdpm_calib 1
 //   fingerprint <16 hex>
 //   module <key> piece <index>
 //   geometry <class> <shard> <first> <count> nets <n> zero <0|1>
-//   block <body bytes, 16 hex> <FNV-1a of the body, 16 hex>
+//   then one frame whose
 //   <body> = charges <charge bits, 16 hex> x count
 //            events <toggles> x n
 //            zeros <toggles> x n        (zero 1 only)
-constexpr std::string_view kFrameTag = "block ";
-constexpr std::size_t kFrameBytes = kFrameTag.size() + 16 + 1 + 16 + 1;
 
 std::string piece_header(const PieceStamp& stamp)
 {
@@ -345,46 +323,22 @@ void append_counts(std::string& out, std::string_view tag,
     out += '\n';
 }
 
-/// Take the line "<tag> w_0 ... w_{n-1}" off @p body, handing each word to
-/// @p parse(i, word); false when the line has another tag or word count,
-/// or @p parse refuses a word.
-template <typename Parse>
-bool take_line(std::string_view& body, std::string_view tag, std::size_t n,
+/// Take the line "<tag> w_0 ... w_{n-1}", reading word i into @p out[i]
+/// with @p parse.
+template <typename T, typename Parse>
+bool read_list(RecordReader& lines, std::string_view tag, std::size_t n, std::vector<T>& out,
                const Parse& parse)
 {
-    const std::size_t end = body.find('\n');
-    if (end == std::string_view::npos) {
+    if (!lines.next(tag, n + 1)) {
         return false;
     }
-    std::string_view line = body.substr(0, end);
-    body.remove_prefix(end + 1);
-    if (line.substr(0, tag.size()) != tag) {
-        return false;
-    }
-    line.remove_prefix(tag.size());
-    for (std::size_t i = 0; i < n; ++i) {
-        if (line.empty() || line[0] != ' ') {
-            return false;
-        }
-        line.remove_prefix(1);
-        const std::string_view word = line.substr(0, line.find(' '));
-        line.remove_prefix(word.size());
-        if (!parse(i, word)) {
-            return false;
-        }
-    }
-    return line.empty();
-}
-
-bool take_counts(std::string_view& body, std::string_view tag, std::size_t n,
-                 std::vector<std::uint64_t>& out)
-{
     out.resize(n);
-    return take_line(body, tag, n, [&](std::size_t i, std::string_view word) {
-        const char* const end = word.data() + word.size();
-        const auto [stop, ec] = std::from_chars(word.data(), end, out[i]);
-        return !word.empty() && ec == std::errc{} && stop == end;
-    });
+    for (std::size_t i = 0; i < n; ++i) {
+        if (!parse(lines.word(i + 1), out[i])) {
+            return false;
+        }
+    }
+    return true;
 }
 
 } // namespace
@@ -396,24 +350,19 @@ void write_calibration_piece(const std::filesystem::path& path, const PieceStamp
                      result.event_toggles.size() == stamp.nets &&
                      result.zero_toggles.size() == (stamp.zero_delay ? stamp.nets : 0),
                  "calibration piece result does not match its stamp");
-    std::string body = "charges";
-    for (const double charge : result.charges) {
-        body += ' ';
-        util::append_hex64(body, std::bit_cast<std::uint64_t>(charge));
-    }
-    body += '\n';
-    append_counts(body, "events", result.event_toggles);
-    if (stamp.zero_delay) {
-        append_counts(body, "zeros", result.zero_toggles);
-    }
-
     std::string payload = piece_header(stamp);
-    payload += kFrameTag;
-    util::append_hex64(payload, body.size());
-    payload += ' ';
-    util::append_hex64(payload, util::fnv1a64(body));
+    const std::size_t frame = util::begin_frame(payload);
+    payload += "charges";
+    for (const double charge : result.charges) {
+        payload += ' ';
+        util::append_hex64(payload, std::bit_cast<std::uint64_t>(charge));
+    }
     payload += '\n';
-    payload += body;
+    append_counts(payload, "events", result.event_toggles);
+    if (stamp.zero_delay) {
+        append_counts(payload, "zeros", result.zero_toggles);
+    }
+    util::end_frame(payload, frame);
     HDPM_FAULT_MUTATE(FaultPoint::CheckpointShortWrite, payload);
     util::publish_file(path, payload);
 }
@@ -422,52 +371,39 @@ PieceRead read_calibration_piece(const std::filesystem::path& path,
                                  const PieceStamp& expected,
                                  core::CalibrationPieceResult& out)
 {
-    std::ifstream in{path, std::ios::binary};
-    if (!in) {
+    // The largest file a piece of the expected shape can be: 17 bytes per
+    // charge, at most 21 per toggle count, plus the frame line and the line
+    // tags.
+    const std::string header = piece_header(expected);
+    const std::size_t limit =
+        header.size() + 96 + 17 * expected.piece.count + 2 * 21 * expected.nets;
+    const std::optional<std::string> data = util::read_file(path, limit);
+    if (!data) {
         return PieceRead::Missing;
     }
-    // The largest file a piece of the expected shape can be: 17 bytes per
-    // charge, at most 21 per toggle count, plus the line tags.
-    const std::string header = piece_header(expected);
-    const std::size_t limit = header.size() + kFrameBytes + 3 * 16 +
-                              17 * expected.piece.count + 2 * 21 * expected.nets;
-    std::string data(limit + 1, '\0');
-    in.read(data.data(), static_cast<std::streamsize>(data.size()));
-    data.resize(static_cast<std::size_t>(in.gcount()));
-    std::string_view text = data;
-    if (data.size() > limit || text.substr(0, header.size()) != header) {
-        return PieceRead::Rejected;
-    }
-    text.remove_prefix(header.size());
-    std::uint64_t bytes = 0;
-    std::uint64_t checksum = 0;
-    if (text.size() < kFrameBytes || text.substr(0, kFrameTag.size()) != kFrameTag ||
-        !parse_hex64(text.substr(kFrameTag.size(), 16), bytes) ||
-        text[kFrameTag.size() + 16] != ' ' ||
-        !parse_hex64(text.substr(kFrameTag.size() + 17, 16), checksum) ||
-        text[kFrameBytes - 1] != '\n') {
-        return PieceRead::Rejected;
-    }
-    text.remove_prefix(kFrameBytes);
-    if (text.size() != bytes || util::fnv1a64(text) != checksum) {
+    const std::string_view text = *data;
+    RecordReader frame{text.substr(std::min(header.size(), text.size()))};
+    std::string_view body;
+    if (data->size() > limit || text.substr(0, header.size()) != header ||
+        !frame.frame(body) || !frame.done()) {
         return PieceRead::Rejected;
     }
 
     core::CalibrationPieceResult result;
-    result.charges.assign(expected.piece.count, 0.0);
-    const bool charges_ok = take_line(text, "charges", result.charges.size(),
-                                      [&](std::size_t i, std::string_view word) {
-                                          std::uint64_t charge_bits = 0;
-                                          if (!parse_hex64(word, charge_bits)) {
-                                              return false;
-                                          }
-                                          result.charges[i] = std::bit_cast<double>(charge_bits);
-                                          return true;
-                                      });
-    if (!charges_ok || !take_counts(text, "events", expected.nets, result.event_toggles) ||
+    RecordReader lines{body};
+    const auto parse_charge = [](std::string_view word, double& charge) {
+        std::uint64_t bits = 0;
+        const bool ok = parse_hex64(word, bits);
+        charge = std::bit_cast<double>(bits);
+        return ok;
+    };
+    if (!read_list(lines, "charges", expected.piece.count, result.charges, parse_charge) ||
+        !read_list(lines, "events", expected.nets, result.event_toggles,
+                   parse_decimal<std::uint64_t>) ||
         (expected.zero_delay &&
-         !take_counts(text, "zeros", expected.nets, result.zero_toggles)) ||
-        !text.empty()) {
+         !read_list(lines, "zeros", expected.nets, result.zero_toggles,
+                   parse_decimal<std::uint64_t>)) ||
+        !lines.done()) {
         return PieceRead::Rejected;
     }
     out = std::move(result);

@@ -20,6 +20,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/checkpoint.hpp"
@@ -273,6 +274,19 @@ TEST(LeaseProtocol, ReadLeaseClassifiesMissingAndCorrupt)
     const auto foreign = dir / "foreign.lease";
     std::ofstream{foreign} << "not a lease at all\n";
     EXPECT_EQ(read_lease(foreign, out), LeaseRead::Corrupt);
+
+    // A signed or overflowing range is damage, never a huge range; the same
+    // lease with a plain range reads back.
+    const auto numbers = dir / "numbers.lease";
+    for (const std::string range : {"range -5 -1", "range 0 99999999999999999999", "range 5 1"}) {
+        std::ofstream{numbers, std::ios::trunc}
+            << "hdpm_lease 1\nworker w1\ntoken 0000000000000007\n" << range << "\nend\n";
+        EXPECT_EQ(read_lease(numbers, out),
+                  range == "range 5 1" ? LeaseRead::Ok : LeaseRead::Corrupt)
+            << range;
+    }
+    EXPECT_EQ(out.start, 5U);
+    EXPECT_EQ(out.count, 1U);
 }
 
 TEST(LeaseProtocol, HeartbeatRefreshesMtimeAndReportsExpiry)
@@ -336,6 +350,27 @@ TEST(LeaseProtocol, PlanRoundTripsAndRejectsDamage)
         FAIL() << "damaged plan was accepted";
     } catch (const FaultError& error) {
         EXPECT_EQ(error.kind(), FaultKind::ProtocolError);
+    }
+
+    // A signed count, a doubled space or trailing bytes are damage too,
+    // never a huge shard count.
+    write_plan(dir, plan);
+    const std::string bytes = read_file(dir / kPlanFileName);
+    for (const auto& [from, to] : std::vector<std::pair<std::string, std::string>>{
+             {"shards 8 50", "shards -1 2000"},
+             {"lease 3", "lease +3"},
+             {"lease 3", "lease  3"},
+             {"calibration 11", "calibration -1"},
+             {"end\n", "end\nend\n"}}) {
+        std::string damaged = bytes;
+        damaged.replace(damaged.find(from), from.size(), to);
+        std::ofstream{dir / kPlanFileName, std::ios::trunc} << damaged;
+        try {
+            (void)read_plan(dir);
+            ADD_FAILURE() << "accepted a plan with '" << to << "'";
+        } catch (const FaultError& error) {
+            EXPECT_EQ(error.kind(), FaultKind::ProtocolError) << to;
+        }
     }
 }
 

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/adaptive.hpp"
 #include "core/bus_model.hpp"
@@ -154,6 +157,34 @@ TEST(HdModel, LoadRejectsGarbage)
     EXPECT_THROW((void)HdModel::load(ss), util::RuntimeError);
 }
 
+TEST(HdModel, LoadRefusesAWidthItsBytesDoNotHold)
+{
+    // 23 bytes that declare two billion classes fail at the first missing
+    // row; before, they asked for three 16 GB tables and threw bad_alloc,
+    // which the model library's quarantine does not catch.
+    std::stringstream ss{"hdmodel 1\nm 2000000000\n"};
+    EXPECT_THROW((void)HdModel::load(ss), util::RuntimeError);
+}
+
+TEST(HdModel, LoadAcceptsExactlyWhatSaveWrites)
+{
+    const std::string saved = "hdmodel 1\nm 2\n1 10.5 0.25 3\n2 21 0 4\nend\n";
+    std::stringstream good{saved};
+    EXPECT_EQ(HdModel::load(good).sample_count(2), 4U);
+    for (const auto& [from, to] : std::vector<std::pair<std::string, std::string>>{
+             {"m 2", "m +2"},
+             {" 3\n", " -3\n"},
+             {"1 10.5", "1  10.5"},
+             {"end\n", "end\nend\n"},
+             {"end\n", "end"},
+             {"2 21", "3 21"}}) {
+        std::string damaged = saved;
+        damaged.replace(damaged.find(from), from.size(), to);
+        std::stringstream ss{damaged};
+        EXPECT_THROW((void)HdModel::load(ss), util::RuntimeError) << to;
+    }
+}
+
 // ------------------------------------------------------------- enhanced
 
 EnhancedHdModel small_enhanced()
@@ -273,6 +304,20 @@ TEST(Enhanced, SaveLoadRoundTrip)
     EXPECT_DOUBLE_EQ(r.coefficient(1, 2), 10.0); // fallback preserved
     EXPECT_EQ(r.sample_count(2, 0), 5U);
     EXPECT_DOUBLE_EQ(r.fallback().coefficient(3), 30.0);
+}
+
+TEST(Enhanced, LoadRefusesAWidthItsBytesDoNotHold)
+{
+    // 37 bytes that declare an 8-million-entry table fail at the first
+    // missing row, before any table is built.
+    std::stringstream huge{"enhanced_hdmodel 1\nm 4000 clusters 0\n"};
+    EXPECT_THROW((void)EnhancedHdModel::load(huge), util::RuntimeError);
+
+    // A fallback of another width is a malformed file, not a precondition
+    // failure of the constructor.
+    std::stringstream narrow{"enhanced_hdmodel 1\nm 1 clusters 0\n1 0 11 0.1 5\nfallback\n"
+                             "hdmodel 1\nm 2\n1 10 0 0\n2 20 0 0\nend\nend\n"};
+    EXPECT_THROW((void)EnhancedHdModel::load(narrow), util::RuntimeError);
 }
 
 // ------------------------------------------------------------- adaptive

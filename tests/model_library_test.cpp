@@ -318,6 +318,19 @@ TEST_F(ModelLibraryTest, CorruptModelFileIsQuarantinedAndRebuilt)
     for (int i = 1; i <= original.input_bits(); ++i) {
         EXPECT_EQ(renormalized.coefficient(i), original.coefficient(i));
     }
+
+    // So is a width the bytes do not hold: a structured failure, not
+    // bad_alloc escaping the quarantine.
+    {
+        std::ofstream out{path, std::ios::trunc};
+        out << header << "\nhdmodel 1\nm 2000000000\n";
+    }
+    const HdModel rewidened =
+        library.get_or_characterize(dp::ModuleType::RippleAdder, w, quick());
+    EXPECT_EQ(library.models_quarantined(), 3U);
+    for (int i = 1; i <= original.input_bits(); ++i) {
+        EXPECT_EQ(rewidened.coefficient(i), original.coefficient(i));
+    }
 }
 
 TEST_F(ModelLibraryTest, ConcurrentMissesCharacterizeExactlyOnce)
