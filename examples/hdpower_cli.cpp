@@ -14,7 +14,8 @@
 ///                        [--models DIR] [--budget N]
 ///
 /// Characterized models are cached in the model library directory
-/// (default ./hdpm_models), so repeated estimates are instant.
+/// (default ./hdpm_models), so a repeated characterize or estimate loads
+/// them and simulates nothing.
 ///
 /// Every numeric flag and width is a plain decimal integer: a sign,
 /// trailing characters or an out-of-range value is a usage error.
@@ -342,180 +343,154 @@ int cmd_info(const Cli& cli)
     return 0;
 }
 
-/// Multi-corner characterize: one amortized stimulus sweep fitting a model
-/// per corner.
-int cmd_characterize_corners(const Cli& cli)
+/// Characterize over the run's corner list: --corners, or the one --corner
+/// (native when unset). Every corner's stored, current model is looked up
+/// first; when all are there nothing is simulated. Otherwise one record
+/// collection scores every corner, each corner is fitted and stored, and
+/// the quality report is printed from that run's records.
+int cmd_characterize(const Cli& cli)
 {
     const core::ModelLibrary library{cli.models_dir};
-    core::CharRunStats stats;
-    core::CharacterizationOptions options = char_options(cli);
-    options.corner.reset();
-    options.corners = cli.corners;
-    options.progress = stderr_progress();
-    options.stats = &stats;
+    std::vector<std::optional<gate::Corner>> corners(cli.corners.begin(), cli.corners.end());
+    if (corners.empty()) {
+        corners.push_back(cli.corner);
+    }
+    // Each corner's model is stored under its single-corner options — the
+    // caller's, whatever mode the enhanced collection pins below.
+    const auto stored_options = [&](std::size_t k) {
+        core::CharacterizationOptions options = char_options(cli);
+        options.corner = corners[k];
+        return options;
+    };
+    // Per corner: its model's average deviation, and whether it is stored.
+    std::vector<double> deviations(corners.size(), 0.0);
+    std::vector<bool> stored(corners.size(), true);
+    bool all_stored = true;
+    for (std::size_t k = 0; k < corners.size() && all_stored; ++k) {
+        std::optional<double> deviation;
+        if (cli.enhanced) {
+            if (const auto model = library.find_enhanced(cli.module_type, cli.widths,
+                                                         cli.zero_clusters, stored_options(k))) {
+                deviation = model->average_deviation();
+            }
+        } else if (const auto model =
+                       library.find_basic(cli.module_type, cli.widths, stored_options(k))) {
+            deviation = model->average_deviation();
+        }
+        all_stored = deviation.has_value();
+        deviations[k] = deviation.value_or(0.0);
+    }
 
     const dp::DatapathModule module = dp::make_module(cli.module_type, cli.widths);
-    const core::Characterizer characterizer;
-
-    // Store policy: a corner whose sweep block is bit-identical to an
-    // independent single-corner run is published under its exact
-    // single-corner fingerprint — every corner of an emulation sweep, and
-    // the corners of corner 0's load class in an event sweep. The event
-    // sweep's other corners are scored through calibrated transfer weights
-    // (an approximation) and must NOT alias the exact fingerprint a later
-    // single-corner run would use.
-    std::vector<bool> exact(cli.corners.size(),
-                            options.backend == core::CharBackend::PowerEmulation);
-    const std::vector<std::vector<std::size_t>> classes = core::corner_classes(options);
-    for (const std::size_t k : classes[0]) {
-        exact[k] = true;
-    }
-
-    std::vector<core::HdModel> basic;
-    std::vector<core::EnhancedHdModel> enhanced;
-    if (cli.enhanced) {
-        enhanced = characterizer.characterize_corners_enhanced(module,
-                                                               cli.zero_clusters,
-                                                               options);
-    } else {
-        basic = characterizer.characterize_corners(module, options);
-    }
-    if (stats.records > 0) {
+    const int m = module.total_input_bits();
+    core::CharRunStats stats;
+    std::vector<std::vector<core::CharacterizationRecord>> records;
+    bool degraded = false;
+    if (!all_stored) {
+        core::CharacterizationOptions options = char_options(cli);
+        options.corners = cli.corners;
+        options.progress = stderr_progress();
+        options.stats = &stats;
+        // StratifiedPairs is the one mode that populates every (i, z) class
+        // of the enhanced model; an explicitly set mode is respected.
+        if (cli.enhanced && !options.mode.has_value()) {
+            options.mode = core::StimulusMode::StratifiedPairs;
+        }
+        const core::Characterizer characterizer;
+        if (cli.corners.empty()) {
+            // A native run is no gate::Corner, and a one-corner sweep would
+            // stamp its journal differently: this run collects as itself.
+            records.push_back(characterizer.collect_records(module, options));
+        } else {
+            records = characterizer.collect_records_corners(module, options);
+        }
         std::cerr << '\n';
-    }
-    const bool degraded = report_shard_failures(stats);
+        degraded = report_shard_failures(stats);
 
-    util::TextTable table;
-    table.set_header({"corner", "key", "avg deviation", "stored"});
-    table.set_alignment({util::Align::Left, util::Align::Left});
-    for (std::size_t k = 0; k < cli.corners.size(); ++k) {
-        const gate::Corner& corner = cli.corners[k];
-        const bool store = exact[k];
-        core::CharacterizationOptions store_options = char_options(cli);
-        store_options.corner = corner;
-        const double deviation = cli.enhanced ? enhanced[k].average_deviation()
-                                              : basic[k].average_deviation();
-        if (store) {
+        // Store policy: a corner whose records are bit-identical to an
+        // independent single-corner run is published under that run's
+        // fingerprint — every corner under power emulation, and the
+        // corners of corner 0's load class under the event kernel. The
+        // event kernel scores other load classes through calibrated
+        // transfer weights (an approximation), which must NOT alias the
+        // exact fingerprint a later single-corner run would use.
+        const bool emulation = cli.backend == core::CharBackend::PowerEmulation;
+        const std::vector<std::size_t> exact_class = core::corner_classes(options)[0];
+        for (std::size_t k = 0; k < corners.size(); ++k) {
+            stored[k] = emulation || std::ranges::find(exact_class, k) != exact_class.end();
             if (cli.enhanced) {
-                library.store_enhanced(cli.module_type, cli.widths,
-                                       cli.zero_clusters, store_options,
-                                       enhanced[k]);
+                const core::EnhancedHdModel model =
+                    core::fit_enhanced_model(m, cli.zero_clusters, records[k]);
+                if (stored[k]) {
+                    library.store_enhanced(cli.module_type, cli.widths, cli.zero_clusters,
+                                           stored_options(k), model);
+                }
+                deviations[k] = model.average_deviation();
             } else {
-                library.store_basic(cli.module_type, cli.widths, store_options,
-                                    basic[k]);
+                const core::HdModel model = core::fit_basic_model(m, records[k]);
+                if (stored[k]) {
+                    library.store_basic(cli.module_type, cli.widths, stored_options(k),
+                                        model);
+                }
+                deviations[k] = model.average_deviation();
             }
         }
-        table.add_row({util::TextTable::fmt(corner.vdd_v, 2) + " V, " +
-                           util::TextTable::fmt(corner.temp_c, 1) + " C, " +
-                           gate::load_class_name(corner.load_class),
-                       corner.key(), util::TextTable::fmt(100.0 * deviation, 2) + "%",
-                       store ? "yes" : "no (transfer approximation)"});
     }
-    std::cout << (cli.enhanced ? "enhanced" : "basic") << " models ready for "
-              << cli.corners.size() << " corner(s) from one stimulus sweep\n";
-    table.print(std::cout);
 
-    if (stats.records > 0) {
-        std::cout << "collected " << stats.records << " transitions per corner ("
-                  << util::TextTable::fmt(stats.events_per_sec / 1e6, 2)
-                  << " M events/s) in "
-                  << util::TextTable::fmt(stats.collect_wall_ms, 1) << " ms on "
-                  << stats.threads << " thread(s), " << stats.shards << " shards\n";
-        std::cout << "backend: " << core::char_backend_name(stats.backend);
-        if (stats.backend == core::CharBackend::PowerEmulation) {
-            std::cout << " (" << stats.emulated_pairs << " emulated pair scores, "
-                      << stats.calibration_pairs << " calibration pairs)";
-        } else if (stats.corner_calibration_pairs > 0) {
-            std::cout << " (" << stats.corner_calibration_pairs
-                      << " transfer-calibration pairs)";
-        }
-        std::cout << '\n';
+    util::TextTable table;
+    table.set_header({"corner", "model key", "avg deviation", "stored"});
+    table.set_alignment({util::Align::Left, util::Align::Left});
+    for (std::size_t k = 0; k < corners.size(); ++k) {
+        const std::optional<gate::Corner>& corner = corners[k];
+        table.add_row(
+            {corner.has_value() ? util::TextTable::fmt(corner->vdd_v, 2) + " V, " +
+                                      util::TextTable::fmt(corner->temp_c, 1) + " C, " +
+                                      gate::load_class_name(corner->load_class)
+                                : "native",
+             library.model_key(cli.module_type, cli.widths, corner),
+             util::TextTable::fmt(100.0 * deviations[k], 2) + "%",
+             stored[k] ? "yes" : "no (transfer approximation)"});
     }
-    if (stats.shards_resumed > 0) {
-        std::cout << "resumed " << stats.shards_resumed
-                  << " shard(s) from the checkpoint journal\n";
+    std::cout << (cli.enhanced ? "enhanced" : "basic") << " models of "
+              << module.display_name() << " (m = " << m << ") under "
+              << library.directory().string() << ":\n";
+    table.print(std::cout);
+    if (all_stored) {
+        std::cout << "every model was stored: nothing simulated\n";
+        return 0;
+    }
+
+    for (std::size_t k = 0; k < corners.size(); ++k) {
+        if (corners.size() > 1) {
+            std::cout << "\ncorner " << corners[k]->key() << ":\n";
+        }
+        // The run's counters print once, in the first corner's report.
+        core::print_characterization_report(
+            std::cout, k == 0 ? core::summarize_characterization(m, records[k], stats)
+                              : core::summarize_characterization(m, records[k]));
     }
     return degraded ? 3 : 0;
 }
 
-int cmd_characterize(const Cli& cli)
+/// The section-5 parameterizable family of the CLI's module, fitted from
+/// the basic models of @p prototype_widths (one operand-width list each).
+/// The prototypes are characterized — or loaded — on --threads workers,
+/// one thread each (the model library is thread-safe and single-flight).
+core::ParameterizableModel fit_family(const Cli& cli, const core::ModelLibrary& library,
+                                      const std::vector<std::vector<int>>& prototype_widths)
 {
-    if (!cli.corners.empty()) {
-        return cmd_characterize_corners(cli);
-    }
-    const core::ModelLibrary library{cli.models_dir};
-    core::CharRunStats stats;
+    const util::ThreadPool pool{cli.threads};
     core::CharacterizationOptions options = char_options(cli);
-    options.progress = stderr_progress();
-    options.stats = &stats;
-
-    bool degraded = false;
-    if (cli.enhanced) {
-        const core::EnhancedHdModel model = library.get_or_characterize_enhanced(
-            cli.module_type, cli.widths, cli.zero_clusters, options);
-        if (stats.records > 0) {
-            std::cerr << '\n';
-        }
-        degraded = report_shard_failures(stats);
-        std::cout << "enhanced model ready: m = " << model.input_bits() << ", "
-                  << model.num_coefficients() << " coefficients, average deviation "
-                  << 100.0 * model.average_deviation() << "%\n";
-        if (stats.records > 0) {
-            std::cout << "collected " << stats.records << " transitions ("
-                      << stats.sim_transitions << " net toggles, "
-                      << util::TextTable::fmt(stats.events_per_sec / 1e6, 2)
-                      << " M events/s) in "
-                      << util::TextTable::fmt(stats.collect_wall_ms, 1) << " ms on "
-                      << stats.threads << " thread(s), " << stats.shards << " shards\n";
-            if (stats.warmup_batches > 0) {
-                std::cout << "warm-up: " << stats.warmup_vectors
-                          << " vectors settled word-parallel in "
-                          << stats.warmup_batches << " 64-lane batches\n";
-            }
-            std::cout << "backend: " << core::char_backend_name(stats.backend);
-            if (stats.backend == core::CharBackend::PowerEmulation) {
-                std::cout << " (" << stats.emulated_pairs << " emulated pairs in "
-                          << stats.emulation_passes << " settle passes, "
-                          << stats.calibration_pairs
-                          << " event-kernel calibration pairs, residual scale "
-                          << util::TextTable::fmt(stats.calibration_scale, 4) << ")";
-            }
-            std::cout << '\n';
-        }
-    } else {
-        const core::HdModel model =
-            library.get_or_characterize(cli.module_type, cli.widths, options);
-        if (stats.records > 0) {
-            std::cerr << '\n';
-        }
-        degraded = report_shard_failures(stats);
-        std::cout << "basic model ready: m = " << model.input_bits()
-                  << ", average deviation " << 100.0 * model.average_deviation() << "%\n";
-
-        // A fresh record set for the auditable quality report (the stored
-        // model only keeps the fitted figures). The report run never
-        // journals: it must not consume or replace the model run's
-        // checkpoint.
-        const dp::DatapathModule module = dp::make_module(cli.module_type, cli.widths);
-        const core::Characterizer characterizer;
-        core::CharacterizationOptions report_options = char_options(cli);
-        report_options.checkpoint.clear();
-        core::CharRunStats report_stats;
-        report_options.stats = &report_stats;
-        const auto records = characterizer.collect_records(module, report_options);
-        degraded = report_shard_failures(report_stats) || degraded;
-        core::print_characterization_report(
-            std::cout, core::summarize_characterization(module.total_input_bits(),
-                                                        records, report_stats));
-    }
-    if (stats.shards_resumed > 0) {
-        std::cout << "resumed " << stats.shards_resumed
-                  << " shard(s) from checkpoint journal\n";
-    }
-    std::cout << "stored under " << library.directory().string() << '/'
-              << library.model_key(cli.module_type, cli.widths, cli.corner)
-              << ".*\n";
-    return degraded ? 3 : 0;
+    options.threads = 1; // parallelism is spent across prototypes
+    const std::vector<core::PrototypeModel> prototypes =
+        pool.parallel_map(prototype_widths.size(), [&](std::size_t i) {
+            core::PrototypeModel proto;
+            proto.operand_widths = prototype_widths[i];
+            proto.model =
+                library.get_or_characterize(cli.module_type, prototype_widths[i], options);
+            return proto;
+        });
+    return core::ParameterizableModel::fit(cli.module_type, prototypes, cli.threads);
 }
 
 int cmd_estimate(const Cli& cli)
@@ -601,24 +576,11 @@ int cmd_estimate(const Cli& cli)
         // parameterizable regression, then instantiate the model at the
         // requested widths. Coefficient indices beyond the largest
         // prototype extrapolate (clamped to the highest fitted index).
-        const std::vector<int> proto_scales{4, 6, 8};
-        const util::ThreadPool pool{cli.threads};
-        core::CharacterizationOptions proto_options = char_options(cli);
-        proto_options.threads = 1; // parallelism is spent across prototypes
-        const std::vector<core::PrototypeModel> prototypes =
-            pool.parallel_map(proto_scales.size(), [&](std::size_t i) {
-                const std::vector<int> proto_widths(cli.widths.size(),
-                                                    proto_scales[i]);
-                core::PrototypeModel proto;
-                proto.operand_widths = proto_widths;
-                proto.model = library.get_or_characterize(cli.module_type,
-                                                          proto_widths,
-                                                          proto_options);
-                return proto;
-            });
-        const core::ParameterizableModel family =
-            core::ParameterizableModel::fit(cli.module_type, prototypes,
-                                            cli.threads);
+        std::vector<std::vector<int>> prototype_widths;
+        for (const int scale : {4, 6, 8}) {
+            prototype_widths.emplace_back(cli.widths.size(), scale);
+        }
+        const core::ParameterizableModel family = fit_family(cli, library, prototype_widths);
         const core::HdModel model = family.model_for(cli.widths);
         for (std::size_t r = 0; r < cli.repeat; ++r) {
             estimate = engine.estimate(model, trace);
@@ -720,29 +682,14 @@ int cmd_sweep(const Cli& cli)
     const int wmin = cli.widths[0];
     const int wmax = cli.widths[1];
 
-    // Characterize three prototype widths (fanned out over --threads
-    // workers; the model library is thread-safe and single-flight), fit
-    // the family regression, then predict the whole range statistically —
-    // the section-5 workflow.
+    // Characterize three prototype widths, fit the family regression, then
+    // predict the whole range statistically — the section-5 workflow.
     const core::ModelLibrary library{cli.models_dir};
-    const std::vector<int> prototype_widths{wmin, (wmin + wmax) / 2, wmax};
-    const util::ThreadPool pool{cli.threads};
-    core::CharacterizationOptions proto_options = char_options(cli);
-    proto_options.threads = 1; // the budget is spent across prototypes here
-    std::vector<core::PrototypeModel> prototypes =
-        pool.parallel_map(prototype_widths.size(), [&](std::size_t i) {
-            const std::array<int, 1> widths = {prototype_widths[i]};
-            core::PrototypeModel proto;
-            proto.operand_widths = {prototype_widths[i]};
-            proto.model =
-                library.get_or_characterize(cli.module_type, widths, proto_options);
-            return proto;
-        });
-    for (const int w : prototype_widths) {
-        std::cout << "prototype " << w << " ready\n";
+    const std::vector<std::vector<int>> prototype_widths{{wmin}, {(wmin + wmax) / 2}, {wmax}};
+    const core::ParameterizableModel family = fit_family(cli, library, prototype_widths);
+    for (const std::vector<int>& widths : prototype_widths) {
+        std::cout << "prototype " << widths[0] << " ready\n";
     }
-    const core::ParameterizableModel family =
-        core::ParameterizableModel::fit(cli.module_type, prototypes, cli.threads);
 
     util::TextTable table;
     table.set_header({"width", "m", "power [fC/cycle]"});
@@ -752,7 +699,6 @@ int cmd_sweep(const Cli& cli)
         const core::HdModel model = family.model_for(w);
 
         std::vector<streams::WordStats> operand_stats;
-        const int operands = dp::module_num_operands(cli.module_type);
         // Statistical estimate needs per-operand stats matching the
         // family's expanded operand widths.
         const std::array<int, 1> width_arg = {w};
@@ -762,7 +708,6 @@ int cmd_sweep(const Cli& cli)
             s.width = operand_width;
             operand_stats.push_back(s);
         }
-        (void)operands;
         const double power =
             core::estimate_from_word_stats(model, operand_stats).from_distribution_fc;
         table.add_row({std::to_string(w),

@@ -97,28 +97,33 @@ void print_characterization_report(std::ostream& os,
        << util::TextTable::fmt(report.min_charge_fc, 1) << ", "
        << util::TextTable::fmt(report.max_charge_fc, 1) << "] fC\n";
     if (report.run.records > 0) {
-        os << "run: " << util::TextTable::fmt(report.run.collect_wall_ms, 1)
-           << " ms collect + " << util::TextTable::fmt(report.run.fit_wall_ms, 1)
-           << " ms fit, " << report.run.sim_transitions << " net toggles, "
-           << report.run.shards << " shards on " << report.run.threads
-           << (report.run.threads == 1 ? " thread" : " threads");
-        if (report.run.sim_events > 0) {
-            os << ", "
-               << util::TextTable::fmt(report.run.events_per_sec / 1e6, 2)
-               << " M events/s (peak queue " << report.run.max_queue_depth << ")";
+        const CharRunStats& run = report.run;
+        os << "collected " << run.records << " transitions"
+           << (run.corners > 1 ? " per corner" : "") << " in "
+           << util::TextTable::fmt(run.collect_wall_ms, 1) << " ms, "
+           << run.sim_transitions << " net toggles, " << run.shards << " shards on "
+           << run.threads << (run.threads == 1 ? " thread" : " threads");
+        if (run.sim_events > 0) {
+            os << ", " << util::TextTable::fmt(run.events_per_sec / 1e6, 2)
+               << " M events/s (peak queue " << run.max_queue_depth << ")";
         }
-        if (report.run.warmup_vectors > 0) {
-            os << "\nwarm-up: " << report.run.warmup_vectors << " vectors, "
-               << report.run.warmup_batches << " word-parallel 64-lane batches";
+        if (run.warmup_vectors > 0) {
+            os << "\nwarm-up: " << run.warmup_vectors << " vectors, "
+               << run.warmup_batches << " word-parallel 64-lane batches";
         }
-        os << "\nbackend: " << char_backend_name(report.run.backend);
-        if (report.run.backend == CharBackend::PowerEmulation) {
-            os << ", " << report.run.emulated_pairs << " emulated pairs in "
-               << report.run.emulation_passes << " settle passes, calibrated on "
-               << report.run.calibration_pairs << " event-kernel pairs (residual scale "
-               << util::TextTable::fmt(report.run.calibration_scale, 4) << ")";
+        os << "\nbackend: " << char_backend_name(run.backend);
+        if (run.backend == CharBackend::PowerEmulation) {
+            os << ", " << run.emulated_pairs << " emulated pairs in "
+               << run.emulation_passes << " settle passes, calibrated on "
+               << run.calibration_pairs << " event-kernel pairs (residual scale "
+               << util::TextTable::fmt(run.calibration_scale, 4) << ")";
+        } else if (run.corner_calibration_pairs > 0) {
+            os << ", " << run.corner_calibration_pairs << " transfer-calibration pairs";
         }
         os << '\n';
+        if (run.shards_resumed > 0) {
+            os << "resumed " << run.shards_resumed << " shard(s) from the checkpoint journal\n";
+        }
     }
 
     util::TextTable table;

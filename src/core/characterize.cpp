@@ -653,10 +653,9 @@ double fit_toggle_correction(const sim::SimContext& context, ClassWeights& class
 /// @p plan, the span of one 64-lane settle: up to 64 pairs, or up to 63
 /// chain transitions (one 64-vector window of count_toggles' boundary
 /// contract) — through a fresh event simulator at the class-nominal corner
-/// of the piece's timing class, and, when @p zero_toggles is given, through
-/// one zero-delay settle. Each transition's event charge lands in
-/// @p charges; the piece's per-net event toggles, and its zero-delay
-/// toggles, are added into the shard's sums under @p sums_mutex.
+/// of the piece's timing class, and, for power emulation in class 0,
+/// through one zero-delay settle. @p stimulus holds the piece's shard from
+/// transition 0 on (the shard's stream is sequential).
 ///
 /// A chain piece starts with initialize(its first vector). That is exact:
 /// after a completed cycle the event kernel rests at the unique zero-delay
@@ -665,38 +664,33 @@ double fit_toggle_correction(const sim::SimContext& context, ClassWeights& class
 /// cutting a chain into pieces changes no cycle's result
 /// (tests/event_kernel_test.cpp pins this). initialize() settles silently,
 /// so the simulator's cumulative toggles cover exactly the timed applies.
-void run_calibration_piece(const SweepPlan& plan, const CalibrationPiece& piece,
-                           const ShardStimulus& stimulus, std::span<double> charges,
-                           std::vector<std::uint64_t>& event_toggles,
-                           std::vector<std::uint64_t>* zero_toggles,
-                           std::mutex& sums_mutex)
+CalibrationPieceResult simulate_piece(const SweepPlan& plan,
+                                      const CalibrationPiece& piece,
+                                      const ShardStimulus& stimulus)
 {
     const sim::SimContext& context = *plan.contexts[piece.timing_class];
     const std::size_t first = piece.first;
     const std::size_t count = piece.count;
-    const std::size_t nets = plan.nets();
     const bool pairs = stimulus.chain.empty();
+    CalibrationPieceResult out;
+    out.charges.resize(count);
     {
         sim::EventSimulator simulator{context, plan.sim_options};
         if (pairs) {
             for (std::size_t j = 0; j < count; ++j) {
                 simulator.initialize(stimulus.us[first + j]);
-                charges[j] = simulator.apply(stimulus.vs[first + j]).charge_fc;
+                out.charges[j] = simulator.apply(stimulus.vs[first + j]).charge_fc;
             }
         } else {
             simulator.initialize(stimulus.chain[first]);
             for (std::size_t j = 0; j < count; ++j) {
-                charges[j] = simulator.apply(stimulus.chain[first + j + 1]).charge_fc;
+                out.charges[j] = simulator.apply(stimulus.chain[first + j + 1]).charge_fc;
             }
         }
-        const std::vector<std::uint64_t>& toggles = simulator.cumulative_transitions();
-        const std::lock_guard<std::mutex> lock{sums_mutex};
-        for (std::size_t net = 0; net < nets; ++net) {
-            event_toggles[net] += toggles[net];
-        }
+        out.event_toggles = simulator.cumulative_transitions();
     }
-    if (zero_toggles == nullptr) {
-        return;
+    if (!plan.zero_delay() || piece.timing_class != 0) {
+        return out;
     }
 
     sim::BatchedEvaluator evaluator{context};
@@ -704,21 +698,19 @@ void run_calibration_piece(const SweepPlan& plan, const CalibrationPiece& piece,
         evaluator.settle_pairs({stimulus.us.data() + first, count},
                                {stimulus.vs.data() + first, count});
         const auto toggles = evaluator.toggle_counts_per_net();
-        const std::lock_guard<std::mutex> lock{sums_mutex};
-        for (std::size_t net = 0; net < nets; ++net) {
-            (*zero_toggles)[net] += toggles[net];
-        }
+        out.zero_toggles.assign(toggles.begin(), toggles.end());
     } else {
         evaluator.settle({stimulus.chain.data() + first, count + 1});
         const std::uint64_t pair_mask =
             count >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << count) - 1;
         const auto words = evaluator.lane_words();
-        const std::lock_guard<std::mutex> lock{sums_mutex};
-        for (std::size_t net = 0; net < nets; ++net) {
-            (*zero_toggles)[net] += static_cast<std::uint64_t>(
+        out.zero_toggles.resize(plan.nets());
+        for (std::size_t net = 0; net < out.zero_toggles.size(); ++net) {
+            out.zero_toggles[net] = static_cast<std::uint64_t>(
                 std::popcount((words[net] ^ (words[net] >> 1)) & pair_mask));
         }
     }
+    return out;
 }
 
 /// The calibration's per-shard totals of a plan: the event kernel's
@@ -726,51 +718,79 @@ void run_calibration_piece(const SweepPlan& plan, const CalibrationPiece& piece,
 /// class-nominal corner, and — for power emulation — the zero-delay toggles
 /// (corner-invariant, so once).
 struct CalibrationTotals {
+    /// All-zero totals shaped for the pieces of @p plan (which has some).
+    explicit CalibrationTotals(const SweepPlan& plan);
+
+    /// Add the result of piece @p index of @p plan: the one reduction of
+    /// in-process and fleet calibration alike. Toggles are integer sums and
+    /// each transition's charge has its own slot, summed per shard in
+    /// stimulus order by the fit, so the totals are the same whatever order
+    /// pieces are added in. Throws PreconditionError when the result does
+    /// not have its piece's shape.
+    void add(const SweepPlan& plan, std::size_t index,
+             const CalibrationPieceResult& result);
+
     std::vector<std::vector<std::vector<std::uint64_t>>> event_toggles; ///< [class][shard][net]
     std::vector<std::vector<std::vector<double>>> charges; ///< [class][shard][transition]
     std::vector<std::vector<std::uint64_t>> zero_toggles;  ///< [shard][net]
-
-    /// The charges piece @p piece writes.
-    std::span<double> row(const CalibrationPiece& piece)
-    {
-        return std::span{charges[piece.timing_class][piece.shard]}.subspan(piece.first,
-                                                                           piece.count);
-    }
 };
 
-/// All-zero totals shaped for the pieces of @p plan (which has some).
-CalibrationTotals zeroed_totals(const SweepPlan& plan)
+CalibrationTotals::CalibrationTotals(const SweepPlan& plan)
 {
     const std::size_t nets = plan.nets();
     const std::size_t shards = plan.pieces.back().shard + 1;
-    CalibrationTotals out;
-    out.event_toggles.assign(plan.classes.size(),
-                             std::vector<std::vector<std::uint64_t>>(
-                                 shards, std::vector<std::uint64_t>(nets, 0)));
-    out.charges.assign(plan.classes.size(), std::vector<std::vector<double>>(shards));
+    event_toggles.assign(plan.classes.size(),
+                         std::vector<std::vector<std::uint64_t>>(
+                             shards, std::vector<std::uint64_t>(nets, 0)));
+    charges.assign(plan.classes.size(), std::vector<std::vector<double>>(shards));
     for (const CalibrationPiece& piece : plan.pieces) {
-        out.charges[piece.timing_class][piece.shard].resize(piece.first + piece.count);
+        charges[piece.timing_class][piece.shard].resize(piece.first + piece.count);
     }
     if (plan.zero_delay()) {
-        out.zero_toggles.assign(shards, std::vector<std::uint64_t>(nets, 0));
+        zero_toggles.assign(shards, std::vector<std::uint64_t>(nets, 0));
     }
-    return out;
+}
+
+void CalibrationTotals::add(const SweepPlan& plan, const std::size_t index,
+                            const CalibrationPieceResult& result)
+{
+    const CalibrationPiece& piece = plan.pieces[index];
+    const std::size_t nets = plan.nets();
+    const bool zero_delay = plan.zero_delay() && piece.timing_class == 0;
+    HDPM_REQUIRE(result.charges.size() == piece.count &&
+                     result.event_toggles.size() == nets &&
+                     result.zero_toggles.size() == (zero_delay ? nets : 0),
+                 "calibration piece ", index, " result does not have the piece's shape");
+    std::ranges::copy(result.charges,
+                      charges[piece.timing_class][piece.shard].begin() +
+                          static_cast<std::ptrdiff_t>(piece.first));
+    std::vector<std::uint64_t>& event = event_toggles[piece.timing_class][piece.shard];
+    for (std::size_t net = 0; net < nets; ++net) {
+        event[net] += result.event_toggles[net];
+    }
+    if (zero_delay) {
+        std::vector<std::uint64_t>& zero = zero_toggles[piece.shard];
+        for (std::size_t net = 0; net < nets; ++net) {
+            zero[net] += result.zero_toggles[net];
+        }
+    }
 }
 
 /// Run the calibration of @p plan on @p pool: every piece — each (class,
 /// shard, piece) of the subsample, shards of plan.shard_size with ids
 /// offset by kCalibrationShardBase — is one task of a single pool map, so
-/// even a one-shard calibration spreads over the whole pool, and each task
-/// accumulates into the totals in place.
+/// even a one-shard calibration spreads over the whole pool. Each shard's
+/// stimulus is drawn once (it is corner-invariant). A task adds its piece's
+/// result into the totals as soon as it finishes, so at most one result
+/// per pool thread is alive.
 ///
-/// The reductions are exact for any thread count and completion order:
-/// per-net toggles are integer sums, and each transition's charge lands in
-/// its own slot, summed per shard in stimulus order by the fit. The fit is
-/// therefore a pure function of the stimulus plan, recomputed identically
-/// on a checkpoint resume and from pieces run in other processes.
+/// The totals are the same in any completion order (CalibrationTotals::add),
+/// so the fit is a pure function of the stimulus plan, recomputed
+/// identically on a checkpoint resume and from pieces run in other
+/// processes (ShardRunner::fit_calibration adds the same results).
 CalibrationTotals run_calibration(const SweepPlan& plan, const util::ThreadPool& pool)
 {
-    CalibrationTotals out = zeroed_totals(plan);
+    CalibrationTotals out{plan};
     const std::vector<std::vector<double>>& shards = out.charges[0];
     const auto stimuli = pool.parallel_map(shards.size(), [&](std::size_t s) {
         return draw_shard_stimulus(plan.m, plan.mode, plan.options.seed,
@@ -779,68 +799,10 @@ CalibrationTotals run_calibration(const SweepPlan& plan, const util::ThreadPool&
     std::mutex sums_mutex;
     pool.parallel_for(plan.pieces.size(), [&](std::size_t t) {
         const CalibrationPiece& piece = plan.pieces[t];
-        run_calibration_piece(
-            plan, piece, stimuli[piece.shard], out.row(piece),
-            out.event_toggles[piece.timing_class][piece.shard],
-            plan.zero_delay() && piece.timing_class == 0 ? &out.zero_toggles[piece.shard]
-                                                         : nullptr,
-            sums_mutex);
+        const CalibrationPieceResult result = simulate_piece(plan, piece, stimuli[piece.shard]);
+        const std::lock_guard<std::mutex> lock{sums_mutex};
+        out.add(plan, t, result);
     });
-    return out;
-}
-
-/// Run one piece of @p plan's calibration on the calling thread, through
-/// the same piece function run_calibration schedules. Only the stimulus
-/// prefix the piece ends in is drawn: the shard's stream is sequential.
-CalibrationPieceResult run_piece(const SweepPlan& plan, const CalibrationPiece& piece)
-{
-    const ShardStimulus stimulus =
-        draw_shard_stimulus(plan.m, plan.mode, plan.options.seed,
-                            kCalibrationShardBase + piece.shard, piece.first + piece.count);
-    const std::size_t nets = plan.nets();
-    const bool zero_delay = plan.zero_delay() && piece.timing_class == 0;
-    CalibrationPieceResult out;
-    out.charges.assign(piece.count, 0.0);
-    out.event_toggles.assign(nets, 0);
-    if (zero_delay) {
-        out.zero_toggles.assign(nets, 0);
-    }
-    std::mutex unshared;
-    run_calibration_piece(plan, piece, stimulus, out.charges, out.event_toggles,
-                          zero_delay ? &out.zero_toggles : nullptr, unshared);
-    return out;
-}
-
-/// Reduce piece @p results, index-aligned with @p plan's pieces, into the
-/// totals run_calibration computes in place.
-CalibrationTotals reduce_pieces(const SweepPlan& plan,
-                                std::span<const CalibrationPieceResult> results)
-{
-    HDPM_REQUIRE(results.size() == plan.pieces.size(), "got ", results.size(),
-                 " calibration piece results for ", plan.pieces.size(), " pieces");
-    CalibrationTotals out = zeroed_totals(plan);
-    const std::size_t nets = plan.nets();
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const CalibrationPiece& piece = plan.pieces[i];
-        const CalibrationPieceResult& result = results[i];
-        const bool zero_delay = plan.zero_delay() && piece.timing_class == 0;
-        HDPM_REQUIRE(result.charges.size() == piece.count &&
-                         result.event_toggles.size() == nets &&
-                         result.zero_toggles.size() == (zero_delay ? nets : 0),
-                     "calibration piece ", i, " result does not have the piece's shape");
-        std::ranges::copy(result.charges, out.row(piece).begin());
-        std::vector<std::uint64_t>& event =
-            out.event_toggles[piece.timing_class][piece.shard];
-        for (std::size_t net = 0; net < nets; ++net) {
-            event[net] += result.event_toggles[net];
-        }
-        if (zero_delay) {
-            std::vector<std::uint64_t>& zero = out.zero_toggles[piece.shard];
-            for (std::size_t net = 0; net < nets; ++net) {
-                zero[net] += result.zero_toggles[net];
-            }
-        }
-    }
     return out;
 }
 
@@ -1445,13 +1407,27 @@ const std::vector<CalibrationPiece>& ShardRunner::calibration_pieces() const noe
 CalibrationPieceResult ShardRunner::run_calibration_piece(std::size_t index) const
 {
     HDPM_REQUIRE(index < impl_->plan.pieces.size(), "calibration piece outside the plan");
-    return run_piece(impl_->plan, impl_->plan.pieces[index]);
+    // Only the stimulus prefix the piece ends in is drawn: the shard's
+    // stream is sequential.
+    const SweepPlan& plan = impl_->plan;
+    const CalibrationPiece& piece = plan.pieces[index];
+    return simulate_piece(
+        plan, piece,
+        draw_shard_stimulus(plan.m, plan.mode, plan.options.seed,
+                            kCalibrationShardBase + piece.shard, piece.first + piece.count));
 }
 
 void ShardRunner::fit_calibration(std::span<const CalibrationPieceResult> results)
 {
     HDPM_REQUIRE(!impl_->calibrated, "the runner is already calibrated");
-    impl_->plan.fit(reduce_pieces(impl_->plan, results));
+    const SweepPlan& plan = impl_->plan;
+    HDPM_REQUIRE(results.size() == plan.pieces.size(), "got ", results.size(),
+                 " calibration piece results for ", plan.pieces.size(), " pieces");
+    CalibrationTotals totals{plan};
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        totals.add(plan, i, results[i]);
+    }
+    impl_->plan.fit(totals);
     impl_->calibrated = true;
 }
 
@@ -1640,31 +1616,10 @@ EnhancedHdModel fit_enhanced_model(int input_bits, int zero_clusters,
                            std::move(dev), std::move(count), std::move(fallback)};
 }
 
-namespace {
-
-/// Time a fitting call into options.stats->fit_wall_ms (when present).
-template <typename Fn>
-auto timed_fit(const CharacterizationOptions& options, Fn&& fit)
-{
-    const auto start = std::chrono::steady_clock::now();
-    auto model = fit();
-    if (options.stats != nullptr) {
-        options.stats->fit_wall_ms = std::chrono::duration<double, std::milli>(
-                                         std::chrono::steady_clock::now() - start)
-                                         .count();
-    }
-    return model;
-}
-
-} // namespace
-
 HdModel Characterizer::characterize(const dp::DatapathModule& module,
                                     const CharacterizationOptions& options) const
 {
-    const auto records = collect_records(module, options);
-    return timed_fit(options, [&] {
-        return fit_basic_model(module.total_input_bits(), records);
-    });
+    return fit_basic_model(module.total_input_bits(), collect_records(module, options));
 }
 
 EnhancedHdModel Characterizer::characterize_enhanced(
@@ -1676,45 +1631,18 @@ EnhancedHdModel Characterizer::characterize_enhanced(
     if (!options.mode.has_value()) {
         options.mode = StimulusMode::StratifiedPairs;
     }
-    const auto records = collect_records(module, options);
-    return timed_fit(options, [&] {
-        return fit_enhanced_model(module.total_input_bits(), zero_clusters, records);
-    });
+    return fit_enhanced_model(module.total_input_bits(), zero_clusters,
+                              collect_records(module, options));
 }
 
 std::vector<HdModel> Characterizer::characterize_corners(
     const dp::DatapathModule& module, const CharacterizationOptions& options) const
 {
-    const auto blocks = collect_records_corners(module, options);
-    return timed_fit(options, [&] {
-        std::vector<HdModel> models;
-        models.reserve(blocks.size());
-        for (const auto& records : blocks) {
-            models.push_back(fit_basic_model(module.total_input_bits(), records));
-        }
-        return models;
-    });
-}
-
-std::vector<EnhancedHdModel> Characterizer::characterize_corners_enhanced(
-    const dp::DatapathModule& module, int zero_clusters,
-    CharacterizationOptions options) const
-{
-    // Same default as characterize_enhanced: only an unset mode falls back
-    // to StratifiedPairs.
-    if (!options.mode.has_value()) {
-        options.mode = StimulusMode::StratifiedPairs;
+    std::vector<HdModel> models;
+    for (const auto& records : collect_records_corners(module, options)) {
+        models.push_back(fit_basic_model(module.total_input_bits(), records));
     }
-    const auto blocks = collect_records_corners(module, options);
-    return timed_fit(options, [&] {
-        std::vector<EnhancedHdModel> models;
-        models.reserve(blocks.size());
-        for (const auto& records : blocks) {
-            models.push_back(fit_enhanced_model(module.total_input_bits(),
-                                                zero_clusters, records));
-        }
-        return models;
-    });
+    return models;
 }
 
 } // namespace hdpm::core

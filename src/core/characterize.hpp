@@ -80,7 +80,6 @@ struct ShardFailure {
 /// toward records/shards but not toward this run's simulation counters).
 struct CharRunStats {
     double collect_wall_ms = 0.0; ///< record-collection (simulation) wall time
-    double fit_wall_ms = 0.0;     ///< coefficient-fitting wall time
     std::uint64_t sim_transitions = 0; ///< net toggles simulated, incl. glitches
     std::uint64_t sim_events = 0; ///< scheduler events processed (queue pops)
     double events_per_sec = 0.0;  ///< sim_events over the collect wall time
@@ -303,11 +302,6 @@ public:
     /// collect_records_corners).
     [[nodiscard]] std::vector<HdModel> characterize_corners(
         const dp::DatapathModule& module, const CharacterizationOptions& options) const;
-
-    /// Fit one enhanced model per corner from a single sweep.
-    [[nodiscard]] std::vector<EnhancedHdModel> characterize_corners_enhanced(
-        const dp::DatapathModule& module, int zero_clusters,
-        CharacterizationOptions options) const;
 
     /// The reference-simulation physics this characterizer runs under (used
     /// e.g. to fingerprint checkpoint journals).

@@ -153,18 +153,12 @@ std::filesystem::path ModelLibrary::enhanced_path(
                          std::to_string(zero_clusters) + ".ehdm");
 }
 
-bool ModelLibrary::contains(dp::ModuleType type, std::span<const int> widths) const
-{
-    return std::filesystem::exists(basic_path(type, widths, std::nullopt));
-}
-
-template <typename Model, typename BuildFn>
-Model ModelLibrary::load_or_build(const std::filesystem::path& path,
-                                  const std::uint64_t fingerprint,
-                                  BuildFn&& build) const
+template <typename Model>
+std::optional<Model> ModelLibrary::find(const std::filesystem::path& path,
+                                        const std::uint64_t fingerprint,
+                                        std::promise<void>* leader) const
 {
     const std::string key = path.string();
-    std::promise<void> promise;
     for (;;) {
         std::shared_future<void> flight;
         {
@@ -196,15 +190,30 @@ Model ModelLibrary::load_or_build(const std::filesystem::path& path,
                     }
                 }
                 // Missing, legacy (no header) or characterized under other
-                // options: this caller becomes the rebuild leader.
-                in_flight_.emplace(key, promise.get_future().share());
-                break;
+                // options: a miss, whose leader caller builds the file.
+                if (leader != nullptr) {
+                    in_flight_.emplace(key, leader->get_future().share());
+                }
+                return std::nullopt;
             }
         }
         // Wait out the leader's characterization, then re-probe the file.
         // get() rethrows a leader failure to every waiter.
         flight.get();
     }
+}
+
+template <typename Model, typename BuildFn>
+Model ModelLibrary::load_or_build(const std::filesystem::path& path,
+                                  const std::uint64_t fingerprint,
+                                  BuildFn&& build) const
+{
+    std::promise<void> promise;
+    if (std::optional<Model> stored = find<Model>(path, fingerprint, &promise)) {
+        return std::move(*stored);
+    }
+    // This caller is the rebuild leader.
+    const std::string key = path.string();
     try {
         Model model = build();
         // Serialize to memory, then publish crash-safely (util::publish_file),
@@ -233,6 +242,23 @@ Model ModelLibrary::load_or_build(const std::filesystem::path& path,
         promise.set_exception(std::current_exception());
         throw;
     }
+}
+
+std::optional<HdModel> ModelLibrary::find_basic(dp::ModuleType type,
+                                                std::span<const int> widths,
+                                                const CharacterizationOptions& options) const
+{
+    return find<HdModel>(basic_path(type, widths, options.corner),
+                         characterization_fingerprint(options, sim_options_), nullptr);
+}
+
+std::optional<EnhancedHdModel> ModelLibrary::find_enhanced(
+    dp::ModuleType type, std::span<const int> widths, int zero_clusters,
+    const CharacterizationOptions& options) const
+{
+    return find<EnhancedHdModel>(
+        enhanced_path(type, widths, zero_clusters, options.corner),
+        characterization_fingerprint(options, sim_options_), nullptr);
 }
 
 HdModel ModelLibrary::get_or_characterize(dp::ModuleType type,

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <future>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -77,8 +78,18 @@ public:
         dp::ModuleType type, std::span<const int> widths,
         const std::optional<gate::Corner>& corner = std::nullopt) const;
 
-    /// True if a basic model for the instance is stored.
-    [[nodiscard]] bool contains(dp::ModuleType type, std::span<const int> widths) const;
+    /// The stored, current basic model of the instance under @p options
+    /// (its corner and fingerprint), or nullopt. Never characterizes: it is
+    /// the probe get_or_characterize runs first (a build of the file in
+    /// flight is waited out, a damaged current file is quarantined).
+    [[nodiscard]] std::optional<HdModel> find_basic(
+        dp::ModuleType type, std::span<const int> widths,
+        const CharacterizationOptions& options = {}) const;
+
+    /// Enhanced-model variant of find_basic.
+    [[nodiscard]] std::optional<EnhancedHdModel> find_enhanced(
+        dp::ModuleType type, std::span<const int> widths, int zero_clusters,
+        const CharacterizationOptions& options = {}) const;
 
     /// Load the basic model for a module instance, characterizing and
     /// storing it first if absent.
@@ -132,8 +143,18 @@ private:
         dp::ModuleType type, std::span<const int> widths, int zero_clusters,
         const std::optional<gate::Corner>& corner) const;
 
-    /// Load @p path if it exists and its stored options fingerprint equals
-    /// @p fingerprint, else run @p build (single-flight per path) and store
+    /// The library's one probe: wait out a build of @p path in flight, then
+    /// load @p path if it exists and its stored options fingerprint equals
+    /// @p fingerprint. A current file whose payload does not parse is
+    /// quarantined and reads as a miss. On a miss with @p leader set, the
+    /// caller becomes the path's build leader (its flight is registered
+    /// under the same lock as the probe, so two callers never both build).
+    template <typename Model>
+    [[nodiscard]] std::optional<Model> find(const std::filesystem::path& path,
+                                            std::uint64_t fingerprint,
+                                            std::promise<void>* leader) const;
+
+    /// find() @p path, else run @p build (single-flight per path) and store
     /// its result — prefixed with the fingerprint header — before returning
     /// it. A legacy file without a header, or one characterized under
     /// different options, is recharacterized rather than silently reused.

@@ -867,42 +867,47 @@ TEST(Emulation, StatsCountersReflectBackend)
 TEST(Emulation, CalibratedChargeWithinToleranceOnEveryModuleFamily)
 {
     // The accuracy regression behind docs/simulator.md's contract: with the
-    // default-sized calibration, the emulated mean cycle charge stays
-    // within 10% of the event kernel's on every dpgen module family.
-    for (const ModuleType type : dp::all_module_types()) {
-        const DatapathModule module = dp::make_module(type, 3);
-        const Characterizer characterizer;
+    // default-sized calibration (512 pairs), the emulated mean cycle charge
+    // stays within 10% of the event kernel's on every dpgen module family,
+    // for pairs and for chain stimulus alike.
+    for (const StimulusMode mode :
+         {StimulusMode::StratifiedPairs, StimulusMode::StratifiedChain}) {
+        for (const ModuleType type : dp::all_module_types()) {
+            const DatapathModule module = dp::make_module(type, 3);
+            const Characterizer characterizer;
 
-        CharacterizationOptions options;
-        options.max_transitions = 2000;
-        options.min_transitions = 2000;
-        options.batch = 2000;
-        options.shard_size = 500;
-        options.seed = 29;
-        options.mode = StimulusMode::StratifiedPairs;
-        options.threads = 1;
-        const auto event_records = characterizer.collect_records(module, options);
+            CharacterizationOptions options;
+            options.max_transitions = 2000;
+            options.min_transitions = 2000;
+            options.batch = 2000;
+            options.shard_size = 500;
+            options.seed = 29;
+            options.mode = mode;
+            options.threads = 1;
+            const auto event_records = characterizer.collect_records(module, options);
 
-        options.backend = CharBackend::PowerEmulation;
-        options.calibration_pairs = 512;
-        const auto emulated_records = characterizer.collect_records(module, options);
+            options.backend = CharBackend::PowerEmulation;
+            options.calibration_pairs = 512;
+            const auto emulated_records = characterizer.collect_records(module, options);
 
-        ASSERT_EQ(event_records.size(), emulated_records.size())
-            << dp::module_type_id(type);
-        double event_mean = 0.0;
-        double emulated_mean = 0.0;
-        for (std::size_t i = 0; i < event_records.size(); ++i) {
-            // Both backends walk the identical stimulus stream.
-            ASSERT_EQ(event_records[i].toggle_mask, emulated_records[i].toggle_mask)
-                << dp::module_type_id(type) << " record " << i;
-            event_mean += event_records[i].charge_fc;
-            emulated_mean += emulated_records[i].charge_fc;
+            const std::string where = std::string{dp::module_type_id(type)} +
+                                      (mode == StimulusMode::StratifiedPairs ? ", pairs"
+                                                                             : ", chain");
+            ASSERT_EQ(event_records.size(), emulated_records.size()) << where;
+            double event_mean = 0.0;
+            double emulated_mean = 0.0;
+            for (std::size_t i = 0; i < event_records.size(); ++i) {
+                // Both backends walk the identical stimulus stream.
+                ASSERT_EQ(event_records[i].toggle_mask, emulated_records[i].toggle_mask)
+                    << where << " record " << i;
+                event_mean += event_records[i].charge_fc;
+                emulated_mean += emulated_records[i].charge_fc;
+            }
+            event_mean /= static_cast<double>(event_records.size());
+            emulated_mean /= static_cast<double>(emulated_records.size());
+            ASSERT_GT(event_mean, 0.0) << where;
+            EXPECT_NEAR(emulated_mean, event_mean, 0.10 * event_mean) << where;
         }
-        event_mean /= static_cast<double>(event_records.size());
-        emulated_mean /= static_cast<double>(emulated_records.size());
-        ASSERT_GT(event_mean, 0.0) << dp::module_type_id(type);
-        EXPECT_NEAR(emulated_mean, event_mean, 0.10 * event_mean)
-            << dp::module_type_id(type);
     }
 }
 

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -63,10 +65,22 @@ TEST_F(ModelLibraryTest, CharacterizesOnMissThenLoads)
 {
     const ModelLibrary library{dir_};
     const std::array<int, 1> w = {4};
-    EXPECT_FALSE(library.contains(dp::ModuleType::RippleAdder, w));
+    EXPECT_FALSE(library.find_basic(dp::ModuleType::RippleAdder, w, quick()));
 
     const HdModel first = library.get_or_characterize(dp::ModuleType::RippleAdder, w, quick());
-    EXPECT_TRUE(library.contains(dp::ModuleType::RippleAdder, w));
+    const std::optional<HdModel> found =
+        library.find_basic(dp::ModuleType::RippleAdder, w, quick());
+    ASSERT_TRUE(found.has_value());
+    EXPECT_TRUE(std::ranges::equal(found->coefficients(), first.coefficients()));
+    // The probe is fingerprinted: other options, another corner or the
+    // enhanced kind is a different artifact.
+    CharacterizationOptions other = quick();
+    other.seed = 8;
+    EXPECT_FALSE(library.find_basic(dp::ModuleType::RippleAdder, w, other));
+    other = quick();
+    other.corner = gate::Corner{2.5, 85.0};
+    EXPECT_FALSE(library.find_basic(dp::ModuleType::RippleAdder, w, other));
+    EXPECT_FALSE(library.find_enhanced(dp::ModuleType::RippleAdder, w, 0, quick()));
 
     // Second call with the same options must load the stored file.
     const HdModel second =
@@ -265,7 +279,7 @@ TEST_F(ModelLibraryTest, TechnologyNamespacesModels)
     const ModelLibrary lib180{dir_, gate::TechLibrary::generic180()};
     const std::array<int, 1> w = {4};
     const HdModel m350 = lib350.get_or_characterize(dp::ModuleType::Incrementer, w, quick());
-    EXPECT_FALSE(lib180.contains(dp::ModuleType::Incrementer, w))
+    EXPECT_FALSE(lib180.find_basic(dp::ModuleType::Incrementer, w, quick()))
         << "a 350nm model must not satisfy a 180nm lookup";
     const HdModel m180 = lib180.get_or_characterize(dp::ModuleType::Incrementer, w, quick());
     EXPECT_LT(m180.coefficient(4), m350.coefficient(4));
@@ -331,6 +345,61 @@ TEST_F(ModelLibraryTest, CorruptModelFileIsQuarantinedAndRebuilt)
     for (int i = 1; i <= original.input_bits(); ++i) {
         EXPECT_EQ(rewidened.coefficient(i), original.coefficient(i));
     }
+
+    // find_basic is the same probe: it sets rot aside and reports a miss.
+    {
+        std::ofstream out{path, std::ios::trunc};
+        out << header << "\nhdmodel 1\nm 8\n1 123.0";
+    }
+    EXPECT_FALSE(library.find_basic(dp::ModuleType::RippleAdder, w, quick()));
+    EXPECT_EQ(library.models_quarantined(), 4U);
+    EXPECT_FALSE(fs::exists(path));
+}
+
+std::string read_bytes(const fs::path& path)
+{
+    std::ifstream in{path, std::ios::binary};
+    return {std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{}};
+}
+
+TEST_F(ModelLibraryTest, StoredFitIsByteIdenticalToGetOrCharacterize)
+{
+    // A caller that collects records itself (e.g. to report on them), fits
+    // and stores must publish exactly the file get_or_characterize writes,
+    // so either path hits the other's model later. The enhanced kind pins
+    // StratifiedPairs for the collection only when the mode is unset, and
+    // fingerprints the caller's options, as characterize_enhanced does.
+    const ModelLibrary built{dir_ / "built"};
+    const ModelLibrary stored{dir_ / "stored"};
+    const std::array<int, 1> w = {4};
+    const dp::DatapathModule module = dp::make_module(dp::ModuleType::RippleAdder, w);
+    const Characterizer characterizer;
+    for (const std::optional<gate::Corner>& corner :
+         {std::optional<gate::Corner>{}, std::optional{gate::Corner{2.5, 85.0}}}) {
+        CharacterizationOptions options = quick();
+        options.corner = corner;
+        (void)built.get_or_characterize(dp::ModuleType::RippleAdder, w, options);
+        stored.store_basic(dp::ModuleType::RippleAdder, w, options,
+                           fit_basic_model(module.total_input_bits(),
+                                           characterizer.collect_records(module, options)));
+
+        (void)built.get_or_characterize_enhanced(dp::ModuleType::RippleAdder, w, 2,
+                                                 options);
+        CharacterizationOptions pairs = options;
+        pairs.mode = StimulusMode::StratifiedPairs;
+        stored.store_enhanced(
+            dp::ModuleType::RippleAdder, w, 2, options,
+            fit_enhanced_model(module.total_input_bits(), 2,
+                               characterizer.collect_records(module, pairs)));
+    }
+    std::size_t files = 0;
+    for (const auto& entry : fs::directory_iterator{dir_ / "built"}) {
+        const fs::path twin = dir_ / "stored" / entry.path().filename();
+        ASSERT_TRUE(fs::exists(twin)) << entry.path().filename();
+        EXPECT_EQ(read_bytes(entry.path()), read_bytes(twin)) << entry.path().filename();
+        ++files;
+    }
+    EXPECT_EQ(files, 4U);
 }
 
 TEST_F(ModelLibraryTest, ConcurrentMissesCharacterizeExactlyOnce)
@@ -390,7 +459,7 @@ TEST_F(ModelLibraryTest, ConcurrentDistinctKeysDoNotSerializeIncorrectly)
     }
     for (const int width : kWidths) {
         const std::array<int, 1> w = {width};
-        EXPECT_TRUE(library.contains(dp::ModuleType::RippleAdder, w)) << width;
+        EXPECT_TRUE(library.find_basic(dp::ModuleType::RippleAdder, w, quick())) << width;
     }
 }
 
@@ -399,9 +468,9 @@ TEST_F(ModelLibraryTest, ClearRemovesModels)
     const ModelLibrary library{dir_};
     const std::array<int, 1> w = {4};
     (void)library.get_or_characterize(dp::ModuleType::RippleAdder, w, quick());
-    EXPECT_TRUE(library.contains(dp::ModuleType::RippleAdder, w));
+    EXPECT_TRUE(library.find_basic(dp::ModuleType::RippleAdder, w, quick()));
     library.clear();
-    EXPECT_FALSE(library.contains(dp::ModuleType::RippleAdder, w));
+    EXPECT_FALSE(library.find_basic(dp::ModuleType::RippleAdder, w, quick()));
 }
 
 } // namespace
