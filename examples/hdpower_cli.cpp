@@ -41,7 +41,6 @@
 
 using namespace hdpm;
 using cli::parse_data_type;
-using cli::parse_number;
 
 namespace {
 
@@ -89,21 +88,15 @@ namespace {
     std::exit(2);
 }
 
-struct Cli {
+struct Cli : cli::CharFlags {
     dp::ModuleType module_type{};
     std::vector<int> widths;
     std::string models_dir = "hdpm_models";
-    std::size_t budget = 12000;
     std::size_t patterns = 2000;
     std::size_t top_k = 10;
     unsigned threads = 0;
-    core::CharBackend backend = core::CharBackend::EventKernel;
-    std::size_t calibration = 512;
-    std::size_t shard_size = 0; ///< 0 = batch (part of the stimulus plan)
     std::string checkpoint;
     bool strict = false;
-    bool enhanced = false;
-    int zero_clusters = 0;
     bool verify = false;
     bool has_data = false;
     streams::DataType data{};
@@ -154,63 +147,36 @@ Cli parse_module_args(int argc, char** argv, int start)
         usage(argv[0]);
     }
     cli.module_type = dp::module_type_from_id(argv[start]);
-    int i = start + 1;
-    while (i < argc && argv[i][0] != '-') {
-        cli.widths.push_back(parse_number<int>("width", argv[i]));
-        ++i;
-    }
+    cli::FlagReader args{argc, argv, start + 1};
+    cli.widths = args.widths();
     if (cli.widths.empty()) {
         std::cerr << "missing width(s)\n";
         usage(argv[0]);
     }
-    for (; i < argc; ++i) {
-        const std::string flag = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << "missing value for " << flag << '\n';
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        auto next_number = [&]<typename T>(T& value) {
-            value = parse_number<T>(flag, next());
-        };
+    while (args.next()) {
+        const std::string& flag = args.flag();
+        if (cli.read(args)) {
+            continue;
+        }
         if (flag == "--models") {
-            cli.models_dir = next();
-        } else if (flag == "--budget") {
-            next_number(cli.budget);
+            cli.models_dir = args.value();
         } else if (flag == "--patterns") {
-            next_number(cli.patterns);
+            args.number(cli.patterns);
         } else if (flag == "--top") {
-            next_number(cli.top_k);
+            args.number(cli.top_k);
         } else if (flag == "--threads") {
-            next_number(cli.threads);
-        } else if (flag == "--backend") {
-            const std::string backend = next();
-            if (backend == "event") {
-                cli.backend = core::CharBackend::EventKernel;
-            } else if (backend == "emulation") {
-                cli.backend = core::CharBackend::PowerEmulation;
-            } else {
-                std::cerr << "unknown backend '" << backend
-                          << "' (use event or emulation)\n";
-                std::exit(2);
-            }
-        } else if (flag == "--calibration") {
-            next_number(cli.calibration);
-        } else if (flag == "--shard-size") {
-            next_number(cli.shard_size);
+            args.number(cli.threads);
         } else if (flag == "--checkpoint") {
-            cli.checkpoint = next();
+            cli.checkpoint = args.value();
         } else if (flag == "--strict") {
             cli.strict = true;
         } else if (flag == "--data") {
-            cli.data = parse_data_type(next());
+            cli.data = parse_data_type(args.value());
             cli.has_data = true;
         } else if (flag == "--stream") {
-            cli.stream_files.push_back(next());
+            cli.stream_files.push_back(args.value());
         } else if (flag == "--simd") {
-            const std::string tier = next();
+            const std::string tier = args.value();
             bool ok = false;
             cli.simd = util::cpu::parse_level(tier, &ok);
             if (!ok) {
@@ -219,19 +185,14 @@ Cli parse_module_args(int argc, char** argv, int start)
                 std::exit(2);
             }
         } else if (flag == "--repeat") {
-            next_number(cli.repeat);
+            args.number(cli.repeat);
             cli.repeat = std::max<std::size_t>(1, cli.repeat);
         } else if (flag == "--verify") {
             cli.verify = true;
         } else if (flag == "--corner") {
-            cli.corner = gate::parse_corner(next());
+            cli.corner = gate::parse_corner(args.value());
         } else if (flag == "--corners") {
-            cli.corners = parse_corner_list(next());
-        } else if (flag == "--enhanced") {
-            cli.enhanced = true;
-            if (i + 1 < argc && argv[i + 1][0] != '-') {
-                cli.zero_clusters = parse_number<int>(flag, argv[++i]);
-            }
+            cli.corners = parse_corner_list(args.value());
         } else {
             std::cerr << "unknown flag '" << flag << "'\n";
             usage(argv[0]);
@@ -247,13 +208,8 @@ Cli parse_module_args(int argc, char** argv, int start)
 
 core::CharacterizationOptions char_options(const Cli& cli)
 {
-    core::CharacterizationOptions options;
-    options.max_transitions = cli.budget;
-    options.min_transitions = cli.budget / 2;
+    core::CharacterizationOptions options = cli.options();
     options.threads = cli.threads;
-    options.backend = cli.backend;
-    options.calibration_pairs = cli.calibration;
-    options.shard_size = cli.shard_size;
     options.checkpoint = cli.checkpoint;
     options.strict_faults = cli.strict;
     options.corner = cli.corner;

@@ -42,7 +42,6 @@
 #include "util/fault.hpp"
 
 using namespace hdpm;
-using cli::parse_number;
 
 namespace {
 
@@ -63,17 +62,11 @@ namespace {
     std::exit(2);
 }
 
-struct Cli {
+struct Cli : cli::CharFlags {
     dp::ModuleType module_type{};
     std::vector<int> widths;
     std::string fleet_dir;
     std::string models_dir = "hdpm_models";
-    std::size_t budget = 12000;
-    bool enhanced = false;
-    int zero_clusters = 0;
-    core::CharBackend backend = core::CharBackend::EventKernel;
-    std::size_t calibration = 512;
-    std::size_t shard_size = 0;
     std::size_t lease_shards = 4;
     double ttl_ms = 5000.0;
     double poll_ms = 50.0;
@@ -89,70 +82,38 @@ Cli parse_args(int argc, char** argv, int start)
         usage(argv[0]);
     }
     cli.module_type = dp::module_type_from_id(argv[start]);
-    int i = start + 1;
-    while (i < argc && argv[i][0] != '-') {
-        cli.widths.push_back(parse_number<int>("width", argv[i]));
-        ++i;
-    }
+    cli::FlagReader args{argc, argv, start + 1};
+    cli.widths = args.widths();
     if (cli.widths.empty()) {
         std::cerr << "missing width(s)\n";
         usage(argv[0]);
     }
-    for (; i < argc; ++i) {
-        const std::string flag = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << "missing value for " << flag << '\n';
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        auto next_number = [&]<typename T>(T& value) {
-            value = parse_number<T>(flag, next());
-        };
+    while (args.next()) {
+        const std::string& flag = args.flag();
+        if (cli.read(args)) {
+            continue;
+        }
         if (flag == "--fleet") {
-            cli.fleet_dir = next();
+            cli.fleet_dir = args.value();
         } else if (flag == "--models") {
-            cli.models_dir = next();
-        } else if (flag == "--budget") {
-            next_number(cli.budget);
-        } else if (flag == "--backend") {
-            const std::string backend = next();
-            if (backend == "event") {
-                cli.backend = core::CharBackend::EventKernel;
-            } else if (backend == "emulation") {
-                cli.backend = core::CharBackend::PowerEmulation;
-            } else {
-                std::cerr << "unknown backend '" << backend
-                          << "' (use event or emulation)\n";
-                std::exit(2);
-            }
-        } else if (flag == "--calibration") {
-            next_number(cli.calibration);
-        } else if (flag == "--shard-size") {
-            next_number(cli.shard_size);
+            cli.models_dir = args.value();
         } else if (flag == "--lease-shards") {
-            next_number(cli.lease_shards);
+            args.number(cli.lease_shards);
         } else if (flag == "--ttl") {
-            next_number(cli.ttl_ms);
+            args.number(cli.ttl_ms);
         } else if (flag == "--poll") {
-            next_number(cli.poll_ms);
+            args.number(cli.poll_ms);
         } else if (flag == "--idle-timeout") {
-            next_number(cli.idle_timeout_ms);
+            args.number(cli.idle_timeout_ms);
         } else if (flag == "--plan-wait") {
-            next_number(cli.plan_wait_ms);
+            args.number(cli.plan_wait_ms);
         } else if (flag == "--worker-id") {
-            cli.worker_id = next();
+            cli.worker_id = args.value();
             if (!fleet::valid_worker_id(cli.worker_id)) {
                 std::cerr << "invalid value '" << cli.worker_id
                           << "' for --worker-id (use 1 to 64 characters of "
                              "[A-Za-z0-9._-])\n";
                 std::exit(2);
-            }
-        } else if (flag == "--enhanced") {
-            cli.enhanced = true;
-            if (i + 1 < argc && argv[i + 1][0] != '-') {
-                cli.zero_clusters = parse_number<int>(flag, argv[++i]);
             }
         } else {
             std::cerr << "unknown flag '" << flag << "'\n";
@@ -166,17 +127,6 @@ Cli parse_args(int argc, char** argv, int start)
     return cli;
 }
 
-core::CharacterizationOptions char_options(const Cli& cli)
-{
-    core::CharacterizationOptions options;
-    options.max_transitions = cli.budget;
-    options.min_transitions = cli.budget / 2;
-    options.backend = cli.backend;
-    options.calibration_pairs = cli.calibration;
-    options.shard_size = cli.shard_size;
-    return options;
-}
-
 int cmd_coordinate(const Cli& cli)
 {
     fleet::FleetOptions options;
@@ -186,7 +136,7 @@ int cmd_coordinate(const Cli& cli)
     options.widths = cli.widths;
     options.enhanced = cli.enhanced;
     options.zero_clusters = cli.zero_clusters;
-    options.char_options = char_options(cli);
+    options.char_options = cli.options();
     options.lease_shards = cli.lease_shards;
     options.lease_ttl_ms = cli.ttl_ms;
     options.poll_ms = cli.poll_ms;
@@ -214,7 +164,7 @@ int cmd_work(const Cli& cli)
     options.fleet_dir = cli.fleet_dir;
     options.module_type = cli.module_type;
     options.widths = cli.widths;
-    options.char_options = char_options(cli);
+    options.char_options = cli.options();
     options.worker_id = cli.worker_id;
     options.poll_ms = cli.poll_ms;
     options.plan_wait_ms = cli.plan_wait_ms;

@@ -27,7 +27,6 @@
 #include "serve/server.hpp"
 
 using namespace hdpm;
-using cli::parse_number;
 
 namespace {
 
@@ -71,47 +70,35 @@ extern "C" void handle_shutdown_signal(int)
 int main(int argc, char** argv)
 {
     serve::ServerOptions options;
-    for (int i = 1; i < argc; ++i) {
-        const std::string flag = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << "missing value for " << flag << '\n';
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        auto next_number = [&]<typename T>(T& value) {
-            value = parse_number<T>(flag, next());
-        };
+    cli::FlagReader args{argc, argv, 1};
+    while (args.next()) {
+        const std::string& flag = args.flag();
         if (flag == "--socket") {
-            options.unix_path = next();
+            options.unix_path = args.value();
         } else if (flag == "--tcp") {
             options.tcp = true;
-            if (i + 1 < argc && argv[i + 1][0] != '-') {
-                options.tcp_port = parse_number<std::uint16_t>(flag, argv[++i]);
-            }
+            args.optional_number(options.tcp_port);
         } else if (flag == "--models") {
-            options.models_dir = next();
+            options.models_dir = args.value();
         } else if (flag == "--workers") {
-            next_number(options.workers);
+            args.number(options.workers);
         } else if (flag == "--queue") {
-            next_number(options.accept_queue);
+            args.number(options.accept_queue);
         } else if (flag == "--threads") {
-            next_number(options.kernel.threads);
+            args.number(options.kernel.threads);
         } else if (flag == "--budget") {
-            next_number(options.char_options.max_transitions);
-            options.char_options.min_transitions =
-                options.char_options.max_transitions / 2;
+            cli::set_budget(options.char_options,
+                            cli::parse_number<std::size_t>(flag, args.value()));
         } else if (flag == "--hist-entries") {
-            next_number(options.histogram_cache_entries);
+            args.number(options.histogram_cache_entries);
         } else if (flag == "--hist-bytes") {
-            next_number(options.histogram_cache_bytes);
+            args.number(options.histogram_cache_bytes);
         } else if (flag == "--model-entries") {
-            next_number(options.model_cache_entries);
+            args.number(options.model_cache_entries);
         } else if (flag == "--drain-timeout") {
-            next_number(options.drain_timeout_ms);
+            args.number(options.drain_timeout_ms);
         } else if (flag == "--idle-timeout") {
-            next_number(options.idle_timeout_ms);
+            args.number(options.idle_timeout_ms);
         } else {
             std::cerr << "unknown flag '" << flag << "'\n";
             usage(argv[0]);

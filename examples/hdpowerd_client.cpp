@@ -140,10 +140,8 @@ int main(int argc, char** argv)
 
         // estimate <module> <width...> [flags]
         const dp::ModuleType type = dp::module_type_from_id(argv[i++]);
-        std::vector<int> widths;
-        while (i < argc && argv[i][0] != '-') {
-            widths.push_back(parse_number<int>("width", argv[i++]));
-        }
+        cli::FlagReader args{argc, argv, i};
+        const std::vector<int> widths = args.widths();
         std::size_t patterns = 2000;
         std::size_t repeat = 1;
         bool enhanced = false;
@@ -152,31 +150,23 @@ int main(int argc, char** argv)
         bool has_data = false;
         streams::DataType data{};
         std::optional<gate::Corner> corner;
-        for (; i < argc; ++i) {
-            const std::string flag = argv[i];
-            auto next = [&]() -> std::string {
-                if (i + 1 >= argc) {
-                    std::cerr << "missing value for " << flag << '\n';
-                    std::exit(2);
-                }
-                return argv[++i];
-            };
+        while (args.next()) {
+            const std::string& flag = args.flag();
             if (flag == "--data") {
-                data = parse_data_type(next());
+                data = parse_data_type(args.value());
                 has_data = true;
             } else if (flag == "--patterns") {
-                patterns = parse_number<std::size_t>(flag, next());
+                args.number(patterns);
             } else if (flag == "--repeat") {
-                repeat = std::max<std::size_t>(1, parse_number<std::size_t>(flag, next()));
+                args.number(repeat);
+                repeat = std::max<std::size_t>(1, repeat);
             } else if (flag == "--seed") {
-                seed = parse_number<std::uint64_t>(flag, next());
+                args.number(seed);
             } else if (flag == "--enhanced") {
                 enhanced = true;
-                if (i + 1 < argc && argv[i + 1][0] != '-') {
-                    zero_clusters = parse_number<int>(flag, argv[++i]);
-                }
+                args.optional_number(zero_clusters);
             } else if (flag == "--corner") {
-                corner = gate::parse_corner(next());
+                corner = gate::parse_corner(args.value());
             } else {
                 usage(argv[0]);
             }

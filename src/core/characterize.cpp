@@ -255,8 +255,9 @@ struct CalibrationTotals;
 
 /// Per-net scoring weights of one timing class at its class-nominal
 /// corner, with the internal-energy part of each (gate::ChargeLaw's q and
-/// q_int). A corner of the class scores with law.apply(charge, internal);
-/// internal is empty when no corner of the class has a temperature term.
+/// q_int), whose sums over a transition's toggles are the class's (Q,
+/// Q_int) for SweepPlan::derive. internal is empty when no corner of the
+/// class has a temperature term.
 struct ClassWeights {
     std::vector<double> charge;
     std::vector<double> internal;
@@ -280,10 +281,36 @@ struct SweepPlan {
     /// Fit the weights from the calibration totals of every piece.
     void fit(const CalibrationTotals& cal);
 
-    /// Simulate shard @p shard and return its blocks; the shard's failure
-    /// propagates. @p tick is the mid-shard heartbeat (ShardRunner::TickFn).
+    /// Simulate shard @p shard (past the ShardException fault hook) and
+    /// return its blocks; the shard's failure propagates. @p tick is the
+    /// mid-shard heartbeat (ShardRunner::TickFn).
     [[nodiscard]] SweepShard run(std::size_t shard,
                                  const std::function<void()>& tick = {}) const;
+
+    /// The one derivation of both backends: append @p rec to the block of
+    /// every corner k of timing class @p c, charged laws[k].apply(charge,
+    /// internal) from the class's (Q, Q_int) of the transition.
+    void derive(std::size_t c, CharacterizationRecord rec, double charge, double internal,
+                SweepShard& out) const
+    {
+        for (const std::size_t k : classes[c]) {
+            rec.charge_fc = laws[k].apply(charge, internal);
+            out.blocks[k].push_back(rec);
+        }
+    }
+
+    /// derive() every class scored through weights, from @p sum(set): the
+    /// transition's toggle-weighted sum over sets[set].
+    template <typename Sum>
+    void derive_weighted(const CharacterizationRecord& rec, const Sum& sum,
+                         SweepShard& out) const
+    {
+        std::size_t set = 0;
+        for (std::size_t c = zero_delay() ? 0 : 1; c < classes.size(); ++c) {
+            const double charge = sum(set++);
+            derive(c, rec, charge, class_weights[c].internal.empty() ? 0.0 : sum(set++), out);
+        }
+    }
 
     [[nodiscard]] std::size_t corners() const noexcept { return laws.size(); }
     [[nodiscard]] bool zero_delay() const noexcept
@@ -324,33 +351,13 @@ struct SweepPlan {
     /// of every class but class 0, which the shard simulation scores
     /// exactly; empty for class 0.
     std::vector<ClassWeights> class_weights;
-    /// Scoring weights, index-aligned with the corner list: the corner's
-    /// class weights folded through its law (fold_weights), or the class
-    /// weights themselves under an identity law. Empty for the corners of
-    /// an event plan's class 0.
-    std::vector<std::span<const double>> weights;
+    /// The weight sets shards score, spans into class_weights: per class
+    /// with weights, its charge weights, then its internal ones if any.
+    std::vector<std::span<const double>> sets;
     std::uint64_t calibration_pairs = 0; ///< emulation calibration, all classes
     double calibration_scale = 1.0;      ///< class 0's fitted residual scale
     std::uint64_t corner_calibration_pairs = 0; ///< event transfer calibration
-
-private:
-    /// weights[k] = laws[k].apply(class weights of corner k's class), per net.
-    void fold_weights();
-
-    /// The folded weights of the corners whose law is not the identity.
-    std::vector<std::vector<double>> folded_;
 };
-
-/// The fault-injection hook every shard runner passes before simulating.
-void inject_shard_fault(std::size_t shard)
-{
-    if (HDPM_FAULT_FIRE(util::FaultPoint::ShardException)) {
-        util::FaultContext context;
-        context.shard = static_cast<std::int64_t>(shard);
-        context.detail = "injected shard failure";
-        throw util::FaultError{util::FaultKind::ShardFailed, std::move(context)};
-    }
-}
 
 /// Event-kernel shard: simulate exactly @p count transitions of shard
 /// @p shard. Each shard is a self-contained stimulus stream — its own Rng
@@ -359,23 +366,17 @@ void inject_shard_fault(std::size_t shard)
 /// nothing here depends on which thread runs it or how many run
 /// concurrently: that is the whole determinism argument.
 ///
-/// The shard simulation runs at class 0's nominal corner. Every corner of
-/// class 0 shares its event stream exactly, so each record is the corner's
-/// law applied to the cycle charge and its internal part — the arithmetic
-/// an independent run at that corner performs. Corners of other classes
-/// are scored from per-cycle toggle tracking as dot products against the
-/// plan's transfer weights, iterating the cycle's toggled nets in
-/// first-toggle order — a deterministic function of the simulation. A
-/// one-class plan has no transfer weights and leaves the tracking off.
-SweepShard run_event_shard(const SweepPlan& plan, std::size_t shard, std::size_t count,
-                           const std::function<void()>& tick)
+/// The shard simulation runs at class 0's nominal corner, so the cycle
+/// charge and its internal part are class 0's (Q, Q_int). Every other
+/// class takes its (Q, Q_int) from per-cycle toggle tracking as dot
+/// products against its transfer weights, iterating the cycle's toggled
+/// nets in first-toggle order — a deterministic function of the
+/// simulation. SweepPlan::derive then scores every corner of each class,
+/// the arithmetic an independent run at that corner performs. A one-class
+/// plan has no transfer weights and leaves the tracking off.
+void run_event_shard(const SweepPlan& plan, std::size_t shard, std::size_t count,
+                     const std::function<void()>& tick, SweepShard& out)
 {
-    inject_shard_fault(shard);
-    SweepShard out;
-    out.blocks.resize(plan.corners());
-    for (auto& block : out.blocks) {
-        block.reserve(count);
-    }
     const std::vector<CharacterizationRecord>& scored = out.blocks[0];
 
     StimulusStream stimulus{plan.m, plan.mode, plan.options.seed, shard};
@@ -384,25 +385,16 @@ SweepShard run_event_shard(const SweepPlan& plan, std::size_t shard, std::size_t
     simulator.set_internal_charge_sum(plan.sum_internal);
     simulator.set_cycle_toggle_tracking(plan.classes.size() > 1);
 
-    const auto push = [&](CharacterizationRecord rec, const sim::CycleResult& cycle) {
-        for (const std::size_t k : plan.classes[0]) {
-            rec.charge_fc =
-                plan.laws[k].apply(cycle.charge_fc, simulator.cycle_internal_charge_fc());
-            out.blocks[k].push_back(rec);
-        }
-        for (std::size_t k = 1; k < out.blocks.size(); ++k) {
-            const std::span<const double> weights = plan.weights[k];
-            if (weights.empty()) {
-                continue; // scored exactly above
-            }
-            double charge = 0.0;
+    const auto push = [&](const CharacterizationRecord& rec, const sim::CycleResult& cycle) {
+        plan.derive(0, rec, cycle.charge_fc, simulator.cycle_internal_charge_fc(), out);
+        plan.derive_weighted(rec, [&](std::size_t set) {
+            double sum = 0.0;
             for (const netlist::NetId net : simulator.cycle_toggled_nets()) {
-                charge += weights[net] *
-                          static_cast<double>(simulator.cycle_toggle_count(net));
+                sum += plan.sets[set][net] *
+                       static_cast<double>(simulator.cycle_toggle_count(net));
             }
-            rec.charge_fc = charge;
-            out.blocks[k].push_back(rec);
-        }
+            return sum;
+        }, out);
         out.sim_transitions += cycle.transitions;
     };
 
@@ -454,29 +446,22 @@ SweepShard run_event_shard(const SweepPlan& plan, std::size_t shard, std::size_t
         }
     }
     out.kernel = simulator.kernel_stats();
-    return out;
 }
 
 /// Power-emulation shard: the *exact* stimulus stream run_event_shard
 /// draws for the same (seed, shard), settled word-parallel instead of
 /// event by event — no event simulator is constructed at all, which is the
 /// backend's whole speed argument. Zero-delay toggles are exactly
-/// corner-invariant, so one settle scores every corner: corner k's charges
-/// are toggle-weighted sums of the plan's weights[k] (per-net per-toggle
-/// charge with its class's calibrated glitch correction and its own law
-/// folded in), 64 pairs per settle_pairs call in pairs mode, 63
-/// transitions per settle pass in chain modes. Each corner accumulates in ascending net order, so its
-/// block is bit-identical to a one-corner run at that corner.
-SweepShard run_emulation_shard(const SweepPlan& plan, std::size_t shard,
-                               std::size_t count, const std::function<void()>& tick)
+/// corner-invariant, so one settle scores every timing class: a class's
+/// (Q, Q_int) are toggle-weighted sums of its glitch-corrected class
+/// weights, one weighted pass plus one internal pass for a class with a
+/// temperature corner, 64 pairs per settle_pairs call in pairs mode, 63
+/// transitions per settle pass in chain modes. Each set accumulates in
+/// ascending net order and SweepPlan::derive scores the corners, so every
+/// corner's block is bit-identical to a one-corner run at that corner.
+void run_emulation_shard(const SweepPlan& plan, std::size_t shard, std::size_t count,
+                         const std::function<void()>& tick, SweepShard& out)
 {
-    inject_shard_fault(shard);
-    const std::size_t corners = plan.weights.size();
-    SweepShard out;
-    out.blocks.resize(corners);
-    for (auto& block : out.blocks) {
-        block.reserve(count);
-    }
     StimulusStream stimulus{plan.m, plan.mode, plan.options.seed, shard};
     sim::BatchedEvaluator evaluator{*plan.contexts[0]};
 
@@ -484,7 +469,7 @@ SweepShard run_emulation_shard(const SweepPlan& plan, std::size_t shard,
         std::array<BitVec, kLanes> u_block;
         std::array<BitVec, kLanes> v_block;
         std::array<std::pair<int, int>, kLanes> cls_block; // (hd, zeros)
-        std::vector<std::array<double, kLanes>> charges(corners);
+        std::vector<std::array<double, kLanes>> charges(plan.sets.size());
 
         while (out.blocks[0].size() < count) {
             if (tick) {
@@ -496,22 +481,19 @@ SweepShard run_emulation_shard(const SweepPlan& plan, std::size_t shard,
             }
             evaluator.settle_pairs({u_block.data(), block}, {v_block.data(), block});
             out.emulation_passes += 2; // one settle per pair side
-            for (std::size_t k = 0; k < corners; ++k) {
-                evaluator.weighted_pair_charges(plan.weights[k],
-                                                {charges[k].data(), block});
+            for (std::size_t set = 0; set < plan.sets.size(); ++set) {
+                evaluator.weighted_pair_charges(plan.sets[set], {charges[set].data(), block});
             }
             for (const std::uint8_t toggles : evaluator.toggle_counts_per_net()) {
                 out.sim_transitions += toggles;
             }
             for (std::size_t j = 0; j < block; ++j) {
-                const std::uint64_t mask = (u_block[j] ^ v_block[j]).raw();
-                for (std::size_t k = 0; k < corners; ++k) {
-                    out.blocks[k].push_back({cls_block[j].first, cls_block[j].second,
-                                             charges[k][j], mask});
-                }
+                plan.derive_weighted({cls_block[j].first, cls_block[j].second, 0.0,
+                                      (u_block[j] ^ v_block[j]).raw()},
+                                     [&](std::size_t set) { return charges[set][j]; }, out);
             }
         }
-        return out;
+        return;
     }
 
     // Chain modes: materialize the shard's chain (Hd = 0 steps are already
@@ -531,19 +513,15 @@ SweepShard run_emulation_shard(const SweepPlan& plan, std::size_t shard,
         tick();
     }
 
-    std::vector<std::vector<double>> charges(corners);
+    std::vector<std::vector<double>> charges(plan.sets.size());
     std::vector<std::uint64_t> toggles;
-    evaluator.count_weighted_toggles(chain, plan.weights, charges, toggles);
+    evaluator.count_weighted_toggles(chain, plan.sets, charges, toggles);
     out.emulation_passes += (chain.size() - 2) / (kLanes - 1) + 1;
     for (std::size_t i = 0; i < count; ++i) {
-        CharacterizationRecord rec = chain_record(chain[i], chain[i + 1]);
-        for (std::size_t k = 0; k < corners; ++k) {
-            rec.charge_fc = charges[k][i];
-            out.blocks[k].push_back(rec);
-        }
+        plan.derive_weighted(chain_record(chain[i], chain[i + 1]),
+                             [&](std::size_t set) { return charges[set][i]; }, out);
         out.sim_transitions += toggles[i];
     }
-    return out;
 }
 
 /// Per-net base charge per toggle under the event kernel's accounting, and
@@ -862,34 +840,13 @@ SweepPlan::SweepPlan(const dp::DatapathModule& module,
     class_weights.resize(classes.size());
     for (std::size_t c = zero_delay() ? 0 : 1; c < classes.size(); ++c) {
         class_weights[c] = base_charge_weights(*contexts[c], sim_options, has_internal(c));
-    }
-    sum_internal = !zero_delay() && has_internal(0);
-    fold_weights();
-    pieces = calibration_pieces(options);
-}
-
-void SweepPlan::fold_weights()
-{
-    weights.assign(corners(), {});
-    folded_.clear();
-    folded_.reserve(corners()); // the spans below point into these rows
-    for (std::size_t c = 0; c < classes.size(); ++c) {
-        const ClassWeights& base = class_weights[c];
-        for (const std::size_t k : classes[c]) {
-            // An identity law scores with the class weights themselves:
-            // 1 · (q + 0 · q_int) is q bit for bit.
-            if (laws[k].supply_ratio == 1.0 && laws[k].internal_excess == 0.0) {
-                weights[k] = base.charge;
-                continue;
-            }
-            std::vector<double>& folded = folded_.emplace_back(base.charge.size());
-            for (std::size_t net = 0; net < base.charge.size(); ++net) {
-                folded[net] = laws[k].apply(base.charge[net],
-                                            base.internal.empty() ? 0.0 : base.internal[net]);
-            }
-            weights[k] = folded;
+        sets.emplace_back(class_weights[c].charge);
+        if (has_internal(c)) {
+            sets.emplace_back(class_weights[c].internal);
         }
     }
+    sum_internal = !zero_delay() && has_internal(0);
+    pieces = calibration_pieces(options);
 }
 
 // Calibration is a pure function of the stimulus plan and corner list (its
@@ -897,7 +854,7 @@ void SweepPlan::fold_weights()
 // the id space), so every process running shards of this plan — and every
 // resumed run — fits identical weights; nothing about it needs journaling.
 // It simulates and fits once per timing class, at the class-nominal corner;
-// the class's corners take the fitted weights through their laws.
+// the class's corners derive their charges from the fitted weights' sums.
 // Emulation: each class's glitch correction is fit_toggle_correction'd
 // from the zero-delay toggles (scored) to its event toggles (reference)
 // against its charges. Event kernel: a class other than class 0 gets
@@ -920,18 +877,27 @@ void SweepPlan::fit(const CalibrationTotals& cal)
             calibration_scale = scale;
         }
     }
-    fold_weights();
     const std::uint64_t pairs = options.calibration_pairs * classes.size();
     (emulation ? calibration_pairs : corner_calibration_pairs) = pairs;
 }
 
 SweepShard SweepPlan::run(std::size_t shard, const std::function<void()>& tick) const
 {
+    if (HDPM_FAULT_FIRE(util::FaultPoint::ShardException)) {
+        util::FaultContext context;
+        context.shard = static_cast<std::int64_t>(shard);
+        context.detail = "injected shard failure";
+        throw util::FaultError{util::FaultKind::ShardFailed, std::move(context)};
+    }
     const std::size_t count =
         std::min(shard_size, options.max_transitions - shard * shard_size);
-    return options.backend == CharBackend::PowerEmulation
-               ? run_emulation_shard(*this, shard, count, tick)
-               : run_event_shard(*this, shard, count, tick);
+    SweepShard out;
+    out.blocks.resize(corners());
+    for (auto& block : out.blocks) {
+        block.reserve(count);
+    }
+    (zero_delay() ? run_emulation_shard : run_event_shard)(*this, shard, count, tick, out);
+    return out;
 }
 
 /// The resumable shard prefix of the journal at @p path. Only a journal
@@ -1054,7 +1020,6 @@ std::vector<std::vector<CharacterizationRecord>> collect_sweep(
         plan.fit(run_calibration(plan, pool));
     }
     const std::size_t corners = plan.corners();
-    const bool emulation = options.backend == CharBackend::PowerEmulation;
     const std::string module_key = module_journal_key(module);
 
     CharRunStats stats;
@@ -1185,7 +1150,7 @@ std::vector<std::vector<CharacterizationRecord>> collect_sweep(
             stats.emulation_passes += result.emulation_passes;
             stats.max_queue_depth =
                 std::max(stats.max_queue_depth, result.kernel.max_queue_depth);
-            if (emulation) {
+            if (plan.zero_delay()) {
                 stats.emulated_pairs += result.blocks[0].size() * corners;
             }
             ++stats.shards;

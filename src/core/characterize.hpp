@@ -268,25 +268,26 @@ public:
     /// of one load class share one event stream exactly, and only their
     /// charge per toggle differs by the exact law gate::ChargeLaw. The
     /// sweep therefore builds one context and fits one calibration per load
-    /// class, at the class-nominal corner (native supply, 25 °C), and
-    /// derives every (Vdd, T) corner of the class by its law:
+    /// class, at the class-nominal corner (native supply, 25 °C). Per
+    /// transition each load class yields its nominal charge Q and that
+    /// charge's internal part Q_int, and every (Vdd, T) corner of the
+    /// class takes a·(Q + b·Q_int) by its law, in both backends:
     ///
     ///  - PowerEmulation: zero-delay toggles are exactly corner-invariant,
-    ///    so each shard settles once and K weighted dot products score the
-    ///    K corners. The event-kernel glitch calibration runs and fits once
-    ///    per load class; each corner scores with the class's fitted
-    ///    weights folded through its law, as an independent single-corner
-    ///    run at that corner does, so every corner's records are
-    ///    bit-identical to that run.
-    ///  - EventKernel: the corners of corners[0]'s load class are derived
-    ///    exactly from the one shard simulation (its cycle charge and the
-    ///    cycle's internal part,
-    ///    sim::EventSimulator::cycle_internal_charge_fc), each
-    ///    bit-identical to a single-corner run at that corner; corners
-    ///    of other load classes are scored from its per-cycle toggle
-    ///    vectors through transfer weights calibrated on a deterministic
-    ///    event-kernel subsample, once per load class (approximate, within
-    ///    the calibrated tolerance).
+    ///    so each shard settles once and scores each load class with its
+    ///    weights, glitch-calibrated once per class: one weighted pass for
+    ///    Q, plus one for Q_int when a corner has a temperature term.
+    ///  - EventKernel: corners[0]'s load class takes (Q, Q_int) from the
+    ///    shard simulation (its cycle charge and
+    ///    sim::EventSimulator::cycle_internal_charge_fc); other load
+    ///    classes from its per-cycle toggle vectors through transfer
+    ///    weights calibrated on a deterministic event-kernel subsample,
+    ///    once per load class (approximate, within the calibrated
+    ///    tolerance).
+    ///
+    /// Every emulation corner, and every event corner of corners[0]'s load
+    /// class, is bit-identical to an independent single-corner run at that
+    /// corner, which derives its records the same way.
     ///
     /// Element k of the result aligns with options.corners[k]. Convergence
     /// is tracked per corner (a corner's record stream stops exactly where
@@ -376,7 +377,7 @@ struct CalibrationPieceResult {
 /// Runs single stimulus shards of a characterization plan — the unit of
 /// distribution. A ShardRunner owns everything a shard simulation needs
 /// (the compiled SimContext, the options, and — for the power-emulation
-/// backend — the calibrated weight vector) so shard @p i of the plan can be
+/// backend — the calibrated class weights) so shard @p i of the plan can be
 /// simulated in any process, on any host, and produce the identical record
 /// block: the stream is seeded `seed ^ splitmix64(i)` and nothing about it
 /// depends on which shards ran before or elsewhere. This is exactly the

@@ -29,8 +29,11 @@ namespace hdpm::core {
 /// stay valid. 1: timing is a dilation of the load class's nominal delays
 /// (gate::TechLibrary::at). 2: every (Vdd, T) corner is derived from its
 /// load class's nominal charges by gate::ChargeLaw, with one calibration
-/// fit per load class.
-inline constexpr std::uint64_t kCornerTimingStamp = 2;
+/// fit per load class. 3: both backends apply that law to each class's
+/// summed charges a·(Q + b·Q_int), not to per-net weights, so emulation and
+/// transfer records off the class-nominal corner move by rounding and
+/// stamp-2 models and journals are recharacterized, never mixed in.
+inline constexpr std::uint64_t kCornerTimingStamp = 3;
 
 /// A directory-backed store of characterized macro-models.
 ///
@@ -122,6 +125,9 @@ public:
     {
         return directory_;
     }
+
+    /// The technology library models are characterized under.
+    [[nodiscard]] const gate::TechLibrary& technology() const noexcept { return *library_; }
 
     /// Corrupt model files set aside (".corrupt") by this instance.
     [[nodiscard]] std::uint64_t models_quarantined() const noexcept

@@ -29,6 +29,17 @@ double alpha_power_factor(double vdd, double vth)
     return vdd / std::pow(vdd - vth, kAlphaPower);
 }
 
+/// The library-free part of the one corner check, shared by parse_corner
+/// and TechLibrary::corner_supply: the supply is 0 (native) or finite in
+/// (0, 20) V, the temperature in [−100, 300] °C.
+void check_corner(const Corner& corner)
+{
+    HDPM_REQUIRE(corner.vdd_v == 0.0 || (corner.vdd_v > 0.0 && corner.vdd_v < 20.0),
+                 "corner supply out of range: ", corner.vdd_v, " V");
+    HDPM_REQUIRE(corner.temp_c >= -100.0 && corner.temp_c <= 300.0,
+                 "corner temperature out of range: ", corner.temp_c, " C");
+}
+
 } // namespace
 
 const char* load_class_name(LoadClass load) noexcept
@@ -110,10 +121,8 @@ Corner parse_corner(std::string_view spec)
             fail();
         }
     }
-    HDPM_REQUIRE(corner.vdd_v > 0.0 && corner.vdd_v < 20.0,
-                 "corner supply out of range: ", corner.vdd_v, " V");
-    HDPM_REQUIRE(corner.temp_c >= -100.0 && corner.temp_c <= 300.0,
-                 "corner temperature out of range: ", corner.temp_c, " C");
+    HDPM_REQUIRE(corner.vdd_v != 0.0, "corner supply out of range: 0 V");
+    check_corner(corner);
     return corner;
 }
 
@@ -147,14 +156,20 @@ TechLibrary TechLibrary::derived(std::string name, double vdd_v,
     return out;
 }
 
+double TechLibrary::corner_supply(const Corner& corner) const
+{
+    check_corner(corner);
+    const double v = corner.vdd_v != 0.0 ? corner.vdd_v : vdd_v_;
+    const double vth = kVthFraction * vdd_v_;
+    HDPM_REQUIRE(v > vth, "corner supply ", v, " V at or below the threshold ", vth,
+                 " V of library '", name_, "'");
+    return v;
+}
+
 ChargeLaw TechLibrary::corner_charge_law(const Corner& corner) const
 {
-    const double v = corner.vdd_v > 0.0 ? corner.vdd_v : vdd_v_;
-    HDPM_REQUIRE(v > 0.0 && v < 20.0, "corner supply out of range: ", v, " V");
-    HDPM_REQUIRE(corner.temp_c >= -100.0 && corner.temp_c <= 300.0,
-                 "corner temperature out of range: ", corner.temp_c, " C");
-    (void)corner_delay_scale(corner); // refuses a supply at or below threshold
-    return {v / vdd_v_, kEnergyTempPerC * (corner.temp_c - kNominalTempC)};
+    return {corner_supply(corner) / vdd_v_,
+            kEnergyTempPerC * (corner.temp_c - kNominalTempC)};
 }
 
 double TechLibrary::corner_energy_scale(const Corner& corner) const
@@ -165,19 +180,17 @@ double TechLibrary::corner_energy_scale(const Corner& corner) const
 
 double TechLibrary::corner_delay_scale(const Corner& corner) const
 {
-    const double v = corner.vdd_v > 0.0 ? corner.vdd_v : vdd_v_;
+    const double v = corner_supply(corner);
     const double vth = kVthFraction * vdd_v_;
-    HDPM_REQUIRE(v > vth, "corner supply ", v, " V at or below the threshold ",
-                 vth, " V of library '", name_, "'");
     return (alpha_power_factor(v, vth) / alpha_power_factor(vdd_v_, vth)) *
            (1.0 + kDelayTempPerC * (corner.temp_c - kNominalTempC));
 }
 
 TechLibrary TechLibrary::at(const Corner& corner) const
 {
-    const double v = corner.vdd_v > 0.0 ? corner.vdd_v : vdd_v_;
+    const double v = corner_supply(corner);
     CellScaling scaling;
-    scaling.energy_scale = corner_energy_scale(corner); // validates the corner
+    scaling.energy_scale = corner_energy_scale(corner);
     const double delay_scale = corner_delay_scale(corner);
     HDPM_REQUIRE(scaling.energy_scale > 0.0 && delay_scale > 0.0,
                  "corner scaling degenerate at ", corner.key());

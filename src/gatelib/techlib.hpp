@@ -49,7 +49,8 @@ struct Corner {
 
 /// Parse a corner spec "vdd:temp[:load]" — e.g. "0.9:85", "1.62:125:heavy",
 /// "3.3:25:l". Load accepts light/nominal/heavy or their first letters;
-/// omitted = nominal. Throws on malformed input.
+/// omitted = nominal. Throws on malformed input, a zero supply, and a
+/// supply or temperature out of TechLibrary::corner_supply's range.
 [[nodiscard]] Corner parse_corner(std::string_view spec);
 
 /// Exact per-field multipliers TechLibrary::derived applies to every cell:
@@ -167,6 +168,14 @@ public:
     /// Factor from class-nominal simulation time to reported time: 1 for a
     /// base library, corner_delay_scale for a corner-derived one.
     [[nodiscard]] double time_scale() const noexcept { return time_scale_; }
+
+    /// The supply @p corner runs at (its own, or the native one for 0), and
+    /// the one corner check, of every derivation below and of the server's
+    /// wire corners: throws PreconditionError for any other supply not
+    /// finite and strictly between the threshold and 20 V (so NaN, negative
+    /// and infinite supplies are refused, never read as native) and for a
+    /// temperature outside [−100, 300] °C.
+    [[nodiscard]] double corner_supply(const Corner& corner) const;
 
     /// The internal-energy multiplier at() applies for @p corner:
     /// a²·(1 + b) in the terms of corner_charge_law.

@@ -12,7 +12,6 @@
 #include <array>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 #include <utility>
 
@@ -491,17 +490,12 @@ std::vector<std::uint8_t> Server::handle_estimate(WireReader& reader)
                             error.what());
     }
 
-    // A wire corner is untrusted input: reject non-physical values here
-    // with a diagnostic instead of letting them reach the scaling physics
-    // (same bounds parse_corner enforces on the CLI).
-    if (request.corner.has_value() &&
-        (!std::isfinite(request.corner->vdd_v) || request.corner->vdd_v <= 0.0 ||
-         request.corner->vdd_v > 20.0 || !std::isfinite(request.corner->temp_c) ||
-         request.corner->temp_c < -100.0 || request.corner->temp_c > 300.0)) {
-        counters_.errors.fetch_add(1, std::memory_order_relaxed);
-        return encode_error(static_cast<std::uint8_t>(StatusCode::BadRequest),
-                            "corner outside the supported range "
-                            "(vdd in (0, 20] V, temp in [-100, 300] C)");
+    // A wire corner is untrusted input: the library's corner check refuses
+    // it (BadRequest) before the scaling physics, and like a CLI spec it
+    // names its supply, so the API's zero (native) spelling is refused too.
+    if (request.corner.has_value()) {
+        HDPM_REQUIRE(request.corner->vdd_v != 0.0, "corner supply out of range: 0 V");
+        (void)library_.technology().corner_supply(*request.corner);
     }
 
     const Clock::time_point start = Clock::now();

@@ -74,12 +74,13 @@ public:
     /// whose settled value differs between stream[j] and stream[j+1] —
     /// i.e. the zero-delay cycle charge of the transition when the set
     /// holds per-net per-toggle charge (the power-emulation chain scorer;
-    /// one set per corner). Same window-overlap contract (N vectors → N-1
-    /// sums). Per set and transition the weights accumulate in ascending
-    /// net order, so the floating-point result is deterministic and
-    /// independent of how many other sets share the call. @p counts
-    /// receives the unweighted toggle counts (count_toggles' result),
-    /// tallied in the first set's bit walk rather than a pass of its own.
+    /// a set per load class and per internal part). Same window-overlap
+    /// contract (N vectors → N-1 sums). Per set and transition the weights
+    /// accumulate in ascending net order, so the floating-point result is
+    /// deterministic and independent of how many other sets share the
+    /// call. @p counts receives the unweighted toggle counts
+    /// (count_toggles' result), tallied in the first set's bit walk rather
+    /// than a pass of its own.
     /// At least one set is required; every set must hold one entry per net.
     void count_weighted_toggles(std::span<const util::BitVec> stream,
                                 std::span<const std::span<const double>> weight_sets,

@@ -5,15 +5,20 @@
 //
 //  - power-emulation: each corner's record block is BIT-IDENTICAL to the
 //    independent single-corner run (the sweep reuses the settled toggle
-//    streams, which are corner-invariant, and accumulates each corner's own
-//    calibrated weights — the same arithmetic in the same order), with one
-//    glitch calibration per load class;
+//    streams, which are corner-invariant, scores each load class with its
+//    calibrated weights and derives every corner of the class by its law —
+//    the same arithmetic in the same order), with one glitch calibration
+//    per load class;
 //  - event-kernel: every corner of corner 0's load class is simulated
 //    exactly (bit-identical to its independent run); corners of other load
 //    classes are scored through calibrated transfer weights — an
 //    approximation that must stay within a documented tolerance at the
 //    aggregate level while remaining fully deterministic (bit-identical
 //    across thread counts and checkpoint resume).
+//
+// In both backends every corner of a load class is derived from that
+// class's nominal charges by the exact law, so a 25 °C corner is exactly
+// its supply ratio times its class-nominal corner, record by record.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +26,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -28,6 +34,7 @@
 #include "core/checkpoint.hpp"
 #include "core/enhanced_model.hpp"
 #include "gatelib/techlib.hpp"
+#include "util/error.hpp"
 #include "util/fault.hpp"
 
 namespace hdpm::core {
@@ -201,6 +208,81 @@ TEST(CornerSweep, EventSweepIsExactInCornerZerosLoadClassAndTransfersAreClose)
                         << corner_label;
                 }
             }
+        }
+    }
+}
+
+TEST(CornerSweep, SupplyCornersScaleTheirClassNominalRecordsExactly)
+{
+    // One derivation for both backends: per transition a load class yields
+    // its nominal charge Q and that charge's internal part Q_int, and each
+    // corner of the class takes a·(Q + b·Q_int). At 25 °C b is exactly 0,
+    // so every record of a supply-only corner is exactly a times the
+    // matching record of its class-nominal corner — also where the class
+    // charges come from weights (every emulation class, the event
+    // kernel's transfer classes), which weights folded per net through
+    // the law would round net by net.
+    const DatapathModule module = dp::make_module(ModuleType::RippleAdder, 4);
+    const Characterizer characterizer;
+    const gate::TechLibrary& library = gate::TechLibrary::generic350();
+    const auto check = [&](CharBackend backend, StimulusMode mode,
+                           const std::vector<gate::Corner>& corners) {
+        CharacterizationOptions options = sweep_options(backend, 4, mode);
+        options.corners = corners;
+        const auto sweep = characterizer.collect_records_corners(module, options);
+        ASSERT_EQ(sweep.size(), corners.size());
+        for (std::size_t k = 0; k < corners.size(); ++k) {
+            if (corners[k].temp_c != 25.0) {
+                continue;
+            }
+            const gate::Corner nominal{library.vdd(), 25.0, corners[k].load_class};
+            const auto n = static_cast<std::size_t>(
+                std::find(corners.begin(), corners.end(), nominal) - corners.begin());
+            ASSERT_LT(n, corners.size()) << corners[k].key();
+            const double a = library.corner_charge_law(corners[k]).supply_ratio;
+            const std::string label = std::string{char_backend_name(backend)} + " " +
+                                      mode_label(mode) + " " + corners[k].key();
+            ASSERT_EQ(sweep[k].size(), sweep[n].size()) << label;
+            for (std::size_t i = 0; i < sweep[k].size(); ++i) {
+                EXPECT_EQ(sweep[k][i].charge_fc, a * sweep[n][i].charge_fc)
+                    << label << " record " << i;
+                if (::testing::Test::HasFailure()) {
+                    return; // one mismatch tells the story
+                }
+            }
+        }
+    };
+    for (const StimulusMode mode : kModes) {
+        check(CharBackend::PowerEmulation, mode,
+              {{3.3, 25.0, gate::LoadClass::Nominal},
+               {2.7, 25.0, gate::LoadClass::Nominal},
+               {2.7, 85.0, gate::LoadClass::Nominal}});
+        check(CharBackend::EventKernel, mode,
+              {{3.3, 25.0, gate::LoadClass::Nominal},
+               {3.3, 25.0, gate::LoadClass::Heavy},
+               {2.7, 25.0, gate::LoadClass::Heavy}});
+    }
+}
+
+TEST(CornerCheck, NanNegativeOrInfiniteSupplyIsRefusedNotReadAsNative)
+{
+    // Zero is the API's spelling of the native supply; every other supply
+    // outside the range is refused, by the charge law and by a run alike.
+    const DatapathModule module = dp::make_module(ModuleType::RippleAdder, 4);
+    const Characterizer characterizer;
+    for (const double vdd : {std::numeric_limits<double>::quiet_NaN(), -1.0,
+                             std::numeric_limits<double>::infinity()}) {
+        const gate::Corner corner{vdd, 25.0, gate::LoadClass::Nominal};
+        EXPECT_THROW((void)gate::TechLibrary::generic350().corner_charge_law(corner),
+                     util::PreconditionError)
+            << vdd;
+        for (const CharBackend backend :
+             {CharBackend::EventKernel, CharBackend::PowerEmulation}) {
+            CharacterizationOptions options = sweep_options(backend, 1);
+            options.corner = corner;
+            EXPECT_THROW((void)characterizer.collect_records(module, options),
+                         util::PreconditionError)
+                << vdd << " V, " << char_backend_name(backend);
         }
     }
 }

@@ -193,9 +193,11 @@ TEST_F(ModelLibraryTest, LegacyFileWithoutFingerprintRecharacterizes)
 TEST_F(ModelLibraryTest, CornerTimingStampRetiresOnlyCornerQualifiedModels)
 {
     // Timing became a dilation of the load class's nominal delays (stamp 1),
-    // and then every (Vdd, T) corner became its load class's nominal charges
-    // under the exact charge law (stamp 2); each changed every model
-    // characterized away from the native corner. The pinned values are
+    // then every (Vdd, T) corner became its load class's nominal charges
+    // under the exact charge law (stamp 2), and then both backends applied
+    // that law to each class's summed charges instead of to per-net
+    // weights (stamp 3); each changed every model characterized away from
+    // the native corner. The pinned values are
     // quick()'s fingerprints and native model file from before those
     // changes: native-corner files keep their fingerprint and bytes and are
     // reused; a corner-qualified file under an old fingerprint is
@@ -226,8 +228,9 @@ TEST_F(ModelLibraryTest, CornerTimingStampRetiresOnlyCornerQualifiedModels)
 
     const gate::Corner corner{2.5, 85.0, gate::LoadClass::Nominal};
     options.corner = corner;
-    // The corner fingerprints before the dilation, and under stamp 1.
-    const std::array<std::string, 2> stale = {"cef0e3c2531dfe24", "4b4cff4e18df74c5"};
+    // The corner fingerprints before the dilation, and under stamps 1 and 2.
+    const std::array<std::string, 3> stale = {"cef0e3c2531dfe24", "4b4cff4e18df74c5",
+                                              "6a47c65723cebee6"};
     const std::uint64_t current = characterization_fingerprint(options, {});
     for (const std::string& old : stale) {
         EXPECT_NE(current, std::stoull(old, nullptr, 16));

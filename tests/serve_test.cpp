@@ -7,11 +7,13 @@
 /// SIGTERM-style drain.
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <sys/socket.h>
@@ -502,6 +504,36 @@ TEST(Serve, CornerRequestsDoNotAliasInTheModelCache)
         request.corner.reset();
         EXPECT_EQ(client.estimate(request).estimate_fc, native.estimate_fc);
     }
+    server.drain();
+}
+
+TEST(Serve, CornerCheckRefusesTwentyVoltsAndSubThresholdSupplies)
+{
+    // The wire corner passes the library's one corner check: 20 V is out of
+    // range and 0.5 V sits below generic350's 0.66 V threshold, so both are
+    // BadRequest answers that name the bound, before anything characterizes.
+    serve::ServerOptions options = quick_options("corner_check.sock");
+    options.models_dir = (test_dir() / "models_corner_check").string();
+    serve::Server server{options};
+    server.start();
+
+    serve::ServeClient client = serve::ServeClient::connect_unix(options.unix_path);
+    serve::EstimateRequest request = adder_request(client.register_trace(make_trace(78)));
+    const std::array<std::pair<double, const char*>, 2> refused = {
+        std::pair{20.0, "out of range"}, std::pair{0.5, "threshold"}};
+    for (const auto& [vdd, reason] : refused) {
+        request.corner = gate::Corner{vdd, 25.0, gate::LoadClass::Nominal};
+        try {
+            (void)client.estimate(request);
+            FAIL() << vdd << " V was accepted";
+        } catch (const serve::ServerError& error) {
+            EXPECT_EQ(error.status(),
+                      static_cast<std::uint8_t>(serve::StatusCode::BadRequest));
+            EXPECT_NE(std::string{error.what()}.find(reason), std::string::npos)
+                << error.what();
+        }
+    }
+    EXPECT_EQ(server.stats_snapshot().model_cache_misses, 0U);
     server.drain();
 }
 
