@@ -86,6 +86,14 @@ public:
         return true;
     }
 
+    /// Move to the next argument when it is a flag; false, consuming
+    /// nothing, at an operand or once every argument is read.
+    bool next_flag() { return next_ < argc_ && argv_[next_][0] == '-' && next(); }
+
+    /// The next argument, consumed as an operand; "" once every argument
+    /// is read.
+    std::string operand() { return next_ < argc_ ? argv_[next_++] : std::string{}; }
+
     [[nodiscard]] const std::string& flag() const noexcept { return flag_; }
 
     /// The flag's value, the next argument; a missing one is a usage error.

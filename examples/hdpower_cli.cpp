@@ -318,9 +318,8 @@ int cmd_characterize(const Cli& cli)
         options.corner = corners[k];
         return options;
     };
-    // Per corner: its model's average deviation, and whether it is stored.
+    // Per corner: its model's average deviation.
     std::vector<double> deviations(corners.size(), 0.0);
-    std::vector<bool> stored(corners.size(), true);
     bool all_stored = true;
     for (std::size_t k = 0; k < corners.size() && all_stored; ++k) {
         std::optional<double> deviation;
@@ -363,38 +362,26 @@ int cmd_characterize(const Cli& cli)
         std::cerr << '\n';
         degraded = report_shard_failures(stats);
 
-        // Store policy: a corner whose records are bit-identical to an
-        // independent single-corner run is published under that run's
-        // fingerprint — every corner under power emulation, and the
-        // corners of corner 0's load class under the event kernel. The
-        // event kernel scores other load classes through calibrated
-        // transfer weights (an approximation), which must NOT alias the
-        // exact fingerprint a later single-corner run would use.
-        const bool emulation = cli.backend == core::CharBackend::PowerEmulation;
-        const std::vector<std::size_t> exact_class = core::corner_classes(options)[0];
+        // Every corner's records are bit-identical to an independent
+        // single-corner run at that corner, so each is stored under that
+        // run's fingerprint.
         for (std::size_t k = 0; k < corners.size(); ++k) {
-            stored[k] = emulation || std::ranges::find(exact_class, k) != exact_class.end();
             if (cli.enhanced) {
                 const core::EnhancedHdModel model =
                     core::fit_enhanced_model(m, cli.zero_clusters, records[k]);
-                if (stored[k]) {
-                    library.store_enhanced(cli.module_type, cli.widths, cli.zero_clusters,
-                                           stored_options(k), model);
-                }
+                library.store_enhanced(cli.module_type, cli.widths, cli.zero_clusters,
+                                       stored_options(k), model);
                 deviations[k] = model.average_deviation();
             } else {
                 const core::HdModel model = core::fit_basic_model(m, records[k]);
-                if (stored[k]) {
-                    library.store_basic(cli.module_type, cli.widths, stored_options(k),
-                                        model);
-                }
+                library.store_basic(cli.module_type, cli.widths, stored_options(k), model);
                 deviations[k] = model.average_deviation();
             }
         }
     }
 
     util::TextTable table;
-    table.set_header({"corner", "model key", "avg deviation", "stored"});
+    table.set_header({"corner", "model key", "avg deviation"});
     table.set_alignment({util::Align::Left, util::Align::Left});
     for (std::size_t k = 0; k < corners.size(); ++k) {
         const std::optional<gate::Corner>& corner = corners[k];
@@ -404,8 +391,7 @@ int cmd_characterize(const Cli& cli)
                                       gate::load_class_name(corner->load_class)
                                 : "native",
              library.model_key(cli.module_type, cli.widths, corner),
-             util::TextTable::fmt(100.0 * deviations[k], 2) + "%",
-             stored[k] ? "yes" : "no (transfer approximation)"});
+             util::TextTable::fmt(100.0 * deviations[k], 2) + "%"});
     }
     std::cout << (cli.enhanced ? "enhanced" : "basic") << " models of "
               << module.display_name() << " (m = " << m << ") under "

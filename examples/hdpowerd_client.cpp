@@ -40,7 +40,6 @@
 
 using namespace hdpm;
 using cli::parse_data_type;
-using cli::parse_number;
 
 namespace {
 
@@ -66,28 +65,96 @@ int main(int argc, char** argv)
     std::uint16_t tcp_port = 0;
     serve::RetryPolicy retry;
     double timeout_seconds = 30.0;
-    int i = 1;
-    while (i < argc && argv[i][0] == '-') {
-        const std::string flag = argv[i];
-        if (flag == "--socket" && i + 1 < argc) {
-            socket_path = argv[++i];
-        } else if (flag == "--tcp" && i + 1 < argc) {
-            tcp_port = parse_number<std::uint16_t>(flag, argv[++i]);
-        } else if (flag == "--retries" && i + 1 < argc) {
-            retry.max_attempts = 1 + parse_number<unsigned>(flag, argv[++i]);
-        } else if (flag == "--timeout-ms" && i + 1 < argc) {
-            timeout_seconds = parse_number<double>(flag, argv[++i]) / 1000.0;
+    // An unknown flag is refused with the message the other binaries
+    // print, then the usage text.
+    const auto unknown_flag = [&](const std::string& flag) {
+        std::cerr << "unknown flag '" << flag << "'\n";
+        usage(argv[0]);
+    };
+    cli::FlagReader args{argc, argv, 1};
+    while (args.next_flag()) {
+        const std::string& flag = args.flag();
+        if (flag == "--socket") {
+            socket_path = args.value();
+        } else if (flag == "--tcp") {
+            args.number(tcp_port);
+        } else if (flag == "--retries") {
+            unsigned retries = 0;
+            args.number(retries);
+            retry.max_attempts = 1 + retries;
+        } else if (flag == "--timeout-ms") {
+            double timeout_ms = 0.0;
+            args.number(timeout_ms);
+            timeout_seconds = timeout_ms / 1000.0;
         } else {
-            usage(argv[0]);
+            unknown_flag(flag);
         }
-        ++i;
     }
-    if (i >= argc || (socket_path.empty() && tcp_port == 0)) {
+    const std::string command = args.operand();
+    if (command.empty() || (socket_path.empty() && tcp_port == 0)) {
         usage(argv[0]);
     }
-    const std::string command = argv[i++];
 
     try {
+        // The command's arguments are read before connecting, so a bad one
+        // is a usage error whether or not a daemon answers.
+        double hold_seconds = 30.0;
+        dp::ModuleType type{};
+        std::vector<int> widths;
+        std::size_t patterns = 2000;
+        std::size_t repeat = 1;
+        bool enhanced = false;
+        int zero_clusters = 0;
+        std::uint64_t seed = 2026;
+        bool has_data = false;
+        streams::DataType data{};
+        std::optional<gate::Corner> corner;
+        if (command == "hold") {
+            while (args.next()) {
+                if (args.flag() == "--seconds") {
+                    args.number(hold_seconds);
+                } else {
+                    unknown_flag(args.flag());
+                }
+            }
+        } else if (command == "estimate") {
+            // estimate <module> <width...> [flags]
+            const std::string module_id = args.operand();
+            if (module_id.empty()) {
+                usage(argv[0]);
+            }
+            type = dp::module_type_from_id(module_id);
+            widths = args.widths();
+            while (args.next()) {
+                const std::string& flag = args.flag();
+                if (flag == "--data") {
+                    data = parse_data_type(args.value());
+                    has_data = true;
+                } else if (flag == "--patterns") {
+                    args.number(patterns);
+                } else if (flag == "--repeat") {
+                    args.number(repeat);
+                    repeat = std::max<std::size_t>(1, repeat);
+                } else if (flag == "--seed") {
+                    args.number(seed);
+                } else if (flag == "--enhanced") {
+                    enhanced = true;
+                    args.optional_number(zero_clusters);
+                } else if (flag == "--corner") {
+                    corner = gate::parse_corner(args.value());
+                } else {
+                    unknown_flag(flag);
+                }
+            }
+            if (widths.empty() || !has_data) {
+                usage(argv[0]);
+            }
+        } else if (command != "ping" && command != "stats") {
+            usage(argv[0]);
+        } else if (args.next()) {
+            unknown_flag(args.flag()); // ping and stats take no arguments
+        }
+
         serve::ServeClient client =
             socket_path.empty()
                 ? serve::ServeClient::connect_tcp_retry(tcp_port, retry,
@@ -122,57 +189,10 @@ int main(int argc, char** argv)
         }
 
         if (command == "hold") {
-            double seconds = 30.0;
-            for (; i < argc; ++i) {
-                if (std::string{argv[i]} == "--seconds" && i + 1 < argc) {
-                    seconds = parse_number<double>("--seconds", argv[++i]);
-                }
-            }
             client.ping(); // prove the connection is being served
             std::cout << "holding\n" << std::flush;
-            std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
+            std::this_thread::sleep_for(std::chrono::duration<double>(hold_seconds));
             return 0;
-        }
-
-        if (command != "estimate" || i >= argc) {
-            usage(argv[0]);
-        }
-
-        // estimate <module> <width...> [flags]
-        const dp::ModuleType type = dp::module_type_from_id(argv[i++]);
-        cli::FlagReader args{argc, argv, i};
-        const std::vector<int> widths = args.widths();
-        std::size_t patterns = 2000;
-        std::size_t repeat = 1;
-        bool enhanced = false;
-        int zero_clusters = 0;
-        std::uint64_t seed = 2026;
-        bool has_data = false;
-        streams::DataType data{};
-        std::optional<gate::Corner> corner;
-        while (args.next()) {
-            const std::string& flag = args.flag();
-            if (flag == "--data") {
-                data = parse_data_type(args.value());
-                has_data = true;
-            } else if (flag == "--patterns") {
-                args.number(patterns);
-            } else if (flag == "--repeat") {
-                args.number(repeat);
-                repeat = std::max<std::size_t>(1, repeat);
-            } else if (flag == "--seed") {
-                args.number(seed);
-            } else if (flag == "--enhanced") {
-                enhanced = true;
-                args.optional_number(zero_clusters);
-            } else if (flag == "--corner") {
-                corner = gate::parse_corner(args.value());
-            } else {
-                usage(argv[0]);
-            }
-        }
-        if (widths.empty() || !has_data) {
-            usage(argv[0]);
         }
 
         const dp::DatapathModule module = dp::make_module(type, widths);

@@ -117,8 +117,6 @@ void print_characterization_report(std::ostream& os,
                << run.emulation_passes << " settle passes, calibrated on "
                << run.calibration_pairs << " event-kernel pairs (residual scale "
                << util::TextTable::fmt(run.calibration_scale, 4) << ")";
-        } else if (run.corner_calibration_pairs > 0) {
-            os << ", " << run.corner_calibration_pairs << " transfer-calibration pairs";
         }
         os << '\n';
         if (run.shards_resumed > 0) {

@@ -299,17 +299,26 @@ struct SweepPlan {
         }
     }
 
-    /// derive() every class scored through weights, from @p sum(set): the
+    /// derive() every class of an emulation plan from @p sum(set): the
     /// transition's toggle-weighted sum over sets[set].
     template <typename Sum>
     void derive_weighted(const CharacterizationRecord& rec, const Sum& sum,
                          SweepShard& out) const
     {
         std::size_t set = 0;
-        for (std::size_t c = zero_delay() ? 0 : 1; c < classes.size(); ++c) {
+        for (std::size_t c = 0; c < classes.size(); ++c) {
             const double charge = sum(set++);
             derive(c, rec, charge, class_weights[c].internal.empty() ? 0.0 : sum(set++), out);
         }
+    }
+
+    /// Some corner of timing class @p c needs the internal charge Q_int
+    /// (its law has a temperature term).
+    [[nodiscard]] bool has_internal(std::size_t c) const
+    {
+        return std::ranges::any_of(classes[c], [&](std::size_t k) {
+            return laws[k].internal_excess != 0.0;
+        });
     }
 
     [[nodiscard]] std::size_t corners() const noexcept { return laws.size(); }
@@ -335,82 +344,76 @@ struct SweepPlan {
     /// One immutable context (electrical view, fanout CSR, topo order) per
     /// timing class, shared read-only by every shard's simulators: the
     /// class-nominal library (the load class at native supply and 25 °C),
-    /// or the base library itself for a native single-corner run. Shards
-    /// simulate on contexts[0].
+    /// or the base library itself for a native single-corner run.
     std::vector<std::unique_ptr<sim::SimContext>> contexts;
     /// Per corner: its charge law relative to its class's context (the
     /// identity for a native single-corner run).
     std::vector<gate::ChargeLaw> laws;
-    /// Event kernel: some corner of class 0 needs the cycles' internal
-    /// charge (its law has a temperature term).
-    bool sum_internal = false;
     /// The calibration's pieces (calibration_pieces(options)).
     std::vector<CalibrationPiece> pieces;
-    /// Per timing class: its class-nominal weights. Power emulation: every
-    /// class, glitch-corrected by fit(). Event kernel: the transfer weights
-    /// of every class but class 0, which the shard simulation scores
-    /// exactly; empty for class 0.
+    /// Power emulation: per timing class, its class-nominal weights,
+    /// glitch-corrected by fit(). Empty for the event kernel, which
+    /// simulates every class.
     std::vector<ClassWeights> class_weights;
-    /// The weight sets shards score, spans into class_weights: per class
-    /// with weights, its charge weights, then its internal ones if any.
+    /// The weight sets shards score, spans into class_weights: per class,
+    /// its charge weights, then its internal ones if any.
     std::vector<std::span<const double>> sets;
     std::uint64_t calibration_pairs = 0; ///< emulation calibration, all classes
     double calibration_scale = 1.0;      ///< class 0's fitted residual scale
-    std::uint64_t corner_calibration_pairs = 0; ///< event transfer calibration
 };
 
 /// Event-kernel shard: simulate exactly @p count transitions of shard
 /// @p shard. Each shard is a self-contained stimulus stream — its own Rng
 /// (seeded seed^splitmix64(shard)), stratification cycles and start vector,
-/// and its own EventSimulator over the shared immutable context — so
+/// and its own EventSimulators over the shared immutable contexts — so
 /// nothing here depends on which thread runs it or how many run
 /// concurrently: that is the whole determinism argument.
 ///
-/// The shard simulation runs at class 0's nominal corner, so the cycle
-/// charge and its internal part are class 0's (Q, Q_int). Every other
-/// class takes its (Q, Q_int) from per-cycle toggle tracking as dot
-/// products against its transfer weights, iterating the cycle's toggled
-/// nets in first-toggle order — a deterministic function of the
-/// simulation. SweepPlan::derive then scores every corner of each class,
-/// the arithmetic an independent run at that corner performs. A one-class
-/// plan has no transfer weights and leaves the tracking off.
+/// Each timing class has its own simulator at its class-nominal corner,
+/// and all of them run in lockstep on the shard's one stimulus draw. A
+/// class takes (Q, Q_int) from its own cycle (its charge and
+/// sim::EventSimulator::cycle_internal_charge_fc), and SweepPlan::derive
+/// scores every corner of the class from them: the arithmetic an
+/// independent run at that corner performs, so every corner's block is
+/// bit-identical to it.
 void run_event_shard(const SweepPlan& plan, std::size_t shard, std::size_t count,
                      const std::function<void()>& tick, SweepShard& out)
 {
     const std::vector<CharacterizationRecord>& scored = out.blocks[0];
 
     StimulusStream stimulus{plan.m, plan.mode, plan.options.seed, shard};
-    const sim::SimContext& context = *plan.contexts[0];
-    sim::EventSimulator simulator{context, plan.sim_options};
-    simulator.set_internal_charge_sum(plan.sum_internal);
-    simulator.set_cycle_toggle_tracking(plan.classes.size() > 1);
+    std::vector<sim::EventSimulator> simulators;
+    simulators.reserve(plan.classes.size());
+    for (std::size_t c = 0; c < plan.classes.size(); ++c) {
+        simulators.emplace_back(*plan.contexts[c], plan.sim_options);
+        simulators.back().set_internal_charge_sum(plan.has_internal(c));
+    }
 
-    const auto push = [&](const CharacterizationRecord& rec, const sim::CycleResult& cycle) {
-        plan.derive(0, rec, cycle.charge_fc, simulator.cycle_internal_charge_fc(), out);
-        plan.derive_weighted(rec, [&](std::size_t set) {
-            double sum = 0.0;
-            for (const netlist::NetId net : simulator.cycle_toggled_nets()) {
-                sum += plan.sets[set][net] *
-                       static_cast<double>(simulator.cycle_toggle_count(net));
-            }
-            return sum;
-        }, out);
-        out.sim_transitions += cycle.transitions;
+    // Apply one transition to every class's simulator through @p apply
+    // and derive the class's corners from its cycle.
+    const auto push = [&](const CharacterizationRecord& rec, const auto& apply) {
+        for (std::size_t c = 0; c < simulators.size(); ++c) {
+            const sim::CycleResult cycle = apply(simulators[c]);
+            plan.derive(c, rec, cycle.charge_fc, simulators[c].cycle_internal_charge_fc(),
+                        out);
+            out.sim_transitions += cycle.transitions;
+        }
     };
 
     if (plan.mode == StimulusMode::StratifiedPairs) {
         // Stimulus is generated in blocks of up to kLanes (u, v) pairs into
         // flat reusable arenas, then all warm-up vectors of a block settle
-        // in one word-parallel BatchedEvaluator pass (borrowing the shard's
-        // compiled view) and each lane is scattered into the event
-        // simulator via load_state before the timed apply. RNG consumption
-        // order is identical to per-record generation, and the zero-delay
-        // fixpoint of u is unique, so each record is bit-identical to an
+        // in one word-parallel BatchedEvaluator pass (borrowing class 0's
+        // compiled view) and each lane is scattered into every class's
+        // event simulator via load_state before the timed apply: zero-delay
+        // values do not depend on the corner. RNG consumption order is
+        // identical to per-record generation, and the zero-delay fixpoint
+        // of u is unique, so each record is bit-identical to an
         // initialize(u) + apply(v) pair (tests/event_kernel_test.cpp,
         // LoadState.MatchesInitialize). The loop body performs no heap
         // allocation in steady state (tests/steady_alloc_test.cpp).
-        sim::BatchedEvaluator evaluator{context};
-        std::vector<std::uint8_t> lane_values(context.netlist().num_nets());
+        sim::BatchedEvaluator evaluator{*plan.contexts[0]};
+        std::vector<std::uint8_t> lane_values(plan.nets());
         std::array<BitVec, kLanes> u_block;
         std::array<BitVec, kLanes> v_block;
         std::array<std::pair<int, int>, kLanes> cls_block; // (hd, zeros)
@@ -428,24 +431,33 @@ void run_event_shard(const SweepPlan& plan, std::size_t shard, std::size_t count
             out.warmup_vectors += block;
             for (std::size_t j = 0; j < block; ++j) {
                 evaluator.export_lane(static_cast<int>(j), lane_values);
-                simulator.load_state(u_block[j], lane_values);
                 push({cls_block[j].first, cls_block[j].second, 0.0,
                       (u_block[j] ^ v_block[j]).raw()},
-                     simulator.apply(v_block[j]));
+                     [&](sim::EventSimulator& simulator) {
+                         simulator.load_state(u_block[j], lane_values);
+                         return simulator.apply(v_block[j]);
+                     });
             }
         }
     } else {
-        simulator.initialize(stimulus.current());
+        for (sim::EventSimulator& simulator : simulators) {
+            simulator.initialize(stimulus.current());
+        }
         while (scored.size() < count) {
             if (tick && scored.size() % 64 == 0) {
                 tick(); // mid-shard heartbeat hook, every 64 chain transitions
             }
             const BitVec previous = stimulus.current();
             const BitVec next = stimulus.chain_next();
-            push(chain_record(previous, next), simulator.apply(next));
+            push(chain_record(previous, next),
+                 [&](sim::EventSimulator& simulator) { return simulator.apply(next); });
         }
     }
-    out.kernel = simulator.kernel_stats();
+    for (const sim::EventSimulator& simulator : simulators) {
+        out.kernel.events_processed += simulator.kernel_stats().events_processed;
+        out.kernel.max_queue_depth =
+            std::max(out.kernel.max_queue_depth, simulator.kernel_stats().max_queue_depth);
+    }
 }
 
 /// Power-emulation shard: the *exact* stimulus stream run_event_shard
@@ -550,38 +562,35 @@ ClassWeights base_charge_weights(const sim::SimContext& context,
     return weights;
 }
 
-/// One calibration shard's view of a toggle-correction fit: the per-net
-/// toggles the weights score, the reference engine's per-net toggles over
-/// the same stimulus, and the reference charge the scored total should
-/// reproduce.
-struct CorrectionRow {
-    std::span<const std::uint64_t> scored;
-    std::span<const std::uint64_t> reference;
-    double reference_charge_fc = 0.0;
-};
-
-/// The glitch-correction fit shared by both calibrations. Per cell output
-/// that @p rows score at all, fold the toggle ratio (reference toggles /
+/// The emulation glitch-correction fit of one timing class from its
+/// calibration shards: per shard, the zero-delay per-net toggles @p scored
+/// the weights score, the event kernel's per-net toggles @p reference over
+/// the same stimulus, and the event charges @p charges of its transitions,
+/// whose sum the scored total should reproduce. Per cell output that the
+/// scored toggles reach at all, fold the toggle ratio (reference toggles /
 /// scored toggles — glitches multiply a net's toggle count but never its
-/// per-toggle charge) into @p weights; then fit one residual scale with
-/// util::least_squares through the origin over the per-row (corrected
-/// scored charge, reference charge) pairs, which absorbs charge on nets the
-/// scored toggles never reach, and fold it in too. Ratios and scale apply
-/// to the internal parts alike, so the corrected weights keep the charge
-/// law. Rows and nets are summed in order, so the fit is deterministic.
-/// Returns the scale.
+/// per-toggle charge) into @p class_weights; then fit one residual scale
+/// with util::least_squares through the origin over the per-shard
+/// (corrected scored charge, reference charge) pairs, which absorbs charge
+/// on nets the scored toggles never reach, and fold it in too. Ratios and
+/// scale apply to the internal parts alike, so the corrected weights keep
+/// the charge law. Shards and nets are summed in order, so the fit is
+/// deterministic. Returns the scale.
 double fit_toggle_correction(const sim::SimContext& context, ClassWeights& class_weights,
-                             std::span<const CorrectionRow> rows)
+                             const std::vector<std::vector<std::uint64_t>>& scored,
+                             const std::vector<std::vector<std::uint64_t>>& reference,
+                             const std::vector<std::vector<double>>& charges)
 {
     std::vector<double>& weights = class_weights.charge;
     std::vector<double>& internal = class_weights.internal;
     const std::size_t nets = weights.size();
-    std::vector<std::uint64_t> scored(nets, 0);
-    std::vector<std::uint64_t> reference(nets, 0);
-    for (const CorrectionRow& row : rows) {
+    const std::size_t shards = scored.size();
+    std::vector<std::uint64_t> scored_total(nets, 0);
+    std::vector<std::uint64_t> reference_total(nets, 0);
+    for (std::size_t s = 0; s < shards; ++s) {
         for (std::size_t net = 0; net < nets; ++net) {
-            scored[net] += row.scored[net];
-            reference[net] += row.reference[net];
+            scored_total[net] += scored[s][net];
+            reference_total[net] += reference[s][net];
         }
     }
     // Primary inputs never glitch (their ratio is exactly 1 by
@@ -589,9 +598,9 @@ double fit_toggle_correction(const sim::SimContext& context, ClassWeights& class
     // contributes no charge for a factor to scale — the residual fit
     // absorbs its charge.
     for (netlist::NetId net = 0; net < nets; ++net) {
-        if (context.is_cell_output(net) && scored[net] > 0) {
-            const double ratio =
-                static_cast<double>(reference[net]) / static_cast<double>(scored[net]);
+        if (context.is_cell_output(net) && scored_total[net] > 0) {
+            const double ratio = static_cast<double>(reference_total[net]) /
+                                 static_cast<double>(scored_total[net]);
             weights[net] *= ratio;
             if (!internal.empty()) {
                 internal[net] *= ratio;
@@ -599,16 +608,16 @@ double fit_toggle_correction(const sim::SimContext& context, ClassWeights& class
         }
     }
 
-    util::Matrix a{rows.size(), 1};
-    std::vector<double> b(rows.size(), 0.0);
+    util::Matrix a{shards, 1};
+    std::vector<double> b(shards, 0.0);
     double corrected_total = 0.0;
-    for (std::size_t s = 0; s < rows.size(); ++s) {
+    for (std::size_t s = 0; s < shards; ++s) {
         double corrected = 0.0;
         for (std::size_t net = 0; net < nets; ++net) {
-            corrected += weights[net] * static_cast<double>(rows[s].scored[net]);
+            corrected += weights[net] * static_cast<double>(scored[s][net]);
         }
         a.at(s, 0) = corrected;
-        b[s] = rows[s].reference_charge_fc;
+        b[s] = std::accumulate(charges[s].begin(), charges[s].end(), 0.0);
         corrected_total += corrected;
     }
     double scale = 1.0;
@@ -631,8 +640,8 @@ double fit_toggle_correction(const sim::SimContext& context, ClassWeights& class
 /// @p plan, the span of one 64-lane settle: up to 64 pairs, or up to 63
 /// chain transitions (one 64-vector window of count_toggles' boundary
 /// contract) — through a fresh event simulator at the class-nominal corner
-/// of the piece's timing class, and, for power emulation in class 0,
-/// through one zero-delay settle. @p stimulus holds the piece's shard from
+/// of the piece's timing class, and, in class 0, through one zero-delay
+/// settle. @p stimulus holds the piece's shard from
 /// transition 0 on (the shard's stream is sequential).
 ///
 /// A chain piece starts with initialize(its first vector). That is exact:
@@ -667,7 +676,7 @@ CalibrationPieceResult simulate_piece(const SweepPlan& plan,
         }
         out.event_toggles = simulator.cumulative_transitions();
     }
-    if (!plan.zero_delay() || piece.timing_class != 0) {
+    if (piece.timing_class != 0) {
         return out;
     }
 
@@ -691,10 +700,10 @@ CalibrationPieceResult simulate_piece(const SweepPlan& plan,
     return out;
 }
 
-/// The calibration's per-shard totals of a plan: the event kernel's
-/// per-net toggles and per-transition charges per timing class, at the
-/// class-nominal corner, and — for power emulation — the zero-delay toggles
-/// (corner-invariant, so once).
+/// The calibration's per-shard totals of an emulation plan: the event
+/// kernel's per-net toggles and per-transition charges per timing class, at
+/// the class-nominal corner, and the zero-delay toggles (corner-invariant,
+/// so once).
 struct CalibrationTotals {
     /// All-zero totals shaped for the pieces of @p plan (which has some).
     explicit CalibrationTotals(const SweepPlan& plan);
@@ -724,9 +733,7 @@ CalibrationTotals::CalibrationTotals(const SweepPlan& plan)
     for (const CalibrationPiece& piece : plan.pieces) {
         charges[piece.timing_class][piece.shard].resize(piece.first + piece.count);
     }
-    if (plan.zero_delay()) {
-        zero_toggles.assign(shards, std::vector<std::uint64_t>(nets, 0));
-    }
+    zero_toggles.assign(shards, std::vector<std::uint64_t>(nets, 0));
 }
 
 void CalibrationTotals::add(const SweepPlan& plan, const std::size_t index,
@@ -734,7 +741,7 @@ void CalibrationTotals::add(const SweepPlan& plan, const std::size_t index,
 {
     const CalibrationPiece& piece = plan.pieces[index];
     const std::size_t nets = plan.nets();
-    const bool zero_delay = plan.zero_delay() && piece.timing_class == 0;
+    const bool zero_delay = piece.timing_class == 0;
     HDPM_REQUIRE(result.charges.size() == piece.count &&
                      result.event_toggles.size() == nets &&
                      result.zero_toggles.size() == (zero_delay ? nets : 0),
@@ -784,6 +791,31 @@ CalibrationTotals run_calibration(const SweepPlan& plan, const util::ThreadPool&
     return out;
 }
 
+/// The timing classes of a plan's corner list (options.corners, or the
+/// one-corner list of a single-corner plan): corner indices grouped by load
+/// class, classes in order of first appearance and corners in list order,
+/// so class 0 starts with corner 0. The corners of one class simulate the
+/// identical event stream (timing is a dilation, gate::TechLibrary::at).
+std::vector<std::vector<std::size_t>> corner_classes(const CharacterizationOptions& options)
+{
+    std::vector<std::vector<std::size_t>> classes;
+    std::vector<gate::LoadClass> loads;
+    for (std::size_t k = 0; k < options.corners.size(); ++k) {
+        const gate::LoadClass load = options.corners[k].load_class;
+        const auto found = std::ranges::find(loads, load);
+        if (found == loads.end()) {
+            loads.push_back(load);
+            classes.push_back({k});
+        } else {
+            classes[static_cast<std::size_t>(found - loads.begin())].push_back(k);
+        }
+    }
+    if (classes.empty()) {
+        classes.push_back({0}); // a single-corner plan
+    }
+    return classes;
+}
+
 std::size_t plan_shard_size(const CharacterizationOptions& options) noexcept
 {
     return options.shard_size != 0 ? options.shard_size : options.batch;
@@ -830,22 +862,20 @@ SweepPlan::SweepPlan(const dp::DatapathModule& module,
                 : std::make_unique<sim::SimContext>(module.netlist(), library));
     }
 
-    // Emulation scores every class; the event kernel simulates class 0 and
-    // scores the others.
-    const auto has_internal = [&](std::size_t c) {
-        return std::ranges::any_of(classes[c], [&](std::size_t k) {
-            return laws[k].internal_excess != 0.0;
-        });
-    };
-    class_weights.resize(classes.size());
-    for (std::size_t c = zero_delay() ? 0 : 1; c < classes.size(); ++c) {
-        class_weights[c] = base_charge_weights(*contexts[c], sim_options, has_internal(c));
-        sets.emplace_back(class_weights[c].charge);
-        if (has_internal(c)) {
-            sets.emplace_back(class_weights[c].internal);
+    // Emulation scores every class through weights; the event kernel
+    // simulates them all.
+    if (zero_delay()) {
+        for (std::size_t c = 0; c < classes.size(); ++c) {
+            class_weights.push_back(
+                base_charge_weights(*contexts[c], sim_options, has_internal(c)));
+        }
+        for (const ClassWeights& weights : class_weights) {
+            sets.emplace_back(weights.charge);
+            if (!weights.internal.empty()) {
+                sets.emplace_back(weights.internal);
+            }
         }
     }
-    sum_internal = !zero_delay() && has_internal(0);
     pieces = calibration_pieces(options);
 }
 
@@ -853,32 +883,22 @@ SweepPlan::SweepPlan(const dp::DatapathModule& module,
 // shard ids reuse the sharded seed scheme, offset into their own half of
 // the id space), so every process running shards of this plan — and every
 // resumed run — fits identical weights; nothing about it needs journaling.
-// It simulates and fits once per timing class, at the class-nominal corner;
-// the class's corners derive their charges from the fitted weights' sums.
-// Emulation: each class's glitch correction is fit_toggle_correction'd
-// from the zero-delay toggles (scored) to its event toggles (reference)
-// against its charges. Event kernel: a class other than class 0 gets
-// transfer weights, fit from class 0's event toggles (scored) to its own
-// (reference).
+// Only power emulation calibrates. It simulates and fits once per timing
+// class, at the class-nominal corner; the class's corners derive their
+// charges from the fitted weights' sums. Each class's glitch correction is
+// fit_toggle_correction'd from the zero-delay toggles (scored) to its
+// event toggles (reference) against its charges.
 void SweepPlan::fit(const CalibrationTotals& cal)
 {
-    const bool emulation = zero_delay();
-    const std::vector<std::vector<std::uint64_t>>& scored =
-        emulation ? cal.zero_toggles : cal.event_toggles[0];
-    for (std::size_t c = emulation ? 0 : 1; c < classes.size(); ++c) {
-        std::vector<CorrectionRow> rows;
-        for (std::size_t s = 0; s < scored.size(); ++s) {
-            const std::vector<double>& charges = cal.charges[c][s];
-            rows.push_back({scored[s], cal.event_toggles[c][s],
-                            std::accumulate(charges.begin(), charges.end(), 0.0)});
-        }
-        const double scale = fit_toggle_correction(*contexts[c], class_weights[c], rows);
+    for (std::size_t c = 0; c < classes.size(); ++c) {
+        const double scale = fit_toggle_correction(*contexts[c], class_weights[c],
+                                                   cal.zero_toggles, cal.event_toggles[c],
+                                                   cal.charges[c]);
         if (c == 0) {
             calibration_scale = scale;
         }
     }
-    const std::uint64_t pairs = options.calibration_pairs * classes.size();
-    (emulation ? calibration_pairs : corner_calibration_pairs) = pairs;
+    calibration_pairs = options.calibration_pairs * classes.size();
 }
 
 SweepShard SweepPlan::run(std::size_t shard, const std::function<void()>& tick) const
@@ -1028,7 +1048,6 @@ std::vector<std::vector<CharacterizationRecord>> collect_sweep(
     stats.calibration_pairs = plan.calibration_pairs;
     stats.calibration_scale = plan.calibration_scale;
     stats.corners = options.corners.size();
-    stats.corner_calibration_pairs = plan.corner_calibration_pairs;
 
     std::vector<std::unique_ptr<ShardMerger>> mergers;
     for (std::size_t k = 0; k < corners; ++k) {
@@ -1251,31 +1270,11 @@ ShardStimulus draw_shard_stimulus(int m, StimulusMode mode, std::uint64_t seed,
     return out;
 }
 
-std::vector<std::vector<std::size_t>> corner_classes(const CharacterizationOptions& options)
-{
-    std::vector<std::vector<std::size_t>> classes;
-    std::vector<gate::LoadClass> loads;
-    for (std::size_t k = 0; k < options.corners.size(); ++k) {
-        const gate::LoadClass load = options.corners[k].load_class;
-        const auto found = std::ranges::find(loads, load);
-        if (found == loads.end()) {
-            loads.push_back(load);
-            classes.push_back({k});
-        } else {
-            classes[static_cast<std::size_t>(found - loads.begin())].push_back(k);
-        }
-    }
-    if (classes.empty()) {
-        classes.push_back({0}); // a single-corner plan
-    }
-    return classes;
-}
-
 std::vector<CalibrationPiece> calibration_pieces(const CharacterizationOptions& options)
 {
     const std::size_t classes = corner_classes(options).size();
     const std::size_t total = options.calibration_pairs;
-    if (total == 0 || (options.backend == CharBackend::EventKernel && classes == 1)) {
+    if (total == 0 || options.backend == CharBackend::EventKernel) {
         return {};
     }
     const std::size_t shard_size = plan_shard_size(options);

@@ -98,14 +98,8 @@ struct CharRunStats {
     std::uint64_t calibration_pairs = 0; ///< event-kernel pairs run for calibration
     double calibration_scale = 1.0; ///< fitted residual glitch scale (1 = none)
 
-    /// Corners scored by a multi-corner sweep (0 = single-corner run), and
-    /// the event-kernel transitions spent calibrating the transfer weights
-    /// of corners outside corner 0's load class — once per load class of
-    /// the sweep (event backend only; the emulation backend's glitch
-    /// calibration, also once per load class, reports through
-    /// calibration_pairs).
+    /// Corners scored by a multi-corner sweep (0 = single-corner run).
     std::size_t corners = 0;
-    std::uint64_t corner_calibration_pairs = 0;
 
     /// Shards that failed and were skipped (non-strict runs only; empty
     /// means the run completed clean).
@@ -262,32 +256,28 @@ public:
         const dp::DatapathModule& module, const CharacterizationOptions& options) const;
 
     /// Multi-corner single-sweep record collection — the amortization path
-    /// (docs/corners.md). Runs the stimulus sweep *once* and scores every
-    /// corner in options.corners from shared per-net toggle activity.
-    /// Corner timing is a dilation (gate::TechLibrary::at), so the corners
-    /// of one load class share one event stream exactly, and only their
-    /// charge per toggle differs by the exact law gate::ChargeLaw. The
-    /// sweep therefore builds one context and fits one calibration per load
-    /// class, at the class-nominal corner (native supply, 25 °C). Per
-    /// transition each load class yields its nominal charge Q and that
-    /// charge's internal part Q_int, and every (Vdd, T) corner of the
-    /// class takes a·(Q + b·Q_int) by its law, in both backends:
+    /// (docs/corners.md). Draws the stimulus sweep *once* and scores every
+    /// corner in options.corners from it. Corner timing is a dilation
+    /// (gate::TechLibrary::at), so the corners of one load class share one
+    /// event stream exactly, and only their charge per toggle differs by
+    /// the exact law gate::ChargeLaw. The sweep therefore builds one
+    /// context per load class, at the class-nominal corner (native supply,
+    /// 25 °C). Per transition each load class yields its nominal charge Q
+    /// and that charge's internal part Q_int, and every (Vdd, T) corner of
+    /// the class takes a·(Q + b·Q_int) by its law, in both backends:
     ///
     ///  - PowerEmulation: zero-delay toggles are exactly corner-invariant,
     ///    so each shard settles once and scores each load class with its
     ///    weights, glitch-calibrated once per class: one weighted pass for
     ///    Q, plus one for Q_int when a corner has a temperature term.
-    ///  - EventKernel: corners[0]'s load class takes (Q, Q_int) from the
-    ///    shard simulation (its cycle charge and
-    ///    sim::EventSimulator::cycle_internal_charge_fc); other load
-    ///    classes from its per-cycle toggle vectors through transfer
-    ///    weights calibrated on a deterministic event-kernel subsample,
-    ///    once per load class (approximate, within the calibrated
-    ///    tolerance).
+    ///  - EventKernel: each load class has its own simulator, and all of
+    ///    them run in lockstep on the shard's stimulus; a class takes (Q,
+    ///    Q_int) from its own cycle (its charge and
+    ///    sim::EventSimulator::cycle_internal_charge_fc). Nothing is
+    ///    calibrated.
     ///
-    /// Every emulation corner, and every event corner of corners[0]'s load
-    /// class, is bit-identical to an independent single-corner run at that
-    /// corner, which derives its records the same way.
+    /// Every corner is bit-identical to an independent single-corner run
+    /// at that corner, which derives its records the same way.
     ///
     /// Element k of the result aligns with options.corners[k]. Convergence
     /// is tracked per corner (a corner's record stream stops exactly where
@@ -333,21 +323,14 @@ struct ShardStimulus {
                                                 std::uint64_t seed, std::uint64_t shard,
                                                 std::size_t count);
 
-/// The timing classes of a plan's corner list (options.corners, or the
-/// one-corner list of a single-corner plan): corner indices grouped by load
-/// class, classes in order of first appearance and corners in list order,
-/// so class 0 starts with corner 0. The corners of one class simulate the
-/// identical event stream (timing is a dilation, gate::TechLibrary::at).
-[[nodiscard]] std::vector<std::vector<std::size_t>> corner_classes(
-    const CharacterizationOptions& options);
-
 /// One piece of a plan's glitch calibration, the unit calibration is
 /// scheduled in (on the in-process pool and as leased fleet work):
 /// transitions [first, first + count) of calibration shard `shard`,
 /// simulated once through the event kernel at the class-nominal corner of
-/// timing class `timing_class` (an index into corner_classes), for every
-/// corner of the class. A piece spans one 64-lane settle: up to 64 pairs,
-/// or up to 63 chain transitions.
+/// timing class `timing_class` (load classes in order of first appearance
+/// in the corner list, so class 0 holds corner 0), for every corner of the
+/// class. A piece spans one 64-lane settle: up to 64 pairs, or up to 63
+/// chain transitions.
 struct CalibrationPiece {
     std::size_t timing_class = 0;
     std::size_t shard = 0;
@@ -363,14 +346,14 @@ struct CalibrationPieceResult {
     /// piece's timing class.
     std::vector<double> charges;
     std::vector<std::uint64_t> event_toggles; ///< per-net event-kernel toggles
-    /// Per-net zero-delay toggles: power emulation in class 0, else empty.
+    /// Per-net zero-delay toggles: class 0's pieces, else empty.
     std::vector<std::uint64_t> zero_toggles;
 };
 
 /// The calibration pieces of the plan @p options describe, in reduction
 /// order (class, then shard, then first transition). Empty when the plan
-/// calibrates nothing: calibration_pairs = 0, or the event backend with a
-/// single timing class (every corner derived exactly from one simulation).
+/// calibrates nothing: calibration_pairs = 0, or the event backend (every
+/// corner derived exactly from its class's simulation).
 [[nodiscard]] std::vector<CalibrationPiece> calibration_pieces(
     const CharacterizationOptions& options);
 

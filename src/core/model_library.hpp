@@ -33,7 +33,9 @@ namespace hdpm::core {
 /// summed charges a·(Q + b·Q_int), not to per-net weights, so emulation and
 /// transfer records off the class-nominal corner move by rounding and
 /// stamp-2 models and journals are recharacterized, never mixed in.
-inline constexpr std::uint64_t kCornerTimingStamp = 3;
+/// 4: an event sweep simulates every load class exactly, so a journal of a
+/// multi-class event sweep no longer holds transfer-scored blocks.
+inline constexpr std::uint64_t kCornerTimingStamp = 4;
 
 /// A directory-backed store of characterized macro-models.
 ///

@@ -122,38 +122,14 @@ void EventSimulator::reset_cycle_state()
     wheel_.clear();
 
     initialized_ = true;
-    if (track_cycle_toggles_) {
-        clear_cycle_toggles();
-    }
     if (tracer_ != nullptr) {
         tracer_->dump_all(cycle_start_time_, values_);
     }
 }
 
-void EventSimulator::set_cycle_toggle_tracking(bool enabled)
-{
-    track_cycle_toggles_ = enabled;
-    if (enabled) {
-        cycle_toggle_count_.assign(netlist_->num_nets(), 0);
-        cycle_dirty_.clear();
-        cycle_dirty_.reserve(netlist_->num_nets());
-    }
-}
-
-void EventSimulator::clear_cycle_toggles()
-{
-    for (const NetId net : cycle_dirty_) {
-        cycle_toggle_count_[net] = 0;
-    }
-    cycle_dirty_.clear();
-}
-
 CycleResult EventSimulator::apply(const BitVec& inputs)
 {
     HDPM_REQUIRE(initialized_, "EventSimulator::apply before initialize");
-    if (track_cycle_toggles_) {
-        clear_cycle_toggles();
-    }
     const auto& pis = netlist_->primary_inputs();
     HDPM_REQUIRE(inputs.width() == static_cast<int>(pis.size()), "netlist '",
                  netlist_->name(), "' has ", pis.size(), " inputs, pattern has ",
@@ -223,7 +199,6 @@ CycleResult EventSimulator::apply_wheel(const BitVec& inputs, const std::uint64_
     const std::int64_t horizon = wheel_.horizon;
     const std::int64_t window = options_.inertial_window_ps;
     const bool traced = tracer_ != nullptr;
-    const bool track = track_cycle_toggles_;
     const double* const internal_charge = context_->internal_charges_fc().data();
 
     // Results accumulate in locals in toggle order, so the floating-point
@@ -235,9 +210,6 @@ CycleResult EventSimulator::apply_wheel(const BitVec& inputs, const std::uint64_
     auto toggle = [&](NetId net, std::uint8_t v, std::int64_t time, bool count_charge) {
         values[net] = v;
         ++transition_count[net];
-        if (track && cycle_toggle_count_[net]++ == 0) {
-            cycle_dirty_.push_back(net);
-        }
         ++transitions;
         settle = std::max(settle, time);
         if (count_charge) {

@@ -129,30 +129,6 @@ public:
         return transition_count_;
     }
 
-    /// Opt-in per-cycle toggle tracking — the multi-corner sweep's data
-    /// source: when enabled, every apply() records which nets toggled this
-    /// cycle and how often, readable until the next apply() / initialize()
-    /// / load_state(). Off by default: the hot loop then pays one
-    /// predictable branch, and when enabled the per-cycle clear touches
-    /// only the nets that actually toggled (allocation-free after the
-    /// first enable).
-    void set_cycle_toggle_tracking(bool enabled);
-
-    /// Nets toggled by the last apply(), in first-toggle order (a
-    /// deterministic function of the simulation — the multi-corner charge
-    /// accumulation order). Empty unless tracking is enabled.
-    [[nodiscard]] std::span<const netlist::NetId> cycle_toggled_nets() const noexcept
-    {
-        return cycle_dirty_;
-    }
-
-    /// Toggle count of @p net in the last apply() (0 when untoggled;
-    /// meaningless unless tracking is enabled).
-    [[nodiscard]] std::uint32_t cycle_toggle_count(netlist::NetId net) const
-    {
-        return cycle_toggle_count_[net];
-    }
-
     /// Also sum each cycle's internal charge (cycle_internal_charge_fc) —
     /// the q_int of gate::ChargeLaw, so the caller derives the cycle charge
     /// at every (Vdd, T) corner of the context's load class from one
@@ -310,11 +286,6 @@ private:
     bool sum_internal_ = false;         ///< see set_internal_charge_sum
     double cycle_internal_charge_ = 0.0; ///< last apply only
 
-    /// Per-cycle toggle tracking (see set_cycle_toggle_tracking).
-    void clear_cycle_toggles();
-    bool track_cycle_toggles_ = false;
-    std::vector<std::uint32_t> cycle_toggle_count_; // per net, last apply only
-    std::vector<netlist::NetId> cycle_dirty_;       // nets toggled, first-toggle order
 
     /// The current cycle's input vector pair (u = steady state before
     /// apply, v = the applied vector), captured so a budget-exceeded fault

@@ -4,8 +4,9 @@
 # "collected" line on stdout) and stores its models; an identical second
 # run finds every model stored, prints no progress, no "collected" line
 # and no quality report (which is only ever made from a run's records),
-# and leaves every model file byte-identical. Cases: basic, enhanced, and
-# two-corner --corners sweeps under both backends.
+# and leaves every model file byte-identical. Cases: basic, enhanced,
+# two-corner --corners sweeps under both backends, and an event sweep over
+# two load classes.
 #
 # Usage: tests/cli_characterize_test.sh path/to/hdpower_cli
 set -uo pipefail
@@ -66,11 +67,12 @@ twice() {
   fi
 }
 
-mkdir -p "$work"/{basic,enhanced,sweep_event,sweep_emulation}
+mkdir -p "$work"/{basic,enhanced,sweep_event,sweep_emulation,sweep_event_classes}
 twice basic 1
 twice enhanced 1 --enhanced
 twice sweep_event 2 --corners 3.3:25,2.7:85
 twice sweep_emulation 2 --enhanced 2 --backend emulation --corners 3.3:25,2.7:85:heavy
+twice sweep_event_classes 2 --corners 3.3:25,3.3:25:heavy
 
 if [ "$failures" -ne 0 ]; then
   echo "$failures check(s) failed"

@@ -61,6 +61,12 @@ check 2 "invalid value '-1' for --workers" "$daemon" --socket "$scratch/d.sock" 
 check 2 "invalid value '12x' for --queue" "$daemon" --socket "$scratch/d.sock" --queue 12x
 check 2 "invalid value '-1' for --retries" "$client" --socket "$scratch/none.sock" --retries -1 ping
 check 2 "invalid value 'abc' for --timeout-ms" "$client" --socket "$scratch/none.sock" --timeout-ms abc ping
+check 2 "missing value for --retries" "$client" --retries
+check 2 "unknown flag '--bogus'" "$client" --bogus 3 ping
+# Commands read their flags before they connect, so an unknown one is
+# refused whether or not a daemon answers.
+check 2 "unknown flag '--bogus'" "$client" --socket "$scratch/none.sock" hold --bogus
+check 2 "unknown flag '--bogus'" "$client" --socket "$scratch/none.sock" ping --bogus
 check 2 "invalid value '-5' for --poll" "$fleet" work ripple_adder 4 --fleet "$scratch/fleet" --poll -5
 check 2 "invalid value '3x' for --lease-shards" "$fleet" coordinate ripple_adder 4 --fleet "$scratch/fleet" --models "$models" --lease-shards 3x
 # A worker id is one lease-file token and part of a publish path: a space

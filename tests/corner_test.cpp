@@ -9,12 +9,11 @@
 //    calibrated weights and derives every corner of the class by its law —
 //    the same arithmetic in the same order), with one glitch calibration
 //    per load class;
-//  - event-kernel: every corner of corner 0's load class is simulated
-//    exactly (bit-identical to its independent run); corners of other load
-//    classes are scored through calibrated transfer weights — an
-//    approximation that must stay within a documented tolerance at the
-//    aggregate level while remaining fully deterministic (bit-identical
-//    across thread counts and checkpoint resume).
+//  - event-kernel: each load class has its own simulator, all of them
+//    running in lockstep on the shard's stimulus, and nothing is
+//    calibrated, so every corner's record block is BIT-IDENTICAL to its
+//    independent single-corner run, in every stimulus mode, at any thread
+//    count and across checkpoint resume.
 //
 // In both backends every corner of a load class is derived from that
 // class's nominal charges by the exact law, so a 25 °C corner is exactly
@@ -84,7 +83,15 @@ constexpr StimulusMode kModes[] = {StimulusMode::StratifiedPairs,
 
 std::string mode_label(StimulusMode mode)
 {
-    return mode == StimulusMode::StratifiedPairs ? "pairs" : "chain";
+    switch (mode) {
+    case StimulusMode::StratifiedPairs:
+        return "pairs";
+    case StimulusMode::StratifiedChain:
+        return "chain";
+    case StimulusMode::RandomChain:
+        break;
+    }
+    return "random";
 }
 
 void expect_identical_records(const std::vector<CharacterizationRecord>& a,
@@ -98,15 +105,6 @@ void expect_identical_records(const std::vector<CharacterizationRecord>& a,
         ASSERT_EQ(a[i].toggle_mask, b[i].toggle_mask) << label << " record " << i;
         ASSERT_EQ(a[i].charge_fc, b[i].charge_fc) << label << " record " << i;
     }
-}
-
-double mean_charge(const std::vector<CharacterizationRecord>& records)
-{
-    double sum = 0.0;
-    for (const auto& rec : records) {
-        sum += rec.charge_fc;
-    }
-    return sum / static_cast<double>(records.size());
 }
 
 struct AbortRun {};
@@ -151,7 +149,7 @@ TEST(CornerSweep, EmulationSweepIsBitIdenticalToIndependentRunsAcrossThreads)
     }
 }
 
-TEST(CornerSweep, EventSweepIsExactInCornerZerosLoadClassAndTransfersAreClose)
+TEST(CornerSweep, EventSweepIsBitIdenticalToIndependentRunsInEveryLoadClass)
 {
     const DatapathModule module = dp::make_module(ModuleType::RippleAdder, 4);
     const Characterizer characterizer;
@@ -162,7 +160,9 @@ TEST(CornerSweep, EventSweepIsExactInCornerZerosLoadClassAndTransfersAreClose)
     for (const gate::Corner& corner : kCorners) {
         lists.push_back({corner});
     }
-    for (const StimulusMode mode : kModes) {
+    for (const StimulusMode mode :
+         {StimulusMode::StratifiedPairs, StimulusMode::StratifiedChain,
+          StimulusMode::RandomChain}) {
         std::vector<std::vector<CharacterizationRecord>> independent;
         for (const gate::Corner& corner : kCorners) {
             independent.push_back(
@@ -186,26 +186,10 @@ TEST(CornerSweep, EventSweepIsExactInCornerZerosLoadClassAndTransfersAreClose)
                 options.stats = &stats;
                 const auto sweep = characterizer.collect_records_corners(module, options);
                 ASSERT_EQ(sweep.size(), corners.size()) << label;
-                EXPECT_EQ(stats.corner_calibration_pairs > 0,
-                          corner_classes(options).size() > 1)
-                    << label;
-
+                EXPECT_EQ(stats.calibration_pairs, 0U) << label;
                 for (std::size_t k = 0; k < corners.size(); ++k) {
-                    const auto exact = independent_at(corners[k]);
-                    const std::string corner_label = label + " corner " + std::to_string(k);
-                    if (corners[k].load_class == corners[0].load_class) {
-                        // Corner 0's load class shares its simulation.
-                        expect_identical_records(exact, sweep[k], corner_label);
-                        continue;
-                    }
-                    // Other load classes ride calibrated transfer weights:
-                    // per-record values are approximate, but the aggregate
-                    // charge must land close to what the exact per-corner
-                    // simulation measures (same stimulus, same plan).
-                    ASSERT_EQ(exact.size(), sweep[k].size()) << corner_label;
-                    const double reference = mean_charge(exact);
-                    EXPECT_NEAR(mean_charge(sweep[k]), reference, 0.10 * reference)
-                        << corner_label;
+                    expect_identical_records(independent_at(corners[k]), sweep[k],
+                                             label + " corner " + std::to_string(k));
                 }
             }
         }
@@ -219,9 +203,8 @@ TEST(CornerSweep, SupplyCornersScaleTheirClassNominalRecordsExactly)
     // corner of the class takes a·(Q + b·Q_int). At 25 °C b is exactly 0,
     // so every record of a supply-only corner is exactly a times the
     // matching record of its class-nominal corner — also where the class
-    // charges come from weights (every emulation class, the event
-    // kernel's transfer classes), which weights folded per net through
-    // the law would round net by net.
+    // charges come from weights (every emulation class), which weights
+    // folded per net through the law would round net by net.
     const DatapathModule module = dp::make_module(ModuleType::RippleAdder, 4);
     const Characterizer characterizer;
     const gate::TechLibrary& library = gate::TechLibrary::generic350();
@@ -289,12 +272,13 @@ TEST(CornerCheck, NanNegativeOrInfiniteSupplyIsRefusedNotReadAsNative)
 
 TEST(CornerSweep, EventSweepIsBitIdenticalAcrossThreadCounts)
 {
-    // The transfer-weight path (calibration included) must be a pure
-    // function of the plan: any thread count produces the same bytes for
-    // every corner, approximated ones included. Calibration geometries: two
-    // shards of several pieces each; one shard larger than a piece
-    // (shard_size >= calibration_pairs, the CLI and serve default); and 200
-    // pairs, a multiple of neither the 64-pair nor the 63-transition piece.
+    // A multi-class event sweep must be a pure function of the plan: any
+    // thread count produces the same bytes for every corner, and the event
+    // backend calibrates nothing, whatever calibration_pairs says.
+    // Geometries: two shards of several 64-pair pieces each; one shard
+    // larger than a piece (shard_size >= calibration_pairs, the CLI and
+    // serve default); and 200 pairs, a multiple of neither the 64-pair nor
+    // the 63-transition piece.
     struct Geometry {
         std::size_t calibration;
         std::size_t shard_size;
@@ -317,9 +301,7 @@ TEST(CornerSweep, EventSweepIsBitIdenticalAcrossThreadCounts)
             };
             CharRunStats baseline_stats;
             const auto baseline = run(1, baseline_stats);
-            // Transfer calibration runs once per timing class: kCorners has
-            // two (nominal and heavy load).
-            EXPECT_EQ(baseline_stats.corner_calibration_pairs, geometry.calibration * 2);
+            EXPECT_EQ(baseline_stats.calibration_pairs, 0U);
             for (const unsigned threads : {2U, 4U}) {
                 const std::string label =
                     std::to_string(static_cast<int>(mode)) + "/" +
@@ -328,9 +310,7 @@ TEST(CornerSweep, EventSweepIsBitIdenticalAcrossThreadCounts)
                     std::to_string(threads) + "t";
                 CharRunStats stats;
                 const auto sweep = run(threads, stats);
-                EXPECT_EQ(stats.corner_calibration_pairs,
-                          baseline_stats.corner_calibration_pairs)
-                    << label;
+                EXPECT_EQ(stats.calibration_pairs, 0U) << label;
                 EXPECT_EQ(stats.calibration_pairs, baseline_stats.calibration_pairs)
                     << label;
                 EXPECT_EQ(stats.calibration_scale, baseline_stats.calibration_scale)
@@ -604,13 +584,12 @@ TEST(CornerSweep, EventSweepAmortizesEightNominalCornersEightFold)
     ASSERT_EQ(stats.records, options.max_transitions);
 
     const std::uint64_t independent = corners.size() * stats.records;
-    const std::uint64_t sweep = stats.records + stats.corner_calibration_pairs;
-    EXPECT_EQ(stats.corner_calibration_pairs, 0U);
+    const std::uint64_t sweep = stats.records + stats.calibration_pairs;
+    EXPECT_EQ(stats.calibration_pairs, 0U);
     EXPECT_EQ(sweep, stats.records);
     EXPECT_EQ(independent, 8 * sweep)
         << "event-kernel pairs: " << independent << " for 8 independent runs vs "
-        << sweep << " for one sweep (" << stats.corner_calibration_pairs
-        << " of them calibration)";
+        << sweep << " for one sweep";
 
     // The sweep's event work is one independent run's, event for event.
     CharacterizationOptions single = options;
@@ -638,7 +617,6 @@ TEST(CornerSweep, EmulationSweepCalibratesEightNominalCornersOnce)
     const auto sweep = Characterizer{}.collect_records_corners(module, options);
     ASSERT_EQ(sweep.size(), corners.size());
     EXPECT_EQ(stats.calibration_pairs, options.calibration_pairs);
-    EXPECT_EQ(stats.corner_calibration_pairs, 0U);
     for (std::size_t k = 0; k < corners.size(); ++k) {
         expect_identical_records(
             collect_single(module, CharBackend::PowerEmulation, corners[k]), sweep[k],

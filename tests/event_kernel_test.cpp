@@ -72,7 +72,6 @@ struct KernelCase {
     std::int64_t window = 100;
     bool slow_corner = false;        ///< generic350 at 2.5 V / 85 °C (longer delays)
     bool count_input_charge = true;
-    bool track_cycle_toggles = false;
 };
 
 std::vector<KernelCase> kernel_cases()
@@ -94,11 +93,8 @@ std::vector<KernelCase> kernel_cases()
     cases.push_back({.type = dp::ModuleType::CsaMultiplier, .width = 16, .slow_corner = true});
     cases.push_back({.type = dp::ModuleType::CsaMultiplier, .width = 8,
                      .count_input_charge = false});
-    cases.push_back({.type = dp::ModuleType::CsaMultiplier, .width = 16, .window = 0,
-                     .track_cycle_toggles = true});
     cases.push_back({.type = dp::ModuleType::BoothWallaceMultiplier, .width = 8,
-                     .slow_corner = true, .count_input_charge = false,
-                     .track_cycle_toggles = true});
+                     .slow_corner = true, .count_input_charge = false});
     return cases;
 }
 
@@ -114,9 +110,6 @@ std::string kernel_case_name(const KernelCase& c)
     }
     if (!c.count_input_charge) {
         name += "_noinput";
-    }
-    if (c.track_cycle_toggles) {
-        name += "_toggles";
     }
     return name;
 }
@@ -155,32 +148,14 @@ protected:
     std::unique_ptr<SimContext> context_;
 };
 
-/// Per-cycle toggle tracking must report the same nets, in the same
-/// first-toggle order, with the same per-net counts.
-void expect_same_toggles(const EventSimulator& a, const HeapEventSimulator& b, int trial)
-{
-    const auto nets_a = a.cycle_toggled_nets();
-    const auto nets_b = b.cycle_toggled_nets();
-    ASSERT_TRUE(std::equal(nets_a.begin(), nets_a.end(), nets_b.begin(), nets_b.end()))
-        << "trial " << trial;
-    for (const NetId net : nets_a) {
-        EXPECT_EQ(a.cycle_toggle_count(net), b.cycle_toggle_count(net))
-            << "trial " << trial << " net " << net;
-    }
-}
-
 /// Same random stimulus chain through the wheel and the reference kernel:
-/// every CycleResult, every output vector, the per-cycle toggle
-/// sets, the cumulative per-net counters and the kernel counters must be
-/// bit-identical.
+/// every CycleResult, every output vector, the cumulative per-net counters
+/// and the kernel counters must be bit-identical.
 TEST_P(HeapVsWheel, IdenticalCycleStreams)
 {
     const int m = input_bits();
-    const bool track = GetParam().track_cycle_toggles;
     EventSimulator wheel{*context_, options()};
     HeapEventSimulator heap = oracle();
-    wheel.set_cycle_toggle_tracking(track);
-    heap.set_cycle_toggle_tracking(track);
 
     Rng rng{901};
     const BitVec first{m, rng.next_u64()};
@@ -190,9 +165,6 @@ TEST_P(HeapVsWheel, IdenticalCycleStreams)
         const BitVec v{m, rng.next_u64()};
         expect_same_cycle(wheel.apply(v), heap.apply(v), trial);
         EXPECT_EQ(wheel.outputs(), heap.outputs()) << "trial " << trial;
-        if (track) {
-            expect_same_toggles(wheel, heap, trial);
-        }
     }
     EXPECT_EQ(wheel.cumulative_transitions(), heap.cumulative_transitions());
     EXPECT_EQ(wheel.cumulative_charge_per_net(), heap.cumulative_charge_per_net());
@@ -207,11 +179,8 @@ TEST_P(HeapVsWheel, IdenticalCycleStreams)
 TEST_P(HeapVsWheel, IdenticalAcrossReinitialize)
 {
     const int m = input_bits();
-    const bool track = GetParam().track_cycle_toggles;
     EventSimulator wheel{*context_, options()};
     HeapEventSimulator heap = oracle();
-    wheel.set_cycle_toggle_tracking(track);
-    heap.set_cycle_toggle_tracking(track);
 
     Rng rng{407};
     for (int trial = 0; trial < 60; ++trial) {
@@ -220,9 +189,6 @@ TEST_P(HeapVsWheel, IdenticalAcrossReinitialize)
         wheel.initialize(u);
         heap.initialize(u);
         expect_same_cycle(wheel.apply(v), heap.apply(v), trial);
-        if (track) {
-            expect_same_toggles(wheel, heap, trial);
-        }
     }
     EXPECT_EQ(wheel.kernel_stats().events_processed,
               heap.kernel_stats().events_processed);
@@ -655,7 +621,7 @@ TEST(CellRec, EvalRecMatchesGateEval)
 /// argument, so it runs the characterizer's exact usage: every module
 /// family, full 64-lane BatchedEvaluator settles, every lane adopted and
 /// timed against an initialize(u) + apply(v) reference — same outputs,
-/// same cycle, same per-net toggle set.
+/// same cycle, same cumulative per-net toggles and charges.
 TEST(LoadState, MatchesInitialize)
 {
     for (const dp::ModuleType type : dp::all_module_types()) {
@@ -664,15 +630,16 @@ TEST(LoadState, MatchesInitialize)
         const SimContext context{module.netlist(), TechLibrary::generic350()};
         EventSimulator reference{context};
         EventSimulator adopted{context};
-        reference.set_cycle_toggle_tracking(true);
-        adopted.set_cycle_toggle_tracking(true);
 
-        // Give the adopting simulator history so the test also covers the
-        // characterizer's steady-state usage (load_state after many cycles).
-        Rng history{31};
-        adopted.initialize(BitVec{m, history.next_u64()});
-        for (int i = 0; i < 10; ++i) {
-            (void)adopted.apply(BitVec{m, history.next_u64()});
+        // Give both simulators the same history, so the test also covers
+        // the characterizer's steady-state usage (load_state after many
+        // cycles) and their cumulative per-net counters stay comparable.
+        for (EventSimulator* simulator : {&reference, &adopted}) {
+            Rng history{31};
+            simulator->initialize(BitVec{m, history.next_u64()});
+            for (int i = 0; i < 10; ++i) {
+                (void)simulator->apply(BitVec{m, history.next_u64()});
+            }
         }
 
         BatchedEvaluator batched{context};
@@ -701,10 +668,10 @@ TEST(LoadState, MatchesInitialize)
                 ASSERT_EQ(got.transitions, want.transitions) << label;
                 ASSERT_EQ(got.settle_time_ps, want.settle_time_ps) << label;
                 ASSERT_EQ(adopted.outputs(), reference.outputs()) << label;
-                const auto nets_want = reference.cycle_toggled_nets();
-                const auto nets_got = adopted.cycle_toggled_nets();
-                ASSERT_TRUE(std::equal(nets_got.begin(), nets_got.end(),
-                                       nets_want.begin(), nets_want.end()))
+                ASSERT_EQ(adopted.cumulative_transitions(), reference.cumulative_transitions())
+                    << label;
+                ASSERT_EQ(adopted.cumulative_charge_per_net(),
+                          reference.cumulative_charge_per_net())
                     << label;
             }
         }

@@ -196,8 +196,9 @@ TEST_F(ModelLibraryTest, CornerTimingStampRetiresOnlyCornerQualifiedModels)
     // then every (Vdd, T) corner became its load class's nominal charges
     // under the exact charge law (stamp 2), and then both backends applied
     // that law to each class's summed charges instead of to per-net
-    // weights (stamp 3); each changed every model characterized away from
-    // the native corner. The pinned values are
+    // weights (stamp 3), and then event sweeps simulated every load class
+    // instead of scoring it through transfer weights (stamp 4); each
+    // changed every model characterized away from the native corner. The pinned values are
     // quick()'s fingerprints and native model file from before those
     // changes: native-corner files keep their fingerprint and bytes and are
     // reused; a corner-qualified file under an old fingerprint is
@@ -228,9 +229,9 @@ TEST_F(ModelLibraryTest, CornerTimingStampRetiresOnlyCornerQualifiedModels)
 
     const gate::Corner corner{2.5, 85.0, gate::LoadClass::Nominal};
     options.corner = corner;
-    // The corner fingerprints before the dilation, and under stamps 1 and 2.
-    const std::array<std::string, 3> stale = {"cef0e3c2531dfe24", "4b4cff4e18df74c5",
-                                              "6a47c65723cebee6"};
+    // The corner fingerprints before the dilation, and under stamps 1 to 3.
+    const std::array<std::string, 4> stale = {"cef0e3c2531dfe24", "4b4cff4e18df74c5",
+                                              "6a47c65723cebee6", "89428d602ebe0907"};
     const std::uint64_t current = characterization_fingerprint(options, {});
     for (const std::string& old : stale) {
         EXPECT_NE(current, std::stoull(old, nullptr, 16));

@@ -54,22 +54,9 @@ void HeapEventSimulator::initialize(const BitVec& inputs)
     epoch_ = 0;
     seq_ = 0;
     queue_ = {};
-    if (track_) {
-        for (const NetId net : cycle_dirty_) {
-            cycle_toggle_count_[net] = 0;
-        }
-        cycle_dirty_.clear();
-    }
     if (tracer_ != nullptr) {
         tracer_->dump_all(cycle_start_time_, values_);
     }
-}
-
-void HeapEventSimulator::set_cycle_toggle_tracking(bool enabled)
-{
-    track_ = enabled;
-    cycle_toggle_count_.assign(netlist_->num_nets(), 0);
-    cycle_dirty_.clear();
 }
 
 bool HeapEventSimulator::schedule(NetId net, std::uint8_t value, std::int64_t time)
@@ -101,9 +88,6 @@ void HeapEventSimulator::toggle(NetId net, std::uint8_t value, std::int64_t time
 {
     values_[net] = value;
     ++transition_count_[net];
-    if (track_ && cycle_toggle_count_[net]++ == 0) {
-        cycle_dirty_.push_back(net);
-    }
     ++result.transitions;
     result.settle_time_ps = std::max(result.settle_time_ps, time);
     if (count_charge) {
@@ -140,12 +124,6 @@ void HeapEventSimulator::fail_budget(std::uint64_t budget) const
 
 sim::CycleResult HeapEventSimulator::apply(const BitVec& inputs)
 {
-    if (track_) {
-        for (const NetId net : cycle_dirty_) {
-            cycle_toggle_count_[net] = 0;
-        }
-        cycle_dirty_.clear();
-    }
     const auto& pis = netlist_->primary_inputs();
     cycle_u_ = 0;
     for (std::size_t i = 0; i < pis.size(); ++i) {

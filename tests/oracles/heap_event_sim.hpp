@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <queue>
-#include <span>
 #include <vector>
 
 #include "netlist/netlist.hpp"
@@ -48,18 +47,6 @@ public:
         return charge_per_net_;
     }
     [[nodiscard]] const sim::KernelStats& kernel_stats() const noexcept { return stats_; }
-
-    /// Per-cycle toggle tracking: nets toggled by the last apply() in
-    /// first-toggle order, and their toggle counts.
-    void set_cycle_toggle_tracking(bool enabled);
-    [[nodiscard]] std::span<const netlist::NetId> cycle_toggled_nets() const noexcept
-    {
-        return cycle_dirty_;
-    }
-    [[nodiscard]] std::uint32_t cycle_toggle_count(netlist::NetId net) const
-    {
-        return cycle_toggle_count_.at(net);
-    }
 
     void set_tracer(sim::VcdWriter* tracer) noexcept { tracer_ = tracer; }
 
@@ -108,9 +95,6 @@ private:
     sim::KernelStats stats_;
     std::vector<std::uint64_t> transition_count_;
     std::vector<double> charge_per_net_;
-    bool track_ = false;
-    std::vector<std::uint32_t> cycle_toggle_count_;
-    std::vector<netlist::NetId> cycle_dirty_;
 
     std::uint64_t cycle_u_ = 0;
     std::uint64_t cycle_v_ = 0;

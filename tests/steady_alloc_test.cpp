@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string>
+#include <vector>
 
 #include "core/characterize.hpp"
 #include "core/estimation_engine.hpp"
 #include "dpgen/module.hpp"
+#include "gatelib/techlib.hpp"
 #include "streams/packed_trace.hpp"
 
 // Counting global allocator: every heap allocation in the process bumps one
@@ -90,10 +95,13 @@ namespace hdpm::core {
 namespace {
 
 /// Allocations of one single-shard, single-thread pairs-mode collection of
-/// @p n records. One shard and threads=1 keep the measurement deterministic;
-/// everything the shard loop touches (stimulus arenas, the batched
-/// evaluator, the event simulator's wheel and scratch) is sized once.
-std::uint64_t allocations_for(const dp::DatapathModule& module, std::size_t n)
+/// @p n records: a native run, or an event sweep over @p corners when that
+/// is not empty. One shard and threads=1 keep the measurement
+/// deterministic; everything the shard loop touches (stimulus arenas, the
+/// batched evaluator, each load class's event simulator with its wheel and
+/// scratch) is sized once.
+std::uint64_t allocations_for(const dp::DatapathModule& module, std::size_t n,
+                              const std::vector<gate::Corner>& corners = {})
 {
     CharacterizationOptions options;
     options.max_transitions = n;
@@ -103,13 +111,21 @@ std::uint64_t allocations_for(const dp::DatapathModule& module, std::size_t n)
     options.threads = 1;
     options.seed = 9;
     options.mode = StimulusMode::StratifiedPairs;
+    options.corners = corners;
 
     const Characterizer characterizer;
     const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
-    const std::vector<CharacterizationRecord> records =
-        characterizer.collect_records(module, options);
+    std::vector<std::vector<CharacterizationRecord>> blocks;
+    if (corners.empty()) {
+        blocks.push_back(characterizer.collect_records(module, options));
+    } else {
+        blocks = characterizer.collect_records_corners(module, options);
+    }
     const std::uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
-    EXPECT_EQ(records.size(), n);
+    EXPECT_EQ(blocks.size(), std::max<std::size_t>(corners.size(), 1));
+    for (const std::vector<CharacterizationRecord>& records : blocks) {
+        EXPECT_EQ(records.size(), n);
+    }
     return after - before;
 }
 
@@ -118,21 +134,30 @@ TEST(SteadyAlloc, PairsCollectionDoesNotAllocatePerRecord)
     const dp::DatapathModule module =
         dp::make_module(dp::ModuleType::RippleAdder, std::array<int, 1>{4});
 
-    // Warm up lazy one-time state (locale, gtest bookkeeping, allocator
-    // pools) so both measured runs see identical surroundings.
-    (void)allocations_for(module, 256);
+    // A native run, and a two-class event sweep whose load classes each
+    // simulate on their own event simulator.
+    const std::vector<std::vector<gate::Corner>> inputs = {
+        {},
+        {{3.3, 25.0, gate::LoadClass::Nominal}, {3.3, 25.0, gate::LoadClass::Heavy}}};
+    for (const std::vector<gate::Corner>& corners : inputs) {
+        const std::string label =
+            corners.empty() ? "native run" : std::to_string(corners.size()) + "-corner sweep";
+        // Warm up lazy one-time state (locale, gtest bookkeeping, allocator
+        // pools) so both measured runs see identical surroundings.
+        (void)allocations_for(module, 256, corners);
 
-    const std::uint64_t small = allocations_for(module, 256);
-    const std::uint64_t large = allocations_for(module, 1024);
+        const std::uint64_t small = allocations_for(module, 256, corners);
+        const std::uint64_t large = allocations_for(module, 1024, corners);
 
-    // Setup allocations (context, simulator, arenas, the two result
-    // reserves) are identical for both sizes; per-record allocation would
-    // add at least 768 to the larger run. The slack absorbs only
-    // logarithmic growth of any amortized container.
-    EXPECT_LE(large, small + 64)
-        << "pairs-mode collection must not allocate per record (steady "
-           "state): 256 records cost "
-        << small << " allocations, 1024 cost " << large;
+        // Setup allocations (contexts, simulators, arenas, the result
+        // reserves) are identical for both sizes; per-record allocation
+        // would add at least 768 to the larger run. The slack absorbs only
+        // logarithmic growth of any amortized container.
+        EXPECT_LE(large, small + 64)
+            << label << ": pairs-mode collection must not allocate per record (steady "
+               "state): 256 records cost "
+            << small << " allocations, 1024 cost " << large;
+    }
 }
 
 TEST(SteadyAlloc, WarmEngineEstimateDoesNotAllocate)
