@@ -113,6 +113,20 @@ public:
         out = parse_number<T>(flag_, value());
     }
 
+    /// Parse the flag's value into @p out (parse_number) as a count of at
+    /// least one: zero is a usage error too, not rewritten to one.
+    template <typename T>
+    void positive_number(T& out)
+    {
+        const std::string text = value();
+        out = parse_number<T>(flag_, text);
+        if (out == 0) {
+            std::cerr << "invalid value '" << text << "' for " << flag_
+                      << " (expected a positive decimal integer)\n";
+            std::exit(2);
+        }
+    }
+
     /// Parse the flag's optional value into @p out: the next argument,
     /// unless it is missing or a flag.
     template <typename T>

@@ -185,8 +185,7 @@ Cli parse_module_args(int argc, char** argv, int start)
                 std::exit(2);
             }
         } else if (flag == "--repeat") {
-            args.number(cli.repeat);
-            cli.repeat = std::max<std::size_t>(1, cli.repeat);
+            args.positive_number(cli.repeat);
         } else if (flag == "--verify") {
             cli.verify = true;
         } else if (flag == "--corner") {

@@ -133,8 +133,7 @@ int main(int argc, char** argv)
                 } else if (flag == "--patterns") {
                     args.number(patterns);
                 } else if (flag == "--repeat") {
-                    args.number(repeat);
-                    repeat = std::max<std::size_t>(1, repeat);
+                    args.positive_number(repeat);
                 } else if (flag == "--seed") {
                     args.number(seed);
                 } else if (flag == "--enhanced") {

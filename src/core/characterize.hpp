@@ -194,10 +194,12 @@ struct CharacterizationOptions {
     std::optional<gate::Corner> corner;
 
     /// Multi-corner sweep list consumed by the *_corners entry points: one
-    /// stimulus sweep scores every listed corner from shared per-net
-    /// toggle activity (docs/corners.md), returning result vectors
-    /// index-aligned with this list. Ignored by the single-corner entry
-    /// points; mutually exclusive with `corner`.
+    /// stimulus sweep scores every listed corner from its load class's
+    /// nominal charge by the corner's law (docs/corners.md). An event
+    /// sweep simulates each load class; an emulation sweep shares only
+    /// the zero-delay settle. Result vectors are index-aligned with this
+    /// list. Ignored by the single-corner entry points; mutually exclusive
+    /// with `corner`.
     std::vector<gate::Corner> corners;
 
     /// When true, the first failing shard aborts the whole run (the

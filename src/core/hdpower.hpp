@@ -8,8 +8,13 @@
 ///   2. Characterize it:              core::Characterizer::characterize(...)
 ///   3. (Optionally) fit a family:    core::ParameterizableModel::fit(...)
 ///   4. Estimate power of a stream:   model.estimate_average(patterns), or
-///      statistically from word-level stats via core::estimate_from_word_stats.
+///      statistically from word-level stats via core::estimate_from_word_stats
+///      (stats::propagate_add / propagate_const_mult carry those stats
+///      through adders and constant multipliers).
 /// The reference simulator behind all of it is sim::PowerSimulator.
+///
+/// The header includes what the programs in examples/ and bench/ use; the
+/// fleet and serving layers have their own headers (fleet/, serve/).
 
 #include "core/adaptive.hpp"
 #include "core/bitwise_model.hpp"
@@ -29,16 +34,13 @@
 #include "gatelib/techlib.hpp"
 #include "netlist/builder.hpp"
 #include "netlist/netlist.hpp"
-#include "netlist/transform.hpp"
 #include "sim/functional.hpp"
 #include "sim/glitch.hpp"
 #include "sim/power.hpp"
 #include "sim/probabilistic.hpp"
 #include "sim/report.hpp"
 #include "sim/sequential.hpp"
-#include "sim/vcd.hpp"
 #include "stats/datamodel.hpp"
-#include "stats/dfg.hpp"
 #include "stats/gaussian.hpp"
 #include "stats/propagation.hpp"
 #include "streams/bitstats.hpp"

@@ -4,7 +4,6 @@
 #include <bit>
 #include <string>
 
-#include "sim/vcd.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
 
@@ -122,9 +121,6 @@ void EventSimulator::reset_cycle_state()
     wheel_.clear();
 
     initialized_ = true;
-    if (tracer_ != nullptr) {
-        tracer_->dump_all(cycle_start_time_, values_);
-    }
 }
 
 CycleResult EventSimulator::apply(const BitVec& inputs)
@@ -152,13 +148,6 @@ CycleResult EventSimulator::apply(const BitVec& inputs)
     }
     cycle.settle_time_ps = context_->electrical().dilate_ps(cycle.settle_time_ps);
     return cycle;
-}
-
-[[gnu::noinline]] void EventSimulator::trace_toggle(std::int64_t time, NetId net,
-                                                   std::uint8_t value) const
-{
-    tracer_->change(cycle_start_time_ + context_->electrical().dilate_ps(time), net,
-                    value != 0);
 }
 
 void EventSimulator::fail_event_budget(const std::uint64_t budget) const
@@ -198,7 +187,6 @@ CycleResult EventSimulator::apply_wheel(const BitVec& inputs, const std::uint64_
     const std::size_t mask = wheel_.mask;
     const std::int64_t horizon = wheel_.horizon;
     const std::int64_t window = options_.inertial_window_ps;
-    const bool traced = tracer_ != nullptr;
     const double* const internal_charge = context_->internal_charges_fc().data();
 
     // Results accumulate in locals in toggle order, so the floating-point
@@ -219,9 +207,6 @@ CycleResult EventSimulator::apply_wheel(const BitVec& inputs, const std::uint64_
             if constexpr (kInternal) {
                 internal += internal_charge[net];
             }
-        }
-        if (traced) {
-            trace_toggle(time, net, v);
         }
     };
     // Fanout consumers are appended without per-cell deduplication: a cell
@@ -332,9 +317,6 @@ CycleResult EventSimulator::apply_wheel(const BitVec& inputs, const std::uint64_
 
     stats_.max_queue_depth = max_depth;
     stats_.events_processed += processed;
-    if (traced) {
-        cycle_start_time_ += tracer_->cycle_period_ps();
-    }
     if constexpr (kInternal) {
         cycle_internal_charge_ = internal;
     }

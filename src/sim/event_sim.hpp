@@ -11,8 +11,6 @@
 
 namespace hdpm::sim {
 
-class VcdWriter;
-
 /// Options of the event-driven simulator.
 struct EventSimOptions {
     /// Include the charge absorbed by the module's input pin capacitance
@@ -158,10 +156,6 @@ public:
     /// Cumulative scheduler counters since construction.
     [[nodiscard]] const KernelStats& kernel_stats() const noexcept { return stats_; }
 
-    /// Attach a VCD tracer (may be nullptr to detach). The tracer must
-    /// outlive the simulator or be detached before destruction.
-    void set_tracer(VcdWriter* tracer) noexcept { tracer_ = tracer; }
-
 private:
     /// Per-net scheduler state, packed so the hot paths (event validation
     /// and schedule preparation) touch one 16-byte slot instead of four
@@ -227,10 +221,6 @@ private:
     /// plain loop carries no trace of it.
     template <bool kInternal>
     CycleResult apply_wheel(const util::BitVec& inputs, std::uint64_t budget);
-    /// Record a toggle at class-nominal @p time in the attached tracer, on
-    /// the dilated time axis (out of line: the kernel only tests for a
-    /// tracer). Settle times are dilated once per cycle, by apply().
-    void trace_toggle(std::int64_t time, netlist::NetId net, std::uint8_t value) const;
     /// Throw the structured SimBudgetExceeded diagnostic for this cycle.
     [[noreturn]] void fail_event_budget(std::uint64_t budget) const;
     /// The per-cycle scheduler reset shared by initialize and load_state.
@@ -294,8 +284,6 @@ private:
     std::uint64_t cycle_u_bits_ = 0;
     std::uint64_t cycle_v_bits_ = 0;
 
-    std::int64_t cycle_start_time_ = 0; ///< global time of the current cycle (for VCD)
-    VcdWriter* tracer_ = nullptr;
     bool initialized_ = false;
 };
 

@@ -1,10 +1,7 @@
 #include "stats/propagation.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <numbers>
 
-#include "stats/gaussian.hpp"
 #include "util/error.hpp"
 
 namespace hdpm::stats {
@@ -43,74 +40,10 @@ WordStats propagate_add(const WordStats& a, const WordStats& b, int out_width)
                 std::min(a.count, b.count));
 }
 
-WordStats propagate_sub(const WordStats& a, const WordStats& b, int out_width)
-{
-    HDPM_REQUIRE(out_width >= 1, "bad output width");
-    const double variance = a.variance + b.variance;
-    const double cov = a.rho * a.variance + b.rho * b.variance;
-    return make(a.mean - b.mean, variance, safe_rho(cov, variance), out_width,
-                std::min(a.count, b.count));
-}
-
 WordStats propagate_const_mult(const WordStats& a, double c, int out_width)
 {
     HDPM_REQUIRE(out_width >= 1, "bad output width");
     return make(c * a.mean, c * c * a.variance, a.rho, out_width, a.count);
-}
-
-WordStats propagate_mult(const WordStats& a, const WordStats& b, int out_width)
-{
-    HDPM_REQUIRE(out_width >= 1, "bad output width");
-    // Exact moments of a product of independent streams.
-    const double mean = a.mean * b.mean;
-    const double variance = a.variance * b.variance + a.mean * a.mean * b.variance +
-                            b.mean * b.mean * a.variance;
-    // Lag-1 covariance of X_t·Y_t: for independent (jointly stationary)
-    // streams Cov(X₀Y₀, X₁Y₁) = CovX·CovY + µx²·CovY + µy²·CovX.
-    const double cov_x = a.rho * a.variance;
-    const double cov_y = b.rho * b.variance;
-    const double cov = cov_x * cov_y + a.mean * a.mean * cov_y + b.mean * b.mean * cov_x;
-    return make(mean, variance, safe_rho(cov, variance), out_width,
-                std::min(a.count, b.count));
-}
-
-WordStats propagate_delay(const WordStats& a)
-{
-    return a;
-}
-
-WordStats propagate_absval(const WordStats& a, int out_width)
-{
-    HDPM_REQUIRE(out_width >= 1, "bad output width");
-    const double sigma = std::sqrt(a.variance);
-    const double mean = folded_normal_mean(a.mean, sigma);
-    const double variance = folded_normal_variance(a.mean, sigma);
-
-    // Zero-mean Gaussian |X| lag-1 correlation; clamped approximation
-    // elsewhere (exact when µ = 0).
-    const double rho = std::clamp(a.rho, -1.0, 1.0);
-    constexpr double two_over_pi = 2.0 / std::numbers::pi;
-    const double numerator =
-        two_over_pi * (rho * std::asin(rho) + std::sqrt(1.0 - rho * rho)) - two_over_pi;
-    const double rho_abs = numerator / (1.0 - two_over_pi);
-
-    return make(mean, variance, rho_abs, out_width, a.count);
-}
-
-WordStats propagate_mux(const WordStats& a, const WordStats& b, double sel_prob_a,
-                        int out_width)
-{
-    HDPM_REQUIRE(out_width >= 1, "bad output width");
-    HDPM_REQUIRE(sel_prob_a >= 0.0 && sel_prob_a <= 1.0, "selection probability ",
-                 sel_prob_a, " out of range");
-    const double p = sel_prob_a;
-    const double q = 1.0 - p;
-    const double mean = p * a.mean + q * b.mean;
-    const double dm = a.mean - b.mean;
-    const double variance = p * a.variance + q * b.variance + p * q * dm * dm;
-    const double cov = p * a.rho * a.variance + q * b.rho * b.variance;
-    return make(mean, variance, safe_rho(cov, variance), out_width,
-                std::min(a.count, b.count));
 }
 
 } // namespace hdpm::stats

@@ -21,37 +21,8 @@ namespace hdpm::stats {
                                                const streams::WordStats& b,
                                                int out_width);
 
-/// Difference of two independent streams (same second-order behaviour as
-/// the sum, with µ = µa−µb).
-[[nodiscard]] streams::WordStats propagate_sub(const streams::WordStats& a,
-                                               const streams::WordStats& b,
-                                               int out_width);
-
 /// Multiplication by a constant c: µ = c·µ, σ² = c²·σ², ρ unchanged.
 [[nodiscard]] streams::WordStats propagate_const_mult(const streams::WordStats& a,
                                                       double c, int out_width);
-
-/// Product of two independent streams; exact second moments, lag-1
-/// correlation from the Gaussian product formula.
-[[nodiscard]] streams::WordStats propagate_mult(const streams::WordStats& a,
-                                                const streams::WordStats& b,
-                                                int out_width);
-
-/// A register/delay: statistics are unchanged (stationarity).
-[[nodiscard]] streams::WordStats propagate_delay(const streams::WordStats& a);
-
-/// Absolute value |a|: folded-normal moments; lag-1 correlation from the
-/// zero-mean Gaussian identity
-///   corr(|X|,|Y|) = [2/π·(ρ·asin ρ + √(1−ρ²)) − 2/π] / (1 − 2/π),
-/// used as an approximation for non-zero means as well.
-[[nodiscard]] streams::WordStats propagate_absval(const streams::WordStats& a,
-                                                  int out_width);
-
-/// A 2:1 multiplexer that selects stream a with probability @p sel_prob_a
-/// (selection independent of the data): mixture mean/variance are exact,
-/// ρ is the variance-weighted approximation of [10].
-[[nodiscard]] streams::WordStats propagate_mux(const streams::WordStats& a,
-                                               const streams::WordStats& b,
-                                               double sel_prob_a, int out_width);
 
 } // namespace hdpm::stats

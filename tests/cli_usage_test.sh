@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Usage-error contract of the command-line binaries: malformed numeric
-# flags and widths, and flags that no longer exist, exit 2 with a message
-# naming the flag, and so do a --corner beside --corners and a corner
+# flags and widths, a zero --repeat, and flags that no longer exist, exit
+# 2 with a message naming the flag, and so do a --corner beside --corners and a corner
 # listed twice in --corners; a zero budget passes hdpower_cli's parser but
 # the library rejects it (exit 1) without storing a model.
 #
@@ -48,6 +48,7 @@ expect 2 "invalid value '99999999999' for --threads" characterize ripple_adder 4
 expect 2 "invalid value '18446744073709551616' for --shard-size" characterize ripple_adder 4 --shard-size 18446744073709551616
 expect 2 "invalid value '4x' for width" characterize ripple_adder 4x
 expect 2 "invalid value '2.5' for --enhanced" characterize ripple_adder 4 --enhanced 2.5
+expect 2 "invalid value '0' for --repeat" estimate ripple_adder 4 --data I --repeat 0
 expect 2 "unknown flag '--kernel'" estimate ripple_adder 4 --data I --kernel scalar
 expect 2 "unknown flag '--warmup'" characterize ripple_adder 4 --warmup per-record
 expect 1 "max_transitions must be positive" characterize ripple_adder 4 --budget 0
@@ -63,6 +64,7 @@ check 2 "invalid value '-1' for --retries" "$client" --socket "$scratch/none.soc
 check 2 "invalid value 'abc' for --timeout-ms" "$client" --socket "$scratch/none.sock" --timeout-ms abc ping
 check 2 "missing value for --retries" "$client" --retries
 check 2 "unknown flag '--bogus'" "$client" --bogus 3 ping
+check 2 "invalid value '0' for --repeat" "$client" --socket "$scratch/none.sock" estimate ripple_adder 4 --data I --repeat 0
 # Commands read their flags before they connect, so an unknown one is
 # refused whether or not a daemon answers.
 check 2 "unknown flag '--bogus'" "$client" --socket "$scratch/none.sock" hold --bogus

@@ -54,9 +54,6 @@ void HeapEventSimulator::initialize(const BitVec& inputs)
     epoch_ = 0;
     seq_ = 0;
     queue_ = {};
-    if (tracer_ != nullptr) {
-        tracer_->dump_all(cycle_start_time_, values_);
-    }
 }
 
 bool HeapEventSimulator::schedule(NetId net, std::uint8_t value, std::int64_t time)
@@ -94,9 +91,6 @@ void HeapEventSimulator::toggle(NetId net, std::uint8_t value, std::int64_t time
         const double q = electrical_->edge_charge_fc(net);
         result.charge_fc += q;
         charge_per_net_[net] += q;
-    }
-    if (tracer_ != nullptr) {
-        tracer_->change(cycle_start_time_ + electrical_->dilate_ps(time), net, value != 0);
     }
 }
 
@@ -184,9 +178,6 @@ sim::CycleResult HeapEventSimulator::apply(const BitVec& inputs)
     }
 
     stats_.events_processed += processed;
-    if (tracer_ != nullptr) {
-        cycle_start_time_ += tracer_->cycle_period_ps();
-    }
     result.settle_time_ps = electrical_->dilate_ps(result.settle_time_ps);
     return result;
 }

@@ -6,10 +6,10 @@
 // evaluation through Netlist::cell and gate_eval, per-timestamp cell
 // deduplication, and a topological zero-delay settle. It shares no code
 // with the production timing wheel — only the public Netlist,
-// ElectricalView, EventSimOptions and VcdWriter surface — and implements
-// the same contract: transport delays filtered by the inertial window,
-// optional input-pin charge, settle and trace times reported dilated by the
-// corner's time scale, and the per-cycle event budget with its structured
+// ElectricalView and EventSimOptions surface — and implements the same
+// contract: transport delays filtered by the inertial window, optional
+// input-pin charge, settle times reported dilated by the corner's time
+// scale, and the per-cycle event budget with its structured
 // SimBudgetExceeded diagnostic.
 
 #include <cstdint>
@@ -19,7 +19,6 @@
 #include "netlist/netlist.hpp"
 #include "sim/electrical.hpp"
 #include "sim/event_sim.hpp"
-#include "sim/vcd.hpp"
 #include "util/bitvec.hpp"
 
 namespace hdpm::oracle {
@@ -47,8 +46,6 @@ public:
         return charge_per_net_;
     }
     [[nodiscard]] const sim::KernelStats& kernel_stats() const noexcept { return stats_; }
-
-    void set_tracer(sim::VcdWriter* tracer) noexcept { tracer_ = tracer; }
 
 private:
     struct Event {
@@ -98,8 +95,6 @@ private:
 
     std::uint64_t cycle_u_ = 0;
     std::uint64_t cycle_v_ = 0;
-    std::int64_t cycle_start_time_ = 0;
-    sim::VcdWriter* tracer_ = nullptr;
 };
 
 } // namespace hdpm::oracle

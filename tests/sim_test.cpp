@@ -1,18 +1,13 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <sstream>
 #include <string>
 
 #include "dpgen/module.hpp"
 #include "netlist/builder.hpp"
-#include "oracles/heap_event_sim.hpp"
 #include "sim/electrical.hpp"
 #include "sim/event_sim.hpp"
 #include "sim/functional.hpp"
 #include "sim/power.hpp"
-#include "sim/sim_context.hpp"
-#include "sim/vcd.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -294,182 +289,6 @@ TEST(PowerSim, MeasurePairColdStart)
     const CycleResult b = power.measure_pair(u, v);
     EXPECT_DOUBLE_EQ(a.charge_fc, b.charge_fc) << "measure_pair must be stateless";
     EXPECT_GT(a.charge_fc, 0.0);
-}
-
-TEST(Vcd, EmitsHeaderAndChanges)
-{
-    const Netlist nl = xor_chain(2);
-    std::ostringstream out;
-    VcdWriter vcd{out, nl, 10000};
-    EventSimulator sim{nl, TechLibrary::generic350()};
-    sim.set_tracer(&vcd);
-    sim.initialize(BitVec{2, 0b00});
-    (void)sim.apply(BitVec{2, 0b11});
-    sim.set_tracer(nullptr);
-
-    const std::string text = out.str();
-    EXPECT_NE(text.find("$timescale 1ps $end"), std::string::npos);
-    EXPECT_NE(text.find("$enddefinitions $end"), std::string::npos);
-    EXPECT_NE(text.find("$dumpvars"), std::string::npos);
-    EXPECT_NE(text.find("#0"), std::string::npos);
-}
-
-TEST(Vcd, ChangeCountMatchesSimulatedTransitions)
-{
-    const dp::DatapathModule module = dp::make_module(dp::ModuleType::RippleAdder, 4);
-    const int m = module.total_input_bits();
-    std::ostringstream out;
-    VcdWriter vcd{out, module.netlist(), 100000};
-    EventSimulator sim{module.netlist(), TechLibrary::generic350()};
-    sim.set_tracer(&vcd);
-
-    Rng rng{41};
-    sim.initialize(BitVec{m, rng.next_u64()});
-    std::uint64_t transitions = 0;
-    for (int i = 0; i < 20; ++i) {
-        transitions += sim.apply(BitVec{m, rng.next_u64()}).transitions;
-    }
-    sim.set_tracer(nullptr);
-
-    // Count value-change lines after $enddefinitions, excluding the initial
-    // $dumpvars block.
-    std::istringstream in{out.str()};
-    std::string line;
-    bool in_body = false;
-    bool in_dump = false;
-    std::uint64_t changes = 0;
-    while (std::getline(in, line)) {
-        if (line.find("$enddefinitions") != std::string::npos) {
-            in_body = true;
-            continue;
-        }
-        if (!in_body || line.empty()) {
-            continue;
-        }
-        if (line.rfind("$dumpvars", 0) == 0) {
-            in_dump = true;
-            continue;
-        }
-        if (in_dump) {
-            if (line.rfind("$end", 0) == 0) {
-                in_dump = false;
-            }
-            continue;
-        }
-        if (line[0] == '0' || line[0] == '1') {
-            ++changes;
-        }
-    }
-    EXPECT_EQ(changes, transitions);
-}
-
-TEST(Vcd, CyclesAdvanceGlobalTime)
-{
-    const Netlist nl = xor_chain(1);
-    std::ostringstream out;
-    VcdWriter vcd{out, nl, 5000};
-    EventSimulator sim{nl, TechLibrary::generic350()};
-    sim.set_tracer(&vcd);
-    sim.initialize(BitVec{2, 0b00});
-    (void)sim.apply(BitVec{2, 0b01});
-    (void)sim.apply(BitVec{2, 0b10});
-    sim.set_tracer(nullptr);
-    // The second cycle's input edge lands at t = 5000.
-    EXPECT_NE(out.str().find("#5000"), std::string::npos);
-}
-
-/// The wheel and the reference heap kernel (tests/oracles) emit the same
-/// value changes at the same times in the same order, so their VCD streams
-/// are byte-identical — across glitchy multi-cycle runs and a re-initialize
-/// in the middle.
-TEST(Vcd, WheelAndHeapStreamsAreByteIdentical)
-{
-    const dp::DatapathModule module = dp::make_module(dp::ModuleType::CsaMultiplier, 6);
-    const int m = module.total_input_bits();
-    const SimContext context{module.netlist(), TechLibrary::generic350()};
-
-    auto trace = [&](auto sim) {
-        std::ostringstream out;
-        VcdWriter vcd{out, module.netlist(), 10000};
-        sim.set_tracer(&vcd);
-        Rng rng{73};
-        sim.initialize(BitVec{m, rng.next_u64()});
-        for (int i = 0; i < 30; ++i) {
-            if (i == 15) {
-                sim.initialize(BitVec{m, rng.next_u64()});
-            }
-            (void)sim.apply(BitVec{m, rng.next_u64()});
-        }
-        sim.set_tracer(nullptr);
-        return out.str();
-    };
-
-    for (const std::int64_t window : {std::int64_t{0}, std::int64_t{100}}) {
-        EventSimOptions options;
-        options.inertial_window_ps = window;
-        const std::string wheel = trace(EventSimulator{context, options});
-        EXPECT_GT(wheel.size(), 1000U) << "window " << window;
-        EXPECT_EQ(wheel, trace(oracle::HeapEventSimulator{module.netlist(),
-                                                          context.electrical(), options}))
-            << "window " << window;
-    }
-}
-
-/// At a corner the trace is the class-nominal trace on a dilated time
-/// axis: every timestamp within a cycle is the nominal one scaled by the
-/// corner's delay factor (cycles still start at multiples of the period),
-/// with the same value changes in the same order — from the wheel and the
-/// heap kernel alike.
-TEST(Vcd, CornerTimestampsAreDilatedNominalTimes)
-{
-    const dp::DatapathModule module = dp::make_module(dp::ModuleType::CsaMultiplier, 6);
-    const int m = module.total_input_bits();
-    constexpr std::int64_t kPeriod = 100000;
-    const TechLibrary& base = TechLibrary::generic350();
-    const gate::Corner corner{2.5, 85.0, gate::LoadClass::Nominal};
-    const TechLibrary slow = base.at(corner);
-    const double scale = base.corner_delay_scale(corner);
-    ASSERT_GT(scale, 1.0);
-    const SimContext nominal{module.netlist(), base};
-    const SimContext dilated{module.netlist(), slow};
-
-    auto trace = [&](auto sim) {
-        std::ostringstream out;
-        VcdWriter vcd{out, module.netlist(), kPeriod};
-        sim.set_tracer(&vcd);
-        Rng rng{29};
-        sim.initialize(BitVec{m, rng.next_u64()});
-        for (int i = 0; i < 20; ++i) {
-            (void)sim.apply(BitVec{m, rng.next_u64()});
-        }
-        sim.set_tracer(nullptr);
-        return out.str();
-    };
-
-    // Rewrite the nominal trace's timestamps onto the corner's time axis.
-    std::istringstream in{trace(EventSimulator{nominal})};
-    std::string expected;
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.size() > 1 && line[0] == '#') {
-            const std::int64_t t = std::stoll(line.substr(1));
-            const std::int64_t start = t / kPeriod * kPeriod;
-            line = '#' + std::to_string(
-                             start + std::llround(static_cast<double>(t - start) * scale));
-        }
-        expected += line + '\n';
-    }
-    const std::string wheel = trace(EventSimulator{dilated});
-    EXPECT_NE(wheel, trace(EventSimulator{nominal}));
-    EXPECT_EQ(wheel, expected);
-    EXPECT_EQ(wheel, trace(oracle::HeapEventSimulator{module.netlist(), dilated.electrical()}));
-}
-
-TEST(Vcd, RejectsBadPeriod)
-{
-    const Netlist nl = xor_chain(1);
-    std::ostringstream out;
-    EXPECT_THROW((VcdWriter{out, nl, 0}), util::PreconditionError);
 }
 
 } // namespace

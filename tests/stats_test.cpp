@@ -527,15 +527,6 @@ TEST(Propagation, AddMoments)
     EXPECT_NEAR(sum.rho, 0.34, 1e-12);
 }
 
-TEST(Propagation, SubMoments)
-{
-    const WordStats a = make_stats(2.0, 3.0, 0.5, 12);
-    const WordStats b = make_stats(-1.0, 4.0, 0.25, 12);
-    const WordStats diff = propagate_sub(a, b, 13);
-    EXPECT_DOUBLE_EQ(diff.mean, 3.0);
-    EXPECT_DOUBLE_EQ(diff.variance, 25.0);
-}
-
 TEST(Propagation, ConstMult)
 {
     const WordStats a = make_stats(2.0, 3.0, 0.5, 12);
@@ -543,82 +534,6 @@ TEST(Propagation, ConstMult)
     EXPECT_DOUBLE_EQ(out.mean, -8.0);
     EXPECT_DOUBLE_EQ(out.variance, 144.0);
     EXPECT_DOUBLE_EQ(out.rho, 0.5);
-}
-
-TEST(Propagation, MultMomentsAgainstMonteCarlo)
-{
-    Rng rng{55};
-    const double rho_x = 0.8;
-    const double rho_y = 0.6;
-    const double mu_x = 1.0;
-    const double mu_y = -2.0;
-    double x = mu_x;
-    double y = mu_y;
-    util::AutocorrAccumulator acc;
-    for (int i = 0; i < 300000; ++i) {
-        x = mu_x + rho_x * (x - mu_x) + std::sqrt(1 - rho_x * rho_x) * rng.gaussian();
-        y = mu_y + rho_y * (y - mu_y) + std::sqrt(1 - rho_y * rho_y) * rng.gaussian();
-        acc.add(x * y);
-    }
-    const WordStats sx = make_stats(mu_x, 1.0, rho_x, 12);
-    const WordStats sy = make_stats(mu_y, 1.0, rho_y, 12);
-    const WordStats prod = propagate_mult(sx, sy, 24);
-    EXPECT_NEAR(prod.mean, acc.mean(), 0.05);
-    EXPECT_NEAR(prod.variance, acc.variance(), 0.2);
-    EXPECT_NEAR(prod.rho, acc.rho(), 0.05);
-}
-
-TEST(Propagation, AbsvalMomentsAgainstMonteCarlo)
-{
-    Rng rng{202};
-    const double rho = 0.85;
-    double x = 0.0;
-    util::AutocorrAccumulator acc;
-    for (int i = 0; i < 300000; ++i) {
-        x = rho * x + std::sqrt(1 - rho * rho) * rng.gaussian();
-        acc.add(std::abs(x) * 100.0);
-    }
-    const WordStats in = make_stats(0.0, 100.0, rho, 12);
-    const WordStats out = propagate_absval(in, 12);
-    EXPECT_NEAR(out.mean, acc.mean(), 0.5);
-    EXPECT_NEAR(out.variance, acc.variance(), 50.0);
-    EXPECT_NEAR(out.rho, acc.rho(), 0.03);
-}
-
-TEST(Propagation, AbsvalOfUncorrelatedStaysUncorrelated)
-{
-    const WordStats out = propagate_absval(make_stats(0.0, 10.0, 0.0, 8), 8);
-    EXPECT_NEAR(out.rho, 0.0, 1e-9);
-    EXPECT_NEAR(out.mean, 10.0 * std::sqrt(2.0 / std::numbers::pi), 1e-9);
-}
-
-TEST(Propagation, DelayIsIdentity)
-{
-    const WordStats a = make_stats(2.0, 3.0, 0.5, 12);
-    const WordStats out = propagate_delay(a);
-    EXPECT_DOUBLE_EQ(out.mean, a.mean);
-    EXPECT_DOUBLE_EQ(out.variance, a.variance);
-    EXPECT_DOUBLE_EQ(out.rho, a.rho);
-}
-
-TEST(Propagation, MuxMixture)
-{
-    const WordStats a = make_stats(10.0, 2.0, 0.9, 8);
-    const WordStats b = make_stats(-10.0, 2.0, 0.1, 8);
-    const WordStats out = propagate_mux(a, b, 0.5, 8);
-    EXPECT_DOUBLE_EQ(out.mean, 0.0);
-    // 0.5·4 + 0.5·4 + 0.25·400 = 104.
-    EXPECT_DOUBLE_EQ(out.variance, 104.0);
-    EXPECT_THROW((void)propagate_mux(a, b, 1.5, 8), util::PreconditionError);
-}
-
-TEST(Propagation, MuxDegenerateSelection)
-{
-    const WordStats a = make_stats(3.0, 2.0, 0.4, 8);
-    const WordStats b = make_stats(-7.0, 5.0, 0.8, 8);
-    const WordStats out = propagate_mux(a, b, 1.0, 8);
-    EXPECT_DOUBLE_EQ(out.mean, a.mean);
-    EXPECT_DOUBLE_EQ(out.variance, a.variance);
 }
 
 } // namespace
